@@ -185,40 +185,58 @@ def _brandes_sparse(indptr, indices, n, block=64):
     sums as in ``_brandes_csr``, with exact zeros in between; columns are
     added into ``bc`` in source order. The result is therefore bit-equal to
     the other engines.
+
+    Isolated nodes are dropped first: they lie on no path and add only exact
+    zeros, and renumbering the rest in order keeps every row's columns
+    ascending, so the sums are unchanged. Every remaining source therefore
+    reaches level 1.
     """
     from scipy import sparse
 
-    adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     bc = np.zeros(n, dtype=np.float64)
-    for start in range(0, n, block):
-        sources = np.arange(start, min(start + block, n))
-        cols = np.arange(len(sources))
-        dist = np.full((n, len(sources)), -1, dtype=np.int32)
-        sigma = np.zeros((n, len(sources)), dtype=np.float64)
-        dist[sources, cols] = 0
-        sigma[sources, cols] = 1.0
+    keep = np.flatnonzero(np.diff(indptr))
+    m = len(keep)
+    renumber = np.zeros(n, dtype=np.int64)
+    renumber[keep] = np.arange(m)
+    indices = renumber[indices]
+    indptr = np.concatenate(([0], indptr[keep + 1]))
+    adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+    kept_bc = np.zeros(m, dtype=np.float64)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        cols = np.arange(stop - start)
+        dist = np.full((m, len(cols)), -1, dtype=np.int32)
+        sigma = np.zeros((m, len(cols)), dtype=np.float64)
+        # Level 1 is written directly: each neighbour of a source has the one
+        # path count 1.0 that a product with the one-hot sources would give.
+        rows = indices[indptr[start] : indptr[stop]]
+        hits = np.repeat(cols, np.diff(indptr[start : stop + 1]))
+        dist[rows, hits] = 1
+        sigma[rows, hits] = 1.0
         frontier = sigma.copy()
-        depth = 0
+        dist[start + cols, cols] = 0
+        sigma[start + cols, cols] = 1.0
+        depth = 1
         while True:
             reached = adj @ frontier
             new = (dist < 0) & (reached > 0)
             if not new.any():
                 break
             depth += 1
-            dist[new] = depth
-            sigma[new] = reached[new]
-            frontier = np.where(new, reached, 0.0)
+            np.copyto(dist, depth, where=new)
+            np.copyto(sigma, reached, where=new)
+            frontier = np.multiply(reached, new, out=reached)
         # Level 0 is the source itself, whose dependency is never counted.
         delta = np.zeros_like(sigma)
+        coeff = np.empty_like(sigma)
         for d in range(depth, 1, -1):
-            at = dist == d
-            coeff = np.zeros_like(sigma)
-            coeff[at] = (1.0 + delta[at]) / sigma[at]
+            coeff.fill(0.0)
+            np.divide(delta + 1.0, sigma, out=coeff, where=dist == d)
             pulled = adj @ coeff
-            up = dist == d - 1
-            delta[up] = sigma[up] * pulled[up]
-        for col in range(len(sources)):
-            bc += delta[:, col]
+            np.multiply(sigma, pulled, out=delta, where=dist == d - 1)
+        for row in delta.T.copy():
+            kept_bc += row
+    bc[keep] = kept_bc
     return bc
 
 
@@ -476,6 +494,7 @@ def dissonance_summary(
     *,
     top_k: int = 14,
     centrality_metric: str = "degree",
+    centrality: CentralityResult | None = None,
     include_timestamp: bool = True,
 ) -> AnalysisReport:
     """Aggregate census, top-k central attributes, the three overlap
@@ -483,18 +502,35 @@ def dissonance_summary(
 
     The snapshot and graph must share provenance (the graph was built from
     this snapshot); higher specificity means a more isolated vocabulary.
+    ``centrality`` is an already computed plain (not normalized, not
+    weighted) ``centrality_metric`` result for this graph, used instead of
+    computing it again.
     """
     if graph.provenance.snapshot_hash != snapshot.content_hash:
         raise ProvenanceError(
             "graph provenance does not match snapshot: "
             f"{graph.provenance.snapshot_hash[:12]} vs {snapshot.content_hash[:12]}"
         )
-    if centrality_metric == "degree":
-        result = degree_centrality(graph)
-    elif centrality_metric == "betweenness":
-        result = betweenness_centrality(graph)
-    else:
+    if centrality_metric not in ("degree", "betweenness"):
         raise ValueError(f"unknown centrality metric {centrality_metric!r}")
+    if centrality is not None:
+        if centrality.graph_hash != graph.graph_hash():
+            raise ProvenanceError(
+                "centrality provenance does not match graph: "
+                f"{(centrality.graph_hash or '-')[:12]} vs {graph.graph_hash()[:12]}"
+            )
+        if centrality.metric != centrality_metric:
+            raise ProvenanceError(
+                f"centrality metric {centrality.metric!r} does not match "
+                f"{centrality_metric!r}"
+            )
+        if centrality.normalized or centrality.weighted:
+            raise ValueError("precomputed centrality must be neither normalized nor weighted")
+        result = centrality
+    elif centrality_metric == "degree":
+        result = degree_centrality(graph)
+    else:
+        result = betweenness_centrality(graph)
     census_edges = edge_census(graph)
     census = {
         "nodes": len(graph.nodes),

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from ontomesh.analytics import (
     MATRIX_METRICS,
+    CentralityResult,
     betweenness_centrality,
     degree_centrality,
     dissonance_summary,
@@ -24,9 +25,9 @@ from ontomesh.analytics import (
     top_k_attributes,
 )
 from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus
-from ontomesh.errors import OntomeshError, SchemaParseError
+from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
 from ontomesh.exports import GRAPH_FORMATS, export_graph, export_matrix_csv
-from ontomesh.graph import build_graph, edge_census
+from ontomesh.graph import OntologyGraph, build_graph, edge_census
 from ontomesh.heatmap import render_heatmap_svg
 from ontomesh.report import REPORT_FORMATS, render_report
 from ontomesh.store import ArtifactStore
@@ -88,6 +89,41 @@ def _print_top(rows: list[tuple[str, float, int]]) -> list[str]:
         score_text = f"{score:g}" if isinstance(score, float) else str(score)
         lines.append(f"{i}\t{label}\t{score_text}\t{spread}")
     return lines
+
+
+def _centrality_name(graph_name: str, result: CentralityResult) -> str:
+    """``<graph>-<metric>``, suffixed ``-weighted`` / ``-normalized`` for
+    those variants so that they never replace the plain result."""
+    suffixes = ("-weighted" if result.weighted else "") + (
+        "-normalized" if result.normalized else ""
+    )
+    return f"{graph_name}-{result.metric}{suffixes}"
+
+
+def _stored_centrality(
+    store: ArtifactStore, graph_name: str, graph: OntologyGraph, metric: str
+) -> CentralityResult | None:
+    """The plain ``metric`` result stored for exactly this graph, or None.
+
+    Reused only when ``<graph>-<metric>`` is a centrality artifact with that
+    metric, neither normalized nor weighted, whose graph hash is the graph's
+    own; anything else is computed again.
+    """
+    name = f"{graph_name}-{metric}"
+    try:
+        if store.entry(name)["kind"] != "centrality":
+            return None
+    except NotFoundError:
+        return None
+    result = store.get(name, expect_kind="centrality")
+    if (
+        result.metric != metric
+        or result.normalized
+        or result.weighted
+        or result.graph_hash != graph.graph_hash()
+    ):
+        return None
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +207,7 @@ def cmd_analyze_centrality(args: argparse.Namespace) -> int:
         result = degree_centrality(graph, normalized=cfg.normalized, weighted=cfg.weighted)
     else:
         result = betweenness_centrality(graph, normalized=cfg.normalized)
-    stored_name = f"{args.graph}-{cfg.metric}"
+    stored_name = _centrality_name(args.graph, result)
     content_hash = store.put(stored_name, result, overwrite=True)
     rows = top_k_attributes(result, graph, cfg.top_k)
     _emit(
@@ -199,6 +235,7 @@ def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
         snapshot,
         graph,
         top_k=cfg.top_k,
+        centrality=_stored_centrality(store, graph_name, graph, "degree"),
         include_timestamp=not cfg.no_timestamp,
     )
     stored_name = f"{args.snapshot}-dissonance"
@@ -256,6 +293,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         graph,
         top_k=cfg.top_k,
         centrality_metric=cfg.metric,
+        centrality=_stored_centrality(store, graph_name, graph, cfg.metric),
         include_timestamp=not cfg.no_timestamp,
     )
     stored_name = f"{args.name}-report"

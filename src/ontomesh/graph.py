@@ -100,6 +100,7 @@ class OntologyGraph:
     edges: list[GraphEdge]
     provenance: GraphProvenance
     adjacency: list[list[int]] = field(repr=False, default_factory=list)
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "graph"
 
@@ -197,7 +198,11 @@ class OntologyGraph:
         return cls.create(nodes, edges, GraphProvenance.from_doc(doc["provenance"]))
 
     def graph_hash(self) -> str:
-        return doc_hash(self.to_doc())
+        """Content hash of ``to_doc()``, computed on the first call only:
+        a graph is not modified after ``create``."""
+        if self._hash is None:
+            self._hash = doc_hash(self.to_doc())
+        return self._hash
 
 
 # ---------------------------------------------------------------------------

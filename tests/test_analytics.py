@@ -168,10 +168,25 @@ class TestBetweenness:
 
     def test_engines_agree_bitwise_random(self):
         # every sparse block size and the uncompiled numba kernel body
-        # reproduce the reference sums exactly
+        # reproduce the reference sums exactly, also where isolated nodes,
+        # which the sparse engine leaves out, come in runs at both ends,
+        # runs longer than a block, or scattered
+        graphs = [make_graph(5, [])]
         for seed in range(20):
             rng = random.Random(300 + seed)
-            graph = random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4))
+            graphs.append(random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4)))
+        for seed in range(10):
+            rng = random.Random(500 + seed)
+            n = rng.randint(20, 60)
+            isolated = {*range(5), *range(n - 3, n), *rng.sample(range(n), n // 3)}
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if u not in isolated and v not in isolated and rng.random() < 0.2
+            ]
+            graphs.append(make_graph(n, edges))
+        for graph in graphs:
             n = len(graph.nodes)
             want = analytics._betweenness_python(graph.adjacency)
             indptr, indices = analytics._graph_csr(graph)
@@ -434,3 +449,31 @@ class TestSpecificityAndSummary:
     def test_provenance_mismatch(self, minimal, fix1_graph):
         with pytest.raises(ProvenanceError):
             dissonance_summary(minimal, fix1_graph)
+
+    @pytest.mark.parametrize("metric", ["degree", "betweenness"])
+    def test_summary_with_precomputed_centrality(self, fix1_snapshot, fix1_graph, metric):
+        compute = degree_centrality if metric == "degree" else betweenness_centrality
+        result = CentralityResult.from_doc(compute(fix1_graph).to_doc())
+        reused = dissonance_summary(
+            fix1_snapshot, fix1_graph, centrality_metric=metric, centrality=result,
+            include_timestamp=False,
+        )
+        fresh = dissonance_summary(
+            fix1_snapshot, fix1_graph, centrality_metric=metric, include_timestamp=False
+        )
+        assert reused.to_doc() == fresh.to_doc()
+
+    def test_precomputed_centrality_must_match(self, fix1_snapshot, fix1_graph):
+        degree = degree_centrality(fix1_graph)
+        other_graph = build_graph(fix1_snapshot, containment_edges=True)
+        with pytest.raises(ProvenanceError):
+            dissonance_summary(fix1_snapshot, other_graph, centrality=degree)
+        with pytest.raises(ProvenanceError):
+            dissonance_summary(
+                fix1_snapshot, fix1_graph, centrality_metric="betweenness", centrality=degree
+            )
+        with pytest.raises(ValueError):
+            dissonance_summary(
+                fix1_snapshot, fix1_graph,
+                centrality=degree_centrality(fix1_graph, normalized=True),
+            )

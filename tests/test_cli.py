@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from ontomesh import analytics, cli
 from ontomesh.cli import main
+from ontomesh.store import ArtifactStore
 
 from conftest import FIXTURES
 
@@ -226,6 +228,138 @@ class TestExportAndReport:
         code, _, err = run_cli(["report", "--name", "fix1"], capsys)
         assert code == 1
         assert "fix1-graph" in err
+
+
+class TestCentralityReuse:
+    """``report`` and ``analyze dissonance`` reuse the plain centrality
+    result stored for the same graph, and compute it in every other case."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counted = {"degree": 0, "betweenness": 0}
+
+        def spy(metric, fn):
+            def wrapper(*args, **kwargs):
+                counted[metric] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for metric in counted:
+            name = f"{metric}_centrality"
+            wrapper = spy(metric, getattr(analytics, name))
+            monkeypatch.setattr(analytics, name, wrapper)
+            monkeypatch.setattr(cli, name, wrapper)
+        return counted
+
+    @staticmethod
+    def report(capsys, out, metric="betweenness"):
+        code, stdout, _ = run_cli(
+            ["report", "--name", "fix1", "--metric", metric, "--no-timestamp",
+             "--out", out, "--json"],
+            capsys,
+        )
+        assert code == 0
+        return json.loads(stdout)["hash"]
+
+    def test_report_reuses_stored_betweenness(self, built, capsys, monkeypatch):
+        fresh_hash = self.report(capsys, "fresh.md")
+        code, _, _ = run_cli(
+            ["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness"],
+            capsys,
+        )
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("betweenness computed again")
+
+        monkeypatch.setattr(analytics, "betweenness_centrality", refuse)
+        names = ArtifactStore(built / "store").names()
+        assert self.report(capsys, "reused.md") == fresh_hash
+        assert (built / "reused.md").read_bytes() == (built / "fresh.md").read_bytes()
+        assert ArtifactStore(built / "store").names() == names
+
+    def test_report_adds_no_centrality(self, built, capsys, calls):
+        self.report(capsys, "r.md")
+        self.report(capsys, "r.md", metric="degree")
+        assert calls == {"degree": 1, "betweenness": 1}
+        assert ArtifactStore(built / "store").names() == ["fix1", "fix1-graph", "fix1-report"]
+
+    def test_dissonance_reuses_stored_degree(self, built, capsys, calls):
+        argv = ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp", "--json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        fresh_hash = json.loads(out)["hash"]
+        code, _, _ = run_cli(["analyze", "centrality", "--graph", "fix1-graph"], capsys)
+        assert code == 0
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["hash"] == fresh_hash
+        # once by the first dissonance run, once by analyze centrality
+        assert calls["degree"] == 2
+
+    def test_normalized_result_not_reused(self, built, capsys, calls):
+        code, out, _ = run_cli(
+            ["analyze", "centrality", "--graph", "fix1-graph", "--metric",
+             "betweenness", "--normalized", "--json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["stored"] == "fix1-graph-betweenness-normalized"
+        fresh_hash = self.report(capsys, "a.md")
+        assert calls["betweenness"] == 2
+        # a normalized result under the plain name, as older versions stored it
+        store = ArtifactStore(built / "store")
+        store.put(
+            "fix1-graph-betweenness",
+            store.get("fix1-graph-betweenness-normalized"),
+            overwrite=True,
+        )
+        assert self.report(capsys, "b.md") == fresh_hash
+        assert calls["betweenness"] == 3
+        assert (built / "a.md").read_bytes() == (built / "b.md").read_bytes()
+
+    def test_rebuilt_graph_not_reused(self, built, capsys, calls):
+        code, _, _ = run_cli(
+            ["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness"],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["graph", "build", "--snapshot", "fix1", "--overwrite",
+             "--containment-edges", "--json"],
+            capsys,
+        )
+        assert code == 0
+        graph_hash = json.loads(out)["hash"]
+        report_hash = self.report(capsys, "r.md")
+        assert calls["betweenness"] == 2
+        report = ArtifactStore(built / "store").get("fix1-report")
+        assert report.graph_hash == graph_hash
+        assert ArtifactStore(built / "store").entry("fix1-report")["hash"] == report_hash
+
+    def test_variants_stored_apart(self, built, capsys):
+        stored = {}
+        for flags in ([], ["--weighted"], ["--normalized"], ["--weighted", "--normalized"]):
+            code, out, _ = run_cli(
+                ["analyze", "centrality", "--graph", "fix1-graph", "--json", *flags],
+                capsys,
+            )
+            assert code == 0
+            payload = json.loads(out)
+            stored[payload["stored"]] = payload["hash"]
+        assert sorted(stored) == [
+            "fix1-graph-degree",
+            "fix1-graph-degree-normalized",
+            "fix1-graph-degree-weighted",
+            "fix1-graph-degree-weighted-normalized",
+        ]
+        store = ArtifactStore(built / "store")
+        assert len(set(stored.values())) == 4
+        for name, content_hash in stored.items():
+            assert store.entry(name)["hash"] == content_hash
+            result = store.get(name)
+            assert result.weighted == ("weighted" in name)
+            assert result.normalized == ("normalized" in name)
 
 
 class TestEntryPoint:

@@ -124,6 +124,14 @@ class TestFix1Graph:
             == build_graph(fix1_snapshot).graph_hash()
         )
 
+    def test_hash_computed_once(self, fix1_snapshot, monkeypatch):
+        graph = build_graph(fix1_snapshot)
+        first = graph.graph_hash()
+        monkeypatch.setattr(
+            OntologyGraph, "to_doc", lambda self: pytest.fail("graph hashed twice")
+        )
+        assert graph.graph_hash() == first
+
     def test_doc_round_trip(self, fix1_graph):
         back = OntologyGraph.from_doc(fix1_graph.to_doc())
         assert back.to_doc() == fix1_graph.to_doc()
