@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time graph construction and the analytics kernels on a synthetic corpus.
+"""Time graph construction, graph load and export, and the analytics kernels
+on a synthetic corpus.
 
     python3 scripts/benchmark_centrality.py
     python3 scripts/benchmark_centrality.py --types 120 --engines sparse,numba
@@ -7,6 +8,7 @@
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,7 +22,9 @@ from ontomesh.analytics import (  # noqa: E402
     domain_overlap_matrix,
     specificity_ratios,
 )
+from ontomesh.exports import export_graph  # noqa: E402
 from ontomesh.graph import build_graph  # noqa: E402
+from ontomesh.store import ArtifactStore  # noqa: E402
 from ontomesh.synthetic import synthetic_snapshot  # noqa: E402
 
 
@@ -60,7 +64,13 @@ def main() -> int:
         ),
     )
     graph = timed("build_graph", lambda: build_graph(snapshot))
-    print(f"  nodes={len(graph.nodes)} edges={len(graph.edges)}")
+    print(f"  nodes={len(graph.nodes)} edges={len(graph.u)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ArtifactStore(Path(tmp) / "store")
+        timed("store put graph", lambda: store.put("graph", graph))
+        graph = timed("store get graph", lambda: store.get("graph", expect_kind="graph"))
+        timed("graph hash (from the store)", graph.graph_hash)
+        timed("export graphml", lambda: export_graph(graph, "graphml", Path(tmp) / "g.graphml"))
 
     timed("degree", lambda: degree_centrality(graph))
     timed("degree (weighted)", lambda: degree_centrality(graph, weighted=True))

@@ -21,6 +21,7 @@ from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
+    EDGE_KINDS,
     NodeKind,
     OntologyGraph,
     edge_census,
@@ -79,22 +80,17 @@ def degree_centrality(
     ``weighted``. Normalization divides by |V|-1 (0 on a singleton graph)."""
     n = len(graph.nodes)
     if weighted:
-        raw: dict[int, float] = {node.node_id: 0 for node in graph.nodes}
-        for e in graph.edges:
-            raw[e.u] += e.weight
-            raw[e.v] += e.weight
+        # Float sums of integer weights are exact far below 2**53.
+        ends = np.concatenate((graph.u, graph.v))
+        both = np.concatenate((graph.weight, graph.weight))
+        raw = np.bincount(ends, weights=both, minlength=n).astype(np.int64)
     else:
-        raw = {
-            node.node_id: len(set(graph.adjacency[node.node_id]))
-            for node in graph.nodes
-        }
+        raw = np.diff(graph.indptr)
+    values = raw.tolist()
     if normalized:
         denom = n - 1
-        scores = {
-            nid: (value / denom if denom > 0 else 0.0) for nid, value in raw.items()
-        }
-    else:
-        scores = raw
+        values = [value / denom if denom > 0 else 0.0 for value in values]
+    scores = dict(enumerate(values))
     return CentralityResult(
         metric="degree",
         normalized=normalized,
@@ -103,20 +99,6 @@ def degree_centrality(
         ranking=_rank(graph, scores),
         graph_hash=graph.graph_hash(),
     )
-
-
-def _graph_csr(graph: OntologyGraph) -> tuple[np.ndarray, np.ndarray]:
-    n = len(graph.nodes)
-    degrees = np.zeros(n, dtype=np.int64)
-    neighbor_sets = [sorted(set(neighbors)) for neighbors in graph.adjacency]
-    for i, neighbors in enumerate(neighbor_sets):
-        degrees[i] = len(neighbors)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i, neighbors in enumerate(neighbor_sets):
-        indices[indptr[i] : indptr[i + 1]] = neighbors
-    return indptr, indices
 
 
 def _brandes_csr(indptr, indices, n):
@@ -189,9 +171,12 @@ def _brandes_sparse(indptr, indices, n, block=64):
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
     ascending, so the sums are unchanged. Every remaining source therefore
-    reaches level 1.
+    reaches level 1. The BFS of a block stops once each column has reached
+    every node of its source's connected component, so no product is spent
+    on a level that would find nothing.
     """
     from scipy import sparse
+    from scipy.sparse import csgraph
 
     bc = np.zeros(n, dtype=np.float64)
     keep = np.flatnonzero(np.diff(indptr))
@@ -201,6 +186,8 @@ def _brandes_sparse(indptr, indices, n, block=64):
     indices = renumber[indices]
     indptr = np.concatenate(([0], indptr[keep + 1]))
     adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+    _, component = csgraph.connected_components(adj, directed=False)
+    component_size = np.bincount(component)
     kept_bc = np.zeros(m, dtype=np.float64)
     for start in range(0, m, block):
         stop = min(start + block, m)
@@ -217,15 +204,16 @@ def _brandes_sparse(indptr, indices, n, block=64):
         dist[start + cols, cols] = 0
         sigma[start + cols, cols] = 1.0
         depth = 1
-        while True:
+        # A source and its neighbours are seen; the rest of its component is not.
+        unseen = component_size[component[start:stop]] - 1 - np.diff(indptr[start : stop + 1])
+        while unseen.any():
             reached = adj @ frontier
             new = (dist < 0) & (reached > 0)
-            if not new.any():
-                break
             depth += 1
             np.copyto(dist, depth, where=new)
             np.copyto(sigma, reached, where=new)
             frontier = np.multiply(reached, new, out=reached)
+            unseen -= new.sum(axis=0)
         # Level 0 is the source itself, whose dependency is never counted.
         delta = np.zeros_like(sigma)
         coeff = np.empty_like(sigma)
@@ -240,10 +228,11 @@ def _brandes_sparse(indptr, indices, n, block=64):
     return bc
 
 
-def _betweenness_python(adjacency: list[list[int]]) -> list[float]:
-    """Reference loop: the same pull-order sums as ``_brandes_csr``."""
-    n = len(adjacency)
-    neighbor_sets = [sorted(set(neighbors)) for neighbors in adjacency]
+def _betweenness_python(indptr, indices) -> list[float]:
+    """Reference loop over the same CSR: the pull-order sums of
+    ``_brandes_csr`` with Python lists."""
+    n = len(indptr) - 1
+    neighbor_sets = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
     bc = [0.0] * n
     for s in range(n):
         dist = [-1] * n
@@ -298,11 +287,10 @@ def betweenness_centrality(
     if engine == "numba" and _numba_kernel() is None:
         raise RuntimeError("numba engine requested but numba is not importable")
     if engine == "python" or n == 0:
-        raw = _betweenness_python(graph.adjacency)
+        raw = _betweenness_python(graph.indptr, graph.indices)
     else:
         kernel = _numba_kernel() if engine == "numba" else _brandes_sparse
-        indptr, indices = _graph_csr(graph)
-        raw = kernel(indptr, indices, n).tolist()
+        raw = kernel(graph.indptr, graph.indices, n).tolist()
     # Brandes accumulates each unordered pair from both endpoints.
     raw = [v / 2.0 for v in raw]
     if normalized:
@@ -326,18 +314,18 @@ def top_k_attributes(
     Fewer than k attributes: all of them, no error."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spread: dict[int, set[int]] = {}
-    for e in graph.edges:
-        if e.kind == EDGE_ATTR_DOMAIN:
-            kinds = (graph.nodes[e.u].kind, graph.nodes[e.v].kind)
-            attr, dom = (e.u, e.v) if kinds[0] == NodeKind.ATTRIBUTE else (e.v, e.u)
-            spread.setdefault(attr, set()).add(dom)
+    # Edges are distinct, so an attribute's attr_domain edges name distinct
+    # domains.
+    is_attr = np.array([node.kind == NodeKind.ATTRIBUTE for node in graph.nodes], dtype=bool)
+    on_domain = graph.kind == EDGE_KINDS.index(EDGE_ATTR_DOMAIN)
+    u, v = graph.u[on_domain], graph.v[on_domain]
+    spread = np.bincount(np.where(is_attr[u], u, v), minlength=len(graph.nodes)).tolist()
     rows: list[tuple[str, float, int]] = []
     for node_id in result.ranking:
         node = graph.nodes[node_id]
         if node.kind != NodeKind.ATTRIBUTE:
             continue
-        rows.append((node.label, result.scores[node_id], len(spread.get(node_id, ()))))
+        rows.append((node.label, result.scores[node_id], spread[node_id]))
         if len(rows) == k:
             break
     return rows

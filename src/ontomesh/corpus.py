@@ -304,7 +304,7 @@ class CorpusSnapshot:
     @classmethod
     def from_ndjson(cls, text: str) -> "CorpusSnapshot":
         manifest = None
-        domains, models, types, occs = [], [], [], []
+        records = []
         for ln, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
                 continue
@@ -312,10 +312,22 @@ class CorpusSnapshot:
                 doc = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise SchemaParseError(f"line {ln}: invalid JSON record: {exc}") from exc
-            kind = doc.get("kind")
-            if kind == "manifest":
+            if doc.get("kind") == "manifest":
                 manifest = doc
-            elif kind == "domain":
+            else:
+                records.append((f"line {ln}", doc))
+        if manifest is None:
+            raise SchemaParseError("missing manifest record")
+        return cls._from_records(manifest, records)
+
+    @classmethod
+    def _from_records(cls, manifest: dict, records: Iterable[tuple[str, dict]]) -> "CorpusSnapshot":
+        """Assemble a snapshot from the manifest and ``(where, record)``
+        pairs; ``where`` locates a record in messages."""
+        domains, models, types, occs = [], [], [], []
+        for where, doc in records:
+            kind = doc.get("kind")
+            if kind == "domain":
                 domains.append(DomainRecord(doc["domain_id"], doc["display_name"]))
             elif kind == "model":
                 models.append(
@@ -343,9 +355,7 @@ class CorpusSnapshot:
                     )
                 )
             else:
-                raise SchemaParseError(f"line {ln}: unknown record kind {kind!r}")
-        if manifest is None:
-            raise SchemaParseError("missing manifest record")
+                raise SchemaParseError(f"{where}: unknown record kind {kind!r}")
         snapshot = cls.assemble(
             manifest["source_uri"], domains, models, types, occs,
             content_hash=manifest["content_hash"],
@@ -371,14 +381,8 @@ class CorpusSnapshot:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CorpusSnapshot":
-        lines = [canonical_json_line(r) for r in doc["records"]]
-        manifest = {
-            "kind": "manifest",
-            "source_uri": doc["source_uri"],
-            "content_hash": doc["content_hash"],
-            "counts": doc["counts"],
-        }
-        return cls.from_ndjson("\n".join([canonical_json_line(manifest)] + lines) + "\n")
+        records = ((f"record {i}", record) for i, record in enumerate(doc["records"], start=1))
+        return cls._from_records(doc, records)
 
 
 # ---------------------------------------------------------------------------

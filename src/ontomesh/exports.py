@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import os
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from ontomesh.analytics import DomainMatrix
@@ -21,30 +20,56 @@ _DOT_SHAPES = {
 }
 
 
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='UTF-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    '  <key id="d_kind" for="node" attr.name="kind" attr.type="string" />\n'
+    '  <key id="d_label" for="node" attr.name="label" attr.type="string" />\n'
+    '  <key id="d_ekind" for="edge" attr.name="kind" attr.type="string" />\n'
+    '  <key id="d_weight" for="edge" attr.name="weight" attr.type="long" />\n'
+)
+
+
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _graphml_label(label: str) -> str:
+    if not label:
+        return '      <data key="d_label" />'
+    return f'      <data key="d_label">{_xml_text(label)}</data>'
+
+
 def _graphml_bytes(graph: OntologyGraph) -> bytes:
-    root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
-    keys = [
-        ("d_kind", "node", "kind", "string"),
-        ("d_label", "node", "label", "string"),
-        ("d_ekind", "edge", "kind", "string"),
-        ("d_weight", "edge", "weight", "long"),
-    ]
-    for key_id, domain, name, typ in keys:
-        ET.SubElement(
-            root, "key",
-            {"id": key_id, "for": domain, "attr.name": name, "attr.type": typ},
+    """GraphML with two-space indentation, written as one stream of text.
+
+    The bytes are those ElementTree gives for the same elements after
+    ``ET.indent``: text escapes only ``&``, ``<`` and ``>``, an element
+    without text or children is written ``<tag ... />``, and characters
+    UTF-8 cannot encode become character references.
+    """
+    parts = [_GRAPHML_HEAD]
+    if not graph.nodes:
+        parts.append('  <graph id="G" edgedefault="undirected" />\n')
+    else:
+        parts.append('  <graph id="G" edgedefault="undirected">\n')
+        parts.extend(
+            f'    <node id="n{node.node_id}">\n'
+            f'      <data key="d_kind">{node.kind.value}</data>\n'
+            f"{_graphml_label(node.label)}\n"
+            "    </node>\n"
+            for node in graph.nodes
         )
-    g = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
-    for node in graph.nodes:
-        el = ET.SubElement(g, "node", {"id": f"n{node.node_id}"})
-        ET.SubElement(el, "data", {"key": "d_kind"}).text = node.kind.value
-        ET.SubElement(el, "data", {"key": "d_label"}).text = node.label
-    for e in graph.edges:
-        el = ET.SubElement(g, "edge", {"source": f"n{e.u}", "target": f"n{e.v}"})
-        ET.SubElement(el, "data", {"key": "d_ekind"}).text = e.kind
-        ET.SubElement(el, "data", {"key": "d_weight"}).text = str(e.weight)
-    ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
+        parts.extend(
+            f'    <edge source="n{u}" target="n{v}">\n'
+            f'      <data key="d_ekind">{kind}</data>\n'
+            f'      <data key="d_weight">{weight}</data>\n'
+            "    </edge>\n"
+            for u, v, kind, weight in graph.edge_rows()
+        )
+        parts.append("  </graph>\n")
+    parts.append("</graphml>\n")
+    return "".join(parts).encode("utf-8", "xmlcharrefreplace")
 
 
 def _dot_escape(label: str) -> str:
@@ -59,8 +84,10 @@ def _dot_bytes(graph: OntologyGraph) -> bytes:
             f'  n{node.node_id} [label="{_dot_escape(node.label)}", shape={shape}, '
             f'fillcolor="{color}", kind={node.kind.value}];'
         )
-    for e in graph.edges:
-        lines.append(f'  n{e.u} -- n{e.v} [label={e.weight}, kind={e.kind}];')
+    lines.extend(
+        f"  n{u} -- n{v} [label={weight}, kind={kind}];"
+        for u, v, kind, weight in graph.edge_rows()
+    )
     lines.append("}")
     return "\n".join(lines).encode("utf-8") + b"\n"
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+
+import numpy as np
 
 from ontomesh.canonical import canonical_json_line, doc_hash
 from ontomesh.corpus import CorpusSnapshot
@@ -42,12 +43,9 @@ EDGE_ATTR_MODEL = "attr_model"
 EDGE_ATTR_DOMAIN = "attr_domain"
 EDGE_CONTAINMENT = "containment"
 
-_EDGE_ORDER = {
-    EDGE_ATTR_ATTR: 0,
-    EDGE_ATTR_MODEL: 1,
-    EDGE_ATTR_DOMAIN: 2,
-    EDGE_CONTAINMENT: 3,
-}
+# Edge kinds in canonical order; an edge's kind code is its index here.
+EDGE_KINDS = (EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT)
+_EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
 
 @dataclass
@@ -94,15 +92,61 @@ class GraphProvenance:
         )
 
 
-@dataclass
-class OntologyGraph:
-    nodes: list[GraphNode]
-    edges: list[GraphEdge]
-    provenance: GraphProvenance
-    adjacency: list[list[int]] = field(repr=False, default_factory=list)
-    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
+def _int_column(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"edge {name} values must be integers")
+    return array.astype(np.int64, copy=False)
 
-    kind = "graph"
+
+def _kind_codes(kinds: list[str]) -> list[int]:
+    try:
+        return [_EDGE_CODE[kind] for kind in kinds]
+    except (KeyError, TypeError):
+        bad = next(kind for kind in kinds if kind not in EDGE_KINDS)
+        raise ValueError(f"unknown edge kind {bad!r}") from None
+
+
+def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
+    """Edge fields given as Python lists, kinds by name, as int64 arrays;
+    unknown kinds and non-integer values are refused."""
+    return [
+        _int_column(values, name)
+        for values, name in ((u, "u"), (v, "v"), (_kind_codes(kinds), "kind"), (weight, "weight"))
+    ]
+
+
+def _unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of an int array, ascending, and how often each occurs
+    (by sorting: ``np.unique`` may take a slower hashing path)."""
+    keys = np.sort(keys)
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+@dataclass(eq=False)
+class OntologyGraph:
+    """Nodes as objects, edges as parallel int arrays.
+
+    ``u``, ``v``, ``kind`` (an index into :data:`EDGE_KINDS`) and ``weight``
+    hold one entry per edge, ``u < v``, in canonical order: by kind, then
+    ``u``, then ``v``. ``indptr`` / ``indices`` are the CSR adjacency of the
+    simple graph: the distinct neighbours of each node in ascending id,
+    whatever the kinds of the edges joining them. A graph is not modified
+    after it is built.
+    """
+
+    nodes: list[GraphNode]
+    provenance: GraphProvenance
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    kind: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    _hash: str | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def create(
@@ -111,7 +155,20 @@ class OntologyGraph:
         edges: list[GraphEdge],
         provenance: GraphProvenance,
     ) -> "OntologyGraph":
-        """Validate structure, sort edges canonically, derive adjacency."""
+        """Build a graph from edge objects in any order (for small graphs
+        assembled by hand); validates like every other constructor."""
+        columns = _edge_columns(
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [e.kind for e in edges],
+            [e.weight for e in edges],
+        )
+        return cls._from_arrays(nodes, *columns, provenance)
+
+    @classmethod
+    def _from_arrays(cls, nodes, u, v, kind, weight, provenance) -> "OntologyGraph":
+        """Validate structure, sort the int64 edge arrays canonically,
+        derive the CSR."""
         n = len(nodes)
         seen_labels = set()
         for expected_id, node in enumerate(nodes):
@@ -121,26 +178,31 @@ class OntologyGraph:
             if key in seen_labels:
                 raise ValueError(f"duplicate node {key!r}")
             seen_labels.add(key)
-        seen_edges = set()
-        for e in edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError(f"edge endpoint out of range: {e}")
-            if e.u >= e.v:
-                raise ValueError(f"edge not in canonical u < v form: {e}")
-            if e.weight < 1:
-                raise ValueError(f"edge weight below 1: {e}")
-            key = (e.u, e.v, e.kind)
-            if key in seen_edges:
-                raise ValueError(f"duplicate edge {key!r}")
-            seen_edges.add(key)
-        edges = sorted(edges, key=lambda e: (_EDGE_ORDER[e.kind], e.u, e.v))
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
-        for neighbors in adjacency:
-            neighbors.sort()
-        return cls(nodes=nodes, edges=edges, provenance=provenance, adjacency=adjacency)
+        def edge(i) -> GraphEdge:
+            return GraphEdge(int(u[i]), int(v[i]), EDGE_KINDS[kind[i]], int(weight[i]))
+
+        for broken, message in (
+            ((u < 0) | (u >= n) | (v < 0) | (v >= n), "edge endpoint out of range"),
+            (u >= v, "edge not in canonical u < v form"),
+            (weight < 1, "edge weight below 1"),
+        ):
+            bad = np.flatnonzero(broken)
+            if bad.size:
+                raise ValueError(f"{message}: {edge(bad[0])}")
+        order = np.lexsort((v, u, kind))
+        u, v, kind, weight = u[order], v[order], kind[order], weight[order]
+        bad = np.flatnonzero((kind[1:] == kind[:-1]) & (u[1:] == u[:-1]) & (v[1:] == v[:-1]))
+        if bad.size:
+            e = edge(bad[0])
+            raise ValueError(f"duplicate edge {(e.u, e.v, e.kind)!r}")
+        # Both directions of every edge, one entry per distinct neighbour pair.
+        pairs, _ = _unique_counts(np.concatenate((u * n + v, v * n + u)))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // max(n, 1), minlength=n), out=indptr[1:])
+        return cls(
+            nodes=nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight,
+            indptr=indptr, indices=pairs % max(n, 1),
+        )
 
     # -- lookups -----------------------------------------------------------
 
@@ -159,11 +221,21 @@ class OntologyGraph:
             census[node.kind.value] += 1
         return census
 
+    def neighbors(self, node_id: int) -> np.ndarray:
+        """Distinct neighbours of a node, ascending."""
+        return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
+
+    def edge_rows(self):
+        """Edges as ``(u, v, kind, weight)`` tuples of Python values, in
+        canonical order, for writers that visit every edge."""
+        kinds = [EDGE_KINDS[code] for code in self.kind.tolist()]
+        return zip(self.u.tolist(), self.v.tolist(), kinds, self.weight.tolist())
+
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "graph",
             "provenance": self.provenance.to_doc(),
             "nodes": [
                 {
@@ -175,13 +247,20 @@ class OntologyGraph:
                 for node in self.nodes
             ],
             "edges": [
-                {"u": e.u, "v": e.v, "kind": e.kind, "weight": e.weight}
-                for e in self.edges
+                {"u": u, "v": v, "kind": kind, "weight": weight}
+                for u, v, kind, weight in self.edge_rows()
             ],
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "OntologyGraph":
+    def from_doc(cls, doc: dict, content_hash: str | None = None) -> "OntologyGraph":
+        """Inverse of ``to_doc``.
+
+        ``content_hash`` is the verified hash of the canonical bytes the doc
+        was read from. It becomes ``graph_hash()`` when the stored edges are
+        already in canonical order, because ``to_doc()`` then gives back the
+        same document; otherwise the hash is computed when first asked for.
+        """
         nodes = [
             GraphNode(
                 node_id=nd["id"],
@@ -191,15 +270,26 @@ class OntologyGraph:
             )
             for nd in doc["nodes"]
         ]
-        edges = [
-            GraphEdge(u=ed["u"], v=ed["v"], kind=ed["kind"], weight=ed["weight"])
-            for ed in doc["edges"]
-        ]
-        return cls.create(nodes, edges, GraphProvenance.from_doc(doc["provenance"]))
+        edges = doc["edges"]
+        columns = _edge_columns(
+            [ed["u"] for ed in edges],
+            [ed["v"] for ed in edges],
+            [ed["kind"] for ed in edges],
+            [ed["weight"] for ed in edges],
+        )
+        graph = cls._from_arrays(
+            nodes, *columns, GraphProvenance.from_doc(doc["provenance"])
+        )
+        stored_order = (graph.u, graph.v, graph.kind)
+        if content_hash is not None and all(
+            np.array_equal(array, column) for array, column in zip(stored_order, columns)
+        ):
+            graph._hash = content_hash
+        return graph
 
     def graph_hash(self) -> str:
         """Content hash of ``to_doc()``, computed on the first call only:
-        a graph is not modified after ``create``."""
+        a graph is not modified after it is built."""
         if self._hash is None:
             self._hash = doc_hash(self.to_doc())
         return self._hash
@@ -208,6 +298,15 @@ class OntologyGraph:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+
+def _count_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct unordered pairs ``{a[i], b[i]}`` as sorted ``u < v`` arrays,
+    with the number of times each occurs."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    keys, counts = _unique_counts(np.minimum(a, b) * n + np.maximum(a, b))
+    return keys // max(n, 1), keys % max(n, 1), counts
 
 
 def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> OntologyGraph:
@@ -236,37 +335,43 @@ def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> On
         for i, (_, label, kind, metadata) in enumerate(keyed)
     ]
     ids = {(node.kind, node.label): node.node_id for node in nodes}
+    attr = {name: ids[(NodeKind.ATTRIBUTE, name)] for name in attribute_names}
+    model = {m.model_id: ids[(NodeKind.MODEL, m.model_id)] for m in snapshot.models}
+    domain = {d.domain_id: ids[(NodeKind.DOMAIN, d.domain_id)] for d in snapshot.domains}
+    n = len(nodes)
 
-    weights: dict[tuple[str, int, int], int] = {}
-
-    def bump(kind: str, a: int, b: int) -> None:
-        key = (kind, a, b) if a < b else (kind, b, a)
-        weights[key] = weights.get(key, 0) + 1
-
+    # Every attribute pair of a type: the upper triangle of its id vector.
+    clique_a, clique_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for t in snapshot.types:
-        attr_ids = [ids[(NodeKind.ATTRIBUTE, name)] for name in t.attribute_names]
-        for a, b in combinations(attr_ids, 2):
-            bump(EDGE_ATTR_ATTR, a, b)
-    for o in snapshot.occurrences:
-        attr = ids[(NodeKind.ATTRIBUTE, o.attribute_name)]
-        bump(EDGE_ATTR_MODEL, attr, ids[(NodeKind.MODEL, o.model_id)])
-        bump(EDGE_ATTR_DOMAIN, attr, ids[(NodeKind.DOMAIN, o.domain_id)])
-    if containment_edges:
-        for t in snapshot.types:
-            bump(EDGE_CONTAINMENT, ids[(NodeKind.TYPE, t.type_id)], ids[(NodeKind.MODEL, t.model_id)])
-        for m in snapshot.models:
-            for domain_id in m.domain_ids:
-                bump(EDGE_CONTAINMENT, ids[(NodeKind.MODEL, m.model_id)], ids[(NodeKind.DOMAIN, domain_id)])
-
-    edges = [
-        GraphEdge(u=u, v=v, kind=kind, weight=w)
-        for (kind, u, v), w in weights.items()
+        ids_of_type = np.array([attr[name] for name in t.attribute_names], dtype=np.int64)
+        i, j = np.triu_indices(len(ids_of_type), 1)
+        clique_a.append(ids_of_type[i])
+        clique_b.append(ids_of_type[j])
+    occurrence_attrs = [attr[o.attribute_name] for o in snapshot.occurrences]
+    groups = [
+        (EDGE_ATTR_ATTR, np.concatenate(clique_a), np.concatenate(clique_b)),
+        (EDGE_ATTR_MODEL, occurrence_attrs, [model[o.model_id] for o in snapshot.occurrences]),
+        (EDGE_ATTR_DOMAIN, occurrence_attrs, [domain[o.domain_id] for o in snapshot.occurrences]),
     ]
+    if containment_edges:
+        inner = [ids[(NodeKind.TYPE, t.type_id)] for t in snapshot.types]
+        outer = [model[t.model_id] for t in snapshot.types]
+        for m in snapshot.models:
+            inner += [model[m.model_id]] * len(m.domain_ids)
+            outer += [domain[domain_id] for domain_id in m.domain_ids]
+        groups.append((EDGE_CONTAINMENT, inner, outer))
+
+    columns: list[list[np.ndarray]] = [[], [], [], []]
+    for kind, a, b in groups:
+        u, v, weight = _count_pairs(a, b, n)
+        for column, values in zip(columns, (u, v, np.full(len(u), _EDGE_CODE[kind]), weight)):
+            column.append(values)
+    u, v, kind, weight = (np.concatenate(column) for column in columns)
     provenance = GraphProvenance(
         snapshot_hash=snapshot.content_hash,
         containment_edges=containment_edges,
     )
-    return OntologyGraph.create(nodes, edges, provenance)
+    return OntologyGraph._from_arrays(nodes, u, v, kind, weight, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +392,17 @@ def edge_census(graph: OntologyGraph) -> EdgeCensus:
     kinds = [EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN]
     if graph.provenance.containment_edges:
         kinds.append(EDGE_CONTAINMENT)
-    by_kind = {kind: (0, 0) for kind in kinds}
-    for e in graph.edges:
-        count, weight = by_kind.get(e.kind, (0, 0))
-        by_kind[e.kind] = (count + 1, weight + e.weight)
+    counts = np.bincount(graph.kind, minlength=len(EDGE_KINDS)).tolist()
+    weights = np.bincount(graph.kind, weights=graph.weight, minlength=len(EDGE_KINDS))
+    by_kind = {
+        kind: (counts[code], int(weights[code]))
+        for code, kind in enumerate(EDGE_KINDS)
+        if kind in kinds or counts[code]
+    }
     return EdgeCensus(
         by_kind=by_kind,
-        total_edges=len(graph.edges),
-        total_weight=sum(e.weight for e in graph.edges),
+        total_edges=len(graph.u),
+        total_weight=int(graph.weight.sum()),
     )
 
 
@@ -311,37 +419,37 @@ def domain_subgraph(graph: OntologyGraph, domain_id: str) -> OntologyGraph:
     except NotFoundError:
         raise NotFoundError(f"unknown domain {domain_id!r}") from None
 
-    keep: set[int] = {domain_node_id}
+    keep = np.zeros(len(graph.nodes), dtype=bool)
+    keep[domain_node_id] = True
     model_labels: set[str] = set()
     for node in graph.nodes_of_kind(NodeKind.MODEL):
         domains_meta = node.metadata.get("domains")
         if domains_meta and domain_id in json.loads(domains_meta):
-            keep.add(node.node_id)
+            keep[node.node_id] = True
             model_labels.add(node.label)
     for node in graph.nodes_of_kind(NodeKind.TYPE):
         if node.metadata.get("model") in model_labels:
-            keep.add(node.node_id)
-    kind_by_id = {node.node_id: node.kind for node in graph.nodes}
-    for neighbor in graph.adjacency[domain_node_id]:
-        if kind_by_id[neighbor] == NodeKind.ATTRIBUTE:
-            keep.add(neighbor)
+            keep[node.node_id] = True
+    for neighbor in graph.neighbors(domain_node_id).tolist():
+        if graph.nodes[neighbor].kind == NodeKind.ATTRIBUTE:
+            keep[neighbor] = True
 
-    kept_nodes = [node for node in graph.nodes if node.node_id in keep]
-    remap = {node.node_id: i for i, node in enumerate(kept_nodes)}
+    kept = np.flatnonzero(keep).tolist()
     nodes = [
-        GraphNode(node_id=remap[node.node_id], kind=node.kind, label=node.label,
-                  metadata=dict(node.metadata))
-        for node in kept_nodes
+        GraphNode(node_id=new_id, kind=graph.nodes[old_id].kind,
+                  label=graph.nodes[old_id].label,
+                  metadata=dict(graph.nodes[old_id].metadata))
+        for new_id, old_id in enumerate(kept)
     ]
-    edges = [
-        GraphEdge(u=remap[e.u], v=remap[e.v], kind=e.kind, weight=e.weight)
-        for e in graph.edges
-        if e.u in keep and e.v in keep
-    ]
+    remap = np.cumsum(keep) - 1
+    inside = keep[graph.u] & keep[graph.v]
     provenance = GraphProvenance(
         snapshot_hash=graph.provenance.snapshot_hash,
         containment_edges=graph.provenance.containment_edges,
         parent_hash=graph.graph_hash(),
         domain=domain_id,
     )
-    return OntologyGraph.create(nodes, edges, provenance)
+    return OntologyGraph._from_arrays(
+        nodes, remap[graph.u[inside]], remap[graph.v[inside]],
+        graph.kind[inside], graph.weight[inside], provenance,
+    )

@@ -116,6 +116,10 @@ class ArtifactStore:
         cls = _KINDS.get(entry["kind"])
         if cls is None:
             raise CorruptionError(f"unknown artifact kind {entry['kind']!r}")
+        if cls is OntologyGraph:
+            # put stores canonical_json_bytes(graph.to_doc()), so the verified
+            # object hash is the graph's own hash.
+            return OntologyGraph.from_doc(doc, content_hash=entry["hash"])
         return cls.from_doc(doc)
 
     def object_bytes(self, name: str) -> bytes:

@@ -9,6 +9,7 @@ over raw occurrence tuples.
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
 from itertools import combinations
 
 import numpy as np
@@ -88,8 +89,16 @@ def _all_shortest_paths(adj, dist, s, t):
     return paths
 
 
+def _neighbor_lists(graph: OntologyGraph) -> list[list[int]]:
+    neighbors: list[set[int]] = [set() for _ in graph.nodes]
+    for u, v in zip(graph.u.tolist(), graph.v.tolist()):
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return [sorted(ids) for ids in neighbors]
+
+
 def brute_force_betweenness(graph: OntologyGraph, normalized: bool = False) -> list[float]:
-    adj = [sorted(set(neighbors)) for neighbors in graph.adjacency]
+    adj = _neighbor_lists(graph)
     n = len(adj)
     bc = [0.0] * n
     for s, t in combinations(range(n), 2):
@@ -115,14 +124,46 @@ def degree_row_sums(graph: OntologyGraph, weighted: bool = False) -> list[float]
     neighbor count, weight-accumulating matrix for the weighted variant."""
     n = len(graph.nodes)
     matrix = np.zeros((n, n))
-    for e in graph.edges:
+    for u, v, weight in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
         if weighted:
-            matrix[e.u, e.v] += e.weight
-            matrix[e.v, e.u] += e.weight
+            matrix[u, v] += weight
+            matrix[v, u] += weight
         else:
-            matrix[e.u, e.v] = 1
-            matrix[e.v, e.u] = 1
+            matrix[u, v] = 1
+            matrix[v, u] = 1
     return matrix.sum(axis=1).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Export oracle
+# ---------------------------------------------------------------------------
+
+
+def graphml_element_tree(graph: OntologyGraph) -> bytes:
+    """GraphML built as an ElementTree, indented by ``ET.indent``."""
+    root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
+    keys = [
+        ("d_kind", "node", "kind", "string"),
+        ("d_label", "node", "label", "string"),
+        ("d_ekind", "edge", "kind", "string"),
+        ("d_weight", "edge", "weight", "long"),
+    ]
+    for key_id, domain, name, typ in keys:
+        ET.SubElement(
+            root, "key",
+            {"id": key_id, "for": domain, "attr.name": name, "attr.type": typ},
+        )
+    g = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
+    for node in graph.nodes:
+        el = ET.SubElement(g, "node", {"id": f"n{node.node_id}"})
+        ET.SubElement(el, "data", {"key": "d_kind"}).text = node.kind.value
+        ET.SubElement(el, "data", {"key": "d_label"}).text = node.label
+    for u, v, kind, weight in graph.edge_rows():
+        el = ET.SubElement(g, "edge", {"source": f"n{u}", "target": f"n{v}"})
+        ET.SubElement(el, "data", {"key": "d_ekind"}).text = kind
+        ET.SubElement(el, "data", {"key": "d_weight"}).text = str(weight)
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
 
 
 # ---------------------------------------------------------------------------

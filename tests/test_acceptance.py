@@ -108,8 +108,8 @@ def test_worked_example_graph():
             ("attribute", "hasTrip"),
         }
         edges = {
-            tuple(sorted((graph.nodes[e.u].label, graph.nodes[e.v].label)))
-            for e in graph.edges
+            tuple(sorted((graph.nodes[u].label, graph.nodes[v].label)))
+            for u, v in zip(graph.u.tolist(), graph.v.tolist())
         }
         assert edges == {
             ("dataProvider", "hasTrip"),
@@ -118,7 +118,7 @@ def test_worked_example_graph():
             ("SmartCities", "dataProvider"),
             ("SmartCities", "hasTrip"),
         }
-        assert all(e.weight == 1 for e in graph.edges)
+        assert all(weight == 1 for weight in graph.weight.tolist())
 
 
 def test_betweenness_oracle_equivalence():
@@ -252,7 +252,7 @@ def test_export_integrity(fix1_graph, tmp_path):
         root = ET.parse(gml_path).getroot()
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
         assert len(root.findall(".//g:node", ns)) == len(fix1_graph.nodes)
-        assert len(root.findall(".//g:edge", ns)) == len(fix1_graph.edges)
+        assert len(root.findall(".//g:edge", ns)) == len(fix1_graph.u)
 
 
 def test_performance_envelope():
@@ -264,7 +264,7 @@ def test_performance_envelope():
         snapshot = synthetic_snapshot()
         graph = build_graph(snapshot)
         assert len(graph.nodes) == 3630
-        assert 190_000 <= len(graph.edges) <= 230_000
+        assert 190_000 <= len(graph.u) <= 230_000
 
         started = time.perf_counter()
         degree_centrality(graph)
@@ -273,7 +273,7 @@ def test_performance_envelope():
             domain_overlap_matrix(snapshot, metric)
         fast_elapsed = time.perf_counter() - started
         print(f"      degree + matrices took {fast_elapsed:.2f}s "
-              f"({len(graph.edges)} edges)")
+              f"({len(graph.u)} edges)")
         assert fast_elapsed < FAST_PATH_BUDGET_S
 
         started = time.perf_counter()

@@ -37,6 +37,7 @@ from ontomesh.graph import (
     OntologyGraph,
     build_graph,
 )
+from ontomesh.synthetic import synthetic_snapshot
 
 from oracles import (
     brute_force_betweenness,
@@ -101,6 +102,22 @@ class TestDegree:
         scores = degree_centrality(fix1_graph, weighted=True).scores
         expected = degree_row_sums(fix1_graph, weighted=True)
         assert [scores[i] for i in range(len(fix1_graph.nodes))] == expected
+
+    def test_default_synthetic_graph_matches_plain_count(self):
+        graph = build_graph(synthetic_snapshot())
+        neighbours = [set() for _ in graph.nodes]
+        incident = [0] * len(graph.nodes)
+        for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+            incident[u] += w
+            incident[v] += w
+        plain = degree_centrality(graph).scores
+        weighted = degree_centrality(graph, weighted=True).scores
+        assert plain == {i: len(ids) for i, ids in enumerate(neighbours)}
+        assert weighted == dict(enumerate(incident))
+        # integer scores keep the stored documents' integer JSON numbers
+        assert all(type(v) is int for v in [*plain.values(), *weighted.values()])
 
     def test_weighted_fix1_hub(self, fix1_graph):
         scores = degree_centrality(fix1_graph, weighted=True).scores
@@ -172,6 +189,12 @@ class TestBetweenness:
         # which the sparse engine leaves out, come in runs at both ends,
         # runs longer than a block, or scattered
         graphs = [make_graph(5, [])]
+        # components of different sizes and depths, so the columns of one
+        # block finish their BFS at different levels
+        path = [(i, i + 1) for i in range(9)]
+        clique = [(u, v) for u in range(10, 15) for v in range(u + 1, 15)]
+        star = [(15, i) for i in range(16, 23)]
+        graphs.append(make_graph(26, path + clique + star + [(23, 24)]))
         for seed in range(20):
             rng = random.Random(300 + seed)
             graphs.append(random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4)))
@@ -188,8 +211,8 @@ class TestBetweenness:
             graphs.append(make_graph(n, edges))
         for graph in graphs:
             n = len(graph.nodes)
-            want = analytics._betweenness_python(graph.adjacency)
-            indptr, indices = analytics._graph_csr(graph)
+            indptr, indices = graph.indptr, graph.indices
+            want = analytics._betweenness_python(indptr, indices)
             assert analytics._brandes_csr(indptr, indices, n).tolist() == want
             for block in (1, 3, 16, 64):
                 got = analytics._brandes_sparse(indptr, indices, n, block)

@@ -192,6 +192,20 @@ class TestSnapshotSerialization:
         back = CorpusSnapshot.from_doc(fix1_snapshot.to_doc())
         assert back.record_docs() == fix1_snapshot.record_docs()
 
+    def test_doc_read_without_ndjson(self, fix1_snapshot, monkeypatch):
+        doc = fix1_snapshot.to_doc()
+        via_ndjson = CorpusSnapshot.from_ndjson(fix1_snapshot.to_ndjson())
+        monkeypatch.setattr(
+            CorpusSnapshot, "from_ndjson", lambda text: pytest.fail("re-rendered as NDJSON")
+        )
+        assert CorpusSnapshot.from_doc(doc) == via_ndjson == fix1_snapshot
+
+    def test_doc_unknown_record_kind_rejected(self, fix1_snapshot):
+        doc = fix1_snapshot.to_doc()
+        doc["records"].append({"kind": "mystery"})
+        with pytest.raises(SchemaParseError, match="unknown record kind 'mystery'"):
+            CorpusSnapshot.from_doc(doc)
+
 
 class TestSnapshotInvariants:
     def _base(self):

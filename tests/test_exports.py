@@ -5,9 +5,19 @@ import pytest
 
 from ontomesh.analytics import DomainMatrix, dissonance_summary
 from ontomesh.exports import export_graph, export_matrix_csv, import_graph_json
-from ontomesh.graph import build_graph
+from ontomesh.graph import (
+    EDGE_ATTR_ATTR,
+    GraphEdge,
+    GraphNode,
+    GraphProvenance,
+    NodeKind,
+    OntologyGraph,
+    build_graph,
+)
 from ontomesh.heatmap import PaletteConfig, render_heatmap_svg
 from ontomesh.report import render_report
+
+from oracles import graphml_element_tree
 
 GML_NS = {"g": "http://graphml.graphdrawing.org/xmlns"}
 
@@ -39,7 +49,7 @@ class TestGraphExports:
         export_graph(fix1_graph, "graphml", out)
         loaded = nx.read_graphml(out)
         assert loaded.number_of_nodes() == len(fix1_graph.nodes)
-        assert loaded.number_of_edges() == len(fix1_graph.edges)
+        assert loaded.number_of_edges() == len(fix1_graph.u)
         hub = loaded.nodes[f"n{fix1_graph.node_id('attribute', 'dataProvider')}"]
         assert hub["kind"] == "attribute"
         assert hub["label"] == "dataProvider"
@@ -56,7 +66,7 @@ class TestGraphExports:
         export_graph(fix1_graph, "dot", out)
         text = out.read_text()
         assert text.startswith("graph ontomesh {")
-        assert text.count(" -- ") == len(fix1_graph.edges)
+        assert text.count(" -- ") == len(fix1_graph.u)
         assert 'shape=box' in text and 'shape=ellipse' in text
 
     def test_deterministic_bytes(self, fix1_graph, tmp_path):
@@ -64,6 +74,37 @@ class TestGraphExports:
         export_graph(fix1_graph, "graphml", a)
         export_graph(fix1_graph, "graphml", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_graphml_bytes_match_element_tree(self, fix1_snapshot, fix1_graph, tmp_path):
+        for graph in (fix1_graph, build_graph(fix1_snapshot, containment_edges=True)):
+            out = tmp_path / "f.graphml"
+            export_graph(graph, "graphml", out)
+            assert out.read_bytes() == graphml_element_tree(graph)
+
+    def test_graphml_escapes_like_element_tree(self, tmp_path):
+        labels = ["a & b", "<tag>", 'say "hi"', "it's", "&amp;", "Zürich – Ørsted €",
+                  "温度", "", " padded ", "line\nbreak\r\ttab"]
+        nodes = [GraphNode(i, NodeKind.ATTRIBUTE, label) for i, label in enumerate(labels)]
+        edges = [GraphEdge(0, i, EDGE_ATTR_ATTR, i) for i in range(1, len(labels))]
+        graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+        out = tmp_path / "labels.graphml"
+        export_graph(graph, "graphml", out)
+        assert out.read_bytes() == graphml_element_tree(graph)
+        loaded = nx.read_graphml(out)
+        assert loaded.nodes["n0"]["label"] == "a & b"
+        assert loaded.nodes["n5"]["label"] == "Zürich – Ørsted €"
+        # UTF-8 cannot encode a lone surrogate: both write a character reference
+        nodes.append(GraphNode(len(nodes), NodeKind.ATTRIBUTE, "lone \ud800"))
+        graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+        export_graph(graph, "graphml", out)
+        assert out.read_bytes() == graphml_element_tree(graph)
+
+    def test_graphml_of_empty_graph_matches_element_tree(self, tmp_path):
+        for nodes in ([], [GraphNode(0, NodeKind.DOMAIN, "D")]):
+            graph = OntologyGraph.create(nodes, [], GraphProvenance("x"))
+            out = tmp_path / "empty.graphml"
+            export_graph(graph, "graphml", out)
+            assert out.read_bytes() == graphml_element_tree(graph)
 
     def test_unknown_format(self, fix1_graph, tmp_path):
         with pytest.raises(ValueError, match="unknown graph format"):

@@ -32,9 +32,9 @@ from oracles import random_snapshot
 def _edge_labels(graph):
     """Edges as ((label, label), kind, weight) with sorted label pairs."""
     out = set()
-    for e in graph.edges:
-        pair = tuple(sorted((graph.nodes[e.u].label, graph.nodes[e.v].label)))
-        out.add((pair, e.kind, e.weight))
+    for u, v, kind, weight in graph.edge_rows():
+        pair = tuple(sorted((graph.nodes[u].label, graph.nodes[v].label)))
+        out.add((pair, kind, weight))
     return out
 
 
@@ -97,7 +97,7 @@ class TestFix1Graph:
 
     def test_type_nodes_isolated_by_default(self, fix1_graph):
         for node in fix1_graph.nodes_of_kind(NodeKind.TYPE):
-            assert fix1_graph.adjacency[node.node_id] == []
+            assert fix1_graph.neighbors(node.node_id).tolist() == []
 
     def test_containment_adds_exact_count(self, fix1_snapshot, fix1_graph):
         withc = build_graph(fix1_snapshot, containment_edges=True)
@@ -105,7 +105,7 @@ class TestFix1Graph:
             len(m.domain_ids) for m in fix1_snapshot.models
         )
         assert expected_extra == 8
-        assert len(withc.edges) == len(fix1_graph.edges) + expected_extra
+        assert len(withc.u) == len(fix1_graph.u) + expected_extra
         census = edge_census(withc)
         assert census.by_kind[EDGE_CONTAINMENT] == (8, 8)
         assert EDGE_CONTAINMENT not in edge_census(fix1_graph).by_kind
@@ -137,6 +137,22 @@ class TestFix1Graph:
         assert back.to_doc() == fix1_graph.to_doc()
         assert back.graph_hash() == fix1_graph.graph_hash()
 
+    def test_given_hash_kept_only_for_canonical_edge_order(self, fix1_graph):
+        doc = fix1_graph.to_doc()
+        assert OntologyGraph.from_doc(doc, content_hash="h").graph_hash() == "h"
+        doc["edges"].reverse()
+        back = OntologyGraph.from_doc(doc, content_hash="h")
+        assert back.graph_hash() == fix1_graph.graph_hash()
+
+    def test_csr_holds_distinct_neighbours(self, fix1_snapshot):
+        graph = build_graph(fix1_snapshot, containment_edges=True)
+        neighbours = [set() for _ in graph.nodes]
+        for u, v in zip(graph.u.tolist(), graph.v.tolist()):
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        for node in graph.nodes:
+            assert graph.neighbors(node.node_id).tolist() == sorted(neighbours[node.node_id])
+
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
         broken = CorpusSnapshot(
             source_uri=fix1_snapshot.source_uri,
@@ -160,7 +176,7 @@ class TestDomainSubgraph:
         assert attr_labels == {
             "dataProvider", "hasTrip", "routeCode", "stopName", "temperature", "windSpeed",
         }
-        assert len(sub.edges) == 17
+        assert len(sub.u) == 17
 
     def test_provenance_chain(self, fix1_graph):
         sub = domain_subgraph(fix1_graph, "SmartEnergy")
@@ -229,6 +245,35 @@ class TestStructuralValidation:
             OntologyGraph.create(
                 self._nodes(2), [GraphEdge(0, 5, EDGE_ATTR_ATTR, 1)], GraphProvenance("x")
             )
+
+    @pytest.mark.parametrize(
+        "match, breaks",
+        [
+            ("canonical", lambda doc: doc["edges"].append(
+                {"u": 1, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 1})),
+            ("canonical", lambda doc: doc["edges"].append(
+                {"u": 2, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 1})),
+            ("duplicate edge", lambda doc: doc["edges"].append(
+                {"u": 0, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 2})),
+            ("weight", lambda doc: doc["edges"][0].update(weight=0)),
+            ("integers", lambda doc: doc["edges"][0].update(weight=1.5)),
+            ("out of range", lambda doc: doc["edges"][0].update(v=5)),
+            ("out of range", lambda doc: doc["edges"][0].update(u=-1)),
+            ("unknown edge kind", lambda doc: doc["edges"][0].update(kind="sibling")),
+            ("dense", lambda doc: doc["nodes"][2].update(id=7)),
+            ("duplicate node", lambda doc: doc["nodes"][2].update(label="a1")),
+        ],
+    )
+    def test_from_doc_rejects_what_create_rejects(self, match, breaks):
+        edges = [GraphEdge(0, 1, EDGE_ATTR_ATTR, 1), GraphEdge(1, 2, EDGE_ATTR_MODEL, 1)]
+        doc = OntologyGraph.create(self._nodes(3), edges, GraphProvenance("x")).to_doc()
+        breaks(doc)
+        with pytest.raises(ValueError, match=match):
+            OntologyGraph.from_doc(doc)
+        nodes = [GraphNode(nd["id"], NodeKind(nd["kind"]), nd["label"]) for nd in doc["nodes"]]
+        edges = [GraphEdge(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
+        with pytest.raises(ValueError, match=match):
+            OntologyGraph.create(nodes, edges, GraphProvenance("x"))
 
     def test_sparse_ordinals_rejected(self):
         nodes = self._nodes(3)

@@ -1,8 +1,9 @@
 import pytest
 
 from ontomesh.analytics import degree_centrality, dissonance_summary, domain_overlap_matrix
+from ontomesh.canonical import doc_hash
 from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
-from ontomesh.graph import build_graph
+from ontomesh.graph import OntologyGraph, build_graph
 from ontomesh.store import ArtifactStore
 
 
@@ -29,6 +30,18 @@ def test_round_trip_every_kind(store, fix1_snapshot, fix1_graph):
     for name, artifact in artifacts.items():
         store.put(name, artifact)
         assert store.get(name).to_doc() == artifact.to_doc()
+
+
+def test_loaded_graph_carries_its_verified_hash(store, fix1_snapshot, monkeypatch):
+    graph = build_graph(fix1_snapshot, containment_edges=True)
+    content_hash = store.put("g", graph)
+    loaded = store.get("g")
+    recomputed = doc_hash(loaded.to_doc())
+    assert recomputed == content_hash == graph.graph_hash()
+    monkeypatch.setattr(
+        OntologyGraph, "to_doc", lambda self: pytest.fail("loaded graph hashed again")
+    )
+    assert loaded.graph_hash() == recomputed
 
 
 def test_identical_content_identical_hash(store, fix1_snapshot):
