@@ -3,7 +3,7 @@
 on a synthetic corpus.
 
     python3 scripts/benchmark_centrality.py
-    python3 scripts/benchmark_centrality.py --types 120 --engines sparse,numba
+    python3 scripts/benchmark_centrality.py --types 248 --engines sparse,python
 """
 
 import argparse
@@ -46,7 +46,7 @@ def main() -> int:
     parser.add_argument("--unique-per-type", type=int, default=55)
     parser.add_argument(
         "--engines",
-        default="auto",
+        default="sparse",
         help="comma-separated betweenness engines to time "
         f"({', '.join(BETWEENNESS_ENGINES)})",
     )
@@ -80,9 +80,7 @@ def main() -> int:
 
     for engine in args.engines.split(","):
         engine = engine.strip()
-        # The first numba call includes JIT compilation; time a second pass too.
-        timed(f"betweenness [{engine}] cold", lambda: betweenness_centrality(graph, engine=engine))
-        timed(f"betweenness [{engine}] warm", lambda: betweenness_centrality(graph, engine=engine))
+        timed(f"betweenness [{engine}]", lambda: betweenness_centrality(graph, engine=engine))
     return 0
 
 

@@ -3,16 +3,22 @@
 Betweenness uses Brandes' accumulation (one BFS per source plus dependency
 back-propagation) over the unweighted simple graph, with the undirected
 unordered-pair convention: disconnected pairs contribute nothing and
-endpoints are excluded. Every engine sums in one fixed order (path counts
-and dependencies pulled in ascending node id, sources added in ascending id),
-so results are bit-stable and identical across engines.
+endpoints are excluded. Sources with the same closed neighbourhood have the
+same dependencies, so one BFS per such class is run and weighted by the
+class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012). Every
+engine sums in one fixed order (path counts and dependencies pulled in
+ascending node id, classes added in ascending representative id), so
+results are bit-stable and identical across engines.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import datetime
-import functools
 import logging
+import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +36,7 @@ from ontomesh.graph import (
 logger = logging.getLogger(__name__)
 
 MATRIX_METRICS = ("shared_models", "shared_attributes", "jaccard_attributes")
-BETWEENNESS_ENGINES = ("auto", "sparse", "numba", "python")
+BETWEENNESS_ENGINES = ("sparse", "python")
 
 
 @dataclass
@@ -101,83 +107,161 @@ def degree_centrality(
     )
 
 
-def _brandes_csr(indptr, indices, n):
-    """Pull-order Brandes over a CSR adjacency; the numba engine compiles
-    this body, and it runs unchanged as plain Python."""
-    bc = np.zeros(n, dtype=np.float64)
-    dist = np.empty(n, dtype=np.int64)
-    sigma = np.empty(n, dtype=np.float64)
-    delta = np.empty(n, dtype=np.float64)
-    order = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        for i in range(n):
-            dist[i] = -1
-            sigma[i] = 0.0
-            delta[i] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order[tail] = w
-                    tail += 1
-                    acc = 0.0
-                    for k in range(indptr[w], indptr[w + 1]):
-                        u = indices[k]
-                        if dist[u] == dv:
-                            acc += sigma[u]
-                    sigma[w] = acc
-        for idx in range(tail - 1, 0, -1):
-            v = order[idx]
-            dv = dist[v] + 1
-            acc = 0.0
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
-                if dist[w] == dv:
-                    acc += (1.0 + delta[w]) / sigma[w]
-            delta[v] = sigma[v] * acc
-            bc[v] += delta[v]
-    return bc
-
-
-@functools.cache
 def _numba_kernel():
-    """``_brandes_csr`` compiled by numba, or None when numba is missing."""
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit(cache=True)(_brandes_csr)
+    """Always None: the numba engine is gone. Kept because the benchmark's
+    machine record (``machine_record`` in ``perfbench/run.py``) still calls
+    it to name the betweenness engine."""
+    return None
 
 
-def _brandes_sparse(indptr, indices, n, block=64):
-    """Brandes for ``block`` sources at a time as sparse-by-dense products.
+def _twin_classes(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-neighbourhood classes of a CSR graph.
+
+    Nodes s and t share a class when N[s] == N[t], where N[v] is v with its
+    neighbours. Returns each class's representative, its smallest id, in
+    ascending order, and the class sizes.
+    """
+    n = len(indptr) - 1
+    # Closed rows: every row with its own id merged in, sorted.
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    rows = np.concatenate((owner, np.arange(n)))
+    cols = np.concatenate((indices, np.arange(n)))
+    closed = cols[np.lexsort((cols, rows))]
+    ends = (indptr + np.arange(n + 1)).tolist()
+    first_seen: dict[bytes, int] = {}
+    rep_of = [
+        first_seen.setdefault(closed[a:b].tobytes(), v)
+        for v, (a, b) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
+    sizes = np.bincount(np.array(rep_of, dtype=np.int64), minlength=n)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
+
+
+class _SourceBlocks:
+    """Brandes for blocks of sources as sparse-by-dense products.
 
     Each BFS level is one product ``adj @ frontier`` and each dependency
     level one ``adj @ coeff``. The CSR product sums every row over its
     columns in ascending order, so sigma and delta are the same pull-order
-    sums as in ``_brandes_csr``, with exact zeros in between; columns are
-    added into ``bc`` in source order. The result is therefore bit-equal to
-    the other engines.
+    sums as in ``_betweenness_python``, with exact zeros in between, and
+    every column is independent of the others in its block. The graph must
+    have no isolated nodes, so every source reaches level 1. The BFS of a
+    block stops once each column has reached every node of its source's
+    connected component, so no product is spent on a level that would find
+    nothing.
+    """
+
+    def __init__(self, indptr, indices):
+        from scipy import sparse
+        from scipy.sparse import csgraph
+
+        m = len(indptr) - 1
+        self.indptr = indptr
+        self.indices = indices
+        self.adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+        _, component = csgraph.connected_components(self.adj, directed=False)
+        self.reach = np.bincount(component)[component]
+
+    def dependencies(self, sources: np.ndarray) -> np.ndarray:
+        """Row i holds the dependencies of every node on ``sources[i]``,
+        0.0 at the source itself."""
+        indptr, indices, adj = self.indptr, self.indices, self.adj
+        m = len(indptr) - 1
+        cols = np.arange(len(sources))
+        sigma = np.zeros((m, len(cols)), dtype=np.float64)
+        # Level 1 is written directly: each neighbour of a source has the one
+        # path count 1.0 that a product with the one-hot sources would give.
+        degree = indptr[sources + 1] - indptr[sources]
+        offset = np.repeat(indptr[sources] - (np.cumsum(degree) - degree), degree)
+        rows = indices[offset + np.arange(degree.sum())]
+        sigma[rows, np.repeat(cols, degree)] = 1.0
+        frontier = sigma.copy()
+        sigma[sources, cols] = 1.0
+        # level[d] marks the nodes at distance d from each column's source;
+        # a node is unseen while its path count is 0.
+        level = [None, frontier > 0]
+        # A source and its neighbours are seen; the rest of its component is not.
+        unseen = self.reach[sources] - 1 - degree
+        while unseen.any():
+            reached = adj @ frontier
+            new = (reached > 0) & (sigma == 0)
+            np.copyto(sigma, reached, where=new)
+            frontier = np.multiply(reached, new, out=reached)
+            level.append(new)
+            unseen -= np.count_nonzero(new, axis=0)
+        # Level 0 is the source itself, whose dependency is never counted.
+        delta = np.zeros_like(sigma)
+        coeff = np.empty_like(sigma)
+        for d in range(len(level) - 1, 1, -1):
+            coeff.fill(0.0)
+            np.divide(delta + 1.0, sigma, out=coeff, where=level[d])
+            pulled = adj @ coeff
+            np.multiply(sigma, pulled, out=delta, where=level[d - 1])
+        return delta.T.copy()
+
+
+# The graph of a worker process, set once by its pool's initializer.
+_worker_blocks: _SourceBlocks | None = None
+
+
+def _init_worker(indptr, indices) -> None:
+    global _worker_blocks
+    _worker_blocks = _SourceBlocks(indptr, indices)
+
+
+def _worker_dependencies(sources: np.ndarray) -> np.ndarray:
+    return _worker_blocks.dependencies(sources)
+
+
+def _dependency_blocks(indptr, indices, blocks: list[np.ndarray], workers: int):
+    """Yield the dependency rows of each block of sources, in block order.
+
+    With more than one worker the blocks run in a pool of spawned
+    processes, which get the graph once through the pool's initializer. At
+    most ``workers + 1`` blocks are submitted and not yet read, so the
+    parent holds only a few blocks of rows. Leaving the generator, also by
+    ``close()``, shuts the pool down and joins its workers.
+    """
+    if workers <= 1:
+        graph = _SourceBlocks(indptr, indices)
+        for sources in blocks:
+            yield graph.dependencies(sources)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_worker,
+        initargs=(indptr, indices),
+    ) as pool:
+        pending: collections.deque = collections.deque()
+        for sources in blocks:
+            pending.append(pool.submit(_worker_dependencies, sources))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _brandes_sparse(indptr, indices, n, block=64, workers=None):
+    """Betweenness from one blocked BFS per closed-neighbourhood class.
+
+    Closed twins s and t (N[s] == N[t]) have bitwise-equal dependency rows:
+    both rows are 0.0 at s and t, and every other node has the same
+    predecessors and path counts from either. So each class is run once,
+    from its representative, and the classes are added in ascending
+    representative id as ``bc += size * row``, one class at a time. That
+    order does not depend on ``block`` or on ``workers``; a graph without
+    twins gives the plain per-source sum, as ``1.0 * row == row``.
 
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
-    ascending, so the sums are unchanged. Every remaining source therefore
-    reaches level 1. The BFS of a block stops once each column has reached
-    every node of its source's connected component, so no product is spent
-    on a level that would find nothing.
+    ascending, so the sums are unchanged. ``workers`` (default: the usable
+    CPUs) is capped at the number of blocks; one worker runs inline.
     """
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
     bc = np.zeros(n, dtype=np.float64)
     keep = np.flatnonzero(np.diff(indptr))
     m = len(keep)
@@ -185,59 +269,40 @@ def _brandes_sparse(indptr, indices, n, block=64):
     renumber[keep] = np.arange(m)
     indices = renumber[indices]
     indptr = np.concatenate(([0], indptr[keep + 1]))
-    adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
-    _, component = csgraph.connected_components(adj, directed=False)
-    component_size = np.bincount(component)
+    reps, sizes = _twin_classes(indptr, indices)
+    starts = range(0, len(reps), block)
+    blocks = [reps[start : start + block] for start in starts]
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    workers = min(workers, len(blocks))
     kept_bc = np.zeros(m, dtype=np.float64)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        cols = np.arange(stop - start)
-        dist = np.full((m, len(cols)), -1, dtype=np.int32)
-        sigma = np.zeros((m, len(cols)), dtype=np.float64)
-        # Level 1 is written directly: each neighbour of a source has the one
-        # path count 1.0 that a product with the one-hot sources would give.
-        rows = indices[indptr[start] : indptr[stop]]
-        hits = np.repeat(cols, np.diff(indptr[start : stop + 1]))
-        dist[rows, hits] = 1
-        sigma[rows, hits] = 1.0
-        frontier = sigma.copy()
-        dist[start + cols, cols] = 0
-        sigma[start + cols, cols] = 1.0
-        depth = 1
-        # A source and its neighbours are seen; the rest of its component is not.
-        unseen = component_size[component[start:stop]] - 1 - np.diff(indptr[start : stop + 1])
-        while unseen.any():
-            reached = adj @ frontier
-            new = (dist < 0) & (reached > 0)
-            depth += 1
-            np.copyto(dist, depth, where=new)
-            np.copyto(sigma, reached, where=new)
-            frontier = np.multiply(reached, new, out=reached)
-            unseen -= new.sum(axis=0)
-        # Level 0 is the source itself, whose dependency is never counted.
-        delta = np.zeros_like(sigma)
-        coeff = np.empty_like(sigma)
-        for d in range(depth, 1, -1):
-            coeff.fill(0.0)
-            np.divide(delta + 1.0, sigma, out=coeff, where=dist == d)
-            pulled = adj @ coeff
-            np.multiply(sigma, pulled, out=delta, where=dist == d - 1)
-        for row in delta.T.copy():
-            kept_bc += row
+    with contextlib.closing(_dependency_blocks(indptr, indices, blocks, workers)) as rows_of:
+        for start, rows in zip(starts, rows_of):
+            for size, row in zip(sizes[start : start + block], rows):
+                kept_bc += size * row
     bc[keep] = kept_bc
     return bc
 
 
 def _betweenness_python(indptr, indices) -> list[float]:
-    """Reference loop over the same CSR: the pull-order sums of
-    ``_brandes_csr`` with Python lists."""
+    """Reference loop over the same CSR, with Python lists.
+
+    Path counts and dependencies are pulled from predecessors and successors
+    in ascending node id. Every source's dependency row is computed; the rows
+    of closed twins must be bitwise equal, or this raises ``RuntimeError``.
+    Classes are then added in ascending representative id as
+    ``size * row``, the order ``_brandes_sparse`` uses.
+    """
     n = len(indptr) - 1
     neighbor_sets = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
-    bc = [0.0] * n
-    for s in range(n):
+
+    def dependencies(s: int) -> array:
         dist = [-1] * n
         sigma = [0.0] * n
-        delta = [0.0] * n
+        delta = array("d", bytes(8 * n))
         dist[s] = 0
         sigma[s] = 1.0
         order = [s]
@@ -262,35 +327,44 @@ def _betweenness_python(indptr, indices) -> list[float]:
                 if dist[w] == dv:
                     acc += (1.0 + delta[w]) / sigma[w]
             delta[v] = sigma[v] * acc
-            bc[v] += delta[v]
+        return delta
+
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(n):
+        classes.setdefault(tuple(sorted([v, *neighbor_sets[v]])), []).append(v)
+    bc = [0.0] * n
+    for rep, *twins in classes.values():
+        row = dependencies(rep)
+        for t in twins:
+            if dependencies(t).tobytes() != row.tobytes():
+                raise RuntimeError(f"closed twins {rep} and {t} have different dependencies")
+        size = 1 + len(twins)
+        for v in range(n):
+            bc[v] += size * row[v]
     return bc
 
 
 def betweenness_centrality(
-    graph: OntologyGraph, normalized: bool = False, *, engine: str = "auto"
+    graph: OntologyGraph, normalized: bool = False, *, engine: str = "sparse"
 ) -> CentralityResult:
     """Shortest-path betweenness over unordered {s, t} pairs.
 
-    ``engine`` picks the implementation: "sparse" for blocks of sources as
-    scipy sparse products, "numba" for the compiled kernel (optional extra),
-    "python" for the reference loop, "auto" for numba when it is importable
-    and sparse otherwise. All engines sum in one order: path counts and
-    dependencies are pulled from predecessors and successors in ascending
-    node id, and sources are added in ascending id. They therefore produce
-    identical values.
+    ``engine`` picks the implementation: "sparse" for one search per
+    closed-neighbourhood class, in blocks of sources as scipy sparse
+    products, run in worker processes when there are several blocks and
+    usable CPUs; or "python" for the reference loop, which searches from
+    every source and checks that the rows of one class are equal. Both sum
+    in one order (path counts and dependencies pulled in ascending node id,
+    classes added in ascending representative id as size times row), so
+    they produce identical values.
     """
     if engine not in BETWEENNESS_ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     n = len(graph.nodes)
-    if engine == "auto":
-        engine = "numba" if _numba_kernel() is not None else "sparse"
-    if engine == "numba" and _numba_kernel() is None:
-        raise RuntimeError("numba engine requested but numba is not importable")
-    if engine == "python" or n == 0:
+    if engine == "python":
         raw = _betweenness_python(graph.indptr, graph.indices)
     else:
-        kernel = _numba_kernel() if engine == "numba" else _brandes_sparse
-        raw = kernel(graph.indptr, graph.indices, n).tolist()
+        raw = _brandes_sparse(graph.indptr, graph.indices, n).tolist()
     # Brandes accumulates each unordered pair from both endpoints.
     raw = [v / 2.0 for v in raw]
     if normalized:

@@ -271,9 +271,14 @@ def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     cfg = _config(args)
     store = ArtifactStore(cfg.store_dir)
-    graph = store.get(args.graph, expect_kind="graph")
     out = args.out or f"{args.graph}.{_EXT[args.format]}"
-    written = export_graph(graph, args.format, out)
+    if args.format == "canonical-json":
+        # The stored object is already the graph's canonical JSON.
+        data = store.object_bytes(args.graph, expect_kind="graph")
+        written = Path(out).write_bytes(data)
+    else:
+        graph = store.get(args.graph, expect_kind="graph")
+        written = export_graph(graph, args.format, out)
     _emit(
         cfg,
         {"command": "export", "format": args.format, "paths": [str(out)], "bytes": written},

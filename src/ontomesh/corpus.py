@@ -591,6 +591,11 @@ def ingest_corpus(
 
     for domain_dir in domain_dirs:
         domain_id = domain_dir.name.strip()
+        if domain_id in domains:
+            raise CorpusError(
+                f"domain directories {domains[domain_id].display_name!r} and "
+                f"{domain_dir.name!r} both name domain {domain_id!r}"
+            )
         domains[domain_id] = DomainRecord(domain_id=domain_id, display_name=domain_dir.name)
         model_dirs = sorted(
             (p for p in domain_dir.iterdir() if p.is_dir() and not p.name.startswith(".")),
@@ -598,8 +603,15 @@ def ingest_corpus(
         )
         for model_dir in model_dirs:
             model_id = model_dir.name.strip()
+            # A model shared by several domains has the same directory name
+            # in each of them.
+            first_name = model_names.setdefault(model_id, model_dir.name)
+            if first_name != model_dir.name:
+                raise CorpusError(
+                    f"model directories {first_name!r} and {model_dir.name!r} "
+                    f"both name model {model_id!r}"
+                )
             model_domains.setdefault(model_id, set()).add(domain_id)
-            model_names.setdefault(model_id, model_dir.name)
             for schema_path in _schema_files(model_dir, layout):
                 relpath = schema_path.relative_to(root).as_posix()
                 try:
@@ -734,9 +746,11 @@ def _extract_archive(archive_path: Path, target: Path) -> None:
     if tarfile.is_tarfile(archive_path):
         try:
             with tarfile.open(archive_path) as tar:
-                members = tar.getmembers()
-                _check_member_paths(m.name for m in members)
-                tar.extractall(target, members=members)
+                # The "data" filter (PEP 706) refuses members, links and link
+                # targets that would land outside ``target``.
+                tar.extractall(target, filter="data")
+        except tarfile.FilterError as exc:
+            raise CorpusError(f"archive member escapes extraction root: {exc}") from exc
         except tarfile.TarError as exc:
             raise CorpusError(f"archive extraction failed: {archive_path.name}: {exc}") from exc
     elif zipfile.is_zipfile(archive_path):

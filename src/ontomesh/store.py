@@ -3,12 +3,16 @@
 Layout: ``<root>/index.json`` maps artifact names to (kind, hash, created_at);
 payloads live in ``<root>/objects/<hash>.json`` as canonical JSON. Writes go
 to a temp file and are renamed into place, so a crashed put never leaves a
-half-written object behind. Hashes are re-verified on every get.
+half-written object behind. A put holds an exclusive ``flock`` on the empty
+``<root>/index.lock`` from reading the index to writing it back, so puts from
+several processes keep every name. Hashes are re-verified on every get.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import fcntl
 import json
 import os
 import re
@@ -68,28 +72,37 @@ class ArtifactStore:
                 os.unlink(tmp)
             raise
 
+    @contextlib.contextmanager
+    def _index_lock(self):
+        self.root_dir.mkdir(parents=True, exist_ok=True)
+        with open(self.root_dir / "index.lock", "ab") as fh:
+            # Closing the file releases the lock, also on an exception.
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield
+
     def put(self, name: str, artifact, overwrite: bool = False) -> str:
         """Store an artifact under ``name`` and return its content hash."""
         if not _NAME_RE.fullmatch(name):
             raise StoreError(f"invalid artifact name {name!r}")
         kind = _artifact_kind(artifact)
-        index = self._load_index()
-        if name in index and not overwrite:
-            raise NameConflictError(f"artifact {name!r} already exists")
         data = canonical_json_bytes(artifact.to_doc())
         content_hash = sha256_hex(data)
-        self._write_atomic(self.objects_dir / f"{content_hash}.json", data)
-        created_at = (
-            datetime.datetime.now(datetime.timezone.utc)
-            .replace(microsecond=0)
-            .isoformat()
-        )
-        index[name] = {"kind": kind, "hash": content_hash, "created_at": created_at}
-        self._write_atomic(
-            self.index_path,
-            json.dumps(index, indent=2, sort_keys=True, ensure_ascii=False).encode("utf-8")
-            + b"\n",
-        )
+        with self._index_lock():
+            index = self._load_index()
+            if name in index and not overwrite:
+                raise NameConflictError(f"artifact {name!r} already exists")
+            self._write_atomic(self.objects_dir / f"{content_hash}.json", data)
+            created_at = (
+                datetime.datetime.now(datetime.timezone.utc)
+                .replace(microsecond=0)
+                .isoformat()
+            )
+            index[name] = {"kind": kind, "hash": content_hash, "created_at": created_at}
+            self._write_atomic(
+                self.index_path,
+                json.dumps(index, indent=2, sort_keys=True, ensure_ascii=False).encode("utf-8")
+                + b"\n",
+            )
         return content_hash
 
     def entry(self, name: str) -> dict:
@@ -98,8 +111,7 @@ class ArtifactStore:
             raise NotFoundError(f"no artifact named {name!r}")
         return index[name]
 
-    def get(self, name: str, expect_kind: str | None = None):
-        """Load an artifact by name, verifying its hash first."""
+    def _verified_object(self, name: str, expect_kind: str | None) -> tuple[dict, bytes]:
         entry = self.entry(name)
         if expect_kind is not None and entry["kind"] != expect_kind:
             raise StoreError(
@@ -112,6 +124,11 @@ class ArtifactStore:
             raise CorruptionError(f"missing object for {name!r}: {exc}") from exc
         if sha256_hex(data) != entry["hash"]:
             raise CorruptionError(f"hash mismatch for artifact {name!r}")
+        return entry, data
+
+    def get(self, name: str, expect_kind: str | None = None):
+        """Load an artifact by name, verifying its hash first."""
+        entry, data = self._verified_object(name, expect_kind)
         doc = json.loads(data)
         cls = _KINDS.get(entry["kind"])
         if cls is None:
@@ -122,13 +139,10 @@ class ArtifactStore:
             return OntologyGraph.from_doc(doc, content_hash=entry["hash"])
         return cls.from_doc(doc)
 
-    def object_bytes(self, name: str) -> bytes:
-        """Raw stored bytes for an artifact (hash verified)."""
-        entry = self.entry(name)
-        data = (self.objects_dir / f"{entry['hash']}.json").read_bytes()
-        if sha256_hex(data) != entry["hash"]:
-            raise CorruptionError(f"hash mismatch for artifact {name!r}")
-        return data
+    def object_bytes(self, name: str, expect_kind: str | None = None) -> bytes:
+        """Raw stored bytes for an artifact (hash verified): the canonical
+        JSON of its document."""
+        return self._verified_object(name, expect_kind)[1]
 
     def names(self, kind: str | None = None) -> list[str]:
         index = self._load_index()

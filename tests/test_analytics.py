@@ -1,10 +1,12 @@
-import importlib.util
+import concurrent.futures
 import math
+import multiprocessing
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from ontomesh.analytics import (
     specificity_ratios,
     top_k_attributes,
 )
+from ontomesh.canonical import canonical_json_bytes
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
@@ -136,11 +139,74 @@ class TestDegree:
                 assert 0.0 <= score <= 1.0
 
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-NUMBA = pytest.param(
-    "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-)
-ENGINES = ["python", NUMBA, "sparse"]
+ENGINES = ["python", "sparse"]
+
+
+def _disjoint_union(graphs):
+    edges, offset = [], 0
+    for graph in graphs:
+        edges += zip((graph.u + offset).tolist(), (graph.v + offset).tolist())
+        offset += len(graph.nodes)
+    return make_graph(offset, edges)
+
+
+def _agreement_graphs():
+    """Graphs for exact agreement between the engines: many closed twins
+    (cliques, cliques with hubs, linked cliques), components of different
+    depths, random graphs, and isolated nodes (which the sparse engine
+    leaves out) in runs at both ends, runs longer than a block, or
+    scattered."""
+    graphs = [make_graph(5, [])]
+    # components of different sizes and depths, so the columns of one
+    # block finish their BFS at different levels
+    path = [(i, i + 1) for i in range(9)]
+    clique = [(u, v) for u in range(10, 15) for v in range(u + 1, 15)]
+    star = [(15, i) for i in range(16, 23)]
+    graphs.append(make_graph(26, path + clique + star + [(23, 24)]))
+    k7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    graphs.append(make_graph(7, k7))
+    # a 7-clique, one hub joined to all of it, one to three of its nodes, a tail
+    hubbed = k7 + [(7, i) for i in range(7)] + [(8, i) for i in range(3)] + [(8, 9)]
+    graphs.append(make_graph(10, hubbed))
+    # cliques of sizes 2 to 6 chained through one node each, with leaves
+    edges, base = [], 0
+    for size in range(2, 7):
+        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+        edges.append((base + size - 1, base + size))
+        base += size
+    edges += [(base, base + 1), (base, base + 2)]
+    graphs.append(make_graph(base + 3, edges))
+    # cliques linked through some of their members: classes of up to 7
+    # nodes with rows that are not sums of powers of two, so that adding a
+    # row size times would round differently from size * row
+    for seed in range(3):
+        rng = random.Random(seed)
+        edges, base, linkers = [], 0, []
+        for _ in range(rng.randint(3, 6)):
+            size = rng.randint(3, 8)
+            edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+            linkers.append(range(base, base + rng.randint(1, size - 1)))
+            base += size
+        for a in range(len(linkers)):
+            for b in range(a + 1, len(linkers)):
+                if rng.random() < 0.6:
+                    edges.append((rng.choice(linkers[a]), rng.choice(linkers[b])))
+        graphs.append(make_graph(base, edges))
+    for seed in range(20):
+        rng = random.Random(300 + seed)
+        graphs.append(random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4)))
+    for seed in range(10):
+        rng = random.Random(500 + seed)
+        n = rng.randint(20, 60)
+        isolated = {*range(5), *range(n - 3, n), *rng.sample(range(n), n // 3)}
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if u not in isolated and v not in isolated and rng.random() < 0.2
+        ]
+        graphs.append(make_graph(n, edges))
+    return graphs
 
 
 class TestBetweenness:
@@ -176,52 +242,80 @@ class TestBetweenness:
             for i, want in enumerate(expected):
                 assert scores[i] == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_twin_graphs_match_enumeration_oracle(self, engine):
+        for graph in _agreement_graphs()[:5]:
+            scores = betweenness_centrality(graph, engine=engine).scores
+            for i, want in enumerate(brute_force_betweenness(graph)):
+                assert scores[i] == pytest.approx(want, abs=1e-9)
+
     def test_engines_agree(self):
         graph = random_graph(random.Random(77), 40, 0.15)
         a = betweenness_centrality(graph, engine="python").scores
-        for engine in ["sparse", "numba"] if HAVE_NUMBA else ["sparse"]:
-            b = betweenness_centrality(graph, engine=engine).scores
-            assert a == b
+        b = betweenness_centrality(graph, engine="sparse").scores
+        assert a == b
 
     def test_engines_agree_bitwise_random(self):
-        # every sparse block size and the uncompiled numba kernel body
-        # reproduce the reference sums exactly, also where isolated nodes,
-        # which the sparse engine leaves out, come in runs at both ends,
-        # runs longer than a block, or scattered
-        graphs = [make_graph(5, [])]
-        # components of different sizes and depths, so the columns of one
-        # block finish their BFS at different levels
-        path = [(i, i + 1) for i in range(9)]
-        clique = [(u, v) for u in range(10, 15) for v in range(u + 1, 15)]
-        star = [(15, i) for i in range(16, 23)]
-        graphs.append(make_graph(26, path + clique + star + [(23, 24)]))
-        for seed in range(20):
-            rng = random.Random(300 + seed)
-            graphs.append(random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4)))
-        for seed in range(10):
-            rng = random.Random(500 + seed)
-            n = rng.randint(20, 60)
-            isolated = {*range(5), *range(n - 3, n), *rng.sample(range(n), n // 3)}
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if u not in isolated and v not in isolated and rng.random() < 0.2
-            ]
-            graphs.append(make_graph(n, edges))
-        for graph in graphs:
+        # every sparse block size reproduces the reference sums exactly
+        for graph in _agreement_graphs():
             n = len(graph.nodes)
             indptr, indices = graph.indptr, graph.indices
             want = analytics._betweenness_python(indptr, indices)
-            assert analytics._brandes_csr(indptr, indices, n).tolist() == want
             for block in (1, 3, 16, 64):
-                got = analytics._brandes_sparse(indptr, indices, n, block)
+                got = analytics._brandes_sparse(indptr, indices, n, block, workers=1)
                 assert got.tolist() == want
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_numba_missing_raises(self):
-        with pytest.raises(RuntimeError, match="numba"):
-            betweenness_centrality(make_graph(2, [(0, 1)]), engine="numba")
+    def test_worker_processes_agree_bitwise(self):
+        # one graph holding every agreement graph, so that each block size
+        # starts one pool of two workers
+        graph = _disjoint_union(_agreement_graphs())
+        n = len(graph.nodes)
+        want = analytics._betweenness_python(graph.indptr, graph.indices)
+        for block in (1, 3, 16, 64):
+            got = analytics._brandes_sparse(graph.indptr, graph.indices, n, block, workers=2)
+            assert got.tolist() == want
+        assert multiprocessing.active_children() == []
+
+    def test_twin_classes(self):
+        # 0..6 form a clique that hub 7 joins in full and hub 8 in part
+        graph = _agreement_graphs()[3]
+        reps, sizes = analytics._twin_classes(graph.indptr, graph.indices)
+        assert list(zip(reps.tolist(), sizes.tolist())) == [(0, 3), (3, 5), (8, 1), (9, 1)]
+
+    def test_twin_free_graph_is_the_plain_per_source_sum(self):
+        # a cycle with chords has no closed twins, so every class has size
+        # 1 and the result is each source's row added in ascending id
+        n = 150
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 7) for i in range(0, n - 7, 5)]
+        graph = make_graph(n, edges)
+        _, sizes = analytics._twin_classes(graph.indptr, graph.indices)
+        assert sizes.tolist() == [1] * n
+        rows = analytics._SourceBlocks(graph.indptr, graph.indices).dependencies(np.arange(n))
+        want = np.zeros(n)
+        for row in rows:
+            want += row
+        got = analytics._brandes_sparse(graph.indptr, graph.indices, n, workers=1)
+        assert got.tolist() == want.tolist()
+
+    def test_stored_result_same_for_any_worker_count(self, monkeypatch):
+        graph = random_graph(random.Random(41), 160, 0.04)
+        docs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+            monkeypatch.setattr(analytics.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            docs.append(canonical_json_bytes(betweenness_centrality(graph).to_doc()))
+            assert multiprocessing.active_children() == []
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_no_worker_left_after_failure(self, monkeypatch):
+        graph = random_graph(random.Random(41), 160, 0.04)
+
+        def lost(future, timeout=None):
+            raise RuntimeError("block lost")
+
+        monkeypatch.setattr(concurrent.futures.Future, "result", lost)
+        with pytest.raises(RuntimeError, match="block lost"):
+            analytics._brandes_sparse(graph.indptr, graph.indices, 160, block=16, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(analytics.__file__).parents[1])
@@ -237,8 +331,10 @@ class TestBetweenness:
             assert 0.0 <= v <= 1.0 + 1e-12
 
     def test_unknown_engine(self, fix1_graph):
-        with pytest.raises(ValueError, match="engine"):
-            betweenness_centrality(fix1_graph, engine="gpu")
+        # "numba" and "auto" were engines once; they are unknown now
+        for engine in ("gpu", "numba", "auto"):
+            with pytest.raises(ValueError, match="engine"):
+                betweenness_centrality(fix1_graph, engine=engine)
 
     def test_empty_and_tiny_graphs(self):
         assert betweenness_centrality(make_graph(0, [])).scores == {}

@@ -8,6 +8,8 @@ import pytest
 
 from ontomesh import analytics, cli
 from ontomesh.cli import main
+from ontomesh.exports import export_graph
+from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
 
 from conftest import FIXTURES
@@ -195,6 +197,27 @@ class TestExportAndReport:
         path = built / out.strip().splitlines()[-1]
         root = ET.parse(path).getroot()
         assert root.tag.endswith("graphml")
+
+    def test_export_canonical_json_writes_stored_bytes(self, built, capsys, monkeypatch):
+        store = ArtifactStore(built / "store")
+        export_graph(store.get("fix1-graph"), "canonical-json", built / "encoded.json")
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("the export decoded the graph")
+
+        monkeypatch.setattr(OntologyGraph, "from_doc", no_decode)
+        code, out, _ = run_cli(
+            ["export", "--graph", "fix1-graph", "--format", "canonical-json"], capsys
+        )
+        assert code == 0
+        written = (built / out.strip().splitlines()[-1]).read_bytes()
+        assert written == store.object_bytes("fix1-graph")
+        assert written == (built / "encoded.json").read_bytes()
+        code, _, err = run_cli(
+            ["export", "--graph", "fix1", "--format", "canonical-json"], capsys
+        )
+        assert code == 1
+        assert "has kind 'snapshot', expected 'graph'" in err
 
     def test_export_unknown_format_exit_64(self, built, capsys):
         code, _, _ = run_cli(

@@ -138,6 +138,23 @@ class TestIngest:
         with pytest.raises(CorpusError, match="cannot read"):
             ingest_corpus(tmp_path / "nope")
 
+    @pytest.mark.parametrize(
+        "dirs, message",
+        [
+            (["A/M", "A /M"], "domain directories 'A' and 'A ' both name domain 'A'"),
+            (["D/M", "D/ M"], "model directories ' M' and 'M' both name model 'M'"),
+            (["D1/M", "D2/M\t"], "model directories 'M' and 'M\\t' both name model 'M'"),
+        ],
+        ids=["domains", "models", "models-in-two-domains"],
+    )
+    def test_names_differing_in_whitespace_rejected(self, tmp_path, dirs, message):
+        for rel in dirs:
+            (tmp_path / rel).mkdir(parents=True)
+            (tmp_path / rel / "T.json").write_text('{"title": "T", "properties": {"a": {}}}')
+        with pytest.raises(CorpusError) as excinfo:
+            ingest_corpus(tmp_path)
+        assert str(excinfo.value) == message
+
     def test_non_recursive_layout_skips_nested(self, tmp_path):
         model = tmp_path / "D" / "M"
         nested = model / "sub"

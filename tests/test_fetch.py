@@ -107,3 +107,40 @@ def test_zip_archive_supported(http_server, tmp_path):
     root = fetch_snapshot(archive.as_uri(), tmp_path / "dl")
     snapshot = ingest_corpus(root)
     assert tuple(snapshot.counts) == (1, 1, 1, 1)
+
+
+def _tarball(tmp_path, members) -> str:
+    """A local .tar.gz of (TarInfo, payload) members, as a file:// URL."""
+    path = tmp_path / "archive.tar.gz"
+    with tarfile.open(path, mode="w:gz") as tar:
+        for info, payload in members:
+            info.size = len(payload)
+            tar.addfile(info, io.BytesIO(payload))
+    return path.as_uri()
+
+
+def _link(name, target, kind=tarfile.SYMTYPE):
+    info = tarfile.TarInfo(name)
+    info.type = kind
+    info.linkname = target
+    return info, b""
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        # a symlink to the parent, then a file written "under" it
+        [_link("corpus/link", "../.."), (tarfile.TarInfo("corpus/link/escaped.json"), b"{}")],
+        [_link("corpus/abs", "/etc")],
+        [_link("corpus/hard", "../../outside.json", tarfile.LNKTYPE)],
+    ],
+    ids=["symlink-then-file", "absolute-symlink", "hardlink-outside"],
+)
+def test_fetch_rejects_escaping_links(tmp_path, members):
+    (tmp_path / "outside.json").write_bytes(b"{}")
+    url = _tarball(tmp_path, members)
+    with pytest.raises(CorpusError, match="escapes extraction root"):
+        fetch_snapshot(url, tmp_path / "dl")
+    assert not (tmp_path / "dl" / "tree").exists()
+    assert not (tmp_path / "dl" / "escaped.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.tar.gz", "dl", "outside.json"]

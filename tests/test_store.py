@@ -1,6 +1,15 @@
+import multiprocessing
+import shutil
+import sys
+
 import pytest
 
-from ontomesh.analytics import degree_centrality, dissonance_summary, domain_overlap_matrix
+from ontomesh.analytics import (
+    CentralityResult,
+    degree_centrality,
+    dissonance_summary,
+    domain_overlap_matrix,
+)
 from ontomesh.canonical import doc_hash
 from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
 from ontomesh.graph import OntologyGraph, build_graph
@@ -104,3 +113,49 @@ def test_names_filter(store, fix1_snapshot, fix1_graph):
     store.put("g1", fix1_graph)
     assert store.names() == ["g1", "s1"]
     assert store.names(kind="snapshot") == ["s1"]
+
+
+def _put_names(root, prefix, count, barrier):
+    store = ArtifactStore(root)
+    barrier.wait(timeout=60)
+    for k in range(count):
+        store.put(f"{prefix}-{k}", CentralityResult("degree", False, {0: k}, [0]))
+
+
+def _put_shared(root, value, barrier):
+    store = ArtifactStore(root)
+    barrier.wait(timeout=60)
+    try:
+        store.put("shared", CentralityResult("degree", False, {0: value}, [0]))
+    except NameConflictError:
+        sys.exit(3)
+
+
+def _run_together(target, arg_lists):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(len(arg_lists))
+    procs = [ctx.Process(target=target, args=(*args, barrier)) for args in arg_lists]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert not any(proc.is_alive() for proc in procs)
+    return sorted(proc.exitcode for proc in procs)
+
+
+def test_concurrent_puts_keep_every_name(tmp_path):
+    root = tmp_path / "store"
+    codes = _run_together(_put_names, [(root, f"p{i}", 25) for i in range(4)])
+    assert codes == [0, 0, 0, 0]
+    store = ArtifactStore(root)
+    assert store.names() == sorted(f"p{i}-{k}" for i in range(4) for k in range(25))
+    for name in store.names():
+        assert store.get(name).scores == {0: int(name.split("-")[1])}
+
+
+def test_concurrent_puts_of_one_name_conflict(tmp_path):
+    root = tmp_path / "store"
+    for _ in range(3):
+        shutil.rmtree(root, ignore_errors=True)
+        assert _run_together(_put_shared, [(root, 1), (root, 2)]) == [0, 3]
+        assert ArtifactStore(root).names() == ["shared"]
