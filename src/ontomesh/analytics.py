@@ -13,11 +13,8 @@ results are bit-stable and identical across engines.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import datetime
 import logging
-import os
 from array import array
 from dataclasses import dataclass
 
@@ -178,9 +175,11 @@ class _SourceBlocks:
         sigma[rows, np.repeat(cols, degree)] = 1.0
         frontier = sigma.copy()
         sigma[sources, cols] = 1.0
-        # level[d] marks the nodes at distance d from each column's source;
-        # a node is unseen while its path count is 0.
-        level = [None, frontier > 0]
+        # level[d] holds the flat indices into sigma of the nodes at distance
+        # d from each column's source, so all levels together hold at most
+        # one entry per node and column; a node is unseen while its path
+        # count is 0.
+        level = [None, np.flatnonzero(frontier)]
         # A source and its neighbours are seen; the rest of its component is not.
         unseen = self.reach[sources] - 1 - degree
         while unseen.any():
@@ -188,65 +187,24 @@ class _SourceBlocks:
             new = (reached > 0) & (sigma == 0)
             np.copyto(sigma, reached, where=new)
             frontier = np.multiply(reached, new, out=reached)
-            level.append(new)
+            level.append(np.flatnonzero(new))
             unseen -= np.count_nonzero(new, axis=0)
         # Level 0 is the source itself, whose dependency is never counted.
         delta = np.zeros_like(sigma)
-        coeff = np.empty_like(sigma)
+        coeff = np.zeros_like(sigma)
+        flat_sigma, flat_delta, flat_coeff = sigma.ravel(), delta.ravel(), coeff.ravel()
         for d in range(len(level) - 1, 1, -1):
-            coeff.fill(0.0)
-            np.divide(delta + 1.0, sigma, out=coeff, where=level[d])
+            at, up = level[d], level[d - 1]
+            # coeff is nonzero only at level d.
+            if d + 1 < len(level):
+                flat_coeff[level[d + 1]] = 0.0
+            flat_coeff[at] = (flat_delta[at] + 1.0) / flat_sigma[at]
             pulled = adj @ coeff
-            np.multiply(sigma, pulled, out=delta, where=level[d - 1])
+            flat_delta[up] = flat_sigma[up] * pulled.ravel()[up]
         return delta.T.copy()
 
 
-# The graph of a worker process, set once by its pool's initializer.
-_worker_blocks: _SourceBlocks | None = None
-
-
-def _init_worker(indptr, indices) -> None:
-    global _worker_blocks
-    _worker_blocks = _SourceBlocks(indptr, indices)
-
-
-def _worker_dependencies(sources: np.ndarray) -> np.ndarray:
-    return _worker_blocks.dependencies(sources)
-
-
-def _dependency_blocks(indptr, indices, blocks: list[np.ndarray], workers: int):
-    """Yield the dependency rows of each block of sources, in block order.
-
-    With more than one worker the blocks run in a pool of spawned
-    processes, which get the graph once through the pool's initializer. At
-    most ``workers + 1`` blocks are submitted and not yet read, so the
-    parent holds only a few blocks of rows. Leaving the generator, also by
-    ``close()``, shuts the pool down and joins its workers.
-    """
-    if workers <= 1:
-        graph = _SourceBlocks(indptr, indices)
-        for sources in blocks:
-            yield graph.dependencies(sources)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_worker,
-        initargs=(indptr, indices),
-    ) as pool:
-        pending: collections.deque = collections.deque()
-        for sources in blocks:
-            pending.append(pool.submit(_worker_dependencies, sources))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _brandes_sparse(indptr, indices, n, block=64, workers=None):
+def _brandes_sparse(indptr, indices, n, block=64):
     """Betweenness from one blocked BFS per closed-neighbourhood class.
 
     Closed twins s and t (N[s] == N[t]) have bitwise-equal dependency rows:
@@ -254,13 +212,12 @@ def _brandes_sparse(indptr, indices, n, block=64, workers=None):
     predecessors and path counts from either. So each class is run once,
     from its representative, and the classes are added in ascending
     representative id as ``bc += size * row``, one class at a time. That
-    order does not depend on ``block`` or on ``workers``; a graph without
-    twins gives the plain per-source sum, as ``1.0 * row == row``.
+    order does not depend on ``block``; a graph without twins gives the
+    plain per-source sum, as ``1.0 * row == row``.
 
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
-    ascending, so the sums are unchanged. ``workers`` (default: the usable
-    CPUs) is capped at the number of blocks; one worker runs inline.
+    ascending, so the sums are unchanged.
     """
     bc = np.zeros(n, dtype=np.float64)
     keep = np.flatnonzero(np.diff(indptr))
@@ -270,19 +227,12 @@ def _brandes_sparse(indptr, indices, n, block=64, workers=None):
     indices = renumber[indices]
     indptr = np.concatenate(([0], indptr[keep + 1]))
     reps, sizes = _twin_classes(indptr, indices)
-    starts = range(0, len(reps), block)
-    blocks = [reps[start : start + block] for start in starts]
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-    workers = min(workers, len(blocks))
+    graph = _SourceBlocks(indptr, indices)
     kept_bc = np.zeros(m, dtype=np.float64)
-    with contextlib.closing(_dependency_blocks(indptr, indices, blocks, workers)) as rows_of:
-        for start, rows in zip(starts, rows_of):
-            for size, row in zip(sizes[start : start + block], rows):
-                kept_bc += size * row
+    for start in range(0, len(reps), block):
+        rows = graph.dependencies(reps[start : start + block])
+        for size, row in zip(sizes[start : start + block], rows):
+            kept_bc += size * row
     bc[keep] = kept_bc
     return bc
 
@@ -351,8 +301,7 @@ def betweenness_centrality(
 
     ``engine`` picks the implementation: "sparse" for one search per
     closed-neighbourhood class, in blocks of sources as scipy sparse
-    products, run in worker processes when there are several blocks and
-    usable CPUs; or "python" for the reference loop, which searches from
+    products; or "python" for the reference loop, which searches from
     every source and checks that the rows of one class are equal. Both sum
     in one order (path counts and dependencies pulled in ascending node id,
     classes added in ascending representative id as size times row), so

@@ -744,6 +744,13 @@ def fetch_snapshot(
 
 def _extract_archive(archive_path: Path, target: Path) -> None:
     if tarfile.is_tarfile(archive_path):
+        if not hasattr(tarfile, "data_filter"):
+            # Without extraction filters (Python before 3.10.12, 3.11.4 and
+            # 3.12) links could not be kept inside ``target``.
+            raise CorpusError(
+                f"archive extraction failed: {archive_path.name}: tar archives need a "
+                "Python with tarfile extraction filters (3.10.12, 3.11.4, 3.12 or later)"
+            )
         try:
             with tarfile.open(archive_path) as tar:
                 # The "data" filter (PEP 706) refuses members, links and link

@@ -1,9 +1,8 @@
-import concurrent.futures
 import math
-import multiprocessing
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from ontomesh.analytics import (
     specificity_ratios,
     top_k_attributes,
 )
-from ontomesh.canonical import canonical_json_bytes
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
@@ -142,20 +140,12 @@ class TestDegree:
 ENGINES = ["python", "sparse"]
 
 
-def _disjoint_union(graphs):
-    edges, offset = [], 0
-    for graph in graphs:
-        edges += zip((graph.u + offset).tolist(), (graph.v + offset).tolist())
-        offset += len(graph.nodes)
-    return make_graph(offset, edges)
-
-
 def _agreement_graphs():
     """Graphs for exact agreement between the engines: many closed twins
     (cliques, cliques with hubs, linked cliques), components of different
-    depths, random graphs, and isolated nodes (which the sparse engine
-    leaves out) in runs at both ends, runs longer than a block, or
-    scattered."""
+    depths, a path longer than two blocks, random graphs, and isolated
+    nodes (which the sparse engine leaves out) in runs at both ends, runs
+    longer than a block, or scattered."""
     graphs = [make_graph(5, [])]
     # components of different sizes and depths, so the columns of one
     # block finish their BFS at different levels
@@ -192,6 +182,7 @@ def _agreement_graphs():
                 if rng.random() < 0.6:
                     edges.append((rng.choice(linkers[a]), rng.choice(linkers[b])))
         graphs.append(make_graph(base, edges))
+    graphs.append(make_graph(150, [(i, i + 1) for i in range(149)]))
     for seed in range(20):
         rng = random.Random(300 + seed)
         graphs.append(random_graph(rng, rng.randint(1, 45), rng.uniform(0.03, 0.4)))
@@ -262,19 +253,8 @@ class TestBetweenness:
             indptr, indices = graph.indptr, graph.indices
             want = analytics._betweenness_python(indptr, indices)
             for block in (1, 3, 16, 64):
-                got = analytics._brandes_sparse(indptr, indices, n, block, workers=1)
+                got = analytics._brandes_sparse(indptr, indices, n, block)
                 assert got.tolist() == want
-
-    def test_worker_processes_agree_bitwise(self):
-        # one graph holding every agreement graph, so that each block size
-        # starts one pool of two workers
-        graph = _disjoint_union(_agreement_graphs())
-        n = len(graph.nodes)
-        want = analytics._betweenness_python(graph.indptr, graph.indices)
-        for block in (1, 3, 16, 64):
-            got = analytics._brandes_sparse(graph.indptr, graph.indices, n, block, workers=2)
-            assert got.tolist() == want
-        assert multiprocessing.active_children() == []
 
     def test_twin_classes(self):
         # 0..6 form a clique that hub 7 joins in full and hub 8 in part
@@ -294,28 +274,24 @@ class TestBetweenness:
         want = np.zeros(n)
         for row in rows:
             want += row
-        got = analytics._brandes_sparse(graph.indptr, graph.indices, n, workers=1)
+        got = analytics._brandes_sparse(graph.indptr, graph.indices, n)
         assert got.tolist() == want.tolist()
 
-    def test_stored_result_same_for_any_worker_count(self, monkeypatch):
-        graph = random_graph(random.Random(41), 160, 0.04)
-        docs = []
-        for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
-            monkeypatch.setattr(analytics.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            docs.append(canonical_json_bytes(betweenness_centrality(graph).to_doc()))
-            assert multiprocessing.active_children() == []
-        assert docs[0] == docs[1] == docs[2]
-
-    def test_no_worker_left_after_failure(self, monkeypatch):
-        graph = random_graph(random.Random(41), 160, 0.04)
-
-        def lost(future, timeout=None):
-            raise RuntimeError("block lost")
-
-        monkeypatch.setattr(concurrent.futures.Future, "result", lost)
-        with pytest.raises(RuntimeError, match="block lost"):
-            analytics._brandes_sparse(graph.indptr, graph.indices, 160, block=16, workers=2)
-        assert multiprocessing.active_children() == []
+    def test_search_memory_does_not_grow_with_depth(self):
+        # a path of 800 nodes is 799 levels deep from an end; one block of
+        # 64 sources holds a few m-by-64 arrays (0.4 MB each), and its level
+        # indices hold one entry per node and source in all
+        n = 800
+        graph = make_graph(n, [(i, i + 1) for i in range(n - 1)])
+        blocks = analytics._SourceBlocks(graph.indptr, graph.indices)
+        tracemalloc.start()
+        try:
+            rows = blocks.dependencies(np.arange(64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[0, 1] == (n - 2) * 1.0
+        assert peak < 8_000_000
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(analytics.__file__).parents[1])

@@ -144,3 +144,12 @@ def test_fetch_rejects_escaping_links(tmp_path, members):
     assert not (tmp_path / "dl" / "tree").exists()
     assert not (tmp_path / "dl" / "escaped.json").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["archive.tar.gz", "dl", "outside.json"]
+
+
+def test_tar_without_extraction_filters_refused(tmp_path, monkeypatch):
+    monkeypatch.delattr(tarfile, "data_filter")
+    monkeypatch.delattr(tarfile, "FilterError")
+    url = _tarball(tmp_path, [(tarfile.TarInfo("corpus/d/m/T.json"), b"{}")])
+    with pytest.raises(CorpusError, match="extraction filters"):
+        fetch_snapshot(url, tmp_path / "dl")
+    assert not (tmp_path / "dl" / "tree").exists()
