@@ -7,52 +7,47 @@ centrality of individual attributes, domain-overlap matrices, and per-domain
 specificity ratios.
 """
 
-from ontomesh.corpus import (
-    AttributeOccurrence,
-    CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    LayoutConfig,
-    TypeRecord,
-    ingest_corpus,
-    parse_schema_file,
-)
-from ontomesh.graph import NodeKind, OntologyGraph, build_graph, domain_subgraph, edge_census
-from ontomesh.analytics import (
-    AnalysisReport,
-    CentralityResult,
-    DomainMatrix,
-    betweenness_centrality,
-    degree_centrality,
-    dissonance_summary,
-    domain_overlap_matrix,
-    top_k_attributes,
-)
-from ontomesh.store import ArtifactStore
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "ArtifactStore",
-    "AttributeOccurrence",
-    "CentralityResult",
-    "CorpusSnapshot",
-    "DataModelRecord",
-    "DomainMatrix",
-    "DomainRecord",
-    "LayoutConfig",
-    "NodeKind",
-    "OntologyGraph",
-    "TypeRecord",
-    "betweenness_centrality",
-    "build_graph",
-    "degree_centrality",
-    "dissonance_summary",
-    "domain_overlap_matrix",
-    "domain_subgraph",
-    "edge_census",
-    "ingest_corpus",
-    "parse_schema_file",
-    "top_k_attributes",
-]
+# Public name -> defining module. Names are imported on first access (PEP 562),
+# so ``import ontomesh`` does not load numpy.
+_EXPORTS = {
+    "AnalysisReport": "analytics",
+    "ArtifactStore": "store",
+    "AttributeOccurrence": "corpus",
+    "CentralityResult": "analytics",
+    "CorpusSnapshot": "corpus",
+    "DataModelRecord": "corpus",
+    "DomainMatrix": "analytics",
+    "DomainRecord": "corpus",
+    "LayoutConfig": "corpus",
+    "NodeKind": "graph",
+    "OntologyGraph": "graph",
+    "TypeRecord": "corpus",
+    "betweenness_centrality": "analytics",
+    "build_graph": "graph",
+    "degree_centrality": "analytics",
+    "dissonance_summary": "analytics",
+    "domain_overlap_matrix": "analytics",
+    "domain_subgraph": "graph",
+    "edge_census": "graph",
+    "ingest_corpus": "corpus",
+    "parse_schema_file": "corpus",
+    "top_k_attributes": "analytics",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ontomesh.choices import MATRIX_METRICS
 from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
@@ -32,7 +33,6 @@ from ontomesh.graph import (
 
 logger = logging.getLogger(__name__)
 
-MATRIX_METRICS = ("shared_models", "shared_attributes", "jaccard_attributes")
 BETWEENNESS_ENGINES = ("sparse", "python")
 
 

@@ -14,23 +14,19 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ontomesh.analytics import (
-    MATRIX_METRICS,
-    CentralityResult,
-    betweenness_centrality,
-    degree_centrality,
-    dissonance_summary,
-    domain_overlap_matrix,
-    top_k_attributes,
-)
+# Only numpy-free modules are imported here. Each command imports the graph,
+# analysis and output layers it uses when it runs, so that --help, ingest and
+# the canonical-json export start without numpy.
+from ontomesh.choices import GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
 from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus
 from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
-from ontomesh.exports import GRAPH_FORMATS, export_graph, export_matrix_csv
-from ontomesh.graph import OntologyGraph, build_graph, edge_census
-from ontomesh.heatmap import render_heatmap_svg
-from ontomesh.report import REPORT_FORMATS, render_report
 from ontomesh.store import ArtifactStore
+
+if TYPE_CHECKING:
+    from ontomesh.analytics import CentralityResult
+    from ontomesh.graph import OntologyGraph
 
 logger = logging.getLogger(__name__)
 
@@ -162,6 +158,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from ontomesh.graph import build_graph, edge_census
+
     cfg = _config(args)
     store = ArtifactStore(cfg.store_dir)
     snapshot = store.get(args.snapshot, expect_kind="snapshot")
@@ -200,6 +198,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_centrality(args: argparse.Namespace) -> int:
+    from ontomesh.analytics import betweenness_centrality, degree_centrality, top_k_attributes
+
     cfg = _config(args)
     store = ArtifactStore(cfg.store_dir)
     graph = store.get(args.graph, expect_kind="graph")
@@ -226,6 +226,10 @@ def cmd_analyze_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
+    from ontomesh.analytics import dissonance_summary
+    from ontomesh.exports import export_matrix_csv
+    from ontomesh.heatmap import render_heatmap_svg
+
     cfg = _config(args)
     store = ArtifactStore(cfg.store_dir)
     snapshot = store.get(args.snapshot, expect_kind="snapshot")
@@ -277,6 +281,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         data = store.object_bytes(args.graph, expect_kind="graph")
         written = Path(out).write_bytes(data)
     else:
+        from ontomesh.exports import export_graph
+
         graph = store.get(args.graph, expect_kind="graph")
         written = export_graph(graph, args.format, out)
     _emit(
@@ -288,6 +294,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from ontomesh.analytics import dissonance_summary
+    from ontomesh.report import render_report
+
     cfg = _config(args)
     store = ArtifactStore(cfg.store_dir)
     snapshot = store.get(args.name, expect_kind="snapshot")

@@ -17,12 +17,6 @@ import fnmatch
 import hashlib
 import json
 import logging
-import shutil
-import tarfile
-import urllib.error
-import urllib.parse
-import urllib.request
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -705,6 +699,12 @@ def fetch_snapshot(
     """Download a tar/zip archive of a corpus tree and extract it under
     ``dest``; returns the extraction root suitable for :func:`ingest_corpus`.
     """
+    # Imported here: only --url needs them, and they slow every start-up.
+    import shutil
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     try:
@@ -743,6 +743,9 @@ def fetch_snapshot(
 
 
 def _extract_archive(archive_path: Path, target: Path) -> None:
+    import tarfile
+    import zipfile
+
     if tarfile.is_tarfile(archive_path):
         if not hasattr(tarfile, "data_filter"):
             # Without extraction filters (Python before 3.10.12, 3.11.4 and

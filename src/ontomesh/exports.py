@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ontomesh.analytics import DomainMatrix
 from ontomesh.canonical import canonical_json_bytes
 from ontomesh.graph import NodeKind, OntologyGraph
 
-GRAPH_FORMATS = ("graphml", "dot", "canonical-json")
+if TYPE_CHECKING:
+    from ontomesh.analytics import DomainMatrix
 
 _DOT_SHAPES = {
     NodeKind.DOMAIN: ("box", "#ffd97d"),

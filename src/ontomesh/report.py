@@ -8,8 +8,6 @@ from pathlib import Path
 from ontomesh.analytics import AnalysisReport, DomainMatrix
 from ontomesh.canonical import canonical_json_bytes
 
-REPORT_FORMATS = ("markdown", "canonical-json")
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

@@ -13,34 +13,44 @@ from __future__ import annotations
 import contextlib
 import datetime
 import fcntl
+import importlib
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
-from ontomesh.analytics import AnalysisReport, CentralityResult, DomainMatrix
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
-from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
-from ontomesh.graph import OntologyGraph
 
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
+# Kind -> (module, class). Classes are imported only when an object of that
+# kind is read, so storing or reading a snapshot does not load numpy.
 _KINDS = {
-    "snapshot": CorpusSnapshot,
-    "graph": OntologyGraph,
-    "report": AnalysisReport,
-    "centrality": CentralityResult,
-    "domain_matrix": DomainMatrix,
+    "snapshot": ("ontomesh.corpus", "CorpusSnapshot"),
+    "graph": ("ontomesh.graph", "OntologyGraph"),
+    "report": ("ontomesh.analytics", "AnalysisReport"),
+    "centrality": ("ontomesh.analytics", "CentralityResult"),
+    "domain_matrix": ("ontomesh.analytics", "DomainMatrix"),
 }
 
 
 def _artifact_kind(artifact) -> str:
-    for kind, cls in _KINDS.items():
-        if isinstance(artifact, cls):
+    for kind, (module_name, class_name) in _KINDS.items():
+        # An instance of a class whose module was never imported cannot exist.
+        module = sys.modules.get(module_name)
+        if module is not None and isinstance(artifact, getattr(module, class_name)):
             return kind
     raise StoreError(f"unsupported artifact type {type(artifact).__name__}")
+
+
+def _artifact_class(kind: str):
+    if kind not in _KINDS:
+        raise CorruptionError(f"unknown artifact kind {kind!r}")
+    module_name, class_name = _KINDS[kind]
+    return getattr(importlib.import_module(module_name), class_name)
 
 
 class ArtifactStore:
@@ -87,6 +97,10 @@ class ArtifactStore:
         kind = _artifact_kind(artifact)
         data = canonical_json_bytes(artifact.to_doc())
         content_hash = sha256_hex(data)
+        if kind == "graph":
+            # graph_hash() is the hash of these bytes; memoize it, as get()
+            # does for a loaded graph.
+            artifact._hash = content_hash
         with self._index_lock():
             index = self._load_index()
             if name in index and not overwrite:
@@ -130,13 +144,11 @@ class ArtifactStore:
         """Load an artifact by name, verifying its hash first."""
         entry, data = self._verified_object(name, expect_kind)
         doc = json.loads(data)
-        cls = _KINDS.get(entry["kind"])
-        if cls is None:
-            raise CorruptionError(f"unknown artifact kind {entry['kind']!r}")
-        if cls is OntologyGraph:
+        cls = _artifact_class(entry["kind"])
+        if entry["kind"] == "graph":
             # put stores canonical_json_bytes(graph.to_doc()), so the verified
             # object hash is the graph's own hash.
-            return OntologyGraph.from_doc(doc, content_hash=entry["hash"])
+            return cls.from_doc(doc, content_hash=entry["hash"])
         return cls.from_doc(doc)
 
     def object_bytes(self, name: str, expect_kind: str | None = None) -> bytes:

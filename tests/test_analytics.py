@@ -1,9 +1,6 @@
 import math
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,14 +289,6 @@ class TestBetweenness:
             tracemalloc.stop()
         assert rows[0, 1] == (n - 2) * 1.0
         assert peak < 8_000_000
-
-    def test_import_does_not_load_scipy(self):
-        src = str(Path(analytics.__file__).parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import ontomesh; "
-            "assert 'scipy' not in sys.modules"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_normalized_bounds(self):
         graph = random_graph(random.Random(5), 20, 0.2)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontomesh import analytics, cli
+from ontomesh import analytics
 from ontomesh.cli import main
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
@@ -270,8 +270,8 @@ class TestCentralityReuse:
         for metric in counted:
             name = f"{metric}_centrality"
             wrapper = spy(metric, getattr(analytics, name))
+            # the CLI imports them from analytics when a command runs
             monkeypatch.setattr(analytics, name, wrapper)
-            monkeypatch.setattr(cli, name, wrapper)
         return counted
 
     @staticmethod

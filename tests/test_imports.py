@@ -1,0 +1,108 @@
+"""Start-up imports: which commands load numpy, and the package's lazy names.
+
+Each probe runs in a fresh interpreter, since this process has long since
+imported every layer.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ontomesh
+from ontomesh.cli import main
+
+from conftest import FIXTURES
+
+SRC = Path(ontomesh.__file__).parents[1]
+WATCHED = ("numpy", "scipy", "urllib.request")
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+{body}
+print(json.dumps([m for m in {watched!r} if m in sys.modules]))
+"""
+
+
+def loaded_after(body: str, cwd: Path) -> list[str]:
+    """Which of ``WATCHED`` a fresh interpreter has imported after ``body``."""
+    code = _PROBE.format(src=str(SRC), body=body, watched=WATCHED)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli(argv: list[str]) -> str:
+    return (
+        "from ontomesh.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "assert code == 0, code\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def graph_store(tmp_path_factory):
+    """A store holding the fix1 snapshot and graph, built by this process."""
+    store = str(tmp_path_factory.mktemp("store"))
+    assert main(["ingest", str(FIXTURES / "fix1"), "--name", "fix1", "--store", store]) == 0
+    assert main(["graph", "build", "--snapshot", "fix1", "--store", store]) == 0
+    return store
+
+
+def test_import_loads_no_numpy(tmp_path):
+    assert loaded_after("import ontomesh", tmp_path) == []
+
+
+def test_help_loads_no_numpy(tmp_path):
+    assert loaded_after(cli(["--help"]), tmp_path) == []
+
+
+def test_ingest_loads_no_numpy_or_urllib(tmp_path):
+    argv = ["ingest", str(FIXTURES / "fix1"), "--store", str(tmp_path / "store")]
+    assert loaded_after(cli(argv), tmp_path) == []
+
+
+def test_canonical_json_export_loads_no_numpy(graph_store, tmp_path):
+    argv = ["export", "--graph", "fix1-graph", "--format", "canonical-json",
+            "--store", graph_store, "--out", str(tmp_path / "g.json")]
+    assert loaded_after(cli(argv), tmp_path) == []
+    assert (tmp_path / "g.json").is_file()
+
+
+def test_centrality_loads_numpy(graph_store, tmp_path):
+    argv = ["analyze", "centrality", "--graph", "fix1-graph", "--store", graph_store]
+    assert "numpy" in loaded_after(cli(argv), tmp_path)
+
+
+class TestLazyPackage:
+    def test_names_are_those_of_their_defining_modules(self):
+        for name in ontomesh.__all__:
+            obj = getattr(ontomesh, name)
+            assert obj.__module__.startswith("ontomesh.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from ontomesh import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(ontomesh.__all__)
+        for name in ontomesh.__all__:
+            assert namespace[name] is getattr(ontomesh, name)
+
+    def test_dir_lists_all_before_first_use(self, tmp_path):
+        body = "import ontomesh\nassert set(ontomesh.__all__) <= set(dir(ontomesh))"
+        assert loaded_after(body, tmp_path) == []
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ontomesh.no_such_name  # noqa: B018
+
+    def test_submodules_still_import(self, tmp_path):
+        body = "from ontomesh import cli, errors\nassert callable(cli.main)"
+        assert loaded_after(body, tmp_path) == []

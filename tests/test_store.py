@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import shutil
 import sys
@@ -51,6 +52,38 @@ def test_loaded_graph_carries_its_verified_hash(store, fix1_snapshot, monkeypatc
         OntologyGraph, "to_doc", lambda self: pytest.fail("loaded graph hashed again")
     )
     assert loaded.graph_hash() == recomputed
+
+
+def test_put_sets_graph_hash(store, fix1_snapshot, monkeypatch):
+    graph = build_graph(fix1_snapshot)
+    to_doc = OntologyGraph.to_doc
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return to_doc(self)
+
+    monkeypatch.setattr(OntologyGraph, "to_doc", spy)
+    content_hash = store.put("g", graph)
+    assert graph.graph_hash() == content_hash
+    report = dissonance_summary(fix1_snapshot, graph, include_timestamp=False)
+    assert report.graph_hash == content_hash
+    assert len(calls) == 1
+
+
+def test_unsupported_artifact_type_rejected(store):
+    with pytest.raises(StoreError, match="unsupported artifact type dict"):
+        store.put("x", {"kind": "snapshot"})
+    assert store.names() == []
+
+
+def test_unknown_stored_kind_is_corruption(store, fix1_snapshot):
+    store.put("fix1", fix1_snapshot)
+    index = json.loads(store.index_path.read_text())
+    index["fix1"]["kind"] = "hologram"
+    store.index_path.write_text(json.dumps(index))
+    with pytest.raises(CorruptionError, match="unknown artifact kind 'hologram'"):
+        store.get("fix1")
 
 
 def test_identical_content_identical_hash(store, fix1_snapshot):
