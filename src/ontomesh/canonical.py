@@ -25,8 +25,3 @@ def canonical_json_line(doc: Any) -> str:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def doc_hash(doc: Any) -> str:
-    """Content hash of a document's canonical byte form."""
-    return sha256_hex(canonical_json_bytes(doc))

@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from ontomesh.canonical import canonical_json_bytes
 from ontomesh.graph import NodeKind, OntologyGraph
 
 if TYPE_CHECKING:
@@ -20,6 +19,9 @@ _DOT_SHAPES = {
     NodeKind.ATTRIBUTE: ("ellipse", "#cdeac0"),
 }
 
+
+# Nodes or edges per block of the streamed GraphML text.
+_GRAPHML_BLOCK = 8192
 
 _GRAPHML_HEAD = (
     "<?xml version='1.0' encoding='UTF-8'?>\n"
@@ -41,36 +43,38 @@ def _graphml_label(label: str) -> str:
     return f'      <data key="d_label">{_xml_text(label)}</data>'
 
 
-def _graphml_bytes(graph: OntologyGraph) -> bytes:
-    """GraphML with two-space indentation, written as one stream of text.
+def _graphml_blocks(graph: OntologyGraph) -> Iterator[str]:
+    """GraphML with two-space indentation, as blocks of text of at most
+    ``_GRAPHML_BLOCK`` nodes or edges each, so a writer never holds the
+    whole document.
 
     The bytes are those ElementTree gives for the same elements after
     ``ET.indent``: text escapes only ``&``, ``<`` and ``>``, an element
     without text or children is written ``<tag ... />``, and characters
     UTF-8 cannot encode become character references.
     """
-    parts = [_GRAPHML_HEAD]
+    yield _GRAPHML_HEAD
     if not graph.nodes:
-        parts.append('  <graph id="G" edgedefault="undirected" />\n')
-    else:
-        parts.append('  <graph id="G" edgedefault="undirected">\n')
-        parts.extend(
+        yield '  <graph id="G" edgedefault="undirected" />\n</graphml>\n'
+        return
+    yield '  <graph id="G" edgedefault="undirected">\n'
+    for lo in range(0, len(graph.nodes), _GRAPHML_BLOCK):
+        yield "".join(
             f'    <node id="n{node.node_id}">\n'
             f'      <data key="d_kind">{node.kind.value}</data>\n'
             f"{_graphml_label(node.label)}\n"
             "    </node>\n"
-            for node in graph.nodes
+            for node in graph.nodes[lo : lo + _GRAPHML_BLOCK]
         )
-        parts.extend(
+    for lo in range(0, len(graph.u), _GRAPHML_BLOCK):
+        yield "".join(
             f'    <edge source="n{u}" target="n{v}">\n'
             f'      <data key="d_ekind">{kind}</data>\n'
             f'      <data key="d_weight">{weight}</data>\n'
             "    </edge>\n"
-            for u, v, kind, weight in graph.edge_rows()
+            for u, v, kind, weight in graph.edge_rows(lo, lo + _GRAPHML_BLOCK)
         )
-        parts.append("  </graph>\n")
-    parts.append("</graphml>\n")
-    return "".join(parts).encode("utf-8", "xmlcharrefreplace")
+    yield "  </graph>\n</graphml>\n"
 
 
 def _dot_escape(label: str) -> str:
@@ -101,11 +105,15 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
     edge labels. Output bytes are deterministic for identical graphs.
     """
     if format == "graphml":
-        data = _graphml_bytes(graph)
-    elif format == "dot":
+        written = 0
+        with open(out, "wb") as fh:
+            for block in _graphml_blocks(graph):
+                written += fh.write(block.encode("utf-8", "xmlcharrefreplace"))
+        return written
+    if format == "dot":
         data = _dot_bytes(graph)
     elif format == "canonical-json":
-        data = canonical_json_bytes(graph.to_doc())
+        data = graph.canonical_bytes()
     else:
         raise ValueError(f"unknown graph format {format!r}")
     Path(out).write_bytes(data)
@@ -114,10 +122,7 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
 
 def import_graph_json(path: str | os.PathLike) -> OntologyGraph:
     """Inverse of the canonical-json export."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        return OntologyGraph.from_doc(json.load(fh))
+    return OntologyGraph.from_bytes(Path(path).read_bytes())
 
 
 def export_matrix_csv(matrix: DomainMatrix, out: str | os.PathLike) -> int:

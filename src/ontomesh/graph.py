@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ontomesh.canonical import canonical_json_line, doc_hash
+from ontomesh.canonical import canonical_json_line, sha256_hex
 from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import NotFoundError
 
@@ -46,6 +46,15 @@ EDGE_CONTAINMENT = "containment"
 # Edge kinds in canonical order; an edge's kind code is its index here.
 EDGE_KINDS = (EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT)
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+
+# The stored graph document starts with its edges: "edges" sorts first among
+# its keys. Each stored edge is one of these rows with its u, v and weight
+# written in; a row per kind with the numbers taken out is its skeleton.
+_EDGES_OPEN = b'{"edges":['
+_EDGE_TEMPLATES = ['{"kind":"%s","u":%%d,"v":%%d,"weight":%%d}' % kind for kind in EDGE_KINDS]
+_EDGE_SKELETONS = [template.replace("%d", "").encode() for template in _EDGE_TEMPLATES]
+_DIGIT_VALUE = np.zeros(256, dtype=np.int64)
+_DIGIT_VALUE[48:58] = np.arange(10)
 
 
 @dataclass
@@ -115,6 +124,75 @@ def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
     return [
         _int_column(values, name)
         for values, name in ((u, "u"), (v, "v"), (_kind_codes(kinds), "kind"), (weight, "weight"))
+    ]
+
+
+def _edge_numbers(text: bytes, n: int) -> np.ndarray | None:
+    """The ``3 * n`` numbers of edge text whose bytes less digits are the
+    skeletons of ``n`` rows, in order; None unless each u, v and weight slot
+    holds one run of 1-18 digits without a leading zero (18 digits fit in
+    int64)."""
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    buf = np.frombuffer(text, dtype=np.uint8)
+    digit = (buf - 48) < 10  # uint8 arithmetic wraps the bytes below "0"
+    if digit[0] or digit[-1]:
+        return None
+    bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    # Each maximal run fills its own gap of the skeleton; the only gaps
+    # between ":" and "," or "}" are the 3n slots, so 3n such runs fill them.
+    if len(starts) != 3 * n:
+        return None
+    lengths = ends - starts
+    if (
+        np.any(buf[starts - 1] != ord(":"))
+        or np.any((buf[ends] != ord(",")) & (buf[ends] != ord("}")))
+        or lengths.max() > 18
+        or np.any((buf[starts] == ord("0")) & (lengths > 1))
+    ):
+        return None
+    values = _DIGIT_VALUE[buf[ends - 1]]
+    for place in range(1, int(lengths.max())):
+        values += np.where(lengths > place, _DIGIT_VALUE[buf[ends - 1 - place]], 0) * 10**place
+    return values
+
+
+def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None:
+    """Edge columns (u, v, kind, weight) parsed from a stored graph document
+    whose edge text is exactly the canonical text of those edges, and the
+    rest of the document as ``json.loads`` reads it; None for other input."""
+    if not data.startswith(_EDGES_OPEN):
+        return None
+    end = data.find(b"]", len(_EDGES_OPEN))
+    if end < 0 or data[end + 1 : end + 2] != b",":
+        return None
+    text = data[len(_EDGES_OPEN) : end]
+    skeleton = text.translate(None, b"0123456789")
+    counts = [skeleton.count(row) for row in _EDGE_SKELETONS]
+    expected = b"".join((row + b",") * count for row, count in zip(_EDGE_SKELETONS, counts))
+    if skeleton != expected[:-1]:
+        return None
+    values = _edge_numbers(text, sum(counts))
+    if values is None:
+        return None
+    # json.loads of bytes starting '{"' decodes them as UTF-8 this way.
+    rest = json.loads((b"{" + data[end + 2 :]).decode("utf-8", "surrogatepass"))
+    if "edges" in rest:  # a second "edges" key overrides the first
+        return None
+    kind = np.repeat(np.arange(len(EDGE_KINDS), dtype=np.int64), counts)
+    return [values[0::3], values[1::3], kind, values[2::3]], rest
+
+
+def _doc_nodes(doc: dict) -> list[GraphNode]:
+    return [
+        GraphNode(
+            node_id=nd["id"],
+            kind=NodeKind(nd["kind"]),
+            label=nd["label"],
+            metadata=dict(nd.get("metadata") or {}),
+        )
+        for nd in doc["nodes"]
     ]
 
 
@@ -225,15 +303,17 @@ class OntologyGraph:
         """Distinct neighbours of a node, ascending."""
         return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
 
-    def edge_rows(self):
-        """Edges as ``(u, v, kind, weight)`` tuples of Python values, in
-        canonical order, for writers that visit every edge."""
-        kinds = [EDGE_KINDS[code] for code in self.kind.tolist()]
-        return zip(self.u.tolist(), self.v.tolist(), kinds, self.weight.tolist())
+    def edge_rows(self, lo: int = 0, hi: int | None = None):
+        """Edges ``lo`` to ``hi`` (all by default) as ``(u, v, kind, weight)``
+        tuples of Python values, in canonical order, for writers that visit
+        every edge."""
+        rows = slice(lo, hi)
+        kinds = [EDGE_KINDS[code] for code in self.kind[rows].tolist()]
+        return zip(self.u[rows].tolist(), self.v[rows].tolist(), kinds, self.weight[rows].tolist())
 
     # -- serialization -----------------------------------------------------
 
-    def to_doc(self) -> dict:
+    def _doc(self, edges: list) -> dict:
         return {
             "kind": "graph",
             "provenance": self.provenance.to_doc(),
@@ -246,11 +326,49 @@ class OntologyGraph:
                 }
                 for node in self.nodes
             ],
-            "edges": [
-                {"u": u, "v": v, "kind": kind, "weight": weight}
-                for u, v, kind, weight in self.edge_rows()
-            ],
+            "edges": edges,
         }
+
+    def to_doc(self) -> dict:
+        return self._doc([
+            {"u": u, "v": v, "kind": kind, "weight": weight}
+            for u, v, kind, weight in self.edge_rows()
+        ])
+
+    def canonical_bytes(self) -> bytes:
+        """``canonical_json_bytes(self.to_doc())``, the stored form, written
+        without a dict per edge: the edges of each kind are contiguous in
+        canonical order, so one row template formats them all."""
+        bounds = np.searchsorted(self.kind, np.arange(len(EDGE_KINDS) + 1)).tolist()
+        text = []
+        for code, template in enumerate(_EDGE_TEMPLATES):
+            lo, hi = bounds[code], bounds[code + 1]
+            numbers = np.column_stack((self.u[lo:hi], self.v[lo:hi], self.weight[lo:hi]))
+            text.append((template + ",") * (hi - lo) % tuple(numbers.ravel().tolist()))
+        edges = "".join(text).encode("ascii")
+        rest = canonical_json_line(self._doc([])).encode("utf-8")
+        # rest is '{"edges":[' + ']' + the other keys.
+        return b"".join((_EDGES_OPEN, edges[:-1], rest[len(_EDGES_OPEN) :], b"\n"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes, content_hash: str | None = None) -> "OntologyGraph":
+        """``from_doc(json.loads(data), content_hash)``, read without a dict
+        per edge when the edge text is exactly the canonical text of the
+        edges it holds.
+
+        Any other input, and any error on the way, goes to ``from_doc``, so
+        its result or exception is the one callers get.
+        """
+        try:
+            parsed = _canonical_edge_columns(data)
+            if parsed is not None:
+                columns, rest = parsed
+                return cls._with_columns(
+                    _doc_nodes(rest), columns, rest["provenance"], content_hash
+                )
+        except Exception:
+            pass  # from_doc below raises what the document is wrong with.
+        return cls.from_doc(json.loads(data), content_hash)
 
     @classmethod
     def from_doc(cls, doc: dict, content_hash: str | None = None) -> "OntologyGraph":
@@ -261,15 +379,7 @@ class OntologyGraph:
         already in canonical order, because ``to_doc()`` then gives back the
         same document; otherwise the hash is computed when first asked for.
         """
-        nodes = [
-            GraphNode(
-                node_id=nd["id"],
-                kind=NodeKind(nd["kind"]),
-                label=nd["label"],
-                metadata=dict(nd.get("metadata") or {}),
-            )
-            for nd in doc["nodes"]
-        ]
+        nodes = _doc_nodes(doc)
         edges = doc["edges"]
         columns = _edge_columns(
             [ed["u"] for ed in edges],
@@ -277,9 +387,12 @@ class OntologyGraph:
             [ed["kind"] for ed in edges],
             [ed["weight"] for ed in edges],
         )
-        graph = cls._from_arrays(
-            nodes, *columns, GraphProvenance.from_doc(doc["provenance"])
-        )
+        return cls._with_columns(nodes, columns, doc["provenance"], content_hash)
+
+    @classmethod
+    def _with_columns(cls, nodes, columns, provenance: dict, content_hash) -> "OntologyGraph":
+        """The graph of decoded parts; ``content_hash`` as in ``from_doc``."""
+        graph = cls._from_arrays(nodes, *columns, GraphProvenance.from_doc(provenance))
         stored_order = (graph.u, graph.v, graph.kind)
         if content_hash is not None and all(
             np.array_equal(array, column) for array, column in zip(stored_order, columns)
@@ -288,10 +401,10 @@ class OntologyGraph:
         return graph
 
     def graph_hash(self) -> str:
-        """Content hash of ``to_doc()``, computed on the first call only:
-        a graph is not modified after it is built."""
+        """Content hash of ``canonical_bytes()``, computed on the first call
+        only: a graph is not modified after it is built."""
         if self._hash is None:
-            self._hash = doc_hash(self.to_doc())
+            self._hash = sha256_hex(self.canonical_bytes())
         return self._hash
 
 

@@ -95,7 +95,11 @@ class ArtifactStore:
         if not _NAME_RE.fullmatch(name):
             raise StoreError(f"invalid artifact name {name!r}")
         kind = _artifact_kind(artifact)
-        data = canonical_json_bytes(artifact.to_doc())
+        data = (
+            artifact.canonical_bytes()
+            if kind == "graph"
+            else canonical_json_bytes(artifact.to_doc())
+        )
         content_hash = sha256_hex(data)
         if kind == "graph":
             # graph_hash() is the hash of these bytes; memoize it, as get()
@@ -143,13 +147,12 @@ class ArtifactStore:
     def get(self, name: str, expect_kind: str | None = None):
         """Load an artifact by name, verifying its hash first."""
         entry, data = self._verified_object(name, expect_kind)
-        doc = json.loads(data)
-        cls = _artifact_class(entry["kind"])
         if entry["kind"] == "graph":
-            # put stores canonical_json_bytes(graph.to_doc()), so the verified
-            # object hash is the graph's own hash.
-            return cls.from_doc(doc, content_hash=entry["hash"])
-        return cls.from_doc(doc)
+            # put stores graph.canonical_bytes(), so the verified object hash
+            # is the graph's own hash.
+            return _artifact_class("graph").from_bytes(data, content_hash=entry["hash"])
+        doc = json.loads(data)
+        return _artifact_class(entry["kind"]).from_doc(doc)
 
     def object_bytes(self, name: str, expect_kind: str | None = None) -> bytes:
         """Raw stored bytes for an artifact (hash verified): the canonical

@@ -205,7 +205,8 @@ class TestExportAndReport:
         def no_decode(*args, **kwargs):
             raise AssertionError("the export decoded the graph")
 
-        monkeypatch.setattr(OntologyGraph, "from_doc", no_decode)
+        for decoder in ("from_doc", "from_bytes"):
+            monkeypatch.setattr(OntologyGraph, decoder, no_decode)
         code, out, _ = run_cli(
             ["export", "--graph", "fix1-graph", "--format", "canonical-json"], capsys
         )

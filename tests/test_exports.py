@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import networkx as nx
@@ -16,6 +17,8 @@ from ontomesh.graph import (
 )
 from ontomesh.heatmap import PaletteConfig, render_heatmap_svg
 from ontomesh.report import render_report
+from ontomesh.store import ArtifactStore
+from ontomesh.synthetic import synthetic_snapshot
 
 from oracles import graphml_element_tree
 
@@ -113,6 +116,28 @@ class TestGraphExports:
     def test_unwritable_path(self, fix1_graph, tmp_path):
         with pytest.raises(OSError):
             export_graph(fix1_graph, "dot", tmp_path / "missing-dir" / "x.dot")
+
+
+def test_synthetic_graph_bytes_are_pinned(tmp_path):
+    """The stored bytes and the exports of the default synthetic graph, whose
+    ``source_uri`` does not depend on where the tests run."""
+    graph = build_graph(synthetic_snapshot())
+    assert len(graph.u) == 207081
+    store = ArtifactStore(tmp_path / "store")
+    store.put("g", graph)
+    stored = "1fb78d700e34e97c4267fa353db6d9c5d7964323f2a8e7f7132661edd9e69395"
+    assert hashlib.sha256(store.object_bytes("g")).hexdigest() == stored
+    expected = {
+        "canonical-json": stored,
+        "graphml": "76e6f90685a98d8b12e1a0e124378d9d2914426294c416681617ea347d9f9942",
+        "dot": "8ff622561bf66f4455c5cc26f462c83dbff08e16203539e8fb243d7417ffb924",
+    }
+    for format, digest in expected.items():
+        out = tmp_path / format
+        written = export_graph(store.get("g"), format, out)
+        assert written == out.stat().st_size
+        with open(out, "rb") as fh:
+            assert hashlib.file_digest(fh, "sha256").hexdigest() == digest, format
 
 
 class TestMatrixCsv:

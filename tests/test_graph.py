@@ -1,7 +1,12 @@
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ontomesh.canonical import canonical_json_bytes, sha256_hex
 
 from ontomesh.corpus import (
     AttributeOccurrence,
@@ -16,6 +21,7 @@ from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
     EDGE_ATTR_MODEL,
     EDGE_CONTAINMENT,
+    EDGE_KINDS,
     GraphEdge,
     GraphNode,
     GraphProvenance,
@@ -25,6 +31,7 @@ from ontomesh.graph import (
     domain_subgraph,
     edge_census,
 )
+from ontomesh.graph import _canonical_edge_columns
 
 from oracles import random_snapshot
 
@@ -127,9 +134,10 @@ class TestFix1Graph:
     def test_hash_computed_once(self, fix1_snapshot, monkeypatch):
         graph = build_graph(fix1_snapshot)
         first = graph.graph_hash()
-        monkeypatch.setattr(
-            OntologyGraph, "to_doc", lambda self: pytest.fail("graph hashed twice")
-        )
+        for encoder in ("to_doc", "canonical_bytes"):
+            monkeypatch.setattr(
+                OntologyGraph, encoder, lambda self: pytest.fail("graph hashed twice")
+            )
         assert graph.graph_hash() == first
 
     def test_doc_round_trip(self, fix1_graph):
@@ -305,3 +313,148 @@ def test_attribute_in_two_types_of_one_model_weights_attr_model():
     # two types, one shared attribute: still a simple graph
     assert (("one", "shared"), EDGE_ATTR_ATTR, 1) in edges
     assert (("shared", "two"), EDGE_ATTR_ATTR, 1) in edges
+
+
+# ---------------------------------------------------------------------------
+# Stored bytes: canonical_bytes / from_bytes against to_doc / from_doc
+# ---------------------------------------------------------------------------
+
+
+def _digits(count: int):
+    """Integers of exactly ``count`` decimal digits."""
+    return st.integers(10 ** (count - 1), 10**count - 1)
+
+
+@st.composite
+def _graphs(draw, kinds):
+    """Valid graphs whose edges have the given kinds: any node kinds,
+    non-ASCII labels and metadata, weights of 1 to 18 digits."""
+    labels = draw(st.lists(st.text(max_size=6), unique=True, max_size=9))
+    meta = st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2)
+    nodes = [
+        GraphNode(i, draw(st.sampled_from(NodeKind)), label, draw(meta))
+        for i, label in enumerate(labels)
+    ]
+    pairs = [(u, v) for u in range(len(nodes)) for v in range(u + 1, len(nodes))]
+    keys = []
+    if pairs and kinds:
+        keys = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(kinds)),
+                             unique=True, max_size=30))
+    weight = st.integers(1, 18).flatmap(_digits)
+    edges = [GraphEdge(u, v, kind, draw(weight)) for (u, v), kind in keys]
+    draw(st.randoms()).shuffle(edges)
+    optional = st.none() | st.text(max_size=4)
+    provenance = GraphProvenance(
+        draw(st.text(max_size=8)), draw(st.booleans()), draw(optional), draw(optional)
+    )
+    return OntologyGraph.create(nodes, edges, provenance)
+
+
+def _state(graph):
+    arrays = [a.tolist() for a in (graph.u, graph.v, graph.kind, graph.weight,
+                                   graph.indptr, graph.indices)]
+    return arrays, graph.nodes, graph.provenance, graph.graph_hash()
+
+
+def _outcome(read, data):
+    """A graph's state, or the type and message of the exception raised."""
+    try:
+        return _state(read(data))
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _reference(data, content_hash=None):
+    return OntologyGraph.from_doc(json.loads(data), content_hash)
+
+
+class TestStoredBytes:
+    @pytest.mark.parametrize(
+        "kinds", [(), *((kind,) for kind in EDGE_KINDS), EDGE_KINDS],
+        ids=["no-edges", *EDGE_KINDS, "all-kinds"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_codec_matches_json_path(self, kinds, data):
+        graph = data.draw(_graphs(kinds))
+        stored = graph.canonical_bytes()
+        assert stored == canonical_json_bytes(graph.to_doc())
+        content_hash = sha256_hex(stored)
+        for given_hash in (None, content_hash):
+            expected = _state(_reference(stored, given_hash))
+            # the canonical text is read without from_doc
+            with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
+                back = OntologyGraph.from_bytes(stored, given_hash)
+            assert back._hash == given_hash
+            assert _state(back) == expected
+        assert _state(back)[3] == graph.graph_hash() == content_hash
+
+    @given(st.lists(st.integers(1, 18).flatmap(_digits), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_numbers_of_1_to_18_digits_parse(self, numbers):
+        u, v, weight = numbers
+        edge = {"kind": EDGE_ATTR_MODEL, "u": u, "v": v, "weight": weight}
+        doc = {"edges": [edge, dict(edge, kind=EDGE_CONTAINMENT)], "kind": "graph"}
+        columns, rest = _canonical_edge_columns(canonical_json_bytes(doc))
+        assert [column.tolist() for column in columns] == [[u, u], [v, v], [1, 3], [weight] * 2]
+        assert rest == {"kind": "graph"}
+
+    def _stored(self):
+        nodes = [GraphNode(0, NodeKind.DOMAIN, "D]x"), GraphNode(1, NodeKind.MODEL, "Ørsted"),
+                 GraphNode(2, NodeKind.ATTRIBUTE, "a")]
+        edges = [GraphEdge(0, 2, EDGE_ATTR_DOMAIN, 3), GraphEdge(1, 2, EDGE_ATTR_MODEL, 1),
+                 GraphEdge(0, 1, EDGE_ATTR_ATTR, 12)]
+        return OntologyGraph.create(nodes, edges, GraphProvenance("x")).canonical_bytes()
+
+    def _edited(self, edit):
+        doc = json.loads(self._stored())
+        edit(doc)
+        return canonical_json_bytes(doc)
+
+    def _declined(self):
+        stored = self._stored()
+        doc = json.loads(stored)
+        interleaved = dict(doc, edges=[doc["edges"][1], doc["edges"][0], doc["edges"][2]])
+        return {
+            "pretty": json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False).encode(),
+            "keys reordered": json.dumps(doc, ensure_ascii=False).encode(),
+            "kinds interleaved": canonical_json_bytes(interleaved),
+            "float id": stored.replace(b'"u":0', b'"u":0.0', 1),
+            "19-digit id": stored.replace(b'"v":2', b'"v":1000000000000000002', 1),
+            "20-digit weight": stored.replace(b'"weight":1}', b'"weight":%d}' % (2**64 + 1), 1),
+            "leading zero": stored.replace(b'"weight":3', b'"weight":03', 1),
+            "digit before a row": stored.replace(b'"u":0', b'"u":', 1).replace(b"[{", b"[0{"),
+            "digit moved into a key": stored.replace(b'{"kind":"attr_attr","u":0',
+                                                     b'{"ki0nd":"attr_attr","u":', 1),
+            "digit moved after a kind": stored.replace(b'"attr_attr","u":0',
+                                                       b'"attr_attr"0,"u":', 1),
+            "junk after the edges": stored.replace(b'],"kind"', b']X"kind"', 1),
+            "surrogate bytes in a label": stored.replace("Ørsted".encode(), b"\xed\xa0\x80"),
+            "unknown kind": stored.replace(b"attr_domain", b"attr_region"),
+            "extra edge key": self._edited(lambda d: d["edges"][0].update(note="x")),
+            "duplicate edges key": stored[:-2] + b',"edges":[]}\n',
+            "truncated": stored[:-9],
+            "truncated edges": stored[:40],
+            "weight 0": stored.replace(b'"weight":3', b'"weight":0', 1),
+            "not an object": b'{"edges":[],"kind":"graph","nodes":7,"provenance":{}}',
+        }
+
+    @pytest.mark.parametrize("case", [
+        "pretty", "keys reordered", "kinds interleaved", "float id", "19-digit id",
+        "20-digit weight", "leading zero", "digit before a row", "digit moved into a key",
+        "digit moved after a kind", "junk after the edges", "surrogate bytes in a label",
+        "unknown kind", "extra edge key", "duplicate edges key",
+        "truncated", "truncated edges", "weight 0", "not an object",
+    ])
+    def test_declined_text_reads_as_json_path(self, case):
+        data = self._declined()[case]
+        for content_hash in (None, "h"):
+            expected = _outcome(lambda d: _reference(d, content_hash), data)
+            assert _outcome(lambda d: OntologyGraph.from_bytes(d, content_hash), data) == expected
+
+    def test_bracket_in_label_read_without_from_doc(self):
+        stored = self._stored()
+        assert b"D]x" in stored
+        expected = _state(_reference(stored))
+        with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
+            assert _state(OntologyGraph.from_bytes(stored)) == expected

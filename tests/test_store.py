@@ -11,7 +11,7 @@ from ontomesh.analytics import (
     dissonance_summary,
     domain_overlap_matrix,
 )
-from ontomesh.canonical import doc_hash
+from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
 from ontomesh.graph import OntologyGraph, build_graph
 from ontomesh.store import ArtifactStore
@@ -46,24 +46,25 @@ def test_loaded_graph_carries_its_verified_hash(store, fix1_snapshot, monkeypatc
     graph = build_graph(fix1_snapshot, containment_edges=True)
     content_hash = store.put("g", graph)
     loaded = store.get("g")
-    recomputed = doc_hash(loaded.to_doc())
+    recomputed = sha256_hex(canonical_json_bytes(loaded.to_doc()))
     assert recomputed == content_hash == graph.graph_hash()
-    monkeypatch.setattr(
-        OntologyGraph, "to_doc", lambda self: pytest.fail("loaded graph hashed again")
-    )
+    for encoder in ("to_doc", "canonical_bytes"):
+        monkeypatch.setattr(
+            OntologyGraph, encoder, lambda self: pytest.fail("loaded graph hashed again")
+        )
     assert loaded.graph_hash() == recomputed
 
 
 def test_put_sets_graph_hash(store, fix1_snapshot, monkeypatch):
     graph = build_graph(fix1_snapshot)
-    to_doc = OntologyGraph.to_doc
+    canonical_bytes = OntologyGraph.canonical_bytes
     calls = []
 
     def spy(self):
         calls.append(self)
-        return to_doc(self)
+        return canonical_bytes(self)
 
-    monkeypatch.setattr(OntologyGraph, "to_doc", spy)
+    monkeypatch.setattr(OntologyGraph, "canonical_bytes", spy)
     content_hash = store.put("g", graph)
     assert graph.graph_hash() == content_hash
     report = dissonance_summary(fix1_snapshot, graph, include_timestamp=False)
