@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ontomesh.choices import MATRIX_METRICS
+from ontomesh.choices import CENTRALITY_METRICS, MATRIX_METRICS
 from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
@@ -522,7 +522,7 @@ def dissonance_summary(
             "graph provenance does not match snapshot: "
             f"{graph.provenance.snapshot_hash[:12]} vs {snapshot.content_hash[:12]}"
         )
-    if centrality_metric not in ("degree", "betweenness"):
+    if centrality_metric not in CENTRALITY_METRICS:
         raise ValueError(f"unknown centrality metric {centrality_metric!r}")
     if centrality is not None:
         if centrality.graph_hash != graph.graph_hash():

@@ -5,5 +5,7 @@ built without importing them.
 """
 
 MATRIX_METRICS = ("shared_models", "shared_attributes", "jaccard_attributes")
-GRAPH_FORMATS = ("graphml", "dot", "canonical-json")
-REPORT_FORMATS = ("markdown", "canonical-json")
+CENTRALITY_METRICS = ("degree", "betweenness")
+# format -> extension of the file written when no --out is given
+GRAPH_FORMATS = {"graphml": "graphml", "dot": "dot", "canonical-json": "json"}
+REPORT_FORMATS = {"markdown": "md", "canonical-json": "json"}

@@ -12,40 +12,20 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Only numpy-free modules are imported here. Each command imports the graph,
 # analysis and output layers it uses when it runs, so that --help, ingest and
 # the canonical-json export start without numpy.
-from ontomesh.choices import GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
+from ontomesh.choices import CENTRALITY_METRICS, GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
 from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus
 from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
 from ontomesh.store import ArtifactStore
 
 if TYPE_CHECKING:
-    from ontomesh.analytics import CentralityResult
+    from ontomesh.analytics import AnalysisReport, CentralityResult
     from ontomesh.graph import OntologyGraph
-
-logger = logging.getLogger(__name__)
-
-_EXT = {"graphml": "graphml", "dot": "dot", "canonical-json": "json"}
-
-
-@dataclass
-class CliConfig:
-    store_dir: Path
-    json_output: bool = False
-    strict: bool = False
-    containment_edges: bool = False
-    normalized: bool = False
-    weighted: bool = False
-    top_k: int = 14
-    metric: str = "degree"
-    matrix: str | None = None
-    no_timestamp: bool = False
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -55,24 +35,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    store_dir = args.store or os.environ.get("ONTOMESH_STORE") or "./store"
-    return CliConfig(
-        store_dir=Path(store_dir),
-        json_output=args.json,
-        strict=getattr(args, "strict", False),
-        containment_edges=getattr(args, "containment_edges", False),
-        normalized=getattr(args, "normalized", False),
-        weighted=getattr(args, "weighted", False),
-        top_k=getattr(args, "top", 14),
-        metric=getattr(args, "metric", "degree"),
-        matrix=getattr(args, "matrix", None),
-        no_timestamp=getattr(args, "no_timestamp", False),
-    )
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
-def _emit(cfg: CliConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.json_output:
+def _store(args: argparse.Namespace) -> ArtifactStore:
+    return ArtifactStore(Path(args.store or os.environ.get("ONTOMESH_STORE") or "./store"))
+
+
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -122,24 +96,41 @@ def _stored_centrality(
     return result
 
 
+def _store_summary(
+    args: argparse.Namespace, snapshot_name: str, metric: str, stored_name: str
+) -> tuple[AnalysisReport, str]:
+    """Summarise a snapshot and its graph, ranked by ``metric``; store the
+    summary as ``stored_name`` and return it with its hash."""
+    from ontomesh.analytics import dissonance_summary
+
+    store = _store(args)
+    snapshot = store.get(snapshot_name, expect_kind="snapshot")
+    graph_name = args.graph or f"{snapshot_name}-graph"
+    graph = store.get(graph_name, expect_kind="graph")
+    report = dissonance_summary(
+        snapshot, graph, top_k=args.top, centrality_metric=metric,
+        centrality=_stored_centrality(store, graph_name, graph, metric),
+        include_timestamp=not args.no_timestamp,
+    )
+    return report, store.put(stored_name, report, overwrite=True)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     root = Path(args.root)
     if args.url:
         root = fetch_snapshot(args.url, root, expected_sha256=args.sha256)
     layout = LayoutConfig.from_file(args.layout) if args.layout else None
-    snapshot = ingest_corpus(root, layout=layout, strict=cfg.strict)
+    snapshot = ingest_corpus(root, layout=layout, strict=args.strict)
     name = args.name or root.name
-    store = ArtifactStore(cfg.store_dir)
-    content_hash = store.put(name, snapshot, overwrite=args.overwrite)
+    content_hash = _store(args).put(name, snapshot, overwrite=args.overwrite)
     c = snapshot.counts
     _emit(
-        cfg,
+        args,
         {
             "command": "ingest",
             "name": name,
@@ -160,10 +151,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     from ontomesh.graph import build_graph, edge_census
 
-    cfg = _config(args)
-    store = ArtifactStore(cfg.store_dir)
+    store = _store(args)
     snapshot = store.get(args.snapshot, expect_kind="snapshot")
-    graph = build_graph(snapshot, containment_edges=cfg.containment_edges)
+    graph = build_graph(snapshot, containment_edges=args.containment_edges)
     name = args.name or f"{args.snapshot}-graph"
     content_hash = store.put(name, graph, overwrite=args.overwrite)
     census = edge_census(graph)
@@ -177,7 +167,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         f"{k}={s['edges']}(w{s['weight']})" for k, s in edge_kinds.items()
     )
     _emit(
-        cfg,
+        args,
         {
             "command": "graph",
             "name": name,
@@ -200,22 +190,21 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_analyze_centrality(args: argparse.Namespace) -> int:
     from ontomesh.analytics import betweenness_centrality, degree_centrality, top_k_attributes
 
-    cfg = _config(args)
-    store = ArtifactStore(cfg.store_dir)
+    store = _store(args)
     graph = store.get(args.graph, expect_kind="graph")
-    if cfg.metric == "degree":
-        result = degree_centrality(graph, normalized=cfg.normalized, weighted=cfg.weighted)
+    if args.metric == "degree":
+        result = degree_centrality(graph, normalized=args.normalized, weighted=args.weighted)
     else:
-        result = betweenness_centrality(graph, normalized=cfg.normalized)
+        result = betweenness_centrality(graph, normalized=args.normalized)
     stored_name = _centrality_name(args.graph, result)
     content_hash = store.put(stored_name, result, overwrite=True)
-    rows = top_k_attributes(result, graph, cfg.top_k)
+    rows = top_k_attributes(result, graph, args.top)
     _emit(
-        cfg,
+        args,
         {
             "command": "analyze",
             "analysis": "centrality",
-            "metric": cfg.metric,
+            "metric": args.metric,
             "stored": stored_name,
             "hash": content_hash,
             "top": [[label, score, spread] for label, score, spread in rows],
@@ -226,27 +215,14 @@ def cmd_analyze_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
-    from ontomesh.analytics import dissonance_summary
     from ontomesh.exports import export_matrix_csv
     from ontomesh.heatmap import render_heatmap_svg
 
-    cfg = _config(args)
-    store = ArtifactStore(cfg.store_dir)
-    snapshot = store.get(args.snapshot, expect_kind="snapshot")
-    graph_name = args.graph or f"{args.snapshot}-graph"
-    graph = store.get(graph_name, expect_kind="graph")
-    report = dissonance_summary(
-        snapshot,
-        graph,
-        top_k=cfg.top_k,
-        centrality=_stored_centrality(store, graph_name, graph, "degree"),
-        include_timestamp=not cfg.no_timestamp,
-    )
     stored_name = f"{args.snapshot}-dissonance"
-    content_hash = store.put(stored_name, report, overwrite=True)
+    report, content_hash = _store_summary(args, args.snapshot, "degree", stored_name)
     paths: list[str] = []
-    if cfg.matrix:
-        metric = cfg.matrix.replace("-", "_")
+    if args.matrix:
+        metric = args.matrix.replace("-", "_")
         matrix = report.matrices[metric]
         csv_out = args.out or f"{args.snapshot}-{metric}.csv"
         export_matrix_csv(matrix, csv_out)
@@ -255,7 +231,7 @@ def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
             render_heatmap_svg(matrix, args.heatmap)
             paths.append(str(args.heatmap))
     _emit(
-        cfg,
+        args,
         {
             "command": "analyze",
             "analysis": "dissonance",
@@ -273,9 +249,8 @@ def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    store = ArtifactStore(cfg.store_dir)
-    out = args.out or f"{args.graph}.{_EXT[args.format]}"
+    store = _store(args)
+    out = args.out or f"{args.graph}.{GRAPH_FORMATS[args.format]}"
     if args.format == "canonical-json":
         # The stored object is already the graph's canonical JSON.
         data = store.object_bytes(args.graph, expect_kind="graph")
@@ -286,7 +261,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         graph = store.get(args.graph, expect_kind="graph")
         written = export_graph(graph, args.format, out)
     _emit(
-        cfg,
+        args,
         {"command": "export", "format": args.format, "paths": [str(out)], "bytes": written},
         [str(out)],
     )
@@ -294,29 +269,14 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from ontomesh.analytics import dissonance_summary
     from ontomesh.report import render_report
 
-    cfg = _config(args)
-    store = ArtifactStore(cfg.store_dir)
-    snapshot = store.get(args.name, expect_kind="snapshot")
-    graph_name = args.graph or f"{args.name}-graph"
-    graph = store.get(graph_name, expect_kind="graph")
-    report = dissonance_summary(
-        snapshot,
-        graph,
-        top_k=cfg.top_k,
-        centrality_metric=cfg.metric,
-        centrality=_stored_centrality(store, graph_name, graph, cfg.metric),
-        include_timestamp=not cfg.no_timestamp,
-    )
     stored_name = f"{args.name}-report"
-    content_hash = store.put(stored_name, report, overwrite=True)
-    ext = "md" if args.format == "markdown" else "json"
-    out = args.out or f"{args.name}-report.{ext}"
-    render_report(report, out, format=args.format, no_timestamp=cfg.no_timestamp)
+    report, content_hash = _store_summary(args, args.name, args.metric, stored_name)
+    out = args.out or f"{args.name}-report.{REPORT_FORMATS[args.format]}"
+    render_report(report, out, format=args.format)
     _emit(
-        cfg,
+        args,
         {
             "command": "report",
             "stored": stored_name,
@@ -334,9 +294,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
+    # Options shared by several commands are defined once, in parent parsers.
     common = _Parser(add_help=False)
     common.add_argument("--store", help="store directory (or set ONTOMESH_STORE)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
+    top = _Parser(add_help=False)
+    top.add_argument("--top", type=_positive_int, default=14, help="attributes to rank")
+    metric = _Parser(add_help=False)
+    metric.add_argument("--metric", choices=CENTRALITY_METRICS, default="degree")
+    stamp = _Parser(add_help=False)
+    stamp.add_argument("--no-timestamp", action="store_true", help="leave out the generation time")
 
     parser = _Parser(prog="ontomesh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sha256", help="expected archive digest for --url")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("graph", parents=[common], help="build the ontology graph")
+    p = sub.add_parser("graph", help="build the ontology graph")
     gsub = p.add_subparsers(dest="action", required=True)
     b = gsub.add_parser("build", parents=[common])
     b.add_argument("--snapshot", required=True, help="snapshot artifact name")
@@ -361,25 +328,21 @@ def build_parser() -> _Parser:
     b.add_argument("--overwrite", action="store_true")
     b.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("analyze", parents=[common], help="centrality and overlap analyses")
+    p = sub.add_parser("analyze", help="centrality and overlap analyses")
     asub = p.add_subparsers(dest="analysis", required=True)
-    c = asub.add_parser("centrality", parents=[common])
+    c = asub.add_parser("centrality", parents=[common, metric, top])
     c.add_argument("--graph", required=True, help="graph artifact name")
-    c.add_argument("--metric", choices=("degree", "betweenness"), default="degree")
-    c.add_argument("--top", type=int, default=14)
     c.add_argument("--normalized", action="store_true")
     c.add_argument("--weighted", action="store_true",
                    help="degree only: sum incident edge weights")
     c.set_defaults(func=cmd_analyze_centrality)
-    d = asub.add_parser("dissonance", parents=[common])
+    d = asub.add_parser("dissonance", parents=[common, top, stamp])
     d.add_argument("--snapshot", required=True, help="snapshot artifact name")
     d.add_argument("--graph", help="graph artifact name (default: <snapshot>-graph)")
     d.add_argument("--matrix", choices=tuple(m.replace("_", "-") for m in MATRIX_METRICS),
                    help="also write this matrix as CSV")
     d.add_argument("--out", help="CSV output path (with --matrix)")
     d.add_argument("--heatmap", help="also render the --matrix as an SVG heatmap")
-    d.add_argument("--top", type=int, default=14)
-    d.add_argument("--no-timestamp", action="store_true")
     d.set_defaults(func=cmd_analyze_dissonance)
 
     p = sub.add_parser("export", parents=[common], help="write the graph in a standard format")
@@ -388,14 +351,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default: <graph>.<ext>)")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("report", parents=[common], help="render the full analysis report")
+    p = sub.add_parser("report", parents=[common, metric, top, stamp],
+                       help="render the full analysis report")
     p.add_argument("--name", required=True, help="snapshot artifact name")
     p.add_argument("--graph", help="graph artifact name (default: <name>-graph)")
     p.add_argument("--format", choices=REPORT_FORMATS, default="markdown")
     p.add_argument("--out", help="output path (default: <name>-report.<ext>)")
-    p.add_argument("--top", type=int, default=14)
-    p.add_argument("--metric", choices=("degree", "betweenness"), default="degree")
-    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -405,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_analyze_centrality and args.weighted and args.metric != "degree":
+        parser.error("--weighted applies to --metric degree only")
     try:
         return args.func(args)
     except SchemaParseError as exc:

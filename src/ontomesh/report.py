@@ -26,7 +26,7 @@ def _matrix_table(matrix: DomainMatrix) -> list[str]:
     return lines
 
 
-def _markdown(report: AnalysisReport, no_timestamp: bool) -> str:
+def _markdown(report: AnalysisReport) -> str:
     census = report.census
     lines = [
         "# Ontology network analysis",
@@ -35,7 +35,7 @@ def _markdown(report: AnalysisReport, no_timestamp: bool) -> str:
         f"- graph: `{report.graph_hash}`",
         f"- containment edges: {_fmt(report.containment_edges)}",
     ]
-    if report.generated_at and not no_timestamp:
+    if report.generated_at:
         lines.append(f"- generated: {report.generated_at}")
     lines += [
         "",
@@ -83,20 +83,16 @@ def render_report(
     report: AnalysisReport,
     out: str | os.PathLike,
     format: str = "markdown",
-    no_timestamp: bool = False,
 ) -> int:
     """Write the report to ``out``; returns bytes written.
 
-    ``no_timestamp`` drops the generated-at field so repeated runs are
-    byte-identical.
+    A report built with ``include_timestamp=False`` has no generation time,
+    so it renders to the same bytes on every run.
     """
     if format == "markdown":
-        data = _markdown(report, no_timestamp).encode("utf-8")
+        data = _markdown(report).encode("utf-8")
     elif format == "canonical-json":
-        doc = report.to_doc()
-        if no_timestamp:
-            doc["generated_at"] = None
-        data = canonical_json_bytes(doc)
+        data = canonical_json_bytes(report.to_doc())
     else:
         raise ValueError(f"unknown report format {format!r}")
     Path(out).write_bytes(data)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontomesh import analytics
+from ontomesh import analytics, cli
 from ontomesh.cli import main
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
@@ -239,12 +239,17 @@ class TestExportAndReport:
         assert first == (built / "b.md").read_bytes()
 
     def test_full_pipeline_top1(self, built, capsys):
-        code, _, _ = run_cli(
-            ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp"], capsys
+        code, out, _ = run_cli(
+            ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp", "--json"], capsys
         )
         assert code == 0
-        code, out, _ = run_cli(["report", "--name", "fix1", "--no-timestamp"], capsys)
+        dissonance = json.loads(out)
+        code, out, _ = run_cli(["report", "--name", "fix1", "--no-timestamp", "--json"], capsys)
         assert code == 0
+        report = json.loads(out)
+        # both commands store the same degree summary under their own names
+        assert (dissonance["stored"], report["stored"]) == ("fix1-dissonance", "fix1-report")
+        assert dissonance["hash"] == report["hash"]
         text = (built / "fix1-report.md").read_text()
         assert "| 1 | dataProvider | 10 | 2 |" in text
 
@@ -384,6 +389,39 @@ class TestCentralityReuse:
             result = store.get(name)
             assert result.weighted == ("weighted" in name)
             assert result.normalized == ("normalized" in name)
+
+
+class TestUsageErrors:
+    """Malformed arguments exit 64 before the store is opened."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "centrality", "--graph", "fix1-graph", "--top", "0"],
+             "not a positive integer: '0'"),
+            (["analyze", "dissonance", "--snapshot", "fix1", "--top", "0"],
+             "not a positive integer: '0'"),
+            (["report", "--name", "fix1", "--top", "-1"], "not a positive integer: '-1'"),
+            (["report", "--name", "fix1", "--top", "ten"], "not a positive integer: 'ten'"),
+            (["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness",
+              "--weighted"], "--weighted applies to --metric degree only"),
+            # --store and --json follow the full command, not a command group
+            (["graph", "--store", "st", "build", "--snapshot", "fix1"], "invalid choice: 'st'"),
+            (["analyze", "--json", "centrality", "--graph", "fix1-graph"],
+             "unrecognized arguments: --json"),
+        ],
+        ids=["centrality-top-0", "dissonance-top-0", "report-top-negative", "report-top-text",
+             "weighted-betweenness", "store-before-build", "json-before-centrality"],
+    )
+    def test_exit_64_without_opening_store(self, built, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store was opened")
+
+        monkeypatch.setattr(cli, "ArtifactStore", refuse)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert message in err
 
 
 class TestEntryPoint:

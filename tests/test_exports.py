@@ -248,12 +248,19 @@ class TestRenderReport:
         assert "- nodes: 5, edges: 5" in out.read_text()
 
     def test_no_timestamp_byte_identical(self, fix1_snapshot, fix1_graph, tmp_path):
-        report = dissonance_summary(fix1_snapshot, fix1_graph)
         a, b = tmp_path / "a.md", tmp_path / "b.md"
-        render_report(report, a, no_timestamp=True)
-        render_report(report, b, no_timestamp=True)
+        for out in (a, b):
+            report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+            render_report(report, out)
         assert a.read_bytes() == b.read_bytes()
-        assert report.generated_at not in a.read_text()
+        assert "- generated:" not in a.read_text()
+
+    def test_timestamp_rendered(self, fix1_snapshot, fix1_graph, tmp_path):
+        report = dissonance_summary(fix1_snapshot, fix1_graph)
+        out = tmp_path / "r.md"
+        render_report(report, out)
+        assert report.generated_at
+        assert f"- generated: {report.generated_at}\n" in out.read_text()
 
     def test_markdown_tables(self, fix1_snapshot, fix1_graph, tmp_path):
         report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
