@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Generate a synthetic corpus at a chosen scale.
 
-Writes the snapshot in NDJSON form and, optionally, materializes it as a
-real directory tree of JSON schema files so the full ingest path can be
-exercised:
+Materializes the snapshot as a real directory tree of JSON schema files, so
+the full ingest path can be exercised:
 
-    python3 scripts/make_synthetic_corpus.py --out big.ndjson --tree big-corpus/
+    python3 scripts/make_synthetic_corpus.py --tree big-corpus/
     ontomesh ingest big-corpus --name big
 """
 
@@ -52,8 +51,7 @@ def main() -> int:
     parser.add_argument("--hub-pool", type=int, default=86)
     parser.add_argument("--hubs-per-type", type=int, default=30)
     parser.add_argument("--unique-per-type", type=int, default=55)
-    parser.add_argument("--out", default="synthetic.ndjson", help="NDJSON output path")
-    parser.add_argument("--tree", help="also materialize a schema-file tree here")
+    parser.add_argument("--tree", required=True, help="write the schema-file tree here")
     args = parser.parse_args()
 
     snapshot = synthetic_snapshot(
@@ -64,13 +62,10 @@ def main() -> int:
         hubs_per_type=args.hubs_per_type,
         unique_per_type=args.unique_per_type,
     )
-    Path(args.out).write_text(snapshot.to_ndjson(), encoding="utf-8")
     c = snapshot.counts
     print(f"domains={c.domains} models={c.models} types={c.types} attributes={c.attributes}")
-    print(f"wrote {args.out}")
-    if args.tree:
-        files = write_tree(snapshot, Path(args.tree))
-        print(f"wrote {files} schema files under {args.tree}")
+    files = write_tree(snapshot, Path(args.tree))
+    print(f"wrote {files} schema files under {args.tree}")
     return 0
 
 

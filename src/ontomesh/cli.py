@@ -368,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.func is cmd_analyze_centrality and args.weighted and args.metric != "degree":
         parser.error("--weighted applies to --metric degree only")
+    if args.func is cmd_ingest and args.sha256 and not args.url:
+        parser.error("--sha256 applies with --url only")
+    if args.func is cmd_analyze_dissonance and not args.matrix and (args.out or args.heatmap):
+        parser.error("--out and --heatmap apply with --matrix only")
     try:
         return args.func(args)
     except SchemaParseError as exc:

@@ -123,9 +123,9 @@ class CorpusSnapshot:
         """Sort records, compute counts and (if needed) the content hash,
         validate all invariants, and return the snapshot.
 
-        When ``content_hash`` is None the hash is taken over the canonical
-        serialized record lines, so in-memory snapshots are content-addressed
-        too.
+        When ``content_hash`` is None the hash is sha256 over each record's
+        canonical JSON line plus a newline, so in-memory snapshots are
+        content-addressed too.
         """
         domains = tuple(sorted(domains, key=lambda d: d.domain_id))
         models = tuple(sorted(models, key=lambda m: m.model_id))
@@ -148,8 +148,8 @@ class CorpusSnapshot:
         )
         if content_hash is None:
             digest = hashlib.sha256()
-            for line in snapshot.record_lines():
-                digest.update(line.encode("utf-8"))
+            for record in snapshot.record_docs():
+                digest.update(canonical_json_line(record).encode("utf-8"))
                 digest.update(b"\n")
             snapshot.content_hash = digest.hexdigest()
         snapshot.validate()
@@ -235,8 +235,8 @@ class CorpusSnapshot:
     # -- serialization -----------------------------------------------------
 
     def record_docs(self) -> list[dict]:
-        """All records as plain documents with a ``kind`` discriminator,
-        manifest excluded (order: domain, model, type, occurrence)."""
+        """All records as plain documents with a ``kind`` discriminator
+        (order: domain, model, type, occurrence)."""
         docs: list[dict] = []
         for d in self.domains:
             docs.append(
@@ -274,109 +274,60 @@ class CorpusSnapshot:
             )
         return docs
 
-    def record_lines(self) -> list[str]:
-        return [canonical_json_line(doc) for doc in self.record_docs()]
-
-    def manifest_doc(self) -> dict:
-        return {
-            "kind": "manifest",
-            "source_uri": self.source_uri,
-            "content_hash": self.content_hash,
-            "counts": {
-                "domains": self.counts.domains,
-                "models": self.counts.models,
-                "types": self.counts.types,
-                "attributes": self.counts.attributes,
-            },
-        }
-
-    def to_ndjson(self) -> str:
-        """Newline-delimited JSON: manifest line first, then sorted records."""
-        lines = [canonical_json_line(self.manifest_doc())] + self.record_lines()
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_ndjson(cls, text: str) -> "CorpusSnapshot":
-        manifest = None
-        records = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip():
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaParseError(f"line {ln}: invalid JSON record: {exc}") from exc
-            if doc.get("kind") == "manifest":
-                manifest = doc
-            else:
-                records.append((f"line {ln}", doc))
-        if manifest is None:
-            raise SchemaParseError("missing manifest record")
-        return cls._from_records(manifest, records)
-
-    @classmethod
-    def _from_records(cls, manifest: dict, records: Iterable[tuple[str, dict]]) -> "CorpusSnapshot":
-        """Assemble a snapshot from the manifest and ``(where, record)``
-        pairs; ``where`` locates a record in messages."""
-        domains, models, types, occs = [], [], [], []
-        for where, doc in records:
-            kind = doc.get("kind")
-            if kind == "domain":
-                domains.append(DomainRecord(doc["domain_id"], doc["display_name"]))
-            elif kind == "model":
-                models.append(
-                    DataModelRecord(
-                        doc["model_id"], doc["display_name"], frozenset(doc["domain_ids"])
-                    )
-                )
-            elif kind == "type":
-                types.append(
-                    TypeRecord(
-                        doc["type_id"],
-                        doc["display_name"],
-                        doc["model_id"],
-                        tuple(doc["attribute_names"]),
-                    )
-                )
-            elif kind == "occurrence":
-                occs.append(
-                    AttributeOccurrence(
-                        doc["attribute_name"],
-                        doc["type_id"],
-                        doc["model_id"],
-                        doc["domain_id"],
-                        dict(doc.get("metadata") or {}),
-                    )
-                )
-            else:
-                raise SchemaParseError(f"{where}: unknown record kind {kind!r}")
-        snapshot = cls.assemble(
-            manifest["source_uri"], domains, models, types, occs,
-            content_hash=manifest["content_hash"],
-        )
-        stored = manifest["counts"]
-        if tuple(snapshot.counts) != (
-            stored["domains"], stored["models"], stored["types"], stored["attributes"]
-        ):
-            raise SnapshotInvariantError(
-                f"manifest counts {stored} do not match records {tuple(snapshot.counts)}"
-            )
-        return snapshot
-
     def to_doc(self) -> dict:
-        """Single-document form used by the artifact store."""
+        """The one serialized form, as stored by the artifact store."""
         return {
             "kind": self.kind,
             "source_uri": self.source_uri,
             "content_hash": self.content_hash,
-            "counts": self.manifest_doc()["counts"],
+            "counts": self.counts._asdict(),
             "records": self.record_docs(),
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CorpusSnapshot":
-        records = ((f"record {i}", record) for i, record in enumerate(doc["records"], start=1))
-        return cls._from_records(doc, records)
+        domains, models, types, occs = [], [], [], []
+        for i, record in enumerate(doc["records"], start=1):
+            kind = record.get("kind")
+            if kind == "domain":
+                domains.append(DomainRecord(record["domain_id"], record["display_name"]))
+            elif kind == "model":
+                models.append(
+                    DataModelRecord(
+                        record["model_id"], record["display_name"],
+                        frozenset(record["domain_ids"]),
+                    )
+                )
+            elif kind == "type":
+                types.append(
+                    TypeRecord(
+                        record["type_id"],
+                        record["display_name"],
+                        record["model_id"],
+                        tuple(record["attribute_names"]),
+                    )
+                )
+            elif kind == "occurrence":
+                occs.append(
+                    AttributeOccurrence(
+                        record["attribute_name"],
+                        record["type_id"],
+                        record["model_id"],
+                        record["domain_id"],
+                        dict(record.get("metadata") or {}),
+                    )
+                )
+            else:
+                raise SchemaParseError(f"record {i}: unknown record kind {kind!r}")
+        snapshot = cls.assemble(
+            doc["source_uri"], domains, models, types, occs, content_hash=doc["content_hash"]
+        )
+        stored = doc["counts"]
+        if snapshot.counts._asdict() != stored:
+            raise SnapshotInvariantError(
+                f"stored counts {stored} do not match records {tuple(snapshot.counts)}"
+            )
+        return snapshot
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -52,6 +53,29 @@ class TestIngest:
         )
         assert code == 0
         assert "domains=2 models=3 types=4 attributes=9" in out
+
+    def test_tree_location_moves_only_the_snapshot_object_hash(self, workdir, capsys):
+        """``source_uri`` is the tree's absolute path, so the stored snapshot
+        object's hash depends on it; the snapshot's content hash and the graph
+        do not."""
+        hashes = []
+        for i, parent in enumerate([workdir / "a", workdir / "b" / "c" / "d"]):
+            root = parent / "fix1"
+            shutil.copytree(FIXTURES / "fix1", root)
+            store = workdir / f"store{i}"
+            code, out, _ = run_cli(["ingest", str(root), "--store", str(store), "--json"], capsys)
+            assert code == 0
+            snapshot_object = json.loads(out)["hash"]
+            code, out, _ = run_cli(
+                ["graph", "build", "--snapshot", "fix1", "--store", str(store), "--json"], capsys
+            )
+            assert code == 0
+            content_hash = ArtifactStore(store).get("fix1").content_hash
+            hashes.append((snapshot_object, content_hash, json.loads(out)["hash"]))
+        (object_a, content_a, graph_a), (object_b, content_b, graph_b) = hashes
+        assert object_a != object_b
+        assert content_a == content_b
+        assert graph_a == graph_b
 
     def test_store_env_var_used(self, ingested):
         assert (ingested / "store" / "index.json").is_file()
@@ -409,9 +433,14 @@ class TestUsageErrors:
             (["graph", "--store", "st", "build", "--snapshot", "fix1"], "invalid choice: 'st'"),
             (["analyze", "--json", "centrality", "--graph", "fix1-graph"],
              "unrecognized arguments: --json"),
+            (["ingest", str(FIXTURES / "fix1"), "--sha256", "deadbeef"],
+             "--sha256 applies with --url only"),
+            (["analyze", "dissonance", "--snapshot", "fix1", "--out", "o.csv",
+              "--heatmap", "h.svg"], "--out and --heatmap apply with --matrix only"),
         ],
         ids=["centrality-top-0", "dissonance-top-0", "report-top-negative", "report-top-text",
-             "weighted-betweenness", "store-before-build", "json-before-centrality"],
+             "weighted-betweenness", "store-before-build", "json-before-centrality",
+             "sha256-without-url", "dissonance-out-without-matrix"],
     )
     def test_exit_64_without_opening_store(self, built, capsys, monkeypatch, argv, message):
         def refuse(*args, **kwargs):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ontomesh.canonical import canonical_json_bytes
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
@@ -117,7 +118,7 @@ class TestIngest:
         a = ingest_corpus(fix1_root)
         b = ingest_corpus(fix1_root)
         assert a.content_hash == b.content_hash
-        assert a.record_lines() == b.record_lines()
+        assert a.record_docs() == b.record_docs()
 
     def test_lenient_skips_broken_file(self, broken_root, caplog):
         with caplog.at_level(logging.WARNING):
@@ -183,39 +184,24 @@ class TestLayoutConfig:
 
 
 class TestSnapshotSerialization:
-    def test_ndjson_round_trip(self, fix1_snapshot):
-        text = fix1_snapshot.to_ndjson()
-        first = json.loads(text.splitlines()[0])
-        assert first["kind"] == "manifest"
-        back = CorpusSnapshot.from_ndjson(text)
-        assert back.record_lines() == fix1_snapshot.record_lines()
-        assert back.content_hash == fix1_snapshot.content_hash
-
-    def test_ndjson_round_trip_random(self):
-        for seed in range(10):
-            snapshot = random_snapshot(random.Random(seed))
-            back = CorpusSnapshot.from_ndjson(snapshot.to_ndjson())
-            assert back.record_docs() == snapshot.record_docs()
-
-    def test_manifest_count_mismatch_rejected(self, fix1_snapshot):
-        lines = fix1_snapshot.to_ndjson().splitlines()
-        manifest = json.loads(lines[0])
-        manifest["counts"]["attributes"] += 1
-        lines[0] = json.dumps(manifest)
-        with pytest.raises(SnapshotInvariantError):
-            CorpusSnapshot.from_ndjson("\n".join(lines))
-
     def test_doc_round_trip(self, fix1_snapshot):
         back = CorpusSnapshot.from_doc(fix1_snapshot.to_doc())
         assert back.record_docs() == fix1_snapshot.record_docs()
+        assert back == fix1_snapshot
 
-    def test_doc_read_without_ndjson(self, fix1_snapshot, monkeypatch):
+    def test_doc_round_trip_random(self):
+        for seed in range(10):
+            snapshot = random_snapshot(random.Random(seed))
+            stored = canonical_json_bytes(snapshot.to_doc())
+            back = CorpusSnapshot.from_doc(json.loads(stored))
+            assert back.record_docs() == snapshot.record_docs()
+            assert back.content_hash == snapshot.content_hash
+
+    def test_manifest_count_mismatch_rejected(self, fix1_snapshot):
         doc = fix1_snapshot.to_doc()
-        via_ndjson = CorpusSnapshot.from_ndjson(fix1_snapshot.to_ndjson())
-        monkeypatch.setattr(
-            CorpusSnapshot, "from_ndjson", lambda text: pytest.fail("re-rendered as NDJSON")
-        )
-        assert CorpusSnapshot.from_doc(doc) == via_ndjson == fix1_snapshot
+        doc["counts"]["attributes"] += 1
+        with pytest.raises(SnapshotInvariantError, match="do not match records"):
+            CorpusSnapshot.from_doc(doc)
 
     def test_doc_unknown_record_kind_rejected(self, fix1_snapshot):
         doc = fix1_snapshot.to_doc()

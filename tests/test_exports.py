@@ -140,6 +140,15 @@ def test_synthetic_graph_bytes_are_pinned(tmp_path):
             assert hashlib.file_digest(fh, "sha256").hexdigest() == digest, format
 
 
+def test_synthetic_snapshot_bytes_are_pinned(tmp_path):
+    """The stored bytes of the default synthetic snapshot."""
+    store = ArtifactStore(tmp_path / "store")
+    store.put("s", synthetic_snapshot())
+    assert hashlib.sha256(store.object_bytes("s")).hexdigest() == (
+        "fc4d3beb263015864172affd59960a0377822f2531684b5151fec515dd2f7655"
+    )
+
+
 class TestMatrixCsv:
     def test_fix1_shared_models_bytes(self, fix1_snapshot, tmp_path):
         from ontomesh.analytics import domain_overlap_matrix
