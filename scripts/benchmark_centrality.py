@@ -14,7 +14,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from ontomesh import analytics  # noqa: E402
 from ontomesh.analytics import (  # noqa: E402
+    BETWEENNESS_BLOCK,
     BETWEENNESS_ENGINES,
     MATRIX_METRICS,
     betweenness_centrality,
@@ -34,6 +36,19 @@ def timed(label, fn):
     elapsed = time.perf_counter() - start
     print(f"{label:<28s} {elapsed:8.3f} s")
     return result
+
+
+def betweenness_header(graph) -> str:
+    """Usable CPUs, and the threads and block size the sparse engine uses on
+    this graph, so that timings can be compared across machines."""
+    _, indptr, indices = analytics._drop_isolated(graph.indptr, graph.indices)
+    classes = len(analytics._twin_classes(indptr, indices)[0])
+    blocks = -(-classes // BETWEENNESS_BLOCK)
+    cpus = analytics._usable_cpus()
+    return (
+        f"usable CPUs {cpus}; sparse betweenness: {classes} classes in {blocks} "
+        f"blocks of {BETWEENNESS_BLOCK} on {min(cpus, blocks)} thread(s)"
+    )
 
 
 def main() -> int:
@@ -65,6 +80,7 @@ def main() -> int:
     )
     graph = timed("build_graph", lambda: build_graph(snapshot))
     print(f"  nodes={len(graph.nodes)} edges={len(graph.u)}")
+    print(betweenness_header(graph))
     with tempfile.TemporaryDirectory() as tmp:
         store = ArtifactStore(Path(tmp) / "store")
         timed("store put graph", lambda: store.put("graph", graph))

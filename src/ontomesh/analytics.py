@@ -5,17 +5,22 @@ back-propagation) over the unweighted simple graph, with the undirected
 unordered-pair convention: disconnected pairs contribute nothing and
 endpoints are excluded. Sources with the same closed neighbourhood have the
 same dependencies, so one BFS per such class is run and weighted by the
-class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012). Every
+class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012). The
+sparse engine runs blocks of 16 class representatives as sparse-by-dense
+products (Kepner & Gilbert 2011) on up to one thread per usable CPU. Every
 engine sums in one fixed order (path counts and dependencies pulled in
-ascending node id, classes added in ascending representative id), so
-results are bit-stable and identical across engines.
+ascending node id, classes added in ascending representative id, by the
+calling thread), so results are bit-stable and identical across engines,
+block sizes and thread counts.
 """
 
 from __future__ import annotations
 
 import datetime
 import logging
+import os
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,9 @@ from ontomesh.graph import (
 logger = logging.getLogger(__name__)
 
 BETWEENNESS_ENGINES = ("sparse", "python")
+# Class representatives per sparse block: one thread holds a few
+# node-count-by-block arrays.
+BETWEENNESS_BLOCK = 16
 
 
 @dataclass
@@ -204,7 +212,24 @@ class _SourceBlocks:
         return delta.T.copy()
 
 
-def _brandes_sparse(indptr, indices, n, block=64):
+def _drop_isolated(indptr, indices):
+    """The CSR without isolated nodes, the rest renumbered in order, and the
+    old ids of the nodes kept."""
+    keep = np.flatnonzero(np.diff(indptr))
+    renumber = np.zeros(len(indptr) - 1, dtype=np.int64)
+    renumber[keep] = np.arange(len(keep))
+    return keep, np.concatenate(([0], indptr[keep + 1])), renumber[indices]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
     """Betweenness from one blocked BFS per closed-neighbourhood class.
 
     Closed twins s and t (N[s] == N[t]) have bitwise-equal dependency rows:
@@ -215,24 +240,49 @@ def _brandes_sparse(indptr, indices, n, block=64):
     order does not depend on ``block``; a graph without twins gives the
     plain per-source sum, as ``1.0 * row == row``.
 
+    Blocks of ``block`` representatives run on ``min(usable CPUs, blocks)``
+    threads, since the sparse products and array kernels release the GIL.
+    At most that many blocks are submitted ahead of the one being summed,
+    and the calling thread adds the rows in block order, so the sum, and
+    thus the result, is the same for any thread count. Memory grows with
+    ``block`` times the thread count columns per node. With one block or
+    one CPU the blocks run inline.
+
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
     ascending, so the sums are unchanged.
     """
     bc = np.zeros(n, dtype=np.float64)
-    keep = np.flatnonzero(np.diff(indptr))
+    keep, indptr, indices = _drop_isolated(indptr, indices)
     m = len(keep)
-    renumber = np.zeros(n, dtype=np.int64)
-    renumber[keep] = np.arange(m)
-    indices = renumber[indices]
-    indptr = np.concatenate(([0], indptr[keep + 1]))
     reps, sizes = _twin_classes(indptr, indices)
     graph = _SourceBlocks(indptr, indices)
     kept_bc = np.zeros(m, dtype=np.float64)
-    for start in range(0, len(reps), block):
-        rows = graph.dependencies(reps[start : start + block])
+    starts = range(0, len(reps), block)
+
+    def run(start):
+        return graph.dependencies(reps[start : start + block])
+
+    def add(start, rows):
         for size, row in zip(sizes[start : start + block], rows):
-            kept_bc += size * row
+            np.add(kept_bc, size * row, out=kept_bc)
+
+    threads = min(_usable_cpus(), len(starts))
+    if threads <= 1:
+        for start in starts:
+            add(start, run(start))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            pending = deque()
+            for start in starts:
+                pending.append((start, pool.submit(run, start)))
+                if len(pending) > threads:
+                    oldest, future = pending.popleft()
+                    add(oldest, future.result())
+            for oldest, future in pending:
+                add(oldest, future.result())
     bc[keep] = kept_bc
     return bc
 

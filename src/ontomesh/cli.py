@@ -316,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--overwrite", action="store_true")
     p.add_argument("--url", help="fetch and extract an archived corpus first")
     p.add_argument("--sha256", help="expected archive digest for --url")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, parser=p)
 
     p = sub.add_parser("graph", help="build the ontology graph")
     gsub = p.add_subparsers(dest="action", required=True)
@@ -326,7 +326,7 @@ def build_parser() -> _Parser:
     b.add_argument("--containment-edges", action="store_true",
                    help="also link types to models and models to domains")
     b.add_argument("--overwrite", action="store_true")
-    b.set_defaults(func=cmd_graph)
+    b.set_defaults(func=cmd_graph, parser=b)
 
     p = sub.add_parser("analyze", help="centrality and overlap analyses")
     asub = p.add_subparsers(dest="analysis", required=True)
@@ -335,7 +335,7 @@ def build_parser() -> _Parser:
     c.add_argument("--normalized", action="store_true")
     c.add_argument("--weighted", action="store_true",
                    help="degree only: sum incident edge weights")
-    c.set_defaults(func=cmd_analyze_centrality)
+    c.set_defaults(func=cmd_analyze_centrality, parser=c)
     d = asub.add_parser("dissonance", parents=[common, top, stamp])
     d.add_argument("--snapshot", required=True, help="snapshot artifact name")
     d.add_argument("--graph", help="graph artifact name (default: <snapshot>-graph)")
@@ -343,13 +343,13 @@ def build_parser() -> _Parser:
                    help="also write this matrix as CSV")
     d.add_argument("--out", help="CSV output path (with --matrix)")
     d.add_argument("--heatmap", help="also render the --matrix as an SVG heatmap")
-    d.set_defaults(func=cmd_analyze_dissonance)
+    d.set_defaults(func=cmd_analyze_dissonance, parser=d)
 
     p = sub.add_parser("export", parents=[common], help="write the graph in a standard format")
     p.add_argument("--graph", required=True, help="graph artifact name")
     p.add_argument("--format", choices=GRAPH_FORMATS, default="graphml")
     p.add_argument("--out", help="output path (default: <graph>.<ext>)")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, parser=p)
 
     p = sub.add_parser("report", parents=[common, metric, top, stamp],
                        help="render the full analysis report")
@@ -357,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", help="graph artifact name (default: <name>-graph)")
     p.add_argument("--format", choices=REPORT_FORMATS, default="markdown")
     p.add_argument("--out", help="output path (default: <name>-report.<ext>)")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, parser=p)
 
     return parser
 
@@ -366,12 +366,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Errors found after parsing name the command's own usage line.
     if args.func is cmd_analyze_centrality and args.weighted and args.metric != "degree":
-        parser.error("--weighted applies to --metric degree only")
+        args.parser.error("--weighted applies to --metric degree only")
     if args.func is cmd_ingest and args.sha256 and not args.url:
-        parser.error("--sha256 applies with --url only")
+        args.parser.error("--sha256 applies with --url only")
     if args.func is cmd_analyze_dissonance and not args.matrix and (args.out or args.heatmap):
-        parser.error("--out and --heatmap apply with --matrix only")
+        args.parser.error("--out and --heatmap apply with --matrix only")
     try:
         return args.func(args)
     except SchemaParseError as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomesh import analytics
+from ontomesh.canonical import canonical_json_bytes
 from ontomesh.analytics import (
     MATRIX_METRICS,
     CentralityResult,
@@ -306,6 +308,94 @@ class TestBetweenness:
         assert betweenness_centrality(make_graph(1, [])).scores == {0: 0.0}
         two = betweenness_centrality(make_graph(2, [(0, 1)]), normalized=True)
         assert two.scores == {0: 0.0, 1: 0.0}
+
+
+def _disjoint_union(graphs):
+    edges, base = [], 0
+    for graph in graphs:
+        edges += zip((graph.u + base).tolist(), (graph.v + base).tolist())
+        base += len(graph.nodes)
+    return make_graph(base, edges)
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(analytics, "_usable_cpus", lambda: cpus)
+
+
+class TestThreadedSum:
+    """Blocks run on min(usable CPUs, blocks) threads; the calling thread
+    adds their rows in block order, so the result never depends on the
+    thread count."""
+
+    def test_union_matches_reference_for_every_thread_count(self, monkeypatch):
+        graph = _disjoint_union(_agreement_graphs())
+        n = len(graph.nodes)
+        indptr, indices = graph.indptr, graph.indices
+        want = analytics._betweenness_python(indptr, indices)
+        for cpus in (1, 2, 4):
+            _use_cpus(monkeypatch, cpus)
+            for block in (1, 3, 16, 64):
+                got = analytics._brandes_sparse(indptr, indices, n, block)
+                assert got.tolist() == want, (cpus, block)
+
+    def test_stored_bytes_do_not_depend_on_thread_count(self, monkeypatch, fix1_graph):
+        for graph in (fix1_graph, build_graph(synthetic_snapshot())):
+            stored = set()
+            for cpus in (1, 2, 4):
+                _use_cpus(monkeypatch, cpus)
+                stored.add(canonical_json_bytes(betweenness_centrality(graph).to_doc()))
+            assert len(stored) == 1
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_failing_block_propagates_and_leaves_no_thread(self, monkeypatch, cpus):
+        # a cycle with chords has no closed twins: 160 classes, 10 blocks of 16
+        n = 160
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 7) for i in range(0, n - 7, 5)]
+        graph = make_graph(n, edges)
+        real = analytics._SourceBlocks.dependencies
+        started = []
+        lock = threading.Lock()
+
+        def dependencies(self, sources):
+            with lock:
+                started.append(int(sources[0]))
+            if sources[0] == 16:
+                raise RuntimeError("second block failed")
+            return real(self, sources)
+
+        monkeypatch.setattr(analytics._SourceBlocks, "dependencies", dependencies)
+        _use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block failed"):
+            analytics._brandes_sparse(graph.indptr, graph.indices, n)
+        assert 16 in started
+        assert len(started) <= cpus + 2
+        assert threading.active_count() == before
+
+    def test_two_threads_hold_less_than_one_block_of_64(self, monkeypatch):
+        # 2400 nodes, each joined to 3 random others: no isolated node, no
+        # twins, shallow searches, 150 blocks of 16 classes
+        rng = random.Random(11)
+        n = 2400
+        edges = {
+            (min(u, v), max(u, v)) for u in range(n) for v in rng.sample(range(n), 3) if u != v
+        }
+        graph = make_graph(n, sorted(edges))
+        assert np.diff(graph.indptr).min() > 0
+
+        def peak(cpus, **block):
+            _use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                analytics._brandes_sparse(graph.indptr, graph.indices, n, **block)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # scipy and the thread pool are imported before anything is traced
+        _use_cpus(monkeypatch, 2)
+        analytics._brandes_sparse(graph.indptr, graph.indices, n)
+        assert peak(2) < peak(1, block=64)
 
 
 class TestRanking:

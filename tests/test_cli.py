@@ -419,30 +419,37 @@ class TestUsageErrors:
     """Malformed arguments exit 64 before the store is opened."""
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, usage",
         [
             (["analyze", "centrality", "--graph", "fix1-graph", "--top", "0"],
-             "not a positive integer: '0'"),
+             "not a positive integer: '0'", "usage: ontomesh analyze centrality "),
             (["analyze", "dissonance", "--snapshot", "fix1", "--top", "0"],
-             "not a positive integer: '0'"),
-            (["report", "--name", "fix1", "--top", "-1"], "not a positive integer: '-1'"),
-            (["report", "--name", "fix1", "--top", "ten"], "not a positive integer: 'ten'"),
+             "not a positive integer: '0'", "usage: ontomesh analyze dissonance "),
+            (["report", "--name", "fix1", "--top", "-1"], "not a positive integer: '-1'",
+             "usage: ontomesh report "),
+            (["report", "--name", "fix1", "--top", "ten"], "not a positive integer: 'ten'",
+             "usage: ontomesh report "),
             (["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness",
-              "--weighted"], "--weighted applies to --metric degree only"),
+              "--weighted"], "--weighted applies to --metric degree only",
+             "usage: ontomesh analyze centrality "),
             # --store and --json follow the full command, not a command group
-            (["graph", "--store", "st", "build", "--snapshot", "fix1"], "invalid choice: 'st'"),
+            (["graph", "--store", "st", "build", "--snapshot", "fix1"], "invalid choice: 'st'",
+             "usage: ontomesh graph "),
             (["analyze", "--json", "centrality", "--graph", "fix1-graph"],
-             "unrecognized arguments: --json"),
+             "unrecognized arguments: --json", "usage: ontomesh [-h] "),
             (["ingest", str(FIXTURES / "fix1"), "--sha256", "deadbeef"],
-             "--sha256 applies with --url only"),
+             "--sha256 applies with --url only", "usage: ontomesh ingest "),
             (["analyze", "dissonance", "--snapshot", "fix1", "--out", "o.csv",
-              "--heatmap", "h.svg"], "--out and --heatmap apply with --matrix only"),
+              "--heatmap", "h.svg"], "--out and --heatmap apply with --matrix only",
+             "usage: ontomesh analyze dissonance "),
         ],
         ids=["centrality-top-0", "dissonance-top-0", "report-top-negative", "report-top-text",
              "weighted-betweenness", "store-before-build", "json-before-centrality",
              "sha256-without-url", "dissonance-out-without-matrix"],
     )
-    def test_exit_64_without_opening_store(self, built, capsys, monkeypatch, argv, message):
+    def test_exit_64_without_opening_store(
+        self, built, capsys, monkeypatch, argv, message, usage
+    ):
         def refuse(*args, **kwargs):
             raise AssertionError("the store was opened")
 
@@ -451,6 +458,7 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert message in err
+        assert err.startswith(usage)
 
 
 class TestEntryPoint:

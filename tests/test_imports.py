@@ -17,7 +17,7 @@ from ontomesh.cli import main
 from conftest import FIXTURES
 
 SRC = Path(ontomesh.__file__).parents[1]
-WATCHED = ("numpy", "scipy", "urllib.request")
+WATCHED = ("numpy", "scipy", "urllib.request", "concurrent.futures")
 
 _PROBE = """
 import json, sys
