@@ -41,13 +41,10 @@ def timed(label, fn):
 def betweenness_header(graph) -> str:
     """Usable CPUs, and the threads and block size the sparse engine uses on
     this graph, so that timings can be compared across machines."""
-    _, indptr, indices = analytics._drop_isolated(graph.indptr, graph.indices)
-    classes = len(analytics._twin_classes(indptr, indices)[0])
-    blocks = -(-classes // BETWEENNESS_BLOCK)
-    cpus = analytics._usable_cpus()
+    plan = analytics._sparse_plan(graph.indptr, graph.indices)
     return (
-        f"usable CPUs {cpus}; sparse betweenness: {classes} classes in {blocks} "
-        f"blocks of {BETWEENNESS_BLOCK} on {min(cpus, blocks)} thread(s)"
+        f"usable CPUs {analytics._usable_cpus()}; sparse betweenness: "
+        f"{len(plan.reps)} classes in blocks of {BETWEENNESS_BLOCK} on {plan.threads} thread(s)"
     )
 
 

@@ -7,11 +7,11 @@ endpoints are excluded. Sources with the same closed neighbourhood have the
 same dependencies, so one BFS per such class is run and weighted by the
 class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012). The
 sparse engine runs blocks of 16 class representatives as sparse-by-dense
-products (Kepner & Gilbert 2011) on up to one thread per usable CPU. Every
-engine sums in one fixed order (path counts and dependencies pulled in
-ascending node id, classes added in ascending representative id, by the
-calling thread), so results are bit-stable and identical across engines,
-block sizes and thread counts.
+products (Kepner & Gilbert 2011) on up to one thread per usable CPU, with
+at most 64 columns in flight. Every engine sums in one fixed order (path
+counts and dependencies pulled in ascending node id, classes added in
+ascending representative id, by the calling thread), so results are
+bit-stable and identical across engines, block sizes and thread counts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +40,11 @@ from ontomesh.graph import (
 logger = logging.getLogger(__name__)
 
 BETWEENNESS_ENGINES = ("sparse", "python")
-# Class representatives per sparse block: one thread holds a few
-# node-count-by-block arrays.
+# Class representatives per sparse block, and the most block columns that
+# all threads together work on: each thread holds a few node-count-by-block
+# arrays, so 64 columns bound memory at one block of 64 run alone.
 BETWEENNESS_BLOCK = 16
+BETWEENNESS_COLUMNS = 64
 
 
 @dataclass
@@ -212,21 +215,40 @@ class _SourceBlocks:
         return delta.T.copy()
 
 
-def _drop_isolated(indptr, indices):
-    """The CSR without isolated nodes, the rest renumbered in order, and the
-    old ids of the nodes kept."""
-    keep = np.flatnonzero(np.diff(indptr))
-    renumber = np.zeros(len(indptr) - 1, dtype=np.int64)
-    renumber[keep] = np.arange(len(keep))
-    return keep, np.concatenate(([0], indptr[keep + 1])), renumber[indices]
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+class _SparsePlan(NamedTuple):
+    """How ``_brandes_sparse`` runs on a graph: the old ids of the nodes
+    kept, the CSR over them, their closed-neighbourhood classes, and the
+    threads the blocks of classes run on."""
+
+    keep: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    threads: int
+
+
+def _sparse_plan(indptr, indices, block=BETWEENNESS_BLOCK) -> _SparsePlan:
+    """Drop isolated nodes, renumbering the rest in order, find the classes,
+    and take one thread per usable CPU, but no more than there are blocks or
+    than fit ``BETWEENNESS_COLUMNS`` columns in flight."""
+    keep = np.flatnonzero(np.diff(indptr))
+    renumber = np.zeros(len(indptr) - 1, dtype=np.int64)
+    renumber[keep] = np.arange(len(keep))
+    indptr = np.concatenate(([0], indptr[keep + 1]))
+    indices = renumber[indices]
+    reps, sizes = _twin_classes(indptr, indices)
+    blocks = -(-len(reps) // block)
+    threads = max(1, min(_usable_cpus(), blocks, BETWEENNESS_COLUMNS // block))
+    return _SparsePlan(keep, indptr, indices, reps, sizes, threads)
 
 
 def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
@@ -240,50 +262,41 @@ def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
     order does not depend on ``block``; a graph without twins gives the
     plain per-source sum, as ``1.0 * row == row``.
 
-    Blocks of ``block`` representatives run on ``min(usable CPUs, blocks)``
-    threads, since the sparse products and array kernels release the GIL.
-    At most that many blocks are submitted ahead of the one being summed,
-    and the calling thread adds the rows in block order, so the sum, and
-    thus the result, is the same for any thread count. Memory grows with
-    ``block`` times the thread count columns per node. With one block or
-    one CPU the blocks run inline.
+    Blocks of ``block`` representatives run on the plan's threads, since the
+    sparse products and array kernels release the GIL. At most that many
+    blocks are submitted ahead of the one being summed, and the calling
+    thread adds the rows in block order, so the sum, and thus the result, is
+    the same for any thread count. Together the threads work on at most
+    ``BETWEENNESS_COLUMNS`` columns per node, or one block if it is wider.
 
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
     ascending, so the sums are unchanged.
     """
-    bc = np.zeros(n, dtype=np.float64)
-    keep, indptr, indices = _drop_isolated(indptr, indices)
-    m = len(keep)
-    reps, sizes = _twin_classes(indptr, indices)
-    graph = _SourceBlocks(indptr, indices)
-    kept_bc = np.zeros(m, dtype=np.float64)
-    starts = range(0, len(reps), block)
+    from concurrent.futures import ThreadPoolExecutor
+
+    plan = _sparse_plan(indptr, indices, block)
+    reps, sizes = plan.reps, plan.sizes
+    graph = _SourceBlocks(plan.indptr, plan.indices)
+    kept_bc = np.zeros(len(plan.keep), dtype=np.float64)
 
     def run(start):
         return graph.dependencies(reps[start : start + block])
 
-    def add(start, rows):
-        for size, row in zip(sizes[start : start + block], rows):
+    def add(start, future):
+        for size, row in zip(sizes[start : start + block], future.result()):
             np.add(kept_bc, size * row, out=kept_bc)
 
-    threads = min(_usable_cpus(), len(starts))
-    if threads <= 1:
-        for start in starts:
-            add(start, run(start))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            pending = deque()
-            for start in starts:
-                pending.append((start, pool.submit(run, start)))
-                if len(pending) > threads:
-                    oldest, future = pending.popleft()
-                    add(oldest, future.result())
-            for oldest, future in pending:
-                add(oldest, future.result())
-    bc[keep] = kept_bc
+    with ThreadPoolExecutor(plan.threads) as pool:
+        pending = deque()
+        for start in range(0, len(reps), block):
+            pending.append((start, pool.submit(run, start)))
+            if len(pending) > plan.threads:
+                add(*pending.popleft())
+        for start, future in pending:
+            add(start, future)
+    bc = np.zeros(n, dtype=np.float64)
+    bc[plan.keep] = kept_bc
     return bc
 
 

@@ -199,6 +199,10 @@ def _agreement_graphs():
     return graphs
 
 
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(analytics, "_usable_cpus", lambda: cpus)
+
+
 class TestBetweenness:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_path(self, engine):
@@ -245,15 +249,18 @@ class TestBetweenness:
         b = betweenness_centrality(graph, engine="sparse").scores
         assert a == b
 
-    def test_engines_agree_bitwise_random(self):
-        # every sparse block size reproduces the reference sums exactly
+    def test_engines_agree_bitwise_random(self, monkeypatch):
+        # every sparse block size and thread count reproduces the reference
+        # sums exactly
         for graph in _agreement_graphs():
             n = len(graph.nodes)
             indptr, indices = graph.indptr, graph.indices
             want = analytics._betweenness_python(indptr, indices)
-            for block in (1, 3, 16, 64):
-                got = analytics._brandes_sparse(indptr, indices, n, block)
-                assert got.tolist() == want
+            for cpus in (1, 2, 4):
+                _use_cpus(monkeypatch, cpus)
+                for block in (1, 3, 16, 64):
+                    got = analytics._brandes_sparse(indptr, indices, n, block)
+                    assert got.tolist() == want, (cpus, block)
 
     def test_twin_classes(self):
         # 0..6 form a clique that hub 7 joins in full and hub 8 in part
@@ -310,33 +317,10 @@ class TestBetweenness:
         assert two.scores == {0: 0.0, 1: 0.0}
 
 
-def _disjoint_union(graphs):
-    edges, base = [], 0
-    for graph in graphs:
-        edges += zip((graph.u + base).tolist(), (graph.v + base).tolist())
-        base += len(graph.nodes)
-    return make_graph(base, edges)
-
-
-def _use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(analytics, "_usable_cpus", lambda: cpus)
-
-
 class TestThreadedSum:
-    """Blocks run on min(usable CPUs, blocks) threads; the calling thread
-    adds their rows in block order, so the result never depends on the
-    thread count."""
-
-    def test_union_matches_reference_for_every_thread_count(self, monkeypatch):
-        graph = _disjoint_union(_agreement_graphs())
-        n = len(graph.nodes)
-        indptr, indices = graph.indptr, graph.indices
-        want = analytics._betweenness_python(indptr, indices)
-        for cpus in (1, 2, 4):
-            _use_cpus(monkeypatch, cpus)
-            for block in (1, 3, 16, 64):
-                got = analytics._brandes_sparse(indptr, indices, n, block)
-                assert got.tolist() == want, (cpus, block)
+    """Blocks run on min(usable CPUs, blocks, 64 // block) threads; the
+    calling thread adds their rows in block order, so the result never
+    depends on the thread count."""
 
     def test_stored_bytes_do_not_depend_on_thread_count(self, monkeypatch, fix1_graph):
         for graph in (fix1_graph, build_graph(synthetic_snapshot())):
@@ -345,6 +329,19 @@ class TestThreadedSum:
                 _use_cpus(monkeypatch, cpus)
                 stored.add(canonical_json_bytes(betweenness_centrality(graph).to_doc()))
             assert len(stored) == 1
+
+    def test_threads_hold_at_most_64_columns(self, monkeypatch):
+        # 177 classes: 12 blocks of 16, 3 of 64, 177 of 1
+        graph = build_graph(synthetic_snapshot())
+
+        def plan(block):
+            return analytics._sparse_plan(graph.indptr, graph.indices, block)
+
+        _use_cpus(monkeypatch, 64)
+        assert len(plan(16).reps) == 177
+        assert [plan(b).threads for b in (1, 16, 32, 64, 128)] == [64, 4, 2, 1, 1]
+        _use_cpus(monkeypatch, 2)
+        assert [plan(b).threads for b in (1, 16, 64)] == [2, 2, 1]
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_failing_block_propagates_and_leaves_no_thread(self, monkeypatch, cpus):
