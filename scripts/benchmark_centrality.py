@@ -88,8 +88,8 @@ def main() -> int:
     timed("degree", lambda: degree_centrality(graph))
     timed("degree (weighted)", lambda: degree_centrality(graph, weighted=True))
     for metric in MATRIX_METRICS:
-        timed(f"matrix {metric}", lambda m=metric: domain_overlap_matrix(snapshot, m))
-    timed("specificity_ratios", lambda: specificity_ratios(snapshot))
+        timed(f"matrix {metric}", lambda m=metric: domain_overlap_matrix(graph, m))
+    timed("specificity_ratios", lambda: specificity_ratios(graph))
 
     for engine in args.engines.split(","):
         engine = engine.strip()

@@ -12,11 +12,17 @@ at most 64 columns in flight. Every engine sums in one fixed order (path
 counts and dependencies pulled in ascending node id, classes added in
 ascending representative id, by the calling thread), so results are
 bit-stable and identical across engines, block sizes and thread counts.
+
+The overlap matrices and specificity ratios are read from the graph alone:
+attr_domain edges give the attribute-by-domain incidence and each model
+node's ``domains`` metadata the model-by-domain incidence, so every shared
+count is one small integer product of an incidence matrix with itself.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
 import logging
 import os
 from array import array
@@ -27,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ontomesh.choices import CENTRALITY_METRICS, MATRIX_METRICS
-from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
@@ -454,62 +459,90 @@ class DomainMatrix:
         return (min(flat), max(flat))
 
 
-def domain_overlap_matrix(snapshot: CorpusSnapshot, metric: str) -> DomainMatrix:
-    """Pairwise domain overlap; diagonal forced to zero for every metric."""
+def _domain_columns(graph: OntologyGraph) -> tuple[list[str], np.ndarray]:
+    """Domain labels in node id order, and each node's column among them
+    (-1 for other nodes). Refuses a domain subgraph, whose matrices would
+    cover its one domain only."""
+    if graph.provenance.domain is not None:
+        raise ValueError(
+            f"graph is the subgraph of domain {graph.provenance.domain!r}; "
+            "domain summaries need the whole graph"
+        )
+    ids = [node.node_id for node in graph.nodes if node.kind == NodeKind.DOMAIN]
+    column = np.full(len(graph.nodes), -1, dtype=np.int64)
+    column[ids] = np.arange(len(ids))
+    return [graph.nodes[i].label for i in ids], column
+
+
+def _attribute_incidence(graph: OntologyGraph, column: np.ndarray, domains: int) -> np.ndarray:
+    """0/1 matrix of attribute by domain, one row per attribute that occurs
+    in some domain: each attr_domain edge is one distinct pair of them."""
+    on_domain = graph.kind == EDGE_KINDS.index(EDGE_ATTR_DOMAIN)
+    u, v = graph.u[on_domain], graph.v[on_domain]
+    u_is_domain = column[u] >= 0
+    domain = column[np.where(u_is_domain, u, v)]
+    _, row = np.unique(np.where(u_is_domain, v, u), return_inverse=True)
+    incidence = np.zeros((row.max(initial=-1) + 1, domains), dtype=np.int64)
+    incidence[row, domain] = 1
+    return incidence
+
+
+def _model_incidence(graph: OntologyGraph, labels: list[str]) -> np.ndarray:
+    """0/1 matrix of model by domain, from each model node's ``domains``."""
+    index = {label: i for i, label in enumerate(labels)}
+    models = graph.nodes_of_kind(NodeKind.MODEL)
+    incidence = np.zeros((len(models), len(labels)), dtype=np.int64)
+    for row, node in enumerate(models):
+        incidence[row, [index[label] for label in json.loads(node.metadata["domains"])]] = 1
+    return incidence
+
+
+def domain_overlap_matrix(graph: OntologyGraph, metric: str) -> DomainMatrix:
+    """Pairwise domain overlap; diagonal forced to zero for every metric.
+
+    Counts are products of domain incidence read from the graph: model nodes'
+    ``domains`` for shared models, attr_domain edges for shared attributes;
+    Jaccard divides the shared count by the size of the union.
+    """
     if metric not in MATRIX_METRICS:
         raise ValueError(f"unknown matrix metric {metric!r}")
-    labels = [d.domain_id for d in snapshot.domains]
+    labels, column = _domain_columns(graph)
+    snapshot_hash = graph.provenance.snapshot_hash
     if len(labels) < 2:
         logger.warning("degenerate matrix: %d domain(s)", len(labels))
         label = labels[0] if labels else "-"
         return DomainMatrix(
-            metric=metric,
-            labels=[label],
-            cells=[[0]],
-            snapshot_hash=snapshot.content_hash,
+            metric=metric, labels=[label], cells=[[0]], snapshot_hash=snapshot_hash
         )
-    attr_sets = snapshot.attribute_names_by_domain()
     n = len(labels)
+    if metric == "shared_models":
+        incidence = _model_incidence(graph, labels)
+    else:
+        incidence = _attribute_incidence(graph, column, n)
+    shared = (incidence.T @ incidence).tolist()
     cells: list[list[float]] = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            if metric == "shared_models":
-                value: float = sum(
-                    1
-                    for m in snapshot.models
-                    if labels[i] in m.domain_ids and labels[j] in m.domain_ids
-                )
+        for j in range(n):
+            if i == j:
+                continue
+            if metric == "jaccard_attributes":
+                union = shared[i][i] + shared[j][j] - shared[i][j]
+                cells[i][j] = shared[i][j] / union if union else 0.0
             else:
-                a = attr_sets.get(labels[i], set())
-                b = attr_sets.get(labels[j], set())
-                if metric == "shared_attributes":
-                    value = len(a & b)
-                else:
-                    union = len(a | b)
-                    value = len(a & b) / union if union else 0.0
-            cells[i][j] = value
-            cells[j][i] = value
-    return DomainMatrix(
-        metric=metric, labels=labels, cells=cells, snapshot_hash=snapshot.content_hash
-    )
+                cells[i][j] = shared[i][j]
+    return DomainMatrix(metric=metric, labels=labels, cells=cells, snapshot_hash=snapshot_hash)
 
 
-def specificity_ratios(snapshot: CorpusSnapshot) -> dict[str, float]:
-    """Per-domain fraction of its attribute names that occur nowhere else.
-    Empty domains get 0.0."""
-    attr_sets = snapshot.attribute_names_by_domain()
-    ratios: dict[str, float] = {}
-    for d in snapshot.domains:
-        own = attr_sets.get(d.domain_id, set())
-        if not own:
-            ratios[d.domain_id] = 0.0
-            continue
-        elsewhere: set[str] = set()
-        for other, names in attr_sets.items():
-            if other != d.domain_id:
-                elsewhere |= names
-        ratios[d.domain_id] = len(own - elsewhere) / len(own)
-    return ratios
+def specificity_ratios(graph: OntologyGraph) -> dict[str, float]:
+    """Per-domain fraction of its attribute names that occur in no other
+    domain. Empty domains get 0.0."""
+    labels, column = _domain_columns(graph)
+    incidence = _attribute_incidence(graph, column, len(labels))
+    own = incidence.sum(axis=0).tolist()
+    private = incidence[incidence.sum(axis=1) == 1].sum(axis=0).tolist()
+    return {
+        label: private[i] / own[i] if own[i] else 0.0 for i, label in enumerate(labels)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +596,8 @@ class AnalysisReport:
 
 
 def dissonance_summary(
-    snapshot: CorpusSnapshot,
     graph: OntologyGraph,
+    snapshot_hash: str,
     *,
     top_k: int = 14,
     centrality_metric: str = "degree",
@@ -574,19 +607,24 @@ def dissonance_summary(
     """Aggregate census, top-k central attributes, the three overlap
     matrices, and per-domain specificity ratios into one report.
 
-    The snapshot and graph must share provenance (the graph was built from
-    this snapshot); higher specificity means a more isolated vocabulary.
-    ``centrality`` is an already computed plain (not normalized, not
-    weighted) ``centrality_metric`` result for this graph, used instead of
-    computing it again.
+    Everything is read from the graph. ``snapshot_hash`` is the content hash
+    of the snapshot the graph must have been built from; a graph of another
+    snapshot raises ``ProvenanceError``, and a domain subgraph ``ValueError``.
+    Higher specificity means a more isolated vocabulary. ``centrality`` is
+    an already computed plain (not normalized, not weighted)
+    ``centrality_metric`` result for this graph, used instead of computing
+    it again.
     """
-    if graph.provenance.snapshot_hash != snapshot.content_hash:
+    if graph.provenance.snapshot_hash != snapshot_hash:
         raise ProvenanceError(
             "graph provenance does not match snapshot: "
-            f"{graph.provenance.snapshot_hash[:12]} vs {snapshot.content_hash[:12]}"
+            f"{graph.provenance.snapshot_hash[:12]} vs {snapshot_hash[:12]}"
         )
     if centrality_metric not in CENTRALITY_METRICS:
         raise ValueError(f"unknown centrality metric {centrality_metric!r}")
+    # First, so that a domain subgraph is refused before any centrality runs.
+    matrices = {m: domain_overlap_matrix(graph, m) for m in MATRIX_METRICS}
+    specificity = specificity_ratios(graph)
     if centrality is not None:
         if centrality.graph_hash != graph.graph_hash():
             raise ProvenanceError(
@@ -624,13 +662,13 @@ def dissonance_summary(
             .isoformat()
         )
     return AnalysisReport(
-        snapshot_hash=snapshot.content_hash,
+        snapshot_hash=snapshot_hash,
         graph_hash=graph.graph_hash(),
         containment_edges=graph.provenance.containment_edges,
         census=census,
         top_k_metric=centrality_metric,
         top_k=top_k_attributes(result, graph, top_k),
-        matrices={m: domain_overlap_matrix(snapshot, m) for m in MATRIX_METRICS},
-        specificity=specificity_ratios(snapshot),
+        matrices=matrices,
+        specificity=specificity,
         generated_at=generated_at,
     )

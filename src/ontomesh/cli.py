@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 # analysis and output layers it uses when it runs, so that --help, ingest and
 # the canonical-json export start without numpy.
 from ontomesh.choices import CENTRALITY_METRICS, GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
-from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus
+from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus, stored_content_hash
 from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
 from ontomesh.store import ArtifactStore
 
@@ -99,16 +99,21 @@ def _stored_centrality(
 def _store_summary(
     args: argparse.Namespace, snapshot_name: str, metric: str, stored_name: str
 ) -> tuple[AnalysisReport, str]:
-    """Summarise a snapshot and its graph, ranked by ``metric``; store the
-    summary as ``stored_name`` and return it with its hash."""
+    """Summarise the graph of a snapshot, ranked by ``metric``; store the
+    summary as ``stored_name`` and return it with its hash.
+
+    Only the snapshot's content hash is read, from its hash-verified stored
+    bytes, to check that the graph was built from it; the summary itself
+    comes from the graph.
+    """
     from ontomesh.analytics import dissonance_summary
 
     store = _store(args)
-    snapshot = store.get(snapshot_name, expect_kind="snapshot")
+    snapshot_hash = stored_content_hash(store.object_bytes(snapshot_name, expect_kind="snapshot"))
     graph_name = args.graph or f"{snapshot_name}-graph"
     graph = store.get(graph_name, expect_kind="graph")
     report = dissonance_summary(
-        snapshot, graph, top_k=args.top, centrality_metric=metric,
+        graph, snapshot_hash, top_k=args.top, centrality_metric=metric,
         centrality=_stored_centrality(store, graph_name, graph, metric),
         include_timestamp=not args.no_timestamp,
     )

@@ -17,6 +17,7 @@ import fnmatch
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -24,6 +25,7 @@ from typing import Iterable, NamedTuple
 from ontomesh.canonical import canonical_json_line, sha256_hex
 from ontomesh.errors import (
     CorpusError,
+    CorruptionError,
     FetchError,
     IntegrityError,
     SchemaParseError,
@@ -225,13 +227,6 @@ class CorpusSnapshot:
                 f"stored counts {tuple(self.counts)} != recomputed {tuple(recomputed)}"
             )
 
-    def attribute_names_by_domain(self) -> dict[str, set[str]]:
-        """Vocabulary of each domain: distinct attribute names occurring in it."""
-        out: dict[str, set[str]] = {d.domain_id: set() for d in self.domains}
-        for o in self.occurrences:
-            out[o.domain_id].add(o.attribute_name)
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def record_docs(self) -> list[dict]:
@@ -328,6 +323,20 @@ class CorpusSnapshot:
                 f"stored counts {stored} do not match records {tuple(snapshot.counts)}"
             )
         return snapshot
+
+
+# The stored snapshot is canonical JSON with sorted keys, so its bytes begin
+# with the content hash.
+_STORED_HASH = re.compile(rb'\{"content_hash":"([0-9a-f]{64})",')
+
+
+def stored_content_hash(data: bytes) -> str:
+    """The ``content_hash`` of a stored snapshot, read from the start of its
+    canonical bytes without decoding the records."""
+    match = _STORED_HASH.match(data)
+    if match is None:
+        raise CorruptionError("stored snapshot does not begin with its content hash")
+    return match.group(1).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

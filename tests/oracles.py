@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with a different strategy than the
 production code: betweenness by literal enumeration of every shortest path,
-degree by adjacency-matrix row sums, overlap matrices by nested set loops
-over raw occurrence tuples.
+degree by adjacency-matrix row sums, overlap matrices and specificity by
+nested set loops over a snapshot's records, where the package reads them
+from the graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ontomesh.analytics import DomainMatrix
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
@@ -171,11 +173,17 @@ def graphml_element_tree(graph: OntologyGraph) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def vocabulary_by_domain(snapshot: CorpusSnapshot) -> dict[str, set[str]]:
+    """Distinct attribute names occurring in each domain."""
+    out: dict[str, set[str]] = {d.domain_id: set() for d in snapshot.domains}
+    for o in snapshot.occurrences:
+        out[o.domain_id].add(o.attribute_name)
+    return out
+
+
 def overlap_matrix_oracle(snapshot: CorpusSnapshot, metric: str) -> list[list[float]]:
     labels = [d.domain_id for d in snapshot.domains]
-    vocab = {label: set() for label in labels}
-    for occ in snapshot.occurrences:
-        vocab[occ.domain_id].add(occ.attribute_name)
+    vocab = vocabulary_by_domain(snapshot)
     n = len(labels)
     cells: list[list[float]] = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -195,6 +203,35 @@ def overlap_matrix_oracle(snapshot: CorpusSnapshot, metric: str) -> list[list[fl
                 inter = vocab[labels[i]] & vocab[labels[j]]
                 cells[i][j] = len(inter) / len(union) if union else 0.0
     return cells
+
+
+def domain_overlap_matrix_reference(snapshot: CorpusSnapshot, metric: str) -> DomainMatrix:
+    """``domain_overlap_matrix`` from the snapshot's records: the oracle's
+    cells, or ``[[0]]`` labelled with the one domain or ``-`` when there
+    are fewer than two."""
+    labels = [d.domain_id for d in snapshot.domains]
+    if len(labels) < 2:
+        return DomainMatrix(metric, labels or ["-"], [[0]], snapshot.content_hash)
+    cells = overlap_matrix_oracle(snapshot, metric)
+    return DomainMatrix(metric, labels, cells, snapshot.content_hash)
+
+
+def specificity_ratios_reference(snapshot: CorpusSnapshot) -> dict[str, float]:
+    """``specificity_ratios`` from the snapshot's records: each domain's
+    names less the union of every other domain's."""
+    attr_sets = vocabulary_by_domain(snapshot)
+    ratios: dict[str, float] = {}
+    for d in snapshot.domains:
+        own = attr_sets[d.domain_id]
+        if not own:
+            ratios[d.domain_id] = 0.0
+            continue
+        elsewhere: set[str] = set()
+        for other, names in attr_sets.items():
+            if other != d.domain_id:
+                elsewhere |= names
+        ratios[d.domain_id] = len(own - elsewhere) / len(own)
+    return ratios
 
 
 # ---------------------------------------------------------------------------

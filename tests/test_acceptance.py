@@ -36,6 +36,7 @@ from oracles import (
     overlap_matrix_oracle,
     random_graph,
     random_snapshot,
+    vocabulary_by_domain,
 )
 
 BETWEENNESS_TOLERANCE = 1e-9
@@ -155,9 +156,10 @@ def test_matrix_properties(fix1_snapshot):
             for seed in range(RANDOM_SNAPSHOT_COUNT)
         ]
         for snapshot in snapshots:
-            vocab = snapshot.attribute_names_by_domain()
+            graph = build_graph(snapshot)
+            vocab = vocabulary_by_domain(snapshot)
             for metric in MATRIX_METRICS:
-                matrix = domain_overlap_matrix(snapshot, metric)
+                matrix = domain_overlap_matrix(graph, metric)
                 n = len(matrix.labels)
                 if len(snapshot.domains) >= 2:
                     assert matrix.cells == overlap_matrix_oracle(snapshot, metric)
@@ -178,7 +180,7 @@ def test_matrix_properties(fix1_snapshot):
         for seed in range(30):
             rng = random.Random(9000 + seed)
             snapshot = random_snapshot(rng)
-            before = domain_overlap_matrix(snapshot, "shared_attributes")
+            before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
             model = snapshot.models[rng.randrange(len(snapshot.models))]
             extra_type = TypeRecord(
                 f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",)
@@ -194,7 +196,7 @@ def test_matrix_properties(fix1_snapshot):
                     for d in sorted(model.domain_ids)
                 ),
             )
-            after = domain_overlap_matrix(grown, "shared_attributes")
+            after = domain_overlap_matrix(build_graph(grown), "shared_attributes")
             for i in range(len(before.labels)):
                 for j in range(len(before.labels)):
                     assert after.cells[i][j] >= before.cells[i][j]
@@ -270,7 +272,7 @@ def test_performance_envelope():
         degree_centrality(graph)
         degree_centrality(graph, weighted=True)
         for metric in MATRIX_METRICS:
-            domain_overlap_matrix(snapshot, metric)
+            domain_overlap_matrix(graph, metric)
         fast_elapsed = time.perf_counter() - started
         print(f"      degree + matrices took {fast_elapsed:.2f}s "
               f"({len(graph.u)} edges)")
@@ -288,9 +290,9 @@ def test_dissonance_semantics():
         disjoint = _vocab_snapshot(
             {"D1": ["a", "b"], "D2": ["c", "d"], "D3": ["e", "f", "g"]}
         )
-        ratios = specificity_ratios(disjoint)
+        ratios = specificity_ratios(build_graph(disjoint))
         assert set(ratios.values()) == {1.0}
-        jaccard = domain_overlap_matrix(disjoint, "jaccard_attributes")
+        jaccard = domain_overlap_matrix(build_graph(disjoint), "jaccard_attributes")
         for i in range(3):
             for j in range(3):
                 assert jaccard.cells[i][j] == 0.0
@@ -298,9 +300,9 @@ def test_dissonance_semantics():
         shared = _vocab_snapshot(
             {"D1": ["a", "b", "c"], "D2": ["a", "b", "c"], "D3": ["a", "b", "c"]}
         )
-        ratios = specificity_ratios(shared)
+        ratios = specificity_ratios(build_graph(shared))
         assert set(ratios.values()) == {0.0}
-        jaccard = domain_overlap_matrix(shared, "jaccard_attributes")
+        jaccard = domain_overlap_matrix(build_graph(shared), "jaccard_attributes")
         for i in range(3):
             for j in range(3):
                 expected = 0.0 if i == j else 1.0

@@ -36,16 +36,22 @@ from ontomesh.graph import (
     NodeKind,
     OntologyGraph,
     build_graph,
+    domain_subgraph,
 )
 from ontomesh.synthetic import synthetic_snapshot
+
+from conftest import minimal_snapshot
 
 from oracles import (
     brute_force_betweenness,
     degree_row_sums,
     make_graph,
+    domain_overlap_matrix_reference,
     overlap_matrix_oracle,
     random_graph,
     random_snapshot,
+    specificity_ratios_reference,
+    vocabulary_by_domain,
 )
 
 
@@ -484,39 +490,40 @@ class TestTopK:
 
 
 class TestMatrices:
-    def test_fix1_shared_models(self, fix1_snapshot):
-        matrix = domain_overlap_matrix(fix1_snapshot, "shared_models")
+    def test_fix1_shared_models(self, fix1_graph):
+        matrix = domain_overlap_matrix(fix1_graph, "shared_models")
         assert matrix.labels == ["SmartCities", "SmartEnergy"]
         assert matrix.cells == [[0, 1], [1, 0]]
 
-    def test_fix1_shared_attributes(self, fix1_snapshot):
-        matrix = domain_overlap_matrix(fix1_snapshot, "shared_attributes")
+    def test_fix1_shared_attributes(self, fix1_graph):
+        matrix = domain_overlap_matrix(fix1_graph, "shared_attributes")
         assert matrix.cells == [[0, 3], [3, 0]]
 
-    def test_fix1_jaccard(self, fix1_snapshot):
-        matrix = domain_overlap_matrix(fix1_snapshot, "jaccard_attributes")
+    def test_fix1_jaccard(self, fix1_graph):
+        matrix = domain_overlap_matrix(fix1_graph, "jaccard_attributes")
         assert matrix.cells[0][1] == pytest.approx(1 / 3)
         assert matrix.cells[0][0] == 0
 
     def test_simple_set_arithmetic(self):
-        snapshot = _two_domain_snapshot(["a", "b", "c"], ["b", "c", "d"])
-        shared = domain_overlap_matrix(snapshot, "shared_attributes")
-        jaccard = domain_overlap_matrix(snapshot, "jaccard_attributes")
+        graph = build_graph(_two_domain_snapshot(["a", "b", "c"], ["b", "c", "d"]))
+        shared = domain_overlap_matrix(graph, "shared_attributes")
+        jaccard = domain_overlap_matrix(graph, "jaccard_attributes")
         assert shared.cells[0][1] == 2
         assert jaccard.cells[0][1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("metric", MATRIX_METRICS)
-    def test_matches_nested_loop_oracle(self, fix1_snapshot, metric):
-        matrix = domain_overlap_matrix(fix1_snapshot, metric)
+    def test_matches_nested_loop_oracle(self, fix1_snapshot, fix1_graph, metric):
+        matrix = domain_overlap_matrix(fix1_graph, metric)
         assert matrix.cells == overlap_matrix_oracle(fix1_snapshot, metric)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_properties_random(self, seed):
         snapshot = random_snapshot(random.Random(seed))
-        vocab = snapshot.attribute_names_by_domain()
+        graph = build_graph(snapshot)
+        vocab = vocabulary_by_domain(snapshot)
         for metric in MATRIX_METRICS:
-            matrix = domain_overlap_matrix(snapshot, metric)
+            matrix = domain_overlap_matrix(graph, metric)
             assert matrix.cells == overlap_matrix_oracle(snapshot, metric)
             n = len(matrix.labels)
             for i in range(n):
@@ -535,7 +542,7 @@ class TestMatrices:
         for seed in range(10):
             rng = random.Random(seed)
             snapshot = random_snapshot(rng)
-            before = domain_overlap_matrix(snapshot, "shared_attributes")
+            before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
             model = snapshot.models[rng.randrange(len(snapshot.models))]
             new_type = TypeRecord(f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",))
             extra = [
@@ -549,7 +556,7 @@ class TestMatrices:
                 types=snapshot.types + (new_type,),
                 occurrences=snapshot.occurrences + tuple(extra),
             )
-            after = domain_overlap_matrix(grown, "shared_attributes")
+            after = domain_overlap_matrix(build_graph(grown), "shared_attributes")
             assert after.labels == before.labels
             for i in range(len(before.labels)):
                 for j in range(len(before.labels)):
@@ -559,30 +566,76 @@ class TestMatrices:
         import logging
 
         with caplog.at_level(logging.WARNING):
-            matrix = domain_overlap_matrix(minimal, "shared_models")
+            matrix = domain_overlap_matrix(build_graph(minimal), "shared_models")
         assert matrix.cells == [[0]]
         assert any("degenerate" in rec.message for rec in caplog.records)
 
-    def test_unknown_metric(self, fix1_snapshot):
+    def test_unknown_metric(self, fix1_graph):
         with pytest.raises(ValueError, match="metric"):
-            domain_overlap_matrix(fix1_snapshot, "cosine")
+            domain_overlap_matrix(fix1_graph, "cosine")
+
+
+def _snapshots_with_few_or_empty_domains() -> list[CorpusSnapshot]:
+    """0, 1 and 2 domains, and a domain whose one model has no types."""
+    empty_domain = CorpusSnapshot.assemble(
+        source_uri="synthetic:empty-domain",
+        domains=[DomainRecord(d, d) for d in ("DA", "DB", "DEmpty")],
+        models=[
+            DataModelRecord("MA", "MA", frozenset({"DA"})),
+            DataModelRecord("MB", "MB", frozenset({"DB"})),
+            DataModelRecord("ME", "ME", frozenset({"DA", "DEmpty"})),
+        ],
+        types=[TypeRecord("MA/T", "T", "MA", ("a", "b")), TypeRecord("MB/T", "T", "MB", ("b",))],
+        occurrences=[
+            AttributeOccurrence("a", "MA/T", "MA", "DA"),
+            AttributeOccurrence("b", "MA/T", "MA", "DA"),
+            AttributeOccurrence("b", "MB/T", "MB", "DB"),
+        ],
+    )
+    return [
+        CorpusSnapshot.assemble("synthetic:none", [], [], [], []),
+        minimal_snapshot(),
+        _two_domain_snapshot(["a", "b", "c"], ["b", "c", "d"]),
+        empty_domain,
+    ]
+
+
+class TestGraphFormMatchesReference:
+    """The matrices and ratios read from the graph serialize to the same
+    bytes as the per-pair set loops over the snapshot's records."""
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        _snapshots_with_few_or_empty_domains()
+        + [random_snapshot(random.Random(seed)) for seed in range(60)],
+    )
+    def test_same_bytes_as_snapshot_reference(self, snapshot):
+        graph = build_graph(snapshot)
+        for metric in MATRIX_METRICS:
+            assert canonical_json_bytes(
+                domain_overlap_matrix(graph, metric).to_doc()
+            ) == canonical_json_bytes(domain_overlap_matrix_reference(snapshot, metric).to_doc())
+        ratios = specificity_ratios(graph)
+        reference = specificity_ratios_reference(snapshot)
+        assert list(ratios) == list(reference)
+        assert canonical_json_bytes(ratios) == canonical_json_bytes(reference)
 
 
 class TestSpecificityAndSummary:
-    def test_fix1_ratios(self, fix1_snapshot):
-        ratios = specificity_ratios(fix1_snapshot)
+    def test_fix1_ratios(self, fix1_graph):
+        ratios = specificity_ratios(fix1_graph)
         assert ratios == {"SmartCities": 0.5, "SmartEnergy": 0.5}
 
     def test_disjoint_vocabularies(self):
-        snapshot = _two_domain_snapshot(["a", "b"], ["c", "d"])
-        assert set(specificity_ratios(snapshot).values()) == {1.0}
-        jaccard = domain_overlap_matrix(snapshot, "jaccard_attributes")
+        graph = build_graph(_two_domain_snapshot(["a", "b"], ["c", "d"]))
+        assert set(specificity_ratios(graph).values()) == {1.0}
+        jaccard = domain_overlap_matrix(graph, "jaccard_attributes")
         assert jaccard.cells[0][1] == 0.0
 
     def test_identical_vocabularies(self):
-        snapshot = _two_domain_snapshot(["a", "b"], ["a", "b"])
-        assert set(specificity_ratios(snapshot).values()) == {0.0}
-        jaccard = domain_overlap_matrix(snapshot, "jaccard_attributes")
+        graph = build_graph(_two_domain_snapshot(["a", "b"], ["a", "b"]))
+        assert set(specificity_ratios(graph).values()) == {0.0}
+        jaccard = domain_overlap_matrix(graph, "jaccard_attributes")
         assert jaccard.cells[0][1] == 1.0
 
     def test_empty_domain_ratio_zero(self):
@@ -593,10 +646,12 @@ class TestSpecificityAndSummary:
             types=[TypeRecord("MA/T", "T", "MA", ("a",))],
             occurrences=[AttributeOccurrence("a", "MA/T", "MA", "DA")],
         )
-        assert specificity_ratios(snapshot)["DEmpty"] == 0.0
+        assert specificity_ratios(build_graph(snapshot))["DEmpty"] == 0.0
 
     def test_summary_contents(self, fix1_snapshot, fix1_graph):
-        report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+        report = dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        )
         assert report.census["nodes"] == 18
         assert report.census["edges"] == 33
         assert report.top_k[0][0] == "dataProvider"
@@ -605,13 +660,13 @@ class TestSpecificityAndSummary:
         assert report.graph_hash == fix1_graph.graph_hash()
 
     def test_summary_timestamp_present_by_default(self, fix1_snapshot, fix1_graph):
-        report = dissonance_summary(fix1_snapshot, fix1_graph)
+        report = dissonance_summary(fix1_graph, fix1_snapshot.content_hash)
         assert report.generated_at is not None
         assert "T" in report.generated_at
 
     def test_summary_betweenness_metric(self, fix1_snapshot, fix1_graph):
         report = dissonance_summary(
-            fix1_snapshot, fix1_graph, centrality_metric="betweenness",
+            fix1_graph, fix1_snapshot.content_hash, centrality_metric="betweenness",
             include_timestamp=False,
         )
         assert report.top_k_metric == "betweenness"
@@ -619,18 +674,35 @@ class TestSpecificityAndSummary:
 
     def test_provenance_mismatch(self, minimal, fix1_graph):
         with pytest.raises(ProvenanceError):
-            dissonance_summary(minimal, fix1_graph)
+            dissonance_summary(fix1_graph, minimal.content_hash)
+
+    def test_domain_subgraph_refused(self, fix1_snapshot, fix1_graph, monkeypatch):
+        """A subgraph keeps its parent's snapshot hash but holds one domain,
+        so its matrices would not be the corpus's; it is refused before any
+        centrality is computed."""
+        subgraph = domain_subgraph(fix1_graph, "SmartCities")
+        assert subgraph.provenance.snapshot_hash == fix1_snapshot.content_hash
+        monkeypatch.setattr(
+            analytics, "betweenness_centrality", lambda *a, **k: pytest.fail("centrality ran")
+        )
+        with pytest.raises(ValueError, match="subgraph of domain 'SmartCities'"):
+            dissonance_summary(
+                subgraph, fix1_snapshot.content_hash, centrality_metric="betweenness"
+            )
+        with pytest.raises(ValueError, match="subgraph"):
+            specificity_ratios(subgraph)
 
     @pytest.mark.parametrize("metric", ["degree", "betweenness"])
     def test_summary_with_precomputed_centrality(self, fix1_snapshot, fix1_graph, metric):
         compute = degree_centrality if metric == "degree" else betweenness_centrality
         result = CentralityResult.from_doc(compute(fix1_graph).to_doc())
         reused = dissonance_summary(
-            fix1_snapshot, fix1_graph, centrality_metric=metric, centrality=result,
-            include_timestamp=False,
+            fix1_graph, fix1_snapshot.content_hash, centrality_metric=metric,
+            centrality=result, include_timestamp=False,
         )
         fresh = dissonance_summary(
-            fix1_snapshot, fix1_graph, centrality_metric=metric, include_timestamp=False
+            fix1_graph, fix1_snapshot.content_hash, centrality_metric=metric,
+            include_timestamp=False,
         )
         assert reused.to_doc() == fresh.to_doc()
 
@@ -638,13 +710,14 @@ class TestSpecificityAndSummary:
         degree = degree_centrality(fix1_graph)
         other_graph = build_graph(fix1_snapshot, containment_edges=True)
         with pytest.raises(ProvenanceError):
-            dissonance_summary(fix1_snapshot, other_graph, centrality=degree)
+            dissonance_summary(other_graph, fix1_snapshot.content_hash, centrality=degree)
         with pytest.raises(ProvenanceError):
             dissonance_summary(
-                fix1_snapshot, fix1_graph, centrality_metric="betweenness", centrality=degree
+                fix1_graph, fix1_snapshot.content_hash, centrality_metric="betweenness",
+                centrality=degree,
             )
         with pytest.raises(ValueError):
             dissonance_summary(
-                fix1_snapshot, fix1_graph,
+                fix1_graph, fix1_snapshot.content_hash,
                 centrality=degree_centrality(fix1_graph, normalized=True),
             )

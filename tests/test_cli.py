@@ -9,6 +9,7 @@ import pytest
 
 from ontomesh import analytics, cli
 from ontomesh.cli import main
+from ontomesh.corpus import CorpusSnapshot
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
@@ -281,6 +282,90 @@ class TestExportAndReport:
         code, _, err = run_cli(["report", "--name", "fix1"], capsys)
         assert code == 1
         assert "fix1-graph" in err
+
+
+class TestSummariesFromGraph:
+    """``analyze dissonance`` and ``report`` read the snapshot's content hash
+    from its verified stored bytes and everything else from the graph."""
+
+    SUMMARIES = [
+        ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp", "--json",
+         "--matrix", "jaccard-attributes", "--out", "m.csv", "--heatmap", "m.svg"],
+        ["report", "--name", "fix1", "--no-timestamp", "--json", "--out", "r.md"],
+        ["report", "--name", "fix1", "--no-timestamp", "--json",
+         "--format", "canonical-json", "--out", "r.json"],
+    ]
+
+    def run_summaries(self, workdir, subdir, capsys, monkeypatch):
+        """Run every summary command from ``workdir/subdir``; return their
+        stdout, the files they wrote and every stored object."""
+        (workdir / subdir).mkdir()
+        monkeypatch.chdir(workdir / subdir)
+        outputs = []
+        for argv in self.SUMMARIES:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            outputs.append(out)
+        files = {p.name: p.read_bytes() for p in sorted((workdir / subdir).iterdir())}
+        store = ArtifactStore(workdir / "store")
+        objects = {name: store.object_bytes(name) for name in store.names()}
+        return outputs, files, objects
+
+    def test_summaries_never_decode_the_snapshot(self, built, capsys, monkeypatch):
+        plain = self.run_summaries(built, "plain", capsys, monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the snapshot was decoded")
+
+        monkeypatch.setattr(CorpusSnapshot, "from_doc", refuse)
+        with pytest.raises(AssertionError, match="decoded"):
+            ArtifactStore(built / "store").get("fix1")
+        patched = self.run_summaries(built, "patched", capsys, monkeypatch)
+        assert patched == plain
+        assert sorted(plain[1]) == ["m.csv", "m.svg", "r.json", "r.md"]
+        assert {"fix1-dissonance", "fix1-report"} <= set(plain[2])
+
+    @pytest.fixture()
+    def other(self, built, capsys):
+        """A second snapshot, of another tree, with its own graph."""
+        for argv in (
+            ["ingest", str(FIXTURES / "fix-broken"), "--name", "other"],
+            ["graph", "build", "--snapshot", "other"],
+        ):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+        return built
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "dissonance", "--snapshot", "other", "--graph", "fix1-graph"],
+            ["report", "--name", "other", "--graph", "fix1-graph"],
+            ["analyze", "dissonance", "--snapshot", "fix1", "--graph", "other-graph"],
+        ],
+    )
+    def test_graph_of_another_snapshot_exit_1(self, other, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "graph provenance does not match snapshot" in err
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "dissonance", "--snapshot"],
+        ["report", "--name"],
+    ])
+    def test_snapshot_errors_exit_1(self, built, capsys, command):
+        code, _, err = run_cli(command + ["missing", "--graph", "fix1-graph"], capsys)
+        assert code == 1
+        assert "no artifact named 'missing'" in err
+        code, _, err = run_cli(command + ["fix1-graph", "--graph", "fix1-graph"], capsys)
+        assert code == 1
+        assert "has kind 'graph', expected 'snapshot'" in err
+        store = ArtifactStore(built / "store")
+        path = store.objects_dir / f"{store.entry('fix1')['hash']}.json"
+        path.write_bytes(path.read_bytes().replace(b"SmartEnergy", b"SmartEnergx", 1))
+        code, _, err = run_cli(command + ["fix1"], capsys)
+        assert code == 1
+        assert "hash mismatch for artifact 'fix1'" in err
 
 
 class TestCentralityReuse:

@@ -15,8 +15,14 @@ from ontomesh.corpus import (
     TypeRecord,
     ingest_corpus,
     parse_schema_file,
+    stored_content_hash,
 )
-from ontomesh.errors import CorpusError, SchemaParseError, SnapshotInvariantError
+from ontomesh.errors import (
+    CorpusError,
+    CorruptionError,
+    SchemaParseError,
+    SnapshotInvariantError,
+)
 
 from oracles import random_snapshot
 
@@ -208,6 +214,26 @@ class TestSnapshotSerialization:
         doc["records"].append({"kind": "mystery"})
         with pytest.raises(SchemaParseError, match="unknown record kind 'mystery'"):
             CorpusSnapshot.from_doc(doc)
+
+    def test_stored_content_hash_read_from_prefix(self, fix1_snapshot):
+        for snapshot in [fix1_snapshot] + [random_snapshot(random.Random(s)) for s in range(5)]:
+            stored = canonical_json_bytes(snapshot.to_doc())
+            assert stored_content_hash(stored) == snapshot.content_hash
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b'{"counts":{},"content_hash":"' + b"0" * 64 + b'"}\n',
+            b'{"content_hash":"' + b"0" * 63 + b'",',
+            b'{"content_hash":"' + b"A" * 64 + b'",',
+            b'{"content_hash":"' + b"0" * 65 + b'",',
+            b'{"content_hash": "' + b"0" * 64 + b'",',
+        ],
+    )
+    def test_stored_content_hash_refuses_other_prefixes(self, data):
+        with pytest.raises(CorruptionError, match="does not begin with its content hash"):
+            stored_content_hash(data)
 
 
 class TestSnapshotInvariants:

@@ -150,11 +150,11 @@ def test_synthetic_snapshot_bytes_are_pinned(tmp_path):
 
 
 class TestMatrixCsv:
-    def test_fix1_shared_models_bytes(self, fix1_snapshot, tmp_path):
+    def test_fix1_shared_models_bytes(self, fix1_graph, tmp_path):
         from ontomesh.analytics import domain_overlap_matrix
 
         out = tmp_path / "m.csv"
-        export_matrix_csv(domain_overlap_matrix(fix1_snapshot, "shared_models"), out)
+        export_matrix_csv(domain_overlap_matrix(fix1_graph, "shared_models"), out)
         assert out.read_bytes() == (
             b"shared_models,SmartCities,SmartEnergy\r\n"
             b"SmartCities,0,1\r\n"
@@ -251,7 +251,7 @@ class TestHeatmap:
 class TestRenderReport:
     def test_worked_example_census_row(self, minimal, tmp_path):
         graph = build_graph(minimal)
-        report = dissonance_summary(minimal, graph, include_timestamp=False)
+        report = dissonance_summary(graph, minimal.content_hash, include_timestamp=False)
         out = tmp_path / "r.md"
         render_report(report, out)
         assert "- nodes: 5, edges: 5" in out.read_text()
@@ -259,20 +259,24 @@ class TestRenderReport:
     def test_no_timestamp_byte_identical(self, fix1_snapshot, fix1_graph, tmp_path):
         a, b = tmp_path / "a.md", tmp_path / "b.md"
         for out in (a, b):
-            report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+            report = dissonance_summary(
+                fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+            )
             render_report(report, out)
         assert a.read_bytes() == b.read_bytes()
         assert "- generated:" not in a.read_text()
 
     def test_timestamp_rendered(self, fix1_snapshot, fix1_graph, tmp_path):
-        report = dissonance_summary(fix1_snapshot, fix1_graph)
+        report = dissonance_summary(fix1_graph, fix1_snapshot.content_hash)
         out = tmp_path / "r.md"
         render_report(report, out)
         assert report.generated_at
         assert f"- generated: {report.generated_at}\n" in out.read_text()
 
     def test_markdown_tables(self, fix1_snapshot, fix1_graph, tmp_path):
-        report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+        report = dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        )
         out = tmp_path / "r.md"
         render_report(report, out)
         text = out.read_text()
@@ -285,13 +289,17 @@ class TestRenderReport:
 
         from ontomesh.analytics import AnalysisReport
 
-        report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+        report = dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        )
         out = tmp_path / "r.json"
         render_report(report, out, format="canonical-json")
         back = AnalysisReport.from_doc(json.loads(out.read_text()))
         assert back.to_doc() == report.to_doc()
 
     def test_unknown_format(self, fix1_snapshot, fix1_graph, tmp_path):
-        report = dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False)
+        report = dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        )
         with pytest.raises(ValueError, match="unknown report format"):
             render_report(report, tmp_path / "r.html", format="html")

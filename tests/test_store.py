@@ -34,8 +34,10 @@ def test_round_trip_every_kind(store, fix1_snapshot, fix1_graph):
         "snap": fix1_snapshot,
         "graph": fix1_graph,
         "cent": degree_centrality(fix1_graph),
-        "matrix": domain_overlap_matrix(fix1_snapshot, "jaccard_attributes"),
-        "report": dissonance_summary(fix1_snapshot, fix1_graph, include_timestamp=False),
+        "matrix": domain_overlap_matrix(fix1_graph, "jaccard_attributes"),
+        "report": dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        ),
     }
     for name, artifact in artifacts.items():
         store.put(name, artifact)
@@ -67,7 +69,7 @@ def test_put_sets_graph_hash(store, fix1_snapshot, monkeypatch):
     monkeypatch.setattr(OntologyGraph, "canonical_bytes", spy)
     content_hash = store.put("g", graph)
     assert graph.graph_hash() == content_hash
-    report = dissonance_summary(fix1_snapshot, graph, include_timestamp=False)
+    report = dissonance_summary(graph, fix1_snapshot.content_hash, include_timestamp=False)
     assert report.graph_hash == content_hash
     assert len(calls) == 1
 
