@@ -80,6 +80,8 @@ def main() -> int:
     print(betweenness_header(graph))
     with tempfile.TemporaryDirectory() as tmp:
         store = ArtifactStore(Path(tmp) / "store")
+        timed("store put snapshot", lambda: store.put("snapshot", snapshot))
+        timed("store get snapshot", lambda: store.get("snapshot", expect_kind="snapshot"))
         timed("store put graph", lambda: store.put("graph", graph))
         graph = timed("store get graph", lambda: store.get("graph", expect_kind="graph"))
         timed("graph hash (from the store)", graph.graph_hash)

@@ -11,7 +11,6 @@ the full ingest path can be exercised:
 import argparse
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -21,25 +20,20 @@ from ontomesh.synthetic import synthetic_snapshot  # noqa: E402
 
 def write_tree(snapshot, root: Path) -> int:
     """One schema file per type, under every domain its model belongs to."""
-    models = {m.model_id: m for m in snapshot.models}
-    types_by_model = defaultdict(list)
-    for t in snapshot.types:
-        types_by_model[t.model_id].append(t)
+    domains, models, types = snapshot.domains, snapshot.models, snapshot.types
     files = 0
-    for model_id, type_records in sorted(types_by_model.items()):
-        for domain_id in sorted(models[model_id].domain_ids):
-            model_dir = root / domain_id / model_id
+    for name, model, attributes in zip(types.display_name, types.model, types.attributes):
+        doc = {
+            "title": name,
+            "type": "object",
+            "properties": {snapshot.vocabulary[a]: {} for a in attributes},
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+        for domain in models.domains[model]:
+            model_dir = root / domains.id[domain] / models.id[model]
             model_dir.mkdir(parents=True, exist_ok=True)
-            for t in type_records:
-                doc = {
-                    "title": t.display_name,
-                    "type": "object",
-                    "properties": {name: {} for name in t.attribute_names},
-                }
-                (model_dir / f"{t.display_name}.json").write_text(
-                    json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-                )
-                files += 1
+            (model_dir / f"{name}.json").write_text(text, encoding="utf-8")
+            files += 1
     return files
 
 

@@ -133,6 +133,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     snapshot = ingest_corpus(root, layout=layout, strict=args.strict)
     name = args.name or root.name
     content_hash = _store(args).put(name, snapshot, overwrite=args.overwrite)
+    # The stored snapshot does not say where its tree was; the output does.
+    source_uri = root.resolve().as_uri()
     c = snapshot.counts
     _emit(
         args,
@@ -140,6 +142,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             "command": "ingest",
             "name": name,
             "hash": content_hash,
+            "source_uri": source_uri,
             "domains": c.domains,
             "models": c.models,
             "types": c.types,
@@ -147,7 +150,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         },
         [
             f"domains={c.domains} models={c.models} types={c.types} attributes={c.attributes}",
-            f"stored snapshot {name} ({content_hash[:12]})",
+            f"stored snapshot {name} ({content_hash[:12]}) from {source_uri}",
         ],
     )
     return 0

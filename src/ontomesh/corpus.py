@@ -94,235 +94,454 @@ class SnapshotCounts(NamedTuple):
     attributes: int
 
 
-@dataclass
-class CorpusSnapshot:
-    """Normalized, deterministic view of one ingested corpus tree.
+class SnapshotRecords(NamedTuple):
+    """A snapshot as record objects, each collection in record-key order."""
 
-    Collections are sorted by their record keys; ``counts.attributes`` counts
-    distinct attribute names, not occurrences.
-    """
-
-    source_uri: str
-    content_hash: str
     domains: tuple[DomainRecord, ...]
     models: tuple[DataModelRecord, ...]
     types: tuple[TypeRecord, ...]
     occurrences: tuple[AttributeOccurrence, ...]
-    counts: SnapshotCounts
+
+
+class DomainColumns(NamedTuple):
+    """Domains in ``id`` order."""
+
+    id: tuple[str, ...]
+    display_name: tuple[str, ...]
+
+
+class ModelColumns(NamedTuple):
+    """Models in ``id`` order; ``domains`` holds each model's domain indices,
+    ascending."""
+
+    id: tuple[str, ...]
+    display_name: tuple[str, ...]
+    domains: tuple[tuple[int, ...], ...]
+
+
+class TypeColumns(NamedTuple):
+    """Types in ``id`` order; ``model`` is a model index and ``attributes``
+    lists vocabulary indices in source order."""
+
+    id: tuple[str, ...]
+    display_name: tuple[str, ...]
+    model: tuple[int, ...]
+    attributes: tuple[tuple[int, ...], ...]
+
+
+class OccurrenceColumns(NamedTuple):
+    """One row per occurrence, in (attribute, type, domain) index order,
+    which is record-key order. An occurrence's model is its type's model.
+    ``description`` and ``value_type`` are its metadata, None where absent."""
+
+    attribute: tuple[int, ...]
+    type: tuple[int, ...]
+    domain: tuple[int, ...]
+    description: tuple[str | None, ...]
+    value_type: tuple[str | None, ...]
+
+
+# The occurrence metadata a snapshot keeps: the keys parse_schema_file fills.
+METADATA_KEYS = ("description", "value_type")
+SNAPSHOT_FORMAT = 2
+_DOC_KEYS = (
+    "content_hash", "counts", "domains", "format", "kind", "models", "occurrences", "types",
+    "vocabulary",
+)
+_OCCURRENCE_KEYS = ("attribute", "type", "domain", "metadata")
+
+
+@dataclass(frozen=True)
+class CorpusSnapshot:
+    """Normalized, deterministic view of one ingested corpus tree, as columns.
+
+    Each table is sorted by its ids, and rows refer to other tables by
+    index. ``vocabulary`` holds the sorted, distinct attribute names of the
+    occurrences. The stored document holds the same columns (see
+    :meth:`to_doc`). A snapshot is validated when it is constructed.
+    """
+
+    content_hash: str
+    domains: DomainColumns
+    models: ModelColumns
+    types: TypeColumns
+    vocabulary: tuple[str, ...]
+    occurrences: OccurrenceColumns
 
     kind = "snapshot"
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    @property
+    def counts(self) -> SnapshotCounts:
+        """``attributes`` counts distinct attribute names, not occurrences."""
+        return SnapshotCounts(
+            len(self.domains.id), len(self.models.id), len(self.types.id), len(self.vocabulary)
+        )
 
     @classmethod
     def assemble(
         cls,
-        source_uri: str,
         domains: Iterable[DomainRecord],
         models: Iterable[DataModelRecord],
         types: Iterable[TypeRecord],
         occurrences: Iterable[AttributeOccurrence],
         content_hash: str | None = None,
     ) -> "CorpusSnapshot":
-        """Sort records, compute counts and (if needed) the content hash,
-        validate all invariants, and return the snapshot.
+        """The snapshot of records given in any order.
+
+        References between records become indices. A reference to a missing
+        record, an occurrence whose model is not its type's, and occurrence
+        metadata other than :data:`METADATA_KEYS` (or with None values) raise
+        :class:`SnapshotInvariantError`, as does every violation
+        :meth:`validate` finds.
 
         When ``content_hash`` is None the hash is sha256 over each record's
         canonical JSON line plus a newline, so in-memory snapshots are
         content-addressed too.
         """
-        domains = tuple(sorted(domains, key=lambda d: d.domain_id))
-        models = tuple(sorted(models, key=lambda m: m.model_id))
-        types = tuple(sorted(types, key=lambda t: t.type_id))
-        occurrences = tuple(sorted(occurrences, key=lambda o: o.key()))
-        counts = SnapshotCounts(
-            domains=len(domains),
-            models=len(models),
-            types=len(types),
-            attributes=len({o.attribute_name for o in occurrences}),
-        )
-        snapshot = cls(
-            source_uri=source_uri,
-            content_hash=content_hash or "",
-            domains=domains,
-            models=models,
-            types=types,
-            occurrences=occurrences,
-            counts=counts,
-        )
+        domains = sorted(domains, key=lambda d: d.domain_id)
+        models = sorted(models, key=lambda m: m.model_id)
+        types = sorted(types, key=lambda t: t.type_id)
+        occurrences = list(occurrences)
+        vocabulary = sorted({o.attribute_name for o in occurrences})
+        domain_index = {d.domain_id: i for i, d in enumerate(domains)}
+        model_index = {m.model_id: i for i, m in enumerate(models)}
+        type_index = {t.type_id: i for i, t in enumerate(types)}
+        attribute_index = {name: i for i, name in enumerate(vocabulary)}
+
+        model_domains = []
+        for m in models:
+            unknown = sorted(m.domain_ids - domain_index.keys())
+            if unknown:
+                raise SnapshotInvariantError(
+                    f"model {m.model_id!r} references unknown domains {unknown}"
+                )
+            model_domains.append(tuple(sorted(domain_index[d] for d in m.domain_ids)))
+        type_models, type_attributes = [], []
+        for t in types:
+            if t.model_id not in model_index:
+                raise SnapshotInvariantError(
+                    f"type {t.type_id!r} references unknown model {t.model_id!r}"
+                )
+            for name in t.attribute_names:
+                if name not in attribute_index:
+                    raise _no_occurrence(t.type_id, name)
+            type_models.append(model_index[t.model_id])
+            type_attributes.append(tuple(attribute_index[name] for name in t.attribute_names))
+        # Each row's (attribute, type, domain) indices as one int key: sorted
+        # by it, rows are in record-key order, since each table is sorted.
+        n_types, n_domains = len(types), len(domains)
+        type_model_ids = [t.model_id for t in types]
+        keys: list[int] = []
+        rows: list[list] = [[], [], [], [], []]
+        attribute, type_, domain, description, value_type = rows
+        for o in occurrences:
+            t = type_index.get(o.type_id)
+            d = domain_index.get(o.domain_id)
+            text = o.metadata.get("description")
+            kind = o.metadata.get("value_type")
+            if (
+                t is None or d is None or o.model_id != type_model_ids[t]
+                or len(o.metadata) != (text is not None) + (kind is not None)
+            ):
+                raise _occurrence_error(o, None if t is None else type_model_ids[t], d)
+            a = attribute_index[o.attribute_name]
+            keys.append((a * n_types + t) * n_domains + d)
+            attribute.append(a)
+            type_.append(t)
+            domain.append(d)
+            description.append(text)
+            value_type.append(kind)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        columns = [tuple(map(column.__getitem__, order)) for column in rows]
+
         if content_hash is None:
-            digest = hashlib.sha256()
-            for record in snapshot.record_docs():
-                digest.update(canonical_json_line(record).encode("utf-8"))
-                digest.update(b"\n")
-            snapshot.content_hash = digest.hexdigest()
-        snapshot.validate()
-        return snapshot
+            occurrences = list(map(occurrences.__getitem__, order))
+            content_hash = _records_hash(SnapshotRecords(domains, models, types, occurrences))
+        return cls(
+            content_hash=content_hash,
+            domains=DomainColumns(
+                tuple(d.domain_id for d in domains), tuple(d.display_name for d in domains)
+            ),
+            models=ModelColumns(
+                tuple(m.model_id for m in models),
+                tuple(m.display_name for m in models),
+                tuple(model_domains),
+            ),
+            types=TypeColumns(
+                tuple(t.type_id for t in types),
+                tuple(t.display_name for t in types),
+                tuple(type_models),
+                tuple(type_attributes),
+            ),
+            vocabulary=tuple(vocabulary),
+            occurrences=OccurrenceColumns(*columns),
+        )
+
+    def records(self) -> SnapshotRecords:
+        """The snapshot as record objects, built on every call: for tests and
+        scripts, since the pipeline reads the columns."""
+        d, m, t, o, vocabulary = (
+            self.domains, self.models, self.types, self.occurrences, self.vocabulary
+        )
+        return SnapshotRecords(
+            domains=tuple(map(DomainRecord, d.id, d.display_name)),
+            models=tuple(
+                DataModelRecord(model_id, name, frozenset(d.id[i] for i in ds))
+                for model_id, name, ds in zip(*m)
+            ),
+            types=tuple(
+                TypeRecord(type_id, name, m.id[model], tuple(vocabulary[a] for a in attributes))
+                for type_id, name, model, attributes in zip(*t)
+            ),
+            occurrences=tuple(
+                AttributeOccurrence(
+                    vocabulary[a], t.id[ti], m.id[t.model[ti]], d.id[di],
+                    {key: value for key, value in zip(METADATA_KEYS, metadata)
+                     if value is not None},
+                )
+                for a, ti, di, *metadata in zip(*o)
+            ),
+        )
 
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`SnapshotInvariantError` naming the violating record
-        if any corpus invariant does not hold."""
-        domain_ids = [d.domain_id for d in self.domains]
-        if len(set(domain_ids)) != len(domain_ids):
-            raise SnapshotInvariantError("duplicate domain_id in snapshot")
-        if any(not d for d in domain_ids):
-            raise SnapshotInvariantError("empty domain_id")
-        domain_set = set(domain_ids)
+        """Raise :class:`SnapshotInvariantError` naming the first violation
+        of a snapshot invariant.
 
-        model_ids = [m.model_id for m in self.models]
-        if len(set(model_ids)) != len(model_ids):
-            raise SnapshotInvariantError("duplicate model_id in snapshot")
-        model_set = set(model_ids)
-        for m in self.models:
-            if not m.domain_ids:
-                raise SnapshotInvariantError(f"model {m.model_id!r} has no domains")
-            if not m.domain_ids <= domain_set:
-                raise SnapshotInvariantError(
-                    f"model {m.model_id!r} references unknown domains "
-                    f"{sorted(m.domain_ids - domain_set)}"
-                )
-
-        type_ids = [t.type_id for t in self.types]
-        if len(set(type_ids)) != len(type_ids):
-            raise SnapshotInvariantError("duplicate type_id in snapshot")
-        type_set = set(type_ids)
-        for t in self.types:
-            if not t.attribute_names:
-                raise SnapshotInvariantError(f"type {t.type_id!r} has no attributes")
-            if len(set(t.attribute_names)) != len(t.attribute_names):
-                raise SnapshotInvariantError(
-                    f"type {t.type_id!r} has duplicate attribute names"
-                )
-            if t.model_id not in model_set:
-                raise SnapshotInvariantError(
-                    f"type {t.type_id!r} references unknown model {t.model_id!r}"
-                )
-
-        seen_occ = set()
-        for o in self.occurrences:
-            if o.key() in seen_occ:
-                raise SnapshotInvariantError(f"duplicate occurrence {o.key()!r}")
-            seen_occ.add(o.key())
-            if o.type_id not in type_set:
-                raise SnapshotInvariantError(
-                    f"occurrence {o.key()!r} references unknown type"
-                )
-            if o.model_id not in model_set:
-                raise SnapshotInvariantError(
-                    f"occurrence {o.key()!r} references unknown model"
-                )
-            if o.domain_id not in domain_set:
-                raise SnapshotInvariantError(
-                    f"occurrence {o.key()!r} references unknown domain"
-                )
-
-        recomputed = SnapshotCounts(
-            len(self.domains),
-            len(self.models),
-            len(self.types),
-            len({o.attribute_name for o in self.occurrences}),
+        The columns of each table have one length and the right types. Ids
+        ascend with no duplicates, domain ids are not empty, and every index
+        is in range. Every model has ascending, distinct domains; every type
+        has distinct attributes, each with an occurrence in that type.
+        Occurrence rows ascend with no duplicates, and the vocabulary is
+        exactly their attribute names.
+        """
+        d, m, t, o, vocabulary = (
+            self.domains, self.models, self.types, self.occurrences, self.vocabulary
         )
-        if tuple(self.counts) != tuple(recomputed):
-            raise SnapshotInvariantError(
-                f"stored counts {tuple(self.counts)} != recomputed {tuple(recomputed)}"
-            )
+        if type(self.content_hash) is not str:
+            raise SnapshotInvariantError("content_hash is not a string")
+        for what, table in (("domain", d), ("model", m), ("type", t), ("occurrence", o)):
+            lengths = dict(zip(table._fields, map(len, table)))
+            if len(set(lengths.values())) > 1:
+                raise SnapshotInvariantError(f"{what} columns differ in length: {lengths}")
+        for what, ids in (("domain id", d.id), ("model id", m.id), ("type id", t.id),
+                          ("attribute name", vocabulary)):
+            _check_ascending_strings(what, ids)
+        for what, names in (("domain", d.display_name), ("model", m.display_name),
+                            ("type", t.display_name)):
+            if not all(type(name) is str for name in names):
+                raise SnapshotInvariantError(f"{what} display name is not a string")
+        if not all(d.id):
+            raise SnapshotInvariantError("empty domain_id")
+
+        _check_indices("model domain", [i for ds in m.domains for i in ds], len(d.id))
+        for model_id, ds in zip(m.id, m.domains):
+            if not ds:
+                raise SnapshotInvariantError(f"model {model_id!r} has no domains")
+            if _first_not_ascending(ds) is not None:
+                raise SnapshotInvariantError(
+                    f"model {model_id!r} domains are not ascending and distinct"
+                )
+        _check_indices("type model", t.model, len(m.id))
+        _check_indices(
+            "type attribute", [a for attrs in t.attributes for a in attrs], len(vocabulary)
+        )
+
+        n_types, n_domains = len(t.id), len(d.id)
+        _check_indices("occurrence attribute", o.attribute, len(vocabulary))
+        _check_indices("occurrence type", o.type, n_types)
+        _check_indices("occurrence domain", o.domain, n_domains)
+        for what, values in (("description", o.description), ("value_type", o.value_type)):
+            if not all(value is None or type(value) is str for value in values):
+                raise SnapshotInvariantError(f"occurrence {what} is not a string or null")
+        keys = [(a * n_types + ti) * n_domains + di for a, ti, di in zip(*o[:3])]
+        bad = _first_not_ascending(keys)
+        if bad is not None:
+            row = (vocabulary[o.attribute[bad]], t.id[o.type[bad]], d.id[o.domain[bad]])
+            if keys[bad] == keys[bad - 1]:
+                raise SnapshotInvariantError(f"duplicate occurrence {row!r}")
+            raise SnapshotInvariantError(f"occurrence out of order {row!r}")
+        if len(set(o.attribute)) != len(vocabulary):
+            raise SnapshotInvariantError("vocabulary holds a name without an occurrence")
+
+        occurring = {key // n_domains for key in keys}  # attribute * n_types + type
+        for ti, (type_id, attributes) in enumerate(zip(t.id, t.attributes)):
+            if not attributes:
+                raise SnapshotInvariantError(f"type {type_id!r} has no attributes")
+            if len(set(attributes)) != len(attributes):
+                raise SnapshotInvariantError(f"type {type_id!r} has duplicate attribute names")
+            for a in attributes:
+                if a * n_types + ti not in occurring:
+                    raise _no_occurrence(type_id, vocabulary[a])
 
     # -- serialization -----------------------------------------------------
 
-    def record_docs(self) -> list[dict]:
-        """All records as plain documents with a ``kind`` discriminator
-        (order: domain, model, type, occurrence)."""
-        docs: list[dict] = []
-        for d in self.domains:
-            docs.append(
-                {"kind": "domain", "domain_id": d.domain_id, "display_name": d.display_name}
-            )
-        for m in self.models:
-            docs.append(
-                {
-                    "kind": "model",
-                    "model_id": m.model_id,
-                    "display_name": m.display_name,
-                    "domain_ids": sorted(m.domain_ids),
-                }
-            )
-        for t in self.types:
-            docs.append(
-                {
-                    "kind": "type",
-                    "type_id": t.type_id,
-                    "display_name": t.display_name,
-                    "model_id": t.model_id,
-                    "attribute_names": list(t.attribute_names),
-                }
-            )
-        for o in self.occurrences:
-            docs.append(
-                {
-                    "kind": "occurrence",
-                    "attribute_name": o.attribute_name,
-                    "type_id": o.type_id,
-                    "model_id": o.model_id,
-                    "domain_id": o.domain_id,
-                    "metadata": dict(sorted(o.metadata.items())),
-                }
-            )
-        return docs
-
     def to_doc(self) -> dict:
-        """The one serialized form, as stored by the artifact store."""
+        """The one serialized form, as stored by the artifact store: the
+        columns under ``format`` 2. Every key sorts after ``content_hash``,
+        so the canonical bytes begin with it."""
+        o = self.occurrences
         return {
             "kind": self.kind,
-            "source_uri": self.source_uri,
+            "format": SNAPSHOT_FORMAT,
             "content_hash": self.content_hash,
             "counts": self.counts._asdict(),
-            "records": self.record_docs(),
+            "domains": self.domains._asdict(),
+            "models": self.models._asdict(),
+            "types": self.types._asdict(),
+            "vocabulary": self.vocabulary,
+            "occurrences": {
+                "attribute": o.attribute,
+                "type": o.type,
+                "domain": o.domain,
+                "metadata": {"description": o.description, "value_type": o.value_type},
+            },
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CorpusSnapshot":
-        domains, models, types, occs = [], [], [], []
-        for i, record in enumerate(doc["records"], start=1):
-            kind = record.get("kind")
-            if kind == "domain":
-                domains.append(DomainRecord(record["domain_id"], record["display_name"]))
-            elif kind == "model":
-                models.append(
-                    DataModelRecord(
-                        record["model_id"], record["display_name"],
-                        frozenset(record["domain_ids"]),
-                    )
-                )
-            elif kind == "type":
-                types.append(
-                    TypeRecord(
-                        record["type_id"],
-                        record["display_name"],
-                        record["model_id"],
-                        tuple(record["attribute_names"]),
-                    )
-                )
-            elif kind == "occurrence":
-                occs.append(
-                    AttributeOccurrence(
-                        record["attribute_name"],
-                        record["type_id"],
-                        record["model_id"],
-                        record["domain_id"],
-                        dict(record.get("metadata") or {}),
-                    )
-                )
-            else:
-                raise SchemaParseError(f"record {i}: unknown record kind {kind!r}")
-        snapshot = cls.assemble(
-            doc["source_uri"], domains, models, types, occs, content_hash=doc["content_hash"]
+        """Inverse of :meth:`to_doc`. The stored rows must already be in
+        order; they are checked, not sorted.
+
+        A document of another format raises :class:`CorruptionError`: such
+        a store is rebuilt by ingesting its trees again.
+        """
+        if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
+            raise CorruptionError(
+                f"stored snapshot is not format {SNAPSHOT_FORMAT}: "
+                "rebuild this store (re-run ingest)"
+            )
+        _check_keys("document", doc, _DOC_KEYS)
+        if doc["kind"] != cls.kind:
+            raise SnapshotInvariantError(f"snapshot document has kind {doc['kind']!r}")
+        tables = {}
+        for name, columns, nested in (
+            ("domains", DomainColumns, None),
+            ("models", ModelColumns, "domains"),
+            ("types", TypeColumns, "attributes"),
+        ):
+            table = _check_keys(name, doc[name], columns._fields)
+            tables[name] = columns(*(
+                _doc_column(f"{name}.{field}", table[field], nested=field == nested)
+                for field in columns._fields
+            ))
+        occurrences = _check_keys("occurrences", doc["occurrences"], _OCCURRENCE_KEYS)
+        metadata = _check_keys("occurrences.metadata", occurrences["metadata"], METADATA_KEYS)
+        columns = [(f"occurrences.{key}", occurrences[key]) for key in _OCCURRENCE_KEYS[:3]]
+        columns += [(f"occurrences.metadata.{key}", metadata[key]) for key in METADATA_KEYS]
+        snapshot = cls(
+            content_hash=doc["content_hash"],
+            vocabulary=_doc_column("vocabulary", doc["vocabulary"]),
+            occurrences=OccurrenceColumns(*(_doc_column(*column) for column in columns)),
+            **tables,
         )
-        stored = doc["counts"]
-        if snapshot.counts._asdict() != stored:
+        if doc["counts"] != snapshot.counts._asdict():
             raise SnapshotInvariantError(
-                f"stored counts {stored} do not match records {tuple(snapshot.counts)}"
+                f"stored counts {doc['counts']} do not match records {tuple(snapshot.counts)}"
             )
         return snapshot
+
+
+def _occurrence_error(
+    o: AttributeOccurrence, type_model: str | None, domain: int | None
+) -> SnapshotInvariantError:
+    """What is wrong with an occurrence whose type has model ``type_model``
+    (None when the type is unknown) and whose domain has index ``domain``."""
+    if type_model is None:
+        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown type")
+    if domain is None:
+        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown domain")
+    if o.model_id != type_model:
+        return SnapshotInvariantError(
+            f"occurrence {o.key()!r} has model {o.model_id!r}, "
+            f"but its type has model {type_model!r}"
+        )
+    return SnapshotInvariantError(
+        f"occurrence {o.key()!r} has metadata {o.metadata!r}: only string values "
+        f"of {list(METADATA_KEYS)} are kept"
+    )
+
+
+def _no_occurrence(type_id: str, name: str) -> SnapshotInvariantError:
+    return SnapshotInvariantError(
+        f"type {type_id!r} lists attribute {name!r}, which has no occurrence in it"
+    )
+
+
+def _records_hash(records: SnapshotRecords) -> str:
+    """sha256 over the canonical JSON line of every record, each followed by
+    a newline: domains, models, types and occurrences, in record-key order."""
+    docs = [
+        {"kind": "domain", "domain_id": d.domain_id, "display_name": d.display_name}
+        for d in records.domains
+    ]
+    docs += [
+        {"kind": "model", "model_id": m.model_id, "display_name": m.display_name,
+         "domain_ids": sorted(m.domain_ids)}
+        for m in records.models
+    ]
+    docs += [
+        {"kind": "type", "type_id": t.type_id, "display_name": t.display_name,
+         "model_id": t.model_id, "attribute_names": list(t.attribute_names)}
+        for t in records.types
+    ]
+    docs += [
+        {"kind": "occurrence", "attribute_name": o.attribute_name, "type_id": o.type_id,
+         "model_id": o.model_id, "domain_id": o.domain_id,
+         "metadata": dict(sorted(o.metadata.items()))}
+        for o in records.occurrences
+    ]
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(canonical_json_line(doc).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _first_not_ascending(values) -> int | None:
+    """Index of the first value not greater than the one before it."""
+    return next((i for i in range(1, len(values)) if not values[i - 1] < values[i]), None)
+
+
+def _check_ascending_strings(what: str, values) -> None:
+    if not all(type(value) is str for value in values):
+        raise SnapshotInvariantError(f"{what} is not a string")
+    bad = _first_not_ascending(values)
+    if bad is not None:
+        problem = "duplicate" if values[bad] == values[bad - 1] else "out-of-order"
+        raise SnapshotInvariantError(f"{problem} {what} {values[bad]!r}")
+
+
+def _check_indices(what: str, values, bound: int) -> None:
+    """Every value is an int in ``range(bound)``."""
+    if set(map(type, values)) <= {int} and (not values or 0 <= min(values) <= max(values) < bound):
+        return
+    bad = next(v for v in values if type(v) is not int or not 0 <= v < bound)
+    raise SnapshotInvariantError(f"{what} index {bad!r} is not in range({bound})")
+
+
+def _check_keys(name: str, table, keys) -> dict:
+    """``table``, a dict with exactly ``keys`` in a stored snapshot."""
+    if not isinstance(table, dict) or table.keys() != set(keys):
+        found = sorted(table) if isinstance(table, dict) else type(table).__name__
+        raise SnapshotInvariantError(f"snapshot {name} holds {found}, not {sorted(keys)}")
+    return table
+
+
+def _doc_column(name: str, values, nested: bool = False) -> tuple:
+    """A stored column (a list, of lists when ``nested``) as a tuple; the
+    tuples of :meth:`CorpusSnapshot.to_doc` are taken too."""
+    if not isinstance(values, (list, tuple)) or (
+        nested and not all(isinstance(v, (list, tuple)) for v in values)
+    ):
+        raise SnapshotInvariantError(
+            f"snapshot column {name} is not a list{' of lists' if nested else ''}"
+        )
+    return tuple(map(tuple, values)) if nested else tuple(values)
 
 
 # The stored snapshot is canonical JSON with sorted keys, so its bytes begin
@@ -332,7 +551,7 @@ _STORED_HASH = re.compile(rb'\{"content_hash":"([0-9a-f]{64})",')
 
 def stored_content_hash(data: bytes) -> str:
     """The ``content_hash`` of a stored snapshot, read from the start of its
-    canonical bytes without decoding the records."""
+    canonical bytes without decoding the columns."""
     match = _STORED_HASH.match(data)
     if match is None:
         raise CorruptionError("stored snapshot does not begin with its content hash")
@@ -515,14 +734,14 @@ def ingest_corpus(
     root: Path | str,
     layout: LayoutConfig | None = None,
     strict: bool = False,
-    source_uri: str | None = None,
 ) -> CorpusSnapshot:
     """Walk ``<root>/<domain>/<dataModel>/`` and build a snapshot.
 
     Malformed schema files are logged and skipped unless ``strict`` is set,
     in which case the first one aborts ingestion. Output is deterministic for
-    byte-identical trees: all directory listings are sorted and the merge
-    step orders records by key.
+    byte-identical trees, wherever they lie: all directory listings are
+    sorted, the merge step orders records by key, and the snapshot does not
+    record the tree's location.
     """
     layout = layout or LayoutConfig()
     root = Path(root)
@@ -606,7 +825,6 @@ def ingest_corpus(
         for model_id, domain_ids in model_domains.items()
     ]
     return CorpusSnapshot.assemble(
-        source_uri=source_uri or root.resolve().as_uri(),
         domains=domains.values(),
         models=models,
         types=types.values(),

@@ -31,13 +31,6 @@ class NodeKind(str, Enum):
     ATTRIBUTE = "attribute"
 
 
-_KIND_ORDER = {
-    NodeKind.DOMAIN: 0,
-    NodeKind.MODEL: 1,
-    NodeKind.TYPE: 2,
-    NodeKind.ATTRIBUTE: 3,
-}
-
 EDGE_ATTR_ATTR = "attr_attr"
 EDGE_ATTR_MODEL = "attr_model"
 EDGE_ATTR_DOMAIN = "attr_domain"
@@ -422,57 +415,80 @@ def _count_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keys // max(n, 1), keys % max(n, 1), counts
 
 
+def _row_pairs(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``values[i], values[j]`` with ``i < j`` in one row, where
+    the rows are consecutive runs of ``values`` of the given lengths."""
+    position = np.arange(len(values))
+    # Each position pairs with the later positions of its row.
+    later = np.repeat(np.cumsum(lengths), lengths) - position - 1
+    first = np.repeat(position, later)
+    run_starts = np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + np.arange(len(first)) - run_starts
+    return values[first], values[second]
+
+
+def _ragged(rows, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A tuple of int tuples as its concatenation and the row lengths."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
+    flat = np.fromiter(
+        (value for row in rows for value in row), dtype=np.int64, count=int(lengths.sum())
+    )
+    return flat, lengths
+
+
 def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> OntologyGraph:
     """Build the ontology graph; deterministic for identical snapshot + flags.
 
-    Aborts with :class:`~ontomesh.errors.SnapshotInvariantError` when the
-    snapshot violates its invariants.
+    Works from the snapshot's columns, which were validated when the
+    snapshot was constructed. Node ids are offsets into its sorted domain,
+    model, type and vocabulary tables, in that order, which is the order of
+    the nodes by kind and label.
     """
-    snapshot.validate()
+    domains, models, types, occurrences = (
+        snapshot.domains, snapshot.models, snapshot.types, snapshot.occurrences
+    )
+    model_base = len(domains.id)
+    type_base = model_base + len(models.id)
+    attribute_base = type_base + len(types.id)
+    n = attribute_base + len(snapshot.vocabulary)
 
-    attribute_names = sorted({o.attribute_name for o in snapshot.occurrences})
-    keyed: list[tuple[int, str, NodeKind, dict[str, str]]] = []
-    for d in snapshot.domains:
-        keyed.append((_KIND_ORDER[NodeKind.DOMAIN], d.domain_id, NodeKind.DOMAIN, {}))
-    for m in snapshot.models:
-        metadata = {"domains": canonical_json_line(sorted(m.domain_ids))}
-        keyed.append((_KIND_ORDER[NodeKind.MODEL], m.model_id, NodeKind.MODEL, metadata))
-    for t in snapshot.types:
-        keyed.append((_KIND_ORDER[NodeKind.TYPE], t.type_id, NodeKind.TYPE, {"model": t.model_id}))
-    for name in attribute_names:
-        keyed.append((_KIND_ORDER[NodeKind.ATTRIBUTE], name, NodeKind.ATTRIBUTE, {}))
-    keyed.sort(key=lambda item: (item[0], item[1]))
-
-    nodes = [
-        GraphNode(node_id=i, kind=kind, label=label, metadata=metadata)
-        for i, (_, label, kind, metadata) in enumerate(keyed)
+    nodes = [GraphNode(i, NodeKind.DOMAIN, label) for i, label in enumerate(domains.id)]
+    nodes += [
+        GraphNode(
+            model_base + i, NodeKind.MODEL, label,
+            {"domains": canonical_json_line([domains.id[d] for d in model_domains])},
+        )
+        for i, (label, model_domains) in enumerate(zip(models.id, models.domains))
     ]
-    ids = {(node.kind, node.label): node.node_id for node in nodes}
-    attr = {name: ids[(NodeKind.ATTRIBUTE, name)] for name in attribute_names}
-    model = {m.model_id: ids[(NodeKind.MODEL, m.model_id)] for m in snapshot.models}
-    domain = {d.domain_id: ids[(NodeKind.DOMAIN, d.domain_id)] for d in snapshot.domains}
-    n = len(nodes)
+    nodes += [
+        GraphNode(type_base + i, NodeKind.TYPE, label, {"model": models.id[model]})
+        for i, (label, model) in enumerate(zip(types.id, types.model))
+    ]
+    nodes += [
+        GraphNode(attribute_base + i, NodeKind.ATTRIBUTE, label)
+        for i, label in enumerate(snapshot.vocabulary)
+    ]
 
-    # Every attribute pair of a type: the upper triangle of its id vector.
-    clique_a, clique_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for t in snapshot.types:
-        ids_of_type = np.array([attr[name] for name in t.attribute_names], dtype=np.int64)
-        i, j = np.triu_indices(len(ids_of_type), 1)
-        clique_a.append(ids_of_type[i])
-        clique_b.append(ids_of_type[j])
-    occurrence_attrs = [attr[o.attribute_name] for o in snapshot.occurrences]
+    type_attributes, type_lengths = _ragged(types.attributes, len(types.id))
+    type_model = np.array(types.model, dtype=np.int64) + model_base
+    occurrence_attribute = np.array(occurrences.attribute, dtype=np.int64) + attribute_base
+    occurrence_model = type_model[np.array(occurrences.type, dtype=np.int64)]
     groups = [
-        (EDGE_ATTR_ATTR, np.concatenate(clique_a), np.concatenate(clique_b)),
-        (EDGE_ATTR_MODEL, occurrence_attrs, [model[o.model_id] for o in snapshot.occurrences]),
-        (EDGE_ATTR_DOMAIN, occurrence_attrs, [domain[o.domain_id] for o in snapshot.occurrences]),
+        # Every attribute pair of a type.
+        (EDGE_ATTR_ATTR, *_row_pairs(type_attributes + attribute_base, type_lengths)),
+        (EDGE_ATTR_MODEL, occurrence_attribute, occurrence_model),
+        (EDGE_ATTR_DOMAIN, occurrence_attribute, np.array(occurrences.domain, dtype=np.int64)),
     ]
     if containment_edges:
-        inner = [ids[(NodeKind.TYPE, t.type_id)] for t in snapshot.types]
-        outer = [model[t.model_id] for t in snapshot.types]
-        for m in snapshot.models:
-            inner += [model[m.model_id]] * len(m.domain_ids)
-            outer += [domain[domain_id] for domain_id in m.domain_ids]
-        groups.append((EDGE_CONTAINMENT, inner, outer))
+        model_domains, model_lengths = _ragged(models.domains, len(models.id))
+        model_ids = np.arange(model_base, type_base)
+        groups.append((
+            EDGE_CONTAINMENT,
+            np.concatenate(
+                (np.arange(type_base, attribute_base), np.repeat(model_ids, model_lengths))
+            ),
+            np.concatenate((type_model, model_domains)),
+        ))
 
     columns: list[list[np.ndarray]] = [[], [], [], []]
     for kind, a, b in groups:

@@ -86,7 +86,6 @@ def synthetic_snapshot(
                 )
 
     snapshot = CorpusSnapshot.assemble(
-        source_uri="synthetic:corpus",
         domains=domains,
         models=models,
         types=types,

@@ -40,7 +40,6 @@ def fix1_graph(fix1_snapshot):
 def minimal_snapshot() -> CorpusSnapshot:
     """One domain, one model, one two-attribute type (the worked example)."""
     return CorpusSnapshot.assemble(
-        source_uri="synthetic:minimal",
         domains=[DomainRecord("SmartCities", "SmartCities")],
         models=[
             DataModelRecord("UrbanMobility", "UrbanMobility", frozenset({"SmartCities"}))

@@ -4,7 +4,8 @@ Everything here is deliberately written with a different strategy than the
 production code: betweenness by literal enumeration of every shortest path,
 degree by adjacency-matrix row sums, overlap matrices and specificity by
 nested set loops over a snapshot's records, where the package reads them
-from the graph.
+from the graph, and the graph itself from the snapshot's records, one type at
+a time, where the package builds it from the snapshot's columns.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ from ontomesh.corpus import (
     DomainRecord,
     TypeRecord,
 )
+from ontomesh.canonical import canonical_json_line
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
+    EDGE_ATTR_DOMAIN,
+    EDGE_ATTR_MODEL,
+    EDGE_CONTAINMENT,
     GraphEdge,
     GraphNode,
     GraphProvenance,
@@ -175,14 +180,15 @@ def graphml_element_tree(graph: OntologyGraph) -> bytes:
 
 def vocabulary_by_domain(snapshot: CorpusSnapshot) -> dict[str, set[str]]:
     """Distinct attribute names occurring in each domain."""
-    out: dict[str, set[str]] = {d.domain_id: set() for d in snapshot.domains}
-    for o in snapshot.occurrences:
+    records = snapshot.records()
+    out: dict[str, set[str]] = {d.domain_id: set() for d in records.domains}
+    for o in records.occurrences:
         out[o.domain_id].add(o.attribute_name)
     return out
 
 
 def overlap_matrix_oracle(snapshot: CorpusSnapshot, metric: str) -> list[list[float]]:
-    labels = [d.domain_id for d in snapshot.domains]
+    labels = list(snapshot.domains.id)
     vocab = vocabulary_by_domain(snapshot)
     n = len(labels)
     cells: list[list[float]] = [[0] * n for _ in range(n)]
@@ -192,7 +198,7 @@ def overlap_matrix_oracle(snapshot: CorpusSnapshot, metric: str) -> list[list[fl
                 continue
             if metric == "shared_models":
                 count = 0
-                for model in snapshot.models:
+                for model in snapshot.records().models:
                     if labels[i] in model.domain_ids and labels[j] in model.domain_ids:
                         count += 1
                 cells[i][j] = count
@@ -209,7 +215,7 @@ def domain_overlap_matrix_reference(snapshot: CorpusSnapshot, metric: str) -> Do
     """``domain_overlap_matrix`` from the snapshot's records: the oracle's
     cells, or ``[[0]]`` labelled with the one domain or ``-`` when there
     are fewer than two."""
-    labels = [d.domain_id for d in snapshot.domains]
+    labels = list(snapshot.domains.id)
     if len(labels) < 2:
         return DomainMatrix(metric, labels or ["-"], [[0]], snapshot.content_hash)
     cells = overlap_matrix_oracle(snapshot, metric)
@@ -221,17 +227,74 @@ def specificity_ratios_reference(snapshot: CorpusSnapshot) -> dict[str, float]:
     names less the union of every other domain's."""
     attr_sets = vocabulary_by_domain(snapshot)
     ratios: dict[str, float] = {}
-    for d in snapshot.domains:
-        own = attr_sets[d.domain_id]
+    for domain_id in snapshot.domains.id:
+        own = attr_sets[domain_id]
         if not own:
-            ratios[d.domain_id] = 0.0
+            ratios[domain_id] = 0.0
             continue
         elsewhere: set[str] = set()
         for other, names in attr_sets.items():
-            if other != d.domain_id:
+            if other != domain_id:
                 elsewhere |= names
-        ratios[d.domain_id] = len(own - elsewhere) / len(own)
+        ratios[domain_id] = len(own - elsewhere) / len(own)
     return ratios
+
+
+# ---------------------------------------------------------------------------
+# Graph oracle
+# ---------------------------------------------------------------------------
+
+
+def build_graph_reference(
+    snapshot: CorpusSnapshot, containment_edges: bool = False
+) -> OntologyGraph:
+    """``build_graph`` from the snapshot's records: nodes sorted by kind and
+    label and found through a ``(kind, label)`` dict, and each type's
+    attribute clique as the upper triangle of its id vector."""
+    records = snapshot.records()
+    kind_order = {NodeKind.DOMAIN: 0, NodeKind.MODEL: 1, NodeKind.TYPE: 2, NodeKind.ATTRIBUTE: 3}
+    attribute_names = sorted({o.attribute_name for o in records.occurrences})
+    keyed = [(NodeKind.DOMAIN, d.domain_id, {}) for d in records.domains]
+    keyed += [
+        (NodeKind.MODEL, m.model_id, {"domains": canonical_json_line(sorted(m.domain_ids))})
+        for m in records.models
+    ]
+    keyed += [(NodeKind.TYPE, t.type_id, {"model": t.model_id}) for t in records.types]
+    keyed += [(NodeKind.ATTRIBUTE, name, {}) for name in attribute_names]
+    keyed.sort(key=lambda item: (kind_order[item[0]], item[1]))
+    nodes = [
+        GraphNode(node_id=i, kind=kind, label=label, metadata=metadata)
+        for i, (kind, label, metadata) in enumerate(keyed)
+    ]
+    ids = {(node.kind, node.label): node.node_id for node in nodes}
+    attr = {name: ids[(NodeKind.ATTRIBUTE, name)] for name in attribute_names}
+    model = {m.model_id: ids[(NodeKind.MODEL, m.model_id)] for m in records.models}
+    domain = {d.domain_id: ids[(NodeKind.DOMAIN, d.domain_id)] for d in records.domains}
+
+    weights: dict[tuple[int, int, str], int] = {}
+
+    def add(kind: str, a: int, b: int) -> None:
+        key = (min(a, b), max(a, b), kind)
+        weights[key] = weights.get(key, 0) + 1
+
+    for t in records.types:
+        ids_of_type = np.array([attr[name] for name in t.attribute_names], dtype=np.int64)
+        for i, j in zip(*np.triu_indices(len(ids_of_type), 1)):
+            add(EDGE_ATTR_ATTR, int(ids_of_type[i]), int(ids_of_type[j]))
+    for o in records.occurrences:
+        add(EDGE_ATTR_MODEL, attr[o.attribute_name], model[o.model_id])
+        add(EDGE_ATTR_DOMAIN, attr[o.attribute_name], domain[o.domain_id])
+    if containment_edges:
+        for t in records.types:
+            add(EDGE_CONTAINMENT, ids[(NodeKind.TYPE, t.type_id)], model[t.model_id])
+        for m in records.models:
+            for domain_id in m.domain_ids:
+                add(EDGE_CONTAINMENT, model[m.model_id], domain[domain_id])
+    edges = [GraphEdge(u, v, kind, weight) for (u, v, kind), weight in weights.items()]
+    provenance = GraphProvenance(
+        snapshot_hash=snapshot.content_hash, containment_edges=containment_edges
+    )
+    return OntologyGraph.create(nodes, edges, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +307,22 @@ _ATTR_POOL = [
 ]
 
 
-def random_snapshot(rng: random.Random) -> CorpusSnapshot:
+_WORDS = ["id", "name", "time", "value", "unit", "source", "état", "kWh"]
+
+
+def _random_metadata(rng: random.Random) -> dict[str, str]:
+    """Any subset of the metadata keys the parser fills, with short text."""
+    metadata = {}
+    if rng.random() < 0.6:
+        metadata["description"] = " ".join(rng.sample(_WORDS, rng.randint(0, 3)))
+    if rng.random() < 0.6:
+        metadata["value_type"] = rng.choice(["string", "number", "object"])
+    return metadata
+
+
+def random_snapshot(rng: random.Random, metadata: bool = False) -> CorpusSnapshot:
+    """A small random snapshot; with ``metadata``, occurrences carry random
+    descriptions and value types."""
     n_domains = rng.randint(2, 5)
     domains = [
         DomainRecord(domain_id=f"dom{i}", display_name=f"dom{i}")
@@ -281,10 +359,10 @@ def random_snapshot(rng: random.Random) -> CorpusSnapshot:
                             type_id=type_id,
                             model_id=m.model_id,
                             domain_id=domain_id,
+                            metadata=_random_metadata(rng) if metadata else {},
                         )
                     )
     return CorpusSnapshot.assemble(
-        source_uri="synthetic:random",
         domains=domains,
         models=models,
         types=types,

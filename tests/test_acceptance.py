@@ -78,7 +78,6 @@ def _vocab_snapshot(vocab_by_domain: dict[str, list[str]]) -> CorpusSnapshot:
             AttributeOccurrence(name, type_id, model_id, d) for name in names
         ]
     return CorpusSnapshot.assemble(
-        source_uri="synthetic:vocab",
         domains=domains,
         models=models,
         types=types,
@@ -161,7 +160,7 @@ def test_matrix_properties(fix1_snapshot):
             for metric in MATRIX_METRICS:
                 matrix = domain_overlap_matrix(graph, metric)
                 n = len(matrix.labels)
-                if len(snapshot.domains) >= 2:
+                if snapshot.counts.domains >= 2:
                     assert matrix.cells == overlap_matrix_oracle(snapshot, metric)
                 for i in range(n):
                     assert matrix.cells[i][i] == 0
@@ -181,16 +180,16 @@ def test_matrix_properties(fix1_snapshot):
             rng = random.Random(9000 + seed)
             snapshot = random_snapshot(rng)
             before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
-            model = snapshot.models[rng.randrange(len(snapshot.models))]
+            records = snapshot.records()
+            model = records.models[rng.randrange(len(records.models))]
             extra_type = TypeRecord(
                 f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",)
             )
             grown = CorpusSnapshot.assemble(
-                source_uri=snapshot.source_uri,
-                domains=snapshot.domains,
-                models=snapshot.models,
-                types=snapshot.types + (extra_type,),
-                occurrences=snapshot.occurrences
+                domains=records.domains,
+                models=records.models,
+                types=records.types + (extra_type,),
+                occurrences=records.occurrences
                 + tuple(
                     AttributeOccurrence("alpha", extra_type.type_id, model.model_id, d)
                     for d in sorted(model.domain_ids)

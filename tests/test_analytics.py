@@ -65,7 +65,6 @@ def _two_domain_snapshot(vocab_a, vocab_b):
         AttributeOccurrence(name, "MA/T", "MA", "DA") for name in vocab_a
     ] + [AttributeOccurrence(name, "MB/T", "MB", "DB") for name in vocab_b]
     return CorpusSnapshot.assemble(
-        source_uri="synthetic:two",
         domains=[DomainRecord("DA", "DA"), DomainRecord("DB", "DB")],
         models=[
             DataModelRecord("MA", "MA", frozenset({"DA"})),
@@ -543,18 +542,18 @@ class TestMatrices:
             rng = random.Random(seed)
             snapshot = random_snapshot(rng)
             before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
-            model = snapshot.models[rng.randrange(len(snapshot.models))]
+            records = snapshot.records()
+            model = records.models[rng.randrange(len(records.models))]
             new_type = TypeRecord(f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",))
             extra = [
                 AttributeOccurrence("alpha", new_type.type_id, model.model_id, d)
                 for d in sorted(model.domain_ids)
             ]
             grown = CorpusSnapshot.assemble(
-                source_uri=snapshot.source_uri,
-                domains=snapshot.domains,
-                models=snapshot.models,
-                types=snapshot.types + (new_type,),
-                occurrences=snapshot.occurrences + tuple(extra),
+                domains=records.domains,
+                models=records.models,
+                types=records.types + (new_type,),
+                occurrences=records.occurrences + tuple(extra),
             )
             after = domain_overlap_matrix(build_graph(grown), "shared_attributes")
             assert after.labels == before.labels
@@ -578,7 +577,6 @@ class TestMatrices:
 def _snapshots_with_few_or_empty_domains() -> list[CorpusSnapshot]:
     """0, 1 and 2 domains, and a domain whose one model has no types."""
     empty_domain = CorpusSnapshot.assemble(
-        source_uri="synthetic:empty-domain",
         domains=[DomainRecord(d, d) for d in ("DA", "DB", "DEmpty")],
         models=[
             DataModelRecord("MA", "MA", frozenset({"DA"})),
@@ -593,7 +591,7 @@ def _snapshots_with_few_or_empty_domains() -> list[CorpusSnapshot]:
         ],
     )
     return [
-        CorpusSnapshot.assemble("synthetic:none", [], [], [], []),
+        CorpusSnapshot.assemble([], [], [], []),
         minimal_snapshot(),
         _two_domain_snapshot(["a", "b", "c"], ["b", "c", "d"]),
         empty_domain,
@@ -640,7 +638,6 @@ class TestSpecificityAndSummary:
 
     def test_empty_domain_ratio_zero(self):
         snapshot = CorpusSnapshot.assemble(
-            source_uri="synthetic:empty-domain",
             domains=[DomainRecord("DA", "DA"), DomainRecord("DEmpty", "DEmpty")],
             models=[DataModelRecord("MA", "MA", frozenset({"DA"}))],
             types=[TypeRecord("MA/T", "T", "MA", ("a",))],

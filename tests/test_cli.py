@@ -9,7 +9,14 @@ import pytest
 
 from ontomesh import analytics, cli
 from ontomesh.cli import main
-from ontomesh.corpus import CorpusSnapshot
+from ontomesh.canonical import canonical_json_bytes, sha256_hex
+from ontomesh.corpus import (
+    AttributeOccurrence,
+    CorpusSnapshot,
+    DataModelRecord,
+    DomainRecord,
+    TypeRecord,
+)
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
@@ -55,11 +62,11 @@ class TestIngest:
         assert code == 0
         assert "domains=2 models=3 types=4 attributes=9" in out
 
-    def test_tree_location_moves_only_the_snapshot_object_hash(self, workdir, capsys):
-        """``source_uri`` is the tree's absolute path, so the stored snapshot
-        object's hash depends on it; the snapshot's content hash and the graph
-        do not."""
-        hashes = []
+    def test_tree_location_moves_no_hash(self, workdir, capsys):
+        """The stored snapshot does not hold the tree's location, so two
+        copies of one tree store the same objects; ingest reports where each
+        tree was."""
+        hashes, sources = [], []
         for i, parent in enumerate([workdir / "a", workdir / "b" / "c" / "d"]):
             root = parent / "fix1"
             shutil.copytree(FIXTURES / "fix1", root)
@@ -67,16 +74,16 @@ class TestIngest:
             code, out, _ = run_cli(["ingest", str(root), "--store", str(store), "--json"], capsys)
             assert code == 0
             snapshot_object = json.loads(out)["hash"]
+            sources.append(json.loads(out)["source_uri"])
             code, out, _ = run_cli(
                 ["graph", "build", "--snapshot", "fix1", "--store", str(store), "--json"], capsys
             )
             assert code == 0
             content_hash = ArtifactStore(store).get("fix1").content_hash
             hashes.append((snapshot_object, content_hash, json.loads(out)["hash"]))
-        (object_a, content_a, graph_a), (object_b, content_b, graph_b) = hashes
-        assert object_a != object_b
-        assert content_a == content_b
-        assert graph_a == graph_b
+        assert hashes[0] == hashes[1]
+        assert sources == [(workdir / "a" / "fix1").resolve().as_uri(),
+                           (workdir / "b" / "c" / "d" / "fix1").resolve().as_uri()]
 
     def test_store_env_var_used(self, ingested):
         assert (ingested / "store" / "index.json").is_file()
@@ -158,6 +165,43 @@ class TestGraph:
         code, _, err = run_cli(["graph", "build", "--snapshot", "nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+    def test_old_snapshot_format_exit_1(self, ingested, capsys):
+        """A store written before snapshot format 2 holds a record list; it
+        is refused, not migrated."""
+        store = ArtifactStore(ingested / "store")
+        data = canonical_json_bytes({
+            "content_hash": "0" * 64,
+            "counts": {"attributes": 0, "domains": 0, "models": 0, "types": 0},
+            "kind": "snapshot",
+            "records": [],
+            "source_uri": "file:///tree",
+        })
+        content_hash = sha256_hex(data)
+        (store.objects_dir / f"{content_hash}.json").write_bytes(data)
+        index = json.loads(store.index_path.read_text())
+        index["fix1"]["hash"] = content_hash
+        store.index_path.write_text(json.dumps(index))
+        code, _, err = run_cli(["graph", "build", "--snapshot", "fix1"], capsys)
+        assert code == 1
+        assert "rebuild this store (re-run ingest)" in err
+
+    def test_no_record_objects_after_ingest(self, ingested, capsys, monkeypatch):
+        """Graph build and the summaries read the snapshot's columns and the
+        graph; none of them builds a record object."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        for record in (AttributeOccurrence, DataModelRecord, DomainRecord, TypeRecord):
+            monkeypatch.setattr(record, "__init__", refuse)
+        for argv in (
+            ["graph", "build", "--snapshot", "fix1"],
+            ["graph", "build", "--snapshot", "fix1", "--containment-edges", "--name", "c"],
+            ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp"],
+            ["report", "--name", "fix1", "--no-timestamp", "--out", "r.md"],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, err
 
 
 class TestAnalyze:

@@ -103,15 +103,17 @@ class TestParseSchemaFile:
 class TestIngest:
     def test_fix1_census(self, fix1_snapshot):
         assert tuple(fix1_snapshot.counts) == (2, 3, 4, 9)
-        assert len(fix1_snapshot.occurrences) == 13
+        assert len(fix1_snapshot.occurrences.attribute) == 13
 
     def test_fix1_shared_model_has_both_domains(self, fix1_snapshot):
-        shared = next(m for m in fix1_snapshot.models if m.model_id == "WeatherShared")
+        records = fix1_snapshot.records()
+        shared = next(m for m in records.models if m.model_id == "WeatherShared")
         assert shared.domain_ids == frozenset({"SmartCities", "SmartEnergy"})
 
     def test_fix1_allof_type_attribute_order(self, fix1_snapshot):
         reading = next(
-            t for t in fix1_snapshot.types if t.type_id == "EnergyMonitor/PowerReading"
+            t for t in fix1_snapshot.records().types
+            if t.type_id == "EnergyMonitor/PowerReading"
         )
         assert reading.attribute_names == (
             "dataProvider",
@@ -124,7 +126,7 @@ class TestIngest:
         a = ingest_corpus(fix1_root)
         b = ingest_corpus(fix1_root)
         assert a.content_hash == b.content_hash
-        assert a.record_docs() == b.record_docs()
+        assert a == b
 
     def test_lenient_skips_broken_file(self, broken_root, caplog):
         with caplog.at_level(logging.WARNING):
@@ -192,16 +194,21 @@ class TestLayoutConfig:
 class TestSnapshotSerialization:
     def test_doc_round_trip(self, fix1_snapshot):
         back = CorpusSnapshot.from_doc(fix1_snapshot.to_doc())
-        assert back.record_docs() == fix1_snapshot.record_docs()
         assert back == fix1_snapshot
 
     def test_doc_round_trip_random(self):
-        for seed in range(10):
-            snapshot = random_snapshot(random.Random(seed))
+        for seed in range(50):
+            snapshot = random_snapshot(random.Random(seed), metadata=seed % 2 == 1)
             stored = canonical_json_bytes(snapshot.to_doc())
             back = CorpusSnapshot.from_doc(json.loads(stored))
-            assert back.record_docs() == snapshot.record_docs()
+            assert back == snapshot
             assert back.content_hash == snapshot.content_hash
+            assert back.records() == snapshot.records()
+
+    def test_records_assemble_to_the_same_snapshot(self):
+        for seed in range(20):
+            snapshot = random_snapshot(random.Random(seed), metadata=True)
+            assert CorpusSnapshot.assemble(*snapshot.records()) == snapshot
 
     def test_manifest_count_mismatch_rejected(self, fix1_snapshot):
         doc = fix1_snapshot.to_doc()
@@ -209,15 +216,49 @@ class TestSnapshotSerialization:
         with pytest.raises(SnapshotInvariantError, match="do not match records"):
             CorpusSnapshot.from_doc(doc)
 
-    def test_doc_unknown_record_kind_rejected(self, fix1_snapshot):
-        doc = fix1_snapshot.to_doc()
-        doc["records"].append({"kind": "mystery"})
-        with pytest.raises(SchemaParseError, match="unknown record kind 'mystery'"):
+    def test_doc_unknown_column_rejected(self, fix1_snapshot):
+        for breaks in (
+            lambda doc: doc.update(records=[]),
+            lambda doc: doc.pop("vocabulary"),
+            lambda doc: doc["types"].pop("model"),
+            lambda doc: doc["occurrences"]["metadata"].update(unit=[None] * 13),
+            lambda doc: doc["domains"].update(id="SmartCities"),
+            lambda doc: doc["models"].update(domains=[0, 1, 0]),
+        ):
+            doc = json.loads(canonical_json_bytes(fix1_snapshot.to_doc()))
+            breaks(doc)
+            with pytest.raises(SnapshotInvariantError, match="snapshot"):
+                CorpusSnapshot.from_doc(doc)
+
+    @pytest.mark.parametrize("breaks, match", [
+        (lambda o: [o[column].reverse() for column in ("attribute", "type", "domain")],
+         "occurrence out of order"),
+        (lambda o: o["type"].__setitem__(0, 4), r"index 4 is not in range\(4\)"),
+        (lambda o: o["attribute"].__setitem__(1, -1), "index -1"),
+        (lambda o: o["domain"].__setitem__(0, True), "index True"),
+        (lambda o: o["metadata"]["description"].__setitem__(0, 7), "description"),
+    ])
+    def test_doc_rows_checked_not_sorted(self, fix1_snapshot, breaks, match):
+        doc = json.loads(canonical_json_bytes(fix1_snapshot.to_doc()))
+        breaks(doc["occurrences"])
+        with pytest.raises(SnapshotInvariantError, match=match):
+            CorpusSnapshot.from_doc(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "snapshot", "content_hash": "0" * 64, "counts": {}, "records": []},
+        {"format": 1},
+        {"format": 3},
+        [],
+    ])
+    def test_other_formats_refused(self, doc):
+        with pytest.raises(CorruptionError, match=r"rebuild this store \(re-run ingest\)"):
             CorpusSnapshot.from_doc(doc)
 
     def test_stored_content_hash_read_from_prefix(self, fix1_snapshot):
         for snapshot in [fix1_snapshot] + [random_snapshot(random.Random(s)) for s in range(5)]:
             stored = canonical_json_bytes(snapshot.to_doc())
+            assert json.loads(stored)["format"] == 2
+            assert stored.startswith(b'{"content_hash":"')
             assert stored_content_hash(stored) == snapshot.content_hash
 
     @pytest.mark.parametrize(
@@ -239,7 +280,6 @@ class TestSnapshotSerialization:
 class TestSnapshotInvariants:
     def _base(self):
         return dict(
-            source_uri="synthetic:x",
             domains=[DomainRecord("D", "D")],
             models=[DataModelRecord("M", "M", frozenset({"D"}))],
             types=[TypeRecord("M/T", "T", "M", ("a",))],
@@ -282,3 +322,44 @@ class TestSnapshotInvariants:
         kwargs["occurrences"] = kwargs["occurrences"] * 2
         with pytest.raises(SnapshotInvariantError, match="duplicate occurrence"):
             CorpusSnapshot.assemble(**kwargs)
+
+    def test_type_attribute_without_occurrence(self):
+        kwargs = self._base()
+        kwargs["types"] = [TypeRecord("M/T", "T", "M", ("a", "b"))]
+        with pytest.raises(SnapshotInvariantError, match="'b', which has no occurrence"):
+            CorpusSnapshot.assemble(**kwargs)
+
+    def test_type_attribute_without_occurrence_in_that_type(self):
+        kwargs = self._base()
+        kwargs["types"].append(TypeRecord("M/U", "U", "M", ("a",)))
+        with pytest.raises(SnapshotInvariantError, match="'M/U' lists attribute 'a'"):
+            CorpusSnapshot.assemble(**kwargs)
+        kwargs["occurrences"].append(AttributeOccurrence("a", "M/U", "M", "D"))
+        doc = CorpusSnapshot.assemble(**kwargs).to_doc()
+        occurrences = doc["occurrences"]
+        for column in ("attribute", "type", "domain"):
+            occurrences[column] = occurrences[column][:1]
+        for column in ("description", "value_type"):
+            occurrences["metadata"][column] = occurrences["metadata"][column][:1]
+        with pytest.raises(SnapshotInvariantError, match="'M/U' lists attribute 'a'"):
+            CorpusSnapshot.from_doc(doc)
+
+    def test_occurrence_model_differs_from_type_model(self):
+        kwargs = self._base()
+        kwargs["models"].append(DataModelRecord("M2", "M2", frozenset({"D"})))
+        kwargs["occurrences"] = [AttributeOccurrence("a", "M/T", "M2", "D")]
+        with pytest.raises(SnapshotInvariantError, match="its type has model 'M'"):
+            CorpusSnapshot.assemble(**kwargs)
+        # A stored occurrence has no model of its own: a document that gives
+        # one is refused.
+        doc = CorpusSnapshot.assemble(**self._base()).to_doc()
+        doc["occurrences"]["model"] = [0]
+        with pytest.raises(SnapshotInvariantError, match="snapshot occurrences holds"):
+            CorpusSnapshot.from_doc(doc)
+
+    def test_unknown_metadata_key(self):
+        kwargs = self._base()
+        for metadata in ({"unit": "m"}, {"description": None}):
+            kwargs["occurrences"] = [AttributeOccurrence("a", "M/T", "M", "D", metadata)]
+            with pytest.raises(SnapshotInvariantError, match="only string values"):
+                CorpusSnapshot.assemble(**kwargs)

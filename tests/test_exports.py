@@ -119,8 +119,7 @@ class TestGraphExports:
 
 
 def test_synthetic_graph_bytes_are_pinned(tmp_path):
-    """The stored bytes and the exports of the default synthetic graph, whose
-    ``source_uri`` does not depend on where the tests run."""
+    """The stored bytes and the exports of the default synthetic graph."""
     graph = build_graph(synthetic_snapshot())
     assert len(graph.u) == 207081
     store = ArtifactStore(tmp_path / "store")
@@ -141,11 +140,11 @@ def test_synthetic_graph_bytes_are_pinned(tmp_path):
 
 
 def test_synthetic_snapshot_bytes_are_pinned(tmp_path):
-    """The stored bytes of the default synthetic snapshot."""
+    """The stored bytes of the default synthetic snapshot, in format 2."""
     store = ArtifactStore(tmp_path / "store")
     store.put("s", synthetic_snapshot())
     assert hashlib.sha256(store.object_bytes("s")).hexdigest() == (
-        "fc4d3beb263015864172affd59960a0377822f2531684b5151fec515dd2f7655"
+        "1a543341804fdeeed80be2de41b0bc2c665b34b3d2cdcb3aac8649abc042ee1a"
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from unittest import mock
@@ -13,6 +14,7 @@ from ontomesh.corpus import (
     CorpusSnapshot,
     DataModelRecord,
     DomainRecord,
+    OccurrenceColumns,
     TypeRecord,
 )
 from ontomesh.errors import NotFoundError, SnapshotInvariantError
@@ -33,7 +35,9 @@ from ontomesh.graph import (
 )
 from ontomesh.graph import _canonical_edge_columns
 
-from oracles import random_snapshot
+from ontomesh.synthetic import synthetic_snapshot
+
+from oracles import build_graph_reference, random_snapshot
 
 
 def _edge_labels(graph):
@@ -108,8 +112,8 @@ class TestFix1Graph:
 
     def test_containment_adds_exact_count(self, fix1_snapshot, fix1_graph):
         withc = build_graph(fix1_snapshot, containment_edges=True)
-        expected_extra = len(fix1_snapshot.types) + sum(
-            len(m.domain_ids) for m in fix1_snapshot.models
+        expected_extra = fix1_snapshot.counts.types + sum(
+            len(m.domain_ids) for m in fix1_snapshot.records().models
         )
         assert expected_extra == 8
         assert len(withc.u) == len(fix1_graph.u) + expected_extra
@@ -162,18 +166,52 @@ class TestFix1Graph:
             assert graph.neighbors(node.node_id).tolist() == sorted(neighbours[node.node_id])
 
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
-        broken = CorpusSnapshot(
-            source_uri=fix1_snapshot.source_uri,
-            content_hash=fix1_snapshot.content_hash,
-            domains=fix1_snapshot.domains,
-            models=fix1_snapshot.models,
-            types=fix1_snapshot.types,
-            occurrences=fix1_snapshot.occurrences
-            + (AttributeOccurrence("ghostAttr", "M/Ghost", "M", "Nowhere"),),
-            counts=fix1_snapshot.counts,
+        """``build_graph`` does not validate: a snapshot that breaks an
+        invariant cannot be constructed."""
+        o = fix1_snapshot.occurrences
+        for broken in (
+            o._replace(type=o.type[:-1] + (99,)),
+            o._replace(domain=o.domain[:-1] + (-1,)),
+            OccurrenceColumns(*(column + column[-1:] for column in o)),
+            o._replace(attribute=o.attribute[:-1]),
+        ):
+            with pytest.raises(SnapshotInvariantError):
+                dataclasses.replace(fix1_snapshot, occurrences=broken)
+
+
+class TestBuildMatchesReference:
+    """``build_graph`` from the columns writes the same bytes as the
+    record-based reference."""
+
+    @staticmethod
+    def assert_same_bytes(snapshot):
+        for containment_edges in (False, True):
+            assert (
+                build_graph(snapshot, containment_edges).canonical_bytes()
+                == build_graph_reference(snapshot, containment_edges).canonical_bytes()
+            )
+
+    def test_fix1(self, fix1_snapshot):
+        self.assert_same_bytes(fix1_snapshot)
+
+    def test_default_synthetic(self):
+        self.assert_same_bytes(synthetic_snapshot())
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random(self, seed):
+        self.assert_same_bytes(random_snapshot(random.Random(seed), metadata=seed % 2 == 1))
+
+    def test_type_attribute_order_kept(self):
+        """Attributes stay in source order per type, so a type that lists
+        them against vocabulary order still gets one clique."""
+        snapshot = CorpusSnapshot.assemble(
+            domains=[DomainRecord("D", "D")],
+            models=[DataModelRecord("M", "M", frozenset({"D"}))],
+            types=[TypeRecord("M/T", "T", "M", ("c", "a", "b"))],
+            occurrences=[AttributeOccurrence(name, "M/T", "M", "D") for name in "abc"],
         )
-        with pytest.raises(SnapshotInvariantError):
-            build_graph(broken)
+        assert snapshot.types.attributes == ((2, 0, 1),)
+        self.assert_same_bytes(snapshot)
 
 
 class TestDomainSubgraph:
@@ -206,8 +244,8 @@ class TestDomainSubgraph:
             snapshot = random_snapshot(random.Random(seed))
             graph = build_graph(snapshot)
             parent_labels = {(n.kind, n.label) for n in graph.nodes}
-            for d in snapshot.domains:
-                sub = domain_subgraph(graph, d.domain_id)
+            for domain_id in snapshot.domains.id:
+                sub = domain_subgraph(graph, domain_id)
                 assert {(n.kind, n.label) for n in sub.nodes} <= parent_labels
                 assert _edge_labels(sub) <= _edge_labels(graph)
 
@@ -292,7 +330,6 @@ class TestStructuralValidation:
 
 def test_attribute_in_two_types_of_one_model_weights_attr_model():
     snapshot = CorpusSnapshot.assemble(
-        source_uri="synthetic:w",
         domains=[DomainRecord("D", "D")],
         models=[DataModelRecord("M", "M", frozenset({"D"}))],
         types=[

@@ -25,7 +25,7 @@ def store(tmp_path):
 def test_snapshot_round_trip(store, fix1_snapshot):
     store.put("fix1", fix1_snapshot)
     back = store.get("fix1")
-    assert back.record_docs() == fix1_snapshot.record_docs()
+    assert back == fix1_snapshot
     assert back.content_hash == fix1_snapshot.content_hash
 
 
