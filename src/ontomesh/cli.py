@@ -8,24 +8,21 @@ runs are reproducible without re-parsing the corpus. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only numpy-free modules are imported here. Each command imports the graph,
-# analysis and output layers it uses when it runs, so that --help, ingest and
-# the canonical-json export start without numpy.
+# Only the parser's own needs are imported here. Each command imports the
+# store, corpus, graph, analysis and output layers it uses when it runs, so
+# that --help loads none of them and only ingest and graph build load the
+# corpus layer.
 from ontomesh.choices import CENTRALITY_METRICS, GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
-from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus, stored_content_hash
 from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
-from ontomesh.store import ArtifactStore
 
 if TYPE_CHECKING:
     from ontomesh.analytics import AnalysisReport, CentralityResult
     from ontomesh.graph import OntologyGraph
+    from ontomesh.store import ArtifactStore
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -42,11 +39,15 @@ def _positive_int(text: str) -> int:
 
 
 def _store(args: argparse.Namespace) -> ArtifactStore:
-    return ArtifactStore(Path(args.store or os.environ.get("ONTOMESH_STORE") or "./store"))
+    from ontomesh.store import ArtifactStore
+
+    return ArtifactStore(args.store or os.environ.get("ONTOMESH_STORE") or "./store")
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -107,6 +108,7 @@ def _store_summary(
     comes from the graph.
     """
     from ontomesh.analytics import dissonance_summary
+    from ontomesh.store import stored_content_hash
 
     store = _store(args)
     snapshot_hash = stored_content_hash(store.object_bytes(snapshot_name, expect_kind="snapshot"))
@@ -126,6 +128,10 @@ def _store_summary(
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from ontomesh.corpus import LayoutConfig, fetch_snapshot, ingest_corpus
+
     root = Path(args.root)
     if args.url:
         root = fetch_snapshot(args.url, root, expected_sha256=args.sha256)
@@ -223,19 +229,21 @@ def cmd_analyze_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
-    from ontomesh.exports import export_matrix_csv
-    from ontomesh.heatmap import render_heatmap_svg
-
     stored_name = f"{args.snapshot}-dissonance"
     report, content_hash = _store_summary(args, args.snapshot, "degree", stored_name)
     paths: list[str] = []
     if args.matrix:
+        from ontomesh.exports import export_matrix_csv
+
         metric = args.matrix.replace("-", "_")
         matrix = report.matrices[metric]
         csv_out = args.out or f"{args.snapshot}-{metric}.csv"
         export_matrix_csv(matrix, csv_out)
         paths.append(str(csv_out))
         if args.heatmap:
+            # The SVG writer's XML escaping loads urllib.request.
+            from ontomesh.heatmap import render_heatmap_svg
+
             render_heatmap_svg(matrix, args.heatmap)
             paths.append(str(args.heatmap))
     _emit(
@@ -260,6 +268,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _store(args)
     out = args.out or f"{args.graph}.{GRAPH_FORMATS[args.format]}"
     if args.format == "canonical-json":
+        from pathlib import Path
+
         # The stored object is already the graph's canonical JSON.
         data = store.object_bytes(args.graph, expect_kind="graph")
         written = Path(out).write_bytes(data)
@@ -371,7 +381,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     # Errors found after parsing name the command's own usage line.
@@ -381,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error("--sha256 applies with --url only")
     if args.func is cmd_analyze_dissonance and not args.matrix and (args.out or args.heatmap):
         args.parser.error("--out and --heatmap apply with --matrix only")
+    import logging
+
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
     except SchemaParseError as exc:

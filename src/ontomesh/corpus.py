@@ -17,7 +17,6 @@ import fnmatch
 import hashlib
 import json
 import logging
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -542,20 +541,6 @@ def _doc_column(name: str, values, nested: bool = False) -> tuple:
             f"snapshot column {name} is not a list{' of lists' if nested else ''}"
         )
     return tuple(map(tuple, values)) if nested else tuple(values)
-
-
-# The stored snapshot is canonical JSON with sorted keys, so its bytes begin
-# with the content hash.
-_STORED_HASH = re.compile(rb'\{"content_hash":"([0-9a-f]{64})",')
-
-
-def stored_content_hash(data: bytes) -> str:
-    """The ``content_hash`` of a stored snapshot, read from the start of its
-    canonical bytes without decoding the columns."""
-    match = _STORED_HASH.match(data)
-    if match is None:
-        raise CorruptionError("stored snapshot does not begin with its content hash")
-    return match.group(1).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line, sha256_hex
-from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import NotFoundError
+
+if TYPE_CHECKING:
+    from ontomesh.corpus import CorpusSnapshot
 
 
 class NodeKind(str, Enum):
@@ -237,9 +240,12 @@ class OntologyGraph:
         return cls._from_arrays(nodes, *columns, provenance)
 
     @classmethod
-    def _from_arrays(cls, nodes, u, v, kind, weight, provenance) -> "OntologyGraph":
-        """Validate structure, sort the int64 edge arrays canonically,
-        derive the CSR."""
+    def _from_arrays(
+        cls, nodes, u, v, kind, weight, provenance, content_hash: str | None = None
+    ) -> "OntologyGraph":
+        """Validate structure, sort the int64 edge arrays canonically unless
+        they already are, derive the CSR; ``content_hash`` as in
+        ``from_doc``."""
         n = len(nodes)
         seen_labels = set()
         for expected_id, node in enumerate(nodes):
@@ -260,20 +266,29 @@ class OntologyGraph:
             bad = np.flatnonzero(broken)
             if bad.size:
                 raise ValueError(f"{message}: {edge(bad[0])}")
-        order = np.lexsort((v, u, kind))
-        u, v, kind, weight = u[order], v[order], kind[order], weight[order]
-        bad = np.flatnonzero((kind[1:] == kind[:-1]) & (u[1:] == u[:-1]) & (v[1:] == v[:-1]))
-        if bad.size:
-            e = edge(bad[0])
-            raise ValueError(f"duplicate edge {(e.u, e.v, e.kind)!r}")
+        # (kind, u, v) as one int64 key: kind < 4 and 0 <= u, v < n.
+        edge_key = (kind * n + u) * n + v
+        # Strictly increasing keys are canonical order with no duplicate.
+        in_order = bool(np.all(edge_key[1:] > edge_key[:-1]))
+        if not in_order:
+            order = np.argsort(edge_key)
+            u, v, kind, weight = u[order], v[order], kind[order], weight[order]
+            edge_key = edge_key[order]
+            bad = np.flatnonzero(edge_key[1:] == edge_key[:-1])
+            if bad.size:
+                e = edge(bad[0])
+                raise ValueError(f"duplicate edge {(e.u, e.v, e.kind)!r}")
         # Both directions of every edge, one entry per distinct neighbour pair.
         pairs, _ = _unique_counts(np.concatenate((u * n + v, v * n + u)))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs // max(n, 1), minlength=n), out=indptr[1:])
-        return cls(
+        graph = cls(
             nodes=nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight,
             indptr=indptr, indices=pairs % max(n, 1),
         )
+        if in_order:
+            graph._hash = content_hash
+        return graph
 
     # -- lookups -----------------------------------------------------------
 
@@ -356,8 +371,9 @@ class OntologyGraph:
             parsed = _canonical_edge_columns(data)
             if parsed is not None:
                 columns, rest = parsed
-                return cls._with_columns(
-                    _doc_nodes(rest), columns, rest["provenance"], content_hash
+                return cls._from_arrays(
+                    _doc_nodes(rest), *columns, GraphProvenance.from_doc(rest["provenance"]),
+                    content_hash,
                 )
         except Exception:
             pass  # from_doc below raises what the document is wrong with.
@@ -380,18 +396,9 @@ class OntologyGraph:
             [ed["kind"] for ed in edges],
             [ed["weight"] for ed in edges],
         )
-        return cls._with_columns(nodes, columns, doc["provenance"], content_hash)
-
-    @classmethod
-    def _with_columns(cls, nodes, columns, provenance: dict, content_hash) -> "OntologyGraph":
-        """The graph of decoded parts; ``content_hash`` as in ``from_doc``."""
-        graph = cls._from_arrays(nodes, *columns, GraphProvenance.from_doc(provenance))
-        stored_order = (graph.u, graph.v, graph.kind)
-        if content_hash is not None and all(
-            np.array_equal(array, column) for array, column in zip(stored_order, columns)
-        ):
-            graph._hash = content_hash
-        return graph
+        return cls._from_arrays(
+            nodes, *columns, GraphProvenance.from_doc(doc["provenance"]), content_hash
+        )
 
     def graph_hash(self) -> str:
         """Content hash of ``canonical_bytes()``, computed on the first call

@@ -26,6 +26,10 @@ from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, S
 
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
+# A stored snapshot is canonical JSON with sorted keys, so its bytes begin
+# with the content hash.
+_STORED_HASH = re.compile(rb'\{"content_hash":"([0-9a-f]{64})",')
+
 # Kind -> (module, class). Classes are imported only when an object of that
 # kind is read, so storing or reading a snapshot does not load numpy.
 _KINDS = {
@@ -35,6 +39,15 @@ _KINDS = {
     "centrality": ("ontomesh.analytics", "CentralityResult"),
     "domain_matrix": ("ontomesh.analytics", "DomainMatrix"),
 }
+
+
+def stored_content_hash(data: bytes) -> str:
+    """The ``content_hash`` of a stored snapshot, read from the start of its
+    canonical bytes without decoding the columns."""
+    match = _STORED_HASH.match(data)
+    if match is None:
+        raise CorruptionError("stored snapshot does not begin with its content hash")
+    return match.group(1).decode("ascii")
 
 
 def _artifact_kind(artifact) -> str:

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontomesh import analytics, cli
+from ontomesh import analytics
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.corpus import (
@@ -582,7 +582,7 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("the store was opened")
 
-        monkeypatch.setattr(cli, "ArtifactStore", refuse)
+        monkeypatch.setattr("ontomesh.store.ArtifactStore", refuse)
         code, out, err = run_cli(argv, capsys)
         assert code == 64
         assert out == ""

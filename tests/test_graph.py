@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import random
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -495,3 +497,71 @@ class TestStoredBytes:
         expected = _state(_reference(stored))
         with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
             assert _state(OntologyGraph.from_bytes(stored)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Decode order: edges already in canonical order are not sorted again
+# ---------------------------------------------------------------------------
+
+
+def _columns(graph):
+    return graph.u, graph.v, graph.kind, graph.weight
+
+
+class TestDecodeOrder:
+    @pytest.fixture(params=range(6))
+    def graph(self, request, fix1_snapshot):
+        if request.param == 0:
+            return build_graph(fix1_snapshot, containment_edges=True)
+        snapshot = random_snapshot(random.Random(300 + request.param))
+        return build_graph(snapshot, containment_edges=request.param % 2 == 1)
+
+    def test_shuffled_and_canonical_edges_agree(self, graph):
+        order = np.random.default_rng(len(graph.u)).permutation(len(graph.u))
+        assert not np.array_equal(order, np.arange(len(order)))
+        shuffled = [column[order] for column in _columns(graph)]
+        for columns in (_columns(graph), shuffled):
+            back = OntologyGraph._from_arrays(graph.nodes, *columns, graph.provenance)
+            for array, expected in zip(_state(back)[0], _state(graph)[0]):
+                assert array == expected
+            assert back.canonical_bytes() == graph.canonical_bytes()
+            assert back.graph_hash() == graph.graph_hash()
+
+    def test_canonical_edges_are_not_sorted(self, graph, monkeypatch):
+        stored = graph.canonical_bytes()
+        for sort in ("argsort", "lexsort"):
+            monkeypatch.setattr(np, sort, mock.Mock(side_effect=AssertionError("sorted")))
+        assert OntologyGraph.from_bytes(stored).canonical_bytes() == stored
+        assert OntologyGraph.from_doc(json.loads(stored)).canonical_bytes() == stored
+        assert OntologyGraph._from_arrays(
+            graph.nodes, *_columns(graph), graph.provenance
+        ).canonical_bytes() == stored
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+    def test_duplicate_edge_refused(self, graph, shuffle):
+        middle = len(graph.u) // 2
+        # The repeat sits next to its original, so sorted input stays sorted.
+        rows = np.insert(np.arange(len(graph.u)), middle, middle)
+        if shuffle:
+            rows = np.random.default_rng(7).permutation(rows)
+        columns = [column[rows] for column in _columns(graph)]
+        u, v, kind = (int(column[middle]) for column in _columns(graph)[:3])
+        message = f"duplicate edge {(u, v, EDGE_KINDS[kind])!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OntologyGraph._from_arrays(graph.nodes, *columns, graph.provenance)
+
+    def test_given_hash_kept_only_for_stored_edges_in_order(self, graph):
+        stored = graph.canonical_bytes()
+        content_hash = sha256_hex(stored)
+        assert OntologyGraph.from_bytes(stored, content_hash)._hash == content_hash
+        # The first two attr_attr rows swapped: the kinds stay grouped, so the
+        # text is still read without from_doc, but the edges are out of order.
+        doc = json.loads(stored)
+        doc["edges"][:2] = doc["edges"][1::-1]
+        assert doc["edges"][0]["kind"] == doc["edges"][1]["kind"]
+        swapped = canonical_json_bytes(doc)
+        with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
+            back = OntologyGraph.from_bytes(swapped, sha256_hex(swapped))
+        assert back._hash is None
+        assert back.canonical_bytes() == stored
+        assert back.graph_hash() == graph.graph_hash() == content_hash

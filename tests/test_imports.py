@@ -1,4 +1,5 @@
-"""Start-up imports: which commands load numpy, and the package's lazy names.
+"""Start-up imports: which commands load numpy and which ontomesh layers,
+and the package's lazy names.
 
 Each probe runs in a fresh interpreter, since this process has long since
 imported every layer.
@@ -18,6 +19,9 @@ from conftest import FIXTURES
 
 SRC = Path(ontomesh.__file__).parents[1]
 WATCHED = ("numpy", "scipy", "urllib.request", "concurrent.futures")
+# Layers a command may start without. Only ontomesh modules are probed here:
+# which stdlib modules the interpreter loads at start-up differs by machine.
+LAYERS = ("ontomesh.store", "ontomesh.corpus", "ontomesh.graph")
 
 _PROBE = """
 import json, sys
@@ -27,9 +31,9 @@ print(json.dumps([m for m in {watched!r} if m in sys.modules]))
 """
 
 
-def loaded_after(body: str, cwd: Path) -> list[str]:
-    """Which of ``WATCHED`` a fresh interpreter has imported after ``body``."""
-    code = _PROBE.format(src=str(SRC), body=body, watched=WATCHED)
+def loaded_after(body: str, cwd: Path, watched: tuple[str, ...] = WATCHED) -> list[str]:
+    """Which of ``watched`` a fresh interpreter has imported after ``body``."""
+    code = _PROBE.format(src=str(SRC), body=body, watched=watched)
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, check=True
     )
@@ -79,6 +83,42 @@ def test_canonical_json_export_loads_no_numpy(graph_store, tmp_path):
 def test_centrality_loads_numpy(graph_store, tmp_path):
     argv = ["analyze", "centrality", "--graph", "fix1-graph", "--store", graph_store]
     assert "numpy" in loaded_after(cli(argv), tmp_path)
+
+
+def test_help_loads_no_layer_but_choices_and_errors(tmp_path):
+    modules = sorted(
+        f"ontomesh.{path.stem}" for path in (SRC / "ontomesh").glob("*.py")
+        if path.stem != "__init__"
+    )
+    assert set(LAYERS) < set(modules)
+    loaded = loaded_after(cli(["--help"]), tmp_path, tuple(modules))
+    assert loaded == ["ontomesh.choices", "ontomesh.cli", "ontomesh.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "centrality", "--graph", "fix1-graph"],
+        ["export", "--graph", "fix1-graph", "--format", "graphml", "--out", "g.graphml"],
+        ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp"],
+        ["report", "--name", "fix1", "--no-timestamp", "--out", "r.md"],
+    ],
+    ids=["centrality", "export-graphml", "dissonance", "report"],
+)
+def test_graph_commands_load_no_corpus(graph_store, tmp_path, argv):
+    loaded = loaded_after(cli(argv + ["--store", graph_store]), tmp_path, LAYERS)
+    assert loaded == ["ontomesh.store", "ontomesh.graph"]
+
+
+def test_dissonance_without_matrix_loads_no_writer(graph_store, tmp_path):
+    argv = ["analyze", "dissonance", "--snapshot", "fix1", "--store", graph_store]
+    watched = ("ontomesh.exports", "ontomesh.heatmap")
+    assert loaded_after(cli(argv), tmp_path, watched) == []
+
+
+def test_ingest_loads_no_graph(tmp_path):
+    argv = ["ingest", str(FIXTURES / "fix1"), "--store", str(tmp_path / "store")]
+    assert loaded_after(cli(argv), tmp_path, LAYERS) == ["ontomesh.store", "ontomesh.corpus"]
 
 
 class TestLazyPackage:
