@@ -22,6 +22,7 @@ from ontomesh.errors import (
     SchemaParseError,
     SnapshotInvariantError,
 )
+from ontomesh.store import stored_content_hash
 
 from oracles import random_snapshot
 
@@ -252,6 +253,28 @@ class TestSnapshotSerialization:
     def test_other_formats_refused(self, doc):
         with pytest.raises(CorruptionError, match=r"rebuild this store \(re-run ingest\)"):
             CorpusSnapshot.from_doc(doc)
+
+    def test_stored_content_hash_read_from_prefix(self, fix1_snapshot):
+        for snapshot in [fix1_snapshot] + [random_snapshot(random.Random(s)) for s in range(5)]:
+            stored = canonical_json_bytes(snapshot.to_doc())
+            assert json.loads(stored)["format"] == 2
+            assert stored.startswith(b'{"content_hash":"')
+            assert stored_content_hash(stored) == snapshot.content_hash
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b'{"counts":{},"content_hash":"' + b"0" * 64 + b'"}\n',
+            b'{"content_hash":"' + b"0" * 63 + b'",',
+            b'{"content_hash":"' + b"A" * 64 + b'",',
+            b'{"content_hash":"' + b"0" * 65 + b'",',
+            b'{"content_hash": "' + b"0" * 64 + b'",',
+        ],
+    )
+    def test_stored_content_hash_refuses_other_prefixes(self, data):
+        with pytest.raises(CorruptionError, match="does not begin with its content hash"):
+            stored_content_hash(data)
 
 
 class TestSnapshotInvariants:

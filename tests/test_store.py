@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-import random
 import shutil
 import sys
 
@@ -15,9 +14,7 @@ from ontomesh.analytics import (
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
 from ontomesh.graph import OntologyGraph, build_graph
-from ontomesh.store import ArtifactStore, stored_content_hash
-
-from oracles import random_snapshot
+from ontomesh.store import ArtifactStore
 
 
 @pytest.fixture()
@@ -75,30 +72,6 @@ def test_put_sets_graph_hash(store, fix1_snapshot, monkeypatch):
     report = dissonance_summary(graph, fix1_snapshot.content_hash, include_timestamp=False)
     assert report.graph_hash == content_hash
     assert len(calls) == 1
-
-
-def test_stored_content_hash_read_from_prefix(fix1_snapshot):
-    for snapshot in [fix1_snapshot] + [random_snapshot(random.Random(s)) for s in range(5)]:
-        stored = canonical_json_bytes(snapshot.to_doc())
-        assert json.loads(stored)["format"] == 2
-        assert stored.startswith(b'{"content_hash":"')
-        assert stored_content_hash(stored) == snapshot.content_hash
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"",
-        b'{"counts":{},"content_hash":"' + b"0" * 64 + b'"}\n',
-        b'{"content_hash":"' + b"0" * 63 + b'",',
-        b'{"content_hash":"' + b"A" * 64 + b'",',
-        b'{"content_hash":"' + b"0" * 65 + b'",',
-        b'{"content_hash": "' + b"0" * 64 + b'",',
-    ],
-)
-def test_stored_content_hash_refuses_other_prefixes(data):
-    with pytest.raises(CorruptionError, match="does not begin with its content hash"):
-        stored_content_hash(data)
 
 
 def test_unsupported_artifact_type_rejected(store):
