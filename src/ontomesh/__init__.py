@@ -14,13 +14,13 @@ __version__ = "0.1.0"
 # Public name -> defining module. Names are imported on first access (PEP 562),
 # so ``import ontomesh`` does not load numpy.
 _EXPORTS = {
-    "AnalysisReport": "analytics",
+    "AnalysisReport": "results",
     "ArtifactStore": "store",
     "AttributeOccurrence": "corpus",
-    "CentralityResult": "analytics",
+    "CentralityResult": "results",
     "CorpusSnapshot": "corpus",
     "DataModelRecord": "corpus",
-    "DomainMatrix": "analytics",
+    "DomainMatrix": "results",
     "DomainRecord": "corpus",
     "LayoutConfig": "corpus",
     "NodeKind": "graph",

@@ -21,13 +21,11 @@ count is one small integer product of an incidence matrix with itself.
 
 from __future__ import annotations
 
-import datetime
 import json
 import logging
 import os
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +39,8 @@ from ontomesh.graph import (
     OntologyGraph,
     edge_census,
 )
+# The result classes live apart, without numpy; they are exported here too.
+from ontomesh.results import AnalysisReport, CentralityResult, DomainMatrix, utc_timestamp
 
 logger = logging.getLogger(__name__)
 
@@ -50,40 +50,6 @@ BETWEENNESS_ENGINES = ("sparse", "python")
 # arrays, so 64 columns bound memory at one block of 64 run alone.
 BETWEENNESS_BLOCK = 16
 BETWEENNESS_COLUMNS = 64
-
-
-@dataclass
-class CentralityResult:
-    metric: str
-    normalized: bool
-    scores: dict[int, float]
-    ranking: list[int]
-    weighted: bool = False
-    graph_hash: str | None = None
-
-    kind = "centrality"
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "metric": self.metric,
-            "normalized": self.normalized,
-            "weighted": self.weighted,
-            "graph_hash": self.graph_hash,
-            "scores": {str(node_id): score for node_id, score in sorted(self.scores.items())},
-            "ranking": list(self.ranking),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CentralityResult":
-        return cls(
-            metric=doc["metric"],
-            normalized=doc["normalized"],
-            weighted=doc.get("weighted", False),
-            graph_hash=doc.get("graph_hash"),
-            scores={int(k): v for k, v in doc["scores"].items()},
-            ranking=list(doc["ranking"]),
-        )
 
 
 def _rank(graph: OntologyGraph, scores: dict[int, float]) -> list[int]:
@@ -167,14 +133,12 @@ class _SourceBlocks:
 
     def __init__(self, indptr, indices):
         from scipy import sparse
-        from scipy.sparse import csgraph
 
         m = len(indptr) - 1
         self.indptr = indptr
         self.indices = indices
         self.adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
-        _, component = csgraph.connected_components(self.adj, directed=False)
-        self.reach = np.bincount(component)[component]
+        self.reach = _component_sizes(indptr, indices)
 
     def dependencies(self, sources: np.ndarray) -> np.ndarray:
         """Row i holds the dependencies of every node on ``sources[i]``,
@@ -218,6 +182,28 @@ class _SourceBlocks:
             pulled = adj @ coeff
             flat_delta[up] = flat_sigma[up] * pulled.ravel()[up]
         return delta.T.copy()
+
+
+def _component_sizes(indptr, indices) -> np.ndarray:
+    """The size of each node's connected component, from one breadth-first
+    pass over the CSR rows of an undirected graph."""
+    bounds, neighbours = indptr.tolist(), indices.tolist()
+    n = len(bounds) - 1
+    component = [-1] * n
+    sizes = []
+    for source in range(n):
+        if component[source] >= 0:
+            continue
+        label = component[source] = len(sizes)
+        found = [source]
+        # The list grows while it is walked: each node is visited once.
+        for v in found:
+            for w in neighbours[bounds[v] : bounds[v + 1]]:
+                if component[w] < 0:
+                    component[w] = label
+                    found.append(w)
+        sizes.append(len(found))
+    return np.array(sizes, dtype=np.int64)[component]
 
 
 def _usable_cpus() -> int:
@@ -427,38 +413,6 @@ def top_k_attributes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DomainMatrix:
-    metric: str
-    labels: list[str]
-    cells: list[list[float]]
-    snapshot_hash: str | None = None
-
-    kind = "domain_matrix"
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "metric": self.metric,
-            "labels": list(self.labels),
-            "cells": [list(row) for row in self.cells],
-            "snapshot_hash": self.snapshot_hash,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DomainMatrix":
-        return cls(
-            metric=doc["metric"],
-            labels=list(doc["labels"]),
-            cells=[list(row) for row in doc["cells"]],
-            snapshot_hash=doc.get("snapshot_hash"),
-        )
-
-    def value_range(self) -> tuple[float, float]:
-        flat = [value for row in self.cells for value in row]
-        return (min(flat), max(flat))
-
-
 def _domain_columns(graph: OntologyGraph) -> tuple[list[str], np.ndarray]:
     """Domain labels in node id order, and each node's column among them
     (-1 for other nodes). Refuses a domain subgraph, whose matrices would
@@ -550,51 +504,6 @@ def specificity_ratios(graph: OntologyGraph) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
-    snapshot_hash: str
-    graph_hash: str
-    containment_edges: bool
-    census: dict
-    top_k_metric: str
-    top_k: list[tuple[str, float, int]]
-    matrices: dict[str, DomainMatrix]
-    specificity: dict[str, float]
-    generated_at: str | None = None
-
-    kind = "report"
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "snapshot_hash": self.snapshot_hash,
-            "graph_hash": self.graph_hash,
-            "containment_edges": self.containment_edges,
-            "census": self.census,
-            "top_k_metric": self.top_k_metric,
-            "top_k": [[label, score, spread] for label, score, spread in self.top_k],
-            "matrices": {name: m.to_doc() for name, m in sorted(self.matrices.items())},
-            "specificity": dict(sorted(self.specificity.items())),
-            "generated_at": self.generated_at,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "AnalysisReport":
-        return cls(
-            snapshot_hash=doc["snapshot_hash"],
-            graph_hash=doc["graph_hash"],
-            containment_edges=doc["containment_edges"],
-            census=doc["census"],
-            top_k_metric=doc["top_k_metric"],
-            top_k=[(row[0], row[1], row[2]) for row in doc["top_k"]],
-            matrices={
-                name: DomainMatrix.from_doc(m) for name, m in doc["matrices"].items()
-            },
-            specificity=dict(doc["specificity"]),
-            generated_at=doc.get("generated_at"),
-        )
-
-
 def dissonance_summary(
     graph: OntologyGraph,
     snapshot_hash: str,
@@ -654,13 +563,6 @@ def dissonance_summary(
         },
         "total_weight": census_edges.total_weight,
     }
-    generated_at = None
-    if include_timestamp:
-        generated_at = (
-            datetime.datetime.now(datetime.timezone.utc)
-            .replace(microsecond=0)
-            .isoformat()
-        )
     return AnalysisReport(
         snapshot_hash=snapshot_hash,
         graph_hash=graph.graph_hash(),
@@ -670,5 +572,5 @@ def dissonance_summary(
         top_k=top_k_attributes(result, graph, top_k),
         matrices=matrices,
         specificity=specificity,
-        generated_at=generated_at,
+        generated_at=utc_timestamp() if include_timestamp else None,
     )

@@ -20,8 +20,8 @@ from ontomesh.choices import CENTRALITY_METRICS, GRAPH_FORMATS, MATRIX_METRICS, 
 from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
 
 if TYPE_CHECKING:
-    from ontomesh.analytics import AnalysisReport, CentralityResult
     from ontomesh.graph import OntologyGraph
+    from ontomesh.results import AnalysisReport, CentralityResult
     from ontomesh.store import ArtifactStore
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +97,40 @@ def _stored_centrality(
     return result
 
 
+def _reusable_summary(
+    store: ArtifactStore, snapshot_name: str, snapshot_hash: str, graph_name: str,
+    metric: str, top: int,
+) -> AnalysisReport | None:
+    """A summary already stored as ``<snapshot>-dissonance`` or
+    ``<snapshot>-report`` that answers this request, or None.
+
+    It must come from this snapshot and from the graph stored under
+    ``graph_name``, whose bytes are then verified but not decoded; it must
+    rank by ``metric``; and it must hold ``top`` rows, or a row for every
+    attribute of the graph.
+    """
+    graph_hash = None
+    for name in (f"{snapshot_name}-dissonance", f"{snapshot_name}-report"):
+        try:
+            if store.entry(name)["kind"] != "report":
+                continue
+        except NotFoundError:
+            continue
+        report = store.get(name, expect_kind="report")
+        rows = len(report.top_k)
+        if (
+            report.snapshot_hash != snapshot_hash
+            or report.top_k_metric != metric
+            or (rows < top and rows != report.census["node_kinds"].get("attribute"))
+        ):
+            continue
+        if graph_hash is None:
+            graph_hash = store.verified_hash(graph_name, expect_kind="graph")
+        if report.graph_hash == graph_hash:
+            return report
+    return None
+
+
 def _store_summary(
     args: argparse.Namespace, snapshot_name: str, metric: str, stored_name: str
 ) -> tuple[AnalysisReport, str]:
@@ -105,20 +139,30 @@ def _store_summary(
 
     Only the snapshot's content hash is read, from its hash-verified stored
     bytes, to check that the graph was built from it; the summary itself
-    comes from the graph.
+    comes from the graph. A stored summary that answers the same request is
+    reused, cut to ``--top`` rows and stamped anew, without decoding the
+    graph.
     """
-    from ontomesh.analytics import dissonance_summary
     from ontomesh.store import stored_content_hash
 
     store = _store(args)
     snapshot_hash = stored_content_hash(store.object_bytes(snapshot_name, expect_kind="snapshot"))
     graph_name = args.graph or f"{snapshot_name}-graph"
-    graph = store.get(graph_name, expect_kind="graph")
-    report = dissonance_summary(
-        graph, snapshot_hash, top_k=args.top, centrality_metric=metric,
-        centrality=_stored_centrality(store, graph_name, graph, metric),
-        include_timestamp=not args.no_timestamp,
-    )
+    report = _reusable_summary(store, snapshot_name, snapshot_hash, graph_name, metric, args.top)
+    if report is None:
+        from ontomesh.analytics import dissonance_summary
+
+        graph = store.get(graph_name, expect_kind="graph")
+        report = dissonance_summary(
+            graph, snapshot_hash, top_k=args.top, centrality_metric=metric,
+            centrality=_stored_centrality(store, graph_name, graph, metric),
+            include_timestamp=not args.no_timestamp,
+        )
+    else:
+        from ontomesh.results import utc_timestamp
+
+        report.top_k = report.top_k[: args.top]
+        report.generated_at = None if args.no_timestamp else utc_timestamp()
     return report, store.put(stored_name, report, overwrite=True)
 
 
@@ -166,8 +210,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     from ontomesh.graph import build_graph, edge_census
 
     store = _store(args)
-    snapshot = store.get(args.snapshot, expect_kind="snapshot")
-    graph = build_graph(snapshot, containment_edges=args.containment_edges)
+    # The snapshot is freed once the graph is built, before the graph is stored.
+    graph = build_graph(
+        store.get(args.snapshot, expect_kind="snapshot"), containment_edges=args.containment_edges
+    )
     name = args.name or f"{args.snapshot}-graph"
     content_hash = store.put(name, graph, overwrite=args.overwrite)
     census = edge_census(graph)

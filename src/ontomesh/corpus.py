@@ -1,4 +1,4 @@
-"""Corpus ingestion: parse a domain-organized schema tree into normalized records.
+"""Corpus ingestion: parse a domain-organized schema tree into a columnar snapshot.
 
 Expected layout (overridable via :class:`LayoutConfig`)::
 
@@ -13,11 +13,15 @@ models refers to one vocabulary item.
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import hashlib
 import json
 import logging
+import os
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -204,80 +208,48 @@ class CorpusSnapshot:
         models = sorted(models, key=lambda m: m.model_id)
         types = sorted(types, key=lambda t: t.type_id)
         occurrences = list(occurrences)
-        vocabulary = sorted({o.attribute_name for o in occurrences})
-        domain_index = {d.domain_id: i for i, d in enumerate(domains)}
-        model_index = {m.model_id: i for i, m in enumerate(models)}
-        type_index = {t.type_id: i for i, t in enumerate(types)}
-        attribute_index = {name: i for i, name in enumerate(vocabulary)}
-
-        model_domains = []
+        names = {o.attribute_name for o in occurrences}
+        columns = _ColumnBuilder()
+        domain_index = {
+            d.domain_id: _append(columns.domains, d.domain_id, d.display_name) for d in domains
+        }
+        model_index = {}
         for m in models:
             unknown = sorted(m.domain_ids - domain_index.keys())
             if unknown:
                 raise SnapshotInvariantError(
                     f"model {m.model_id!r} references unknown domains {unknown}"
                 )
-            model_domains.append(tuple(sorted(domain_index[d] for d in m.domain_ids)))
-        type_models, type_attributes = [], []
+            model_index[m.model_id] = _append(
+                columns.models, m.model_id, m.display_name, [domain_index[d] for d in m.domain_ids]
+            )
+        type_index = {}
         for t in types:
             if t.model_id not in model_index:
                 raise SnapshotInvariantError(
                     f"type {t.type_id!r} references unknown model {t.model_id!r}"
                 )
             for name in t.attribute_names:
-                if name not in attribute_index:
+                if name not in names:
                     raise _no_occurrence(t.type_id, name)
-            type_models.append(model_index[t.model_id])
-            type_attributes.append(tuple(attribute_index[name] for name in t.attribute_names))
-        # Each row's (attribute, type, domain) indices as one int key: sorted
-        # by it, rows are in record-key order, since each table is sorted.
-        n_types, n_domains = len(types), len(domains)
-        type_model_ids = [t.model_id for t in types]
-        keys: list[int] = []
-        rows: list[list] = [[], [], [], [], []]
-        attribute, type_, domain, description, value_type = rows
+            type_index[t.type_id] = _append(
+                columns.types, t.type_id, t.display_name, model_index[t.model_id],
+                list(map(columns.attribute, t.attribute_names)),
+            )
+        type_model_ids = columns.models.id
         for o in occurrences:
             t = type_index.get(o.type_id)
             d = domain_index.get(o.domain_id)
             text = o.metadata.get("description")
             kind = o.metadata.get("value_type")
+            type_model = None if t is None else type_model_ids[columns.types.model[t]]
             if (
-                t is None or d is None or o.model_id != type_model_ids[t]
+                t is None or d is None or o.model_id != type_model
                 or len(o.metadata) != (text is not None) + (kind is not None)
             ):
-                raise _occurrence_error(o, None if t is None else type_model_ids[t], d)
-            a = attribute_index[o.attribute_name]
-            keys.append((a * n_types + t) * n_domains + d)
-            attribute.append(a)
-            type_.append(t)
-            domain.append(d)
-            description.append(text)
-            value_type.append(kind)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        columns = [tuple(map(column.__getitem__, order)) for column in rows]
-
-        if content_hash is None:
-            occurrences = list(map(occurrences.__getitem__, order))
-            content_hash = _records_hash(SnapshotRecords(domains, models, types, occurrences))
-        return cls(
-            content_hash=content_hash,
-            domains=DomainColumns(
-                tuple(d.domain_id for d in domains), tuple(d.display_name for d in domains)
-            ),
-            models=ModelColumns(
-                tuple(m.model_id for m in models),
-                tuple(m.display_name for m in models),
-                tuple(model_domains),
-            ),
-            types=TypeColumns(
-                tuple(t.type_id for t in types),
-                tuple(t.display_name for t in types),
-                tuple(type_models),
-                tuple(type_attributes),
-            ),
-            vocabulary=tuple(vocabulary),
-            occurrences=OccurrenceColumns(*columns),
-        )
+                raise _occurrence_error(o, type_model, d)
+            _append(columns.occurrences, columns.attribute(o.attribute_name), t, d, text, kind)
+        return cls(**columns.sorted_fields(content_hash))
 
     def records(self) -> SnapshotRecords:
         """The snapshot as record objects, built on every call: for tests and
@@ -471,28 +443,117 @@ def _no_occurrence(type_id: str, name: str) -> SnapshotInvariantError:
     )
 
 
-def _records_hash(records: SnapshotRecords) -> str:
+class _ColumnBuilder:
+    """A snapshot's tables with rows in the order they were added, which
+    :meth:`sorted_fields` puts in id order. Rows refer to rows of other tables,
+    and to :attr:`vocabulary`, by their position here; a model's
+    ``domains`` is any collection of domain rows."""
+
+    def __init__(self) -> None:
+        self.domains = DomainColumns([], [])
+        self.models = ModelColumns([], [], [])
+        self.types = TypeColumns([], [], [], [])
+        self.vocabulary: list[str] = []
+        self.occurrences = OccurrenceColumns([], [], [], [], [])
+        self._attribute_index: dict[str, int] = {}
+
+    def attribute(self, name: str) -> int:
+        """The position of ``name`` in the vocabulary, added on first use."""
+        index = self._attribute_index.get(name)
+        if index is None:
+            index = self._attribute_index[name] = len(self.vocabulary)
+            self.vocabulary.append(name)
+        return index
+
+    def sorted_fields(self, content_hash: str | None) -> dict:
+        """The :class:`CorpusSnapshot` fields: each table sorted by its ids
+        (stably), references renumbered, and occurrences in record-key
+        order. A None ``content_hash`` is computed over the records."""
+        d, m, t, o = self.domains, self.models, self.types, self.occurrences
+        d_order, d_new = _id_order(d.id)
+        m_order, m_new = _id_order(m.id)
+        t_order, t_new = _id_order(t.id)
+        a_order, a_new = _id_order(self.vocabulary)
+        domains = DomainColumns(*(_take(column, d_order) for column in d))
+        models = ModelColumns(
+            _take(m.id, m_order),
+            _take(m.display_name, m_order),
+            tuple(tuple(sorted(d_new[i] for i in m.domains[row])) for row in m_order),
+        )
+        types = TypeColumns(
+            _take(t.id, t_order),
+            _take(t.display_name, t_order),
+            tuple(m_new[t.model[row]] for row in t_order),
+            tuple(tuple(a_new[a] for a in t.attributes[row]) for row in t_order),
+        )
+        # Each row's (attribute, type, domain) indices as one int key: sorted
+        # by it, rows are in record-key order, since each table is sorted.
+        n_types, n_domains = len(t_order), len(d_order)
+        attribute = [a_new[a] for a in o.attribute]
+        type_ = [t_new[ti] for ti in o.type]
+        domain = [d_new[di] for di in o.domain]
+        keys = [(a * n_types + ti) * n_domains + di for a, ti, di in zip(attribute, type_, domain)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        occurrences = OccurrenceColumns(*(
+            _take(column, order)
+            for column in (attribute, type_, domain, o.description, o.value_type)
+        ))
+        vocabulary = _take(self.vocabulary, a_order)
+        if content_hash is None:
+            content_hash = _records_hash(domains, models, types, vocabulary, occurrences)
+        return dict(
+            content_hash=content_hash, domains=domains, models=models, types=types,
+            vocabulary=vocabulary, occurrences=occurrences,
+        )
+
+
+def _append(table: tuple, *row) -> int:
+    """Add a row to a table of column lists; returns its position."""
+    for column, value in zip(table, row):
+        column.append(value)
+    return len(table[0]) - 1
+
+
+def _id_order(ids: list) -> tuple[list[int], list[int]]:
+    """The rows in stable id order, and each row's position in that order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    position = [0] * len(ids)
+    for new, row in enumerate(order):
+        position[row] = new
+    return order, position
+
+
+def _take(column: list, order: list[int]) -> tuple:
+    return tuple(map(column.__getitem__, order))
+
+
+def _records_hash(
+    d: DomainColumns, m: ModelColumns, t: TypeColumns, vocabulary: tuple[str, ...],
+    o: OccurrenceColumns,
+) -> str:
     """sha256 over the canonical JSON line of every record, each followed by
-    a newline: domains, models, types and occurrences, in record-key order."""
+    a newline: domains, models, types and occurrences, in record-key order,
+    which is the order of the sorted columns."""
     docs = [
-        {"kind": "domain", "domain_id": d.domain_id, "display_name": d.display_name}
-        for d in records.domains
+        {"kind": "domain", "domain_id": domain_id, "display_name": name}
+        for domain_id, name in zip(*d)
     ]
     docs += [
-        {"kind": "model", "model_id": m.model_id, "display_name": m.display_name,
-         "domain_ids": sorted(m.domain_ids)}
-        for m in records.models
+        {"kind": "model", "model_id": model_id, "display_name": name,
+         "domain_ids": [d.id[i] for i in ds]}
+        for model_id, name, ds in zip(*m)
     ]
     docs += [
-        {"kind": "type", "type_id": t.type_id, "display_name": t.display_name,
-         "model_id": t.model_id, "attribute_names": list(t.attribute_names)}
-        for t in records.types
+        {"kind": "type", "type_id": type_id, "display_name": name,
+         "model_id": m.id[model], "attribute_names": [vocabulary[a] for a in attributes]}
+        for type_id, name, model, attributes in zip(*t)
     ]
     docs += [
-        {"kind": "occurrence", "attribute_name": o.attribute_name, "type_id": o.type_id,
-         "model_id": o.model_id, "domain_id": o.domain_id,
-         "metadata": dict(sorted(o.metadata.items()))}
-        for o in records.occurrences
+        {"kind": "occurrence", "attribute_name": vocabulary[a], "type_id": t.id[ti],
+         "model_id": m.id[t.model[ti]], "domain_id": d.id[di],
+         "metadata": {key: value for key, value in zip(METADATA_KEYS, metadata)
+                      if value is not None}}
+        for a, ti, di, *metadata in zip(*o)
     ]
     digest = hashlib.sha256()
     for doc in docs:
@@ -608,18 +669,44 @@ class ParseContext:
 
 @dataclass
 class ParsedSchema:
-    types: list[TypeRecord]
-    occurrences: list[AttributeOccurrence]
+    """The entity definitions of one schema file: each item of ``entities``
+    is a type name and its properties map (attribute name to declaration,
+    source order, duplicates collapsed). ``types`` and ``occurrences`` are
+    their records, built when first read."""
+
+    context: ParseContext
+    entities: list[tuple[str, dict]]
     warnings: list[str]
+
+    @cached_property
+    def types(self) -> list[TypeRecord]:
+        model_id = self.context.model_id
+        return [
+            TypeRecord(f"{model_id}/{name}", name, model_id, tuple(props))
+            for name, props in self.entities
+        ]
+
+    @cached_property
+    def occurrences(self) -> list[AttributeOccurrence]:
+        c = self.context
+        return [
+            AttributeOccurrence(
+                attr_name, f"{c.model_id}/{name}", c.model_id, c.domain_id,
+                {key: value for key, value in zip(METADATA_KEYS, _metadata(decl))
+                 if value is not None},
+            )
+            for name, props in self.entities
+            for attr_name, decl in props.items()
+        ]
 
 
 def parse_schema_file(data: bytes, context: ParseContext) -> ParsedSchema:
     """Extract entity definitions from one JSON schema document.
 
-    Returns one :class:`TypeRecord` per entity definition that declares at
-    least one attribute, plus one :class:`AttributeOccurrence` per extracted
-    attribute. Entity definitions declaring no attributes are skipped with a
-    warning.
+    Returns one entity per definition that declares at least one attribute,
+    which gives one :class:`TypeRecord` and one :class:`AttributeOccurrence`
+    per extracted attribute. Entity definitions declaring no attributes are
+    skipped with a warning.
     """
     try:
         text = data.decode("utf-8")
@@ -635,7 +722,7 @@ def parse_schema_file(data: bytes, context: ParseContext) -> ParsedSchema:
         ) from exc
 
     candidates = doc if isinstance(doc, list) else [doc]
-    result = ParsedSchema([], [], [])
+    result = ParsedSchema(context, [], [])
     found_any_properties = False
     for index, node in enumerate(candidates):
         if not isinstance(node, dict):
@@ -655,59 +742,44 @@ def parse_schema_file(data: bytes, context: ParseContext) -> ParsedSchema:
                 f"entity {name!r}: empty properties map, no attributes extracted"
             )
             continue
-        type_id = f"{context.model_id}/{name}"
-        result.types.append(
-            TypeRecord(
-                type_id=type_id,
-                display_name=name,
-                model_id=context.model_id,
-                attribute_names=tuple(props.keys()),
-            )
-        )
-        for attr_name, decl in props.items():
-            metadata: dict[str, str] = {}
-            if isinstance(decl, dict):
-                description = decl.get("description")
-                if isinstance(description, str):
-                    metadata["description"] = description
-                value_type = decl.get("type")
-                if isinstance(value_type, str):
-                    metadata["value_type"] = value_type
-            result.occurrences.append(
-                AttributeOccurrence(
-                    attribute_name=attr_name,
-                    type_id=type_id,
-                    model_id=context.model_id,
-                    domain_id=context.domain_id,
-                    metadata=metadata,
-                )
-            )
+        result.entities.append((name, props))
     if not found_any_properties:
         result.warnings.append("no attributes: document declares no properties map")
     return result
+
+
+def _metadata(decl) -> tuple[str | None, str | None]:
+    """A property declaration's description and value type (its ``type``),
+    each None unless it is a string: the :data:`METADATA_KEYS` values."""
+    if not isinstance(decl, dict):
+        return None, None
+    description = decl.get("description")
+    value_type = decl.get("type")
+    return (
+        description if isinstance(description, str) else None,
+        value_type if isinstance(value_type, str) else None,
+    )
 
 
 def _collect_properties(node: dict) -> dict[str, object] | None:
     """Union of the node's property declarations, source order, duplicates
     collapsed (first declaration wins). Walks ``allOf`` composition lists
     recursively. Returns None when no ``properties`` map exists anywhere."""
-    found = False
-    merged: dict[str, object] = {}
     props = node.get("properties")
-    if isinstance(props, dict):
-        found = True
-        for key, decl in props.items():
-            merged.setdefault(key, decl)
+    merged = dict(props) if isinstance(props, dict) else None
     all_of = node.get("allOf")
     if isinstance(all_of, list):
         for sub in all_of:
             if isinstance(sub, dict):
                 sub_props = _collect_properties(sub)
-                if sub_props is not None:
-                    found = True
+                if sub_props is None:
+                    continue
+                if merged is None:
+                    merged = sub_props
+                else:
                     for key, decl in sub_props.items():
                         merged.setdefault(key, decl)
-    return merged if found else None
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -725,62 +797,68 @@ def ingest_corpus(
     Malformed schema files are logged and skipped unless ``strict`` is set,
     in which case the first one aborts ingestion. Output is deterministic for
     byte-identical trees, wherever they lie: all directory listings are
-    sorted, the merge step orders records by key, and the snapshot does not
-    record the tree's location.
+    sorted, the tables are sorted by id, and the snapshot does not record
+    the tree's location.
+
+    A type defined twice in one domain, by two files or twice in one file,
+    raises :class:`CorpusError` naming both files. A model shared by
+    several domains defines its types once in each; their attribute lists
+    are unioned in first-seen order.
     """
     layout = layout or LayoutConfig()
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"cannot read corpus root: {root}")
-
-    domain_dirs = sorted(
-        (p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")),
-        key=lambda p: p.name,
-    )
-    if not domain_dirs:
+    domain_names = _subdirectories(os.fspath(root))
+    if not domain_names:
         raise CorpusError(f"empty corpus: no domain directories under {root}")
 
-    domains: dict[str, DomainRecord] = {}
-    model_domains: dict[str, set[str]] = {}
-    model_names: dict[str, str] = {}
-    types: dict[str, TypeRecord] = {}
-    occurrences: dict[tuple[str, str, str], AttributeOccurrence] = {}
+    columns = _ColumnBuilder()
+    domain_rows: dict[str, int] = {}
+    model_rows: dict[str, int] = {}
+    type_rows: dict[str, int] = {}
+    # (type row, domain row) -> the relpath of the file that defined it there
+    defined: dict[tuple[int, int], str] = {}
+    attribute = columns.attribute
+    add_attribute, add_type, add_domain, add_description, add_value_type = (
+        column.append for column in columns.occurrences
+    )
+    is_schema = re.compile(fnmatch.translate(layout.schema_pattern)).match
     digest = hashlib.sha256()
 
-    for domain_dir in domain_dirs:
-        domain_id = domain_dir.name.strip()
-        if domain_id in domains:
+    for domain_name in domain_names:
+        domain_id = domain_name.strip()
+        if domain_id in domain_rows:
             raise CorpusError(
-                f"domain directories {domains[domain_id].display_name!r} and "
-                f"{domain_dir.name!r} both name domain {domain_id!r}"
+                f"domain directories {columns.domains.display_name[domain_rows[domain_id]]!r} "
+                f"and {domain_name!r} both name domain {domain_id!r}"
             )
-        domains[domain_id] = DomainRecord(domain_id=domain_id, display_name=domain_dir.name)
-        model_dirs = sorted(
-            (p for p in domain_dir.iterdir() if p.is_dir() and not p.name.startswith(".")),
-            key=lambda p: p.name,
-        )
-        for model_dir in model_dirs:
-            model_id = model_dir.name.strip()
+        d = domain_rows[domain_id] = _append(columns.domains, domain_id, domain_name)
+        domain_dir = os.path.join(root, domain_name)
+        for model_name in _subdirectories(domain_dir):
+            model_id = model_name.strip()
             # A model shared by several domains has the same directory name
             # in each of them.
-            first_name = model_names.setdefault(model_id, model_dir.name)
-            if first_name != model_dir.name:
+            m = model_rows.get(model_id)
+            if m is None:
+                m = model_rows[model_id] = _append(columns.models, model_id, model_name, set())
+            elif columns.models.display_name[m] != model_name:
                 raise CorpusError(
-                    f"model directories {first_name!r} and {model_dir.name!r} "
-                    f"both name model {model_id!r}"
+                    f"model directories {columns.models.display_name[m]!r} and "
+                    f"{model_name!r} both name model {model_id!r}"
                 )
-            model_domains.setdefault(model_id, set()).add(domain_id)
-            for schema_path in _schema_files(model_dir, layout):
-                relpath = schema_path.relative_to(root).as_posix()
+            columns.models.domains[m].add(d)
+            model_dir = os.path.join(domain_dir, model_name)
+            for name in _schema_files(model_dir, layout.recurse, is_schema):
+                relpath = f"{domain_name}/{model_name}/{name}"
                 try:
-                    data = schema_path.read_bytes()
+                    with open(os.path.join(model_dir, name), "rb") as fh:
+                        data = fh.read()
                 except OSError as exc:
-                    raise CorpusError(f"cannot read schema file {schema_path}: {exc}") from exc
-                context = ParseContext(
-                    domain_id=domain_id,
-                    model_id=model_id,
-                    default_type_name=schema_path.stem,
-                )
+                    raise CorpusError(
+                        f"cannot read schema file {root / relpath}: {exc}"
+                    ) from exc
+                context = ParseContext(domain_id, model_id, _stem(name.rpartition("/")[2]))
                 try:
                     parsed = parse_schema_file(data, context)
                 except SchemaParseError as exc:
@@ -796,56 +874,107 @@ def ingest_corpus(
                 digest.update(b"\x00")
                 for warning in parsed.warnings:
                     logger.warning("%s: %s", relpath, warning)
-                for record in parsed.types:
-                    _merge_type(types, record)
-                for occ in parsed.occurrences:
-                    occurrences.setdefault(occ.key(), occ)
+                for type_name, props in parsed.entities:
+                    type_id = f"{model_id}/{type_name}"
+                    t = type_rows.get(type_id)
+                    ids = list(map(attribute, props))
+                    if t is None:
+                        t = type_rows[type_id] = _append(
+                            columns.types, type_id, type_name, m, ids
+                        )
+                    else:
+                        first = defined.get((t, d))
+                        if first is not None:
+                            raise _defined_twice(type_id, domain_id, first, relpath)
+                        # The same model's type under another domain.
+                        merged = columns.types.attributes[t]
+                        seen = set(merged)
+                        merged += [a for a in ids if a not in seen]
+                    defined[t, d] = relpath
+                    for a, decl in zip(ids, props.values()):
+                        description, value_type = _metadata(decl)
+                        add_attribute(a)
+                        add_type(t)
+                        add_domain(d)
+                        add_description(description)
+                        add_value_type(value_type)
 
-    models = [
-        DataModelRecord(
-            model_id=model_id,
-            display_name=model_names[model_id],
-            domain_ids=frozenset(domain_ids),
+    return CorpusSnapshot(**columns.sorted_fields(digest.hexdigest()))
+
+
+def _defined_twice(type_id: str, domain_id: str, first: str, second: str) -> CorpusError:
+    if first == second:
+        return CorpusError(
+            f"schema file {first!r} defines type {type_id!r} twice in domain {domain_id!r}"
         )
-        for model_id, domain_ids in model_domains.items()
-    ]
-    return CorpusSnapshot.assemble(
-        domains=domains.values(),
-        models=models,
-        types=types.values(),
-        occurrences=occurrences.values(),
-        content_hash=digest.hexdigest(),
+    return CorpusError(
+        f"schema files {first!r} and {second!r} both define type {type_id!r} "
+        f"in domain {domain_id!r}"
     )
 
 
-def _schema_files(model_dir: Path, layout: LayoutConfig) -> list[Path]:
-    walker = model_dir.rglob("*") if layout.recurse else model_dir.iterdir()
-    return sorted(
-        (
-            p
-            for p in walker
-            if p.is_file()
-            and not p.name.startswith(".")
-            and fnmatch.fnmatch(p.name, layout.schema_pattern)
-        ),
-        key=lambda p: p.as_posix(),
-    )
+# errno values for which pathlib's is_file and is_dir answer False instead
+# of raising: ENOENT, ENOTDIR, EBADF and ELOOP.
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
-def _merge_type(types: dict[str, TypeRecord], record: TypeRecord) -> None:
-    """Unify repeated type definitions (same model under several domains):
-    attribute lists are unioned in first-seen order."""
-    existing = types.get(record.type_id)
-    if existing is None:
-        types[record.type_id] = record
-        return
-    merged = list(existing.attribute_names)
-    seen = set(merged)
-    for name in record.attribute_names:
-        if name not in seen:
-            merged.append(name)
-            seen.add(name)
-    existing.attribute_names = tuple(merged)
+def _entry_is(test, entry: os.DirEntry, **kwargs) -> bool:
+    try:
+        return test(entry, **kwargs)
+    except OSError as exc:
+        if exc.errno in _MISSING:
+            return False
+        raise
+
+
+def _subdirectories(path: str) -> list[str]:
+    """Names of the directories in ``path``, symlinked ones included, except
+    those starting with a dot; sorted."""
+    with os.scandir(path) as entries:
+        return sorted(
+            entry.name for entry in entries
+            if not entry.name.startswith(".") and _entry_is(os.DirEntry.is_dir, entry)
+        )
+
+
+def _schema_files(model_dir: str, recurse: bool, is_schema) -> list[str]:
+    """The schema files below a model directory, as ``/``-joined paths
+    relative to it, sorted.
+
+    A schema file is a regular file, or a symlink to one, whose name matches
+    ``is_schema`` and does not start with a dot. With ``recurse`` every
+    directory below is searched, dot-named ones too, but symlinked
+    directories are not followed and unreadable ones are skipped: the files
+    and the order of ``Path.rglob("*")`` sorted by path.
+    """
+    found: list[str] = []
+    pending = [("", model_dir)]
+    while pending:
+        prefix, path = pending.pop()
+        try:
+            with os.scandir(path) as it:
+                entries = list(it)
+        except PermissionError:
+            if not recurse:
+                raise
+            continue
+        for entry in entries:
+            name = entry.name
+            if recurse and _entry_is(os.DirEntry.is_dir, entry, follow_symlinks=False):
+                pending.append((f"{prefix}{name}/", entry.path))
+            elif (
+                not name.startswith(".") and is_schema(name)
+                and _entry_is(os.DirEntry.is_file, entry)
+            ):
+                found.append(prefix + name)
+    found.sort()
+    return found
+
+
+def _stem(name: str) -> str:
+    """``Path(name).stem``: the name without its last suffix."""
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Iterator
 from ontomesh.graph import NodeKind, OntologyGraph
 
 if TYPE_CHECKING:
-    from ontomesh.analytics import DomainMatrix
+    from ontomesh.results import DomainMatrix
 
 _DOT_SHAPES = {
     NodeKind.DOMAIN: ("box", "#ffd97d"),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from ontomesh.analytics import DomainMatrix
+from ontomesh.results import DomainMatrix
 
 CELL = 40
 LEFT = 130

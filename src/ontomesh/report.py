@@ -5,8 +5,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from ontomesh.analytics import AnalysisReport, DomainMatrix
 from ontomesh.canonical import canonical_json_bytes
+from ontomesh.results import AnalysisReport, DomainMatrix
 
 
 def _fmt(value) -> str:

@@ -31,13 +31,13 @@ _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 _STORED_HASH = re.compile(rb'\{"content_hash":"([0-9a-f]{64})",')
 
 # Kind -> (module, class). Classes are imported only when an object of that
-# kind is read, so storing or reading a snapshot does not load numpy.
+# kind is read, so only reading a graph loads numpy.
 _KINDS = {
     "snapshot": ("ontomesh.corpus", "CorpusSnapshot"),
     "graph": ("ontomesh.graph", "OntologyGraph"),
-    "report": ("ontomesh.analytics", "AnalysisReport"),
-    "centrality": ("ontomesh.analytics", "CentralityResult"),
-    "domain_matrix": ("ontomesh.analytics", "DomainMatrix"),
+    "report": ("ontomesh.results", "AnalysisReport"),
+    "centrality": ("ontomesh.results", "CentralityResult"),
+    "domain_matrix": ("ontomesh.results", "DomainMatrix"),
 }
 
 
@@ -166,6 +166,11 @@ class ArtifactStore:
             return _artifact_class("graph").from_bytes(data, content_hash=entry["hash"])
         doc = json.loads(data)
         return _artifact_class(entry["kind"]).from_doc(doc)
+
+    def verified_hash(self, name: str, expect_kind: str | None = None) -> str:
+        """An artifact's content hash, once its stored bytes are verified
+        against it; the object is not decoded."""
+        return self._verified_object(name, expect_kind)[0]["hash"]
 
     def object_bytes(self, name: str, expect_kind: str | None = None) -> bytes:
         """Raw stored bytes for an artifact (hash verified): the canonical

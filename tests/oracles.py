@@ -5,26 +5,43 @@ production code: betweenness by literal enumeration of every shortest path,
 degree by adjacency-matrix row sums, overlap matrices and specificity by
 nested set loops over a snapshot's records, where the package reads them
 from the graph, and the graph itself from the snapshot's records, one type at
-a time, where the package builds it from the snapshot's columns.
+a time, where the package builds it from the snapshot's columns. Ingest is
+checked against the record path: a pathlib walk, one record per type and
+occurrence merged by key, and records mapped to sorted columns, where the
+package walks with ``os.scandir`` and interns names into columns as it goes.
 """
 
 from __future__ import annotations
 
+import fnmatch
+import hashlib
+import logging
 import random
 import xml.etree.ElementTree as ET
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
-from ontomesh.analytics import DomainMatrix
+from ontomesh.canonical import canonical_json_line
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
     DataModelRecord,
+    DomainColumns,
     DomainRecord,
+    LayoutConfig,
+    ModelColumns,
+    OccurrenceColumns,
+    ParseContext,
+    SnapshotRecords,
+    TypeColumns,
     TypeRecord,
+    _no_occurrence,
+    _occurrence_error,
+    parse_schema_file,
 )
-from ontomesh.canonical import canonical_json_line
+from ontomesh.errors import CorpusError, SchemaParseError, SnapshotInvariantError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
     EDGE_ATTR_DOMAIN,
@@ -36,6 +53,9 @@ from ontomesh.graph import (
     NodeKind,
     OntologyGraph,
 )
+from ontomesh.results import DomainMatrix
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -367,4 +387,224 @@ def random_snapshot(rng: random.Random, metadata: bool = False) -> CorpusSnapsho
         models=models,
         types=types,
         occurrences=occurrences,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Ingest reference: the record path
+# ---------------------------------------------------------------------------
+
+
+def assemble_reference(
+    domains, models, types, occurrences, content_hash: str | None = None
+) -> CorpusSnapshot:
+    """``CorpusSnapshot.assemble`` over sorted records: every record mapped
+    to indices through dicts of ids, and the hash over the records."""
+    domains = sorted(domains, key=lambda d: d.domain_id)
+    models = sorted(models, key=lambda m: m.model_id)
+    types = sorted(types, key=lambda t: t.type_id)
+    occurrences = list(occurrences)
+    vocabulary = sorted({o.attribute_name for o in occurrences})
+    domain_index = {d.domain_id: i for i, d in enumerate(domains)}
+    model_index = {m.model_id: i for i, m in enumerate(models)}
+    type_index = {t.type_id: i for i, t in enumerate(types)}
+    attribute_index = {name: i for i, name in enumerate(vocabulary)}
+
+    model_domains = []
+    for m in models:
+        unknown = sorted(m.domain_ids - domain_index.keys())
+        if unknown:
+            raise SnapshotInvariantError(
+                f"model {m.model_id!r} references unknown domains {unknown}"
+            )
+        model_domains.append(tuple(sorted(domain_index[d] for d in m.domain_ids)))
+    type_models, type_attributes = [], []
+    for t in types:
+        if t.model_id not in model_index:
+            raise SnapshotInvariantError(
+                f"type {t.type_id!r} references unknown model {t.model_id!r}"
+            )
+        for name in t.attribute_names:
+            if name not in attribute_index:
+                raise _no_occurrence(t.type_id, name)
+        type_models.append(model_index[t.model_id])
+        type_attributes.append(tuple(attribute_index[name] for name in t.attribute_names))
+    type_model_ids = [t.model_id for t in types]
+    rows = []
+    for o in occurrences:
+        t = type_index.get(o.type_id)
+        d = domain_index.get(o.domain_id)
+        text = o.metadata.get("description")
+        kind = o.metadata.get("value_type")
+        if (
+            t is None or d is None or o.model_id != type_model_ids[t]
+            or len(o.metadata) != (text is not None) + (kind is not None)
+        ):
+            raise _occurrence_error(o, None if t is None else type_model_ids[t], d)
+        rows.append(((attribute_index[o.attribute_name], t, d), o, text, kind))
+    rows.sort(key=lambda row: row[0])
+    if content_hash is None:
+        content_hash = _records_hash_reference(
+            SnapshotRecords(domains, models, types, [o for _, o, _, _ in rows])
+        )
+    return CorpusSnapshot(
+        content_hash=content_hash,
+        domains=DomainColumns(
+            tuple(d.domain_id for d in domains), tuple(d.display_name for d in domains)
+        ),
+        models=ModelColumns(
+            tuple(m.model_id for m in models),
+            tuple(m.display_name for m in models),
+            tuple(model_domains),
+        ),
+        types=TypeColumns(
+            tuple(t.type_id for t in types),
+            tuple(t.display_name for t in types),
+            tuple(type_models),
+            tuple(type_attributes),
+        ),
+        vocabulary=tuple(vocabulary),
+        occurrences=OccurrenceColumns(
+            tuple(key[0] for key, _, _, _ in rows),
+            tuple(key[1] for key, _, _, _ in rows),
+            tuple(key[2] for key, _, _, _ in rows),
+            tuple(text for _, _, text, _ in rows),
+            tuple(kind for _, _, _, kind in rows),
+        ),
+    )
+
+
+def _records_hash_reference(records: SnapshotRecords) -> str:
+    docs = [
+        {"kind": "domain", "domain_id": d.domain_id, "display_name": d.display_name}
+        for d in records.domains
+    ]
+    docs += [
+        {"kind": "model", "model_id": m.model_id, "display_name": m.display_name,
+         "domain_ids": sorted(m.domain_ids)}
+        for m in records.models
+    ]
+    docs += [
+        {"kind": "type", "type_id": t.type_id, "display_name": t.display_name,
+         "model_id": t.model_id, "attribute_names": list(t.attribute_names)}
+        for t in records.types
+    ]
+    docs += [
+        {"kind": "occurrence", "attribute_name": o.attribute_name, "type_id": o.type_id,
+         "model_id": o.model_id, "domain_id": o.domain_id,
+         "metadata": dict(sorted(o.metadata.items()))}
+        for o in records.occurrences
+    ]
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(canonical_json_line(doc).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def _schema_files_reference(model_dir: Path, layout: LayoutConfig) -> list[Path]:
+    walker = model_dir.rglob("*") if layout.recurse else model_dir.iterdir()
+    return sorted(
+        (
+            p
+            for p in walker
+            if p.is_file()
+            and not p.name.startswith(".")
+            and fnmatch.fnmatch(p.name, layout.schema_pattern)
+        ),
+        key=lambda p: p.as_posix(),
+    )
+
+
+def _merge_type(types: dict[str, TypeRecord], record: TypeRecord) -> None:
+    """Unify repeated type definitions: attribute lists are unioned in
+    first-seen order."""
+    existing = types.get(record.type_id)
+    if existing is None:
+        types[record.type_id] = record
+        return
+    merged = list(existing.attribute_names)
+    seen = set(merged)
+    for name in record.attribute_names:
+        if name not in seen:
+            merged.append(name)
+            seen.add(name)
+    existing.attribute_names = tuple(merged)
+
+
+def ingest_corpus_reference(
+    root, layout: LayoutConfig | None = None, strict: bool = False
+) -> CorpusSnapshot:
+    """``ingest_corpus`` through records: a pathlib walk, the parser's
+    ``types`` and ``occurrences``, types merged by id and occurrences by
+    (attribute, type, domain), first one kept. It merges the two
+    definitions of one type in one domain that ``ingest_corpus`` refuses,
+    and logs the same warnings, in the same order, on this module's logger.
+    """
+    layout = layout or LayoutConfig()
+    root = Path(root)
+    if not root.is_dir():
+        raise CorpusError(f"cannot read corpus root: {root}")
+    domain_dirs = sorted(
+        (p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")),
+        key=lambda p: p.name,
+    )
+    if not domain_dirs:
+        raise CorpusError(f"empty corpus: no domain directories under {root}")
+    domains: dict[str, DomainRecord] = {}
+    model_domains: dict[str, set[str]] = {}
+    model_names: dict[str, str] = {}
+    types: dict[str, TypeRecord] = {}
+    occurrences: dict[tuple[str, str, str], AttributeOccurrence] = {}
+    digest = hashlib.sha256()
+    for domain_dir in domain_dirs:
+        domain_id = domain_dir.name.strip()
+        if domain_id in domains:
+            raise CorpusError(
+                f"domain directories {domains[domain_id].display_name!r} and "
+                f"{domain_dir.name!r} both name domain {domain_id!r}"
+            )
+        domains[domain_id] = DomainRecord(domain_id=domain_id, display_name=domain_dir.name)
+        model_dirs = sorted(
+            (p for p in domain_dir.iterdir() if p.is_dir() and not p.name.startswith(".")),
+            key=lambda p: p.name,
+        )
+        for model_dir in model_dirs:
+            model_id = model_dir.name.strip()
+            first_name = model_names.setdefault(model_id, model_dir.name)
+            if first_name != model_dir.name:
+                raise CorpusError(
+                    f"model directories {first_name!r} and {model_dir.name!r} "
+                    f"both name model {model_id!r}"
+                )
+            model_domains.setdefault(model_id, set()).add(domain_id)
+            for schema_path in _schema_files_reference(model_dir, layout):
+                relpath = schema_path.relative_to(root).as_posix()
+                data = schema_path.read_bytes()
+                context = ParseContext(
+                    domain_id=domain_id, model_id=model_id, default_type_name=schema_path.stem
+                )
+                try:
+                    parsed = parse_schema_file(data, context)
+                except SchemaParseError as exc:
+                    if strict:
+                        raise SchemaParseError(f"{relpath}: {exc}", offset=exc.offset) from exc
+                    logger.warning("skipping malformed schema file %s: %s", relpath, exc)
+                    continue
+                digest.update(relpath.encode("utf-8"))
+                digest.update(b"\x00")
+                digest.update(data)
+                digest.update(b"\x00")
+                for warning in parsed.warnings:
+                    logger.warning("%s: %s", relpath, warning)
+                for record in parsed.types:
+                    _merge_type(types, record)
+                for occ in parsed.occurrences:
+                    occurrences.setdefault(occ.key(), occ)
+    models = [
+        DataModelRecord(model_id, model_names[model_id], frozenset(domain_ids))
+        for model_id, domain_ids in model_domains.items()
+    ]
+    return assemble_reference(
+        domains.values(), models, types.values(), occurrences.values(), digest.hexdigest()
     )

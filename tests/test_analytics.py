@@ -273,6 +273,26 @@ class TestBetweenness:
         reps, sizes = analytics._twin_classes(graph.indptr, graph.indices)
         assert list(zip(reps.tolist(), sizes.tolist())) == [(0, 3), (3, 5), (8, 1), (9, 1)]
 
+    def test_component_sizes_match_csgraph(self):
+        from scipy.sparse import csgraph
+
+        rng = random.Random(11)
+        graphs = [make_graph(0, []), make_graph(5, [])]
+        for _ in range(30):
+            # several small dense parts side by side, and isolated nodes
+            n, edges = 0, []
+            for _ in range(rng.randint(1, 6)):
+                size = rng.randint(1, 12)
+                edges += [(n + u, n + v) for u in range(size) for v in range(u + 1, size)
+                          if rng.random() < 0.3]
+                n += size
+            graphs.append(make_graph(n, edges))
+        for graph in graphs:
+            sizes = analytics._component_sizes(graph.indptr, graph.indices)
+            adj = analytics._SourceBlocks(graph.indptr, graph.indices).adj
+            _, component = csgraph.connected_components(adj, directed=False)
+            assert sizes.tolist() == np.bincount(component)[component].tolist()
+
     def test_twin_free_graph_is_the_plain_per_source_sum(self):
         # a cycle with chords has no closed twins, so every class has size
         # 1 and the result is each source's row added in ascending id

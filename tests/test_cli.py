@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontomesh import analytics
+from ontomesh import analytics, results
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.corpus import (
@@ -139,6 +139,16 @@ class TestIngest:
         payload = json.loads(out)
         assert payload["attributes"] == 9
         assert payload["command"] == "ingest"
+
+    def test_type_defined_twice_exit_1(self, workdir, capsys):
+        model = workdir / "tree" / "d1" / "m1"
+        model.mkdir(parents=True)
+        (model / "A.json").write_text('{"title": "X", "properties": {"a": {}}}')
+        (model / "B.json").write_text('{"title": "X", "properties": {"b": {}}}')
+        code, _, err = run_cli(["ingest", str(workdir / "tree")], capsys)
+        assert code == 1
+        assert "'d1/m1/A.json' and 'd1/m1/B.json' both define type 'm1/X'" in err
+        assert not (workdir / "store").exists()
 
 
 class TestGraph:
@@ -496,6 +506,9 @@ class TestCentralityReuse:
             store.get("fix1-graph-betweenness-normalized"),
             overwrite=True,
         )
+        # a degree summary replaces the stored betweenness one, which the
+        # next report would otherwise reuse without any centrality
+        self.report(capsys, "degree.md", metric="degree")
         assert self.report(capsys, "b.md") == fresh_hash
         assert calls["betweenness"] == 3
         assert (built / "a.md").read_bytes() == (built / "b.md").read_bytes()
@@ -542,6 +555,138 @@ class TestCentralityReuse:
             result = store.get(name)
             assert result.weighted == ("weighted" in name)
             assert result.normalized == ("normalized" in name)
+
+
+class TestSummaryReuse:
+    """``report`` and ``analyze dissonance`` reuse a summary stored for the
+    same snapshot, graph and metric with rows enough, without decoding the
+    graph, and compute it in every other case."""
+
+    DISSONANCE = ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp", "--json"]
+    REPORT = ["report", "--name", "fix1", "--no-timestamp", "--json"]
+
+    @pytest.fixture()
+    def summaries(self, monkeypatch):
+        """The metric of every summary computed."""
+        computed = []
+        real = analytics.dissonance_summary
+
+        def spy(*args, **kwargs):
+            computed.append(kwargs["centrality_metric"])
+            return real(*args, **kwargs)
+
+        # the CLI imports it from analytics when it computes a summary
+        monkeypatch.setattr(analytics, "dissonance_summary", spy)
+        return computed
+
+    @staticmethod
+    def run(capsys, argv, code=0) -> dict:
+        got, out, err = run_cli(argv, capsys)
+        assert got == code, err
+        return json.loads(out) if code == 0 else {"err": err}
+
+    def test_reused_equals_computed(self, built, capsys, summaries):
+        template = shutil.copytree(built / "store", built / "template")
+        commands = [
+            self.DISSONANCE,
+            self.REPORT + ["--out", "r.md"],
+            self.REPORT + ["--format", "canonical-json", "--out", "r.json"],
+            self.REPORT + ["--top", "3", "--out", "top3.md"],
+            self.DISSONANCE + ["--top", "2", "--matrix", "jaccard-attributes"],
+            self.REPORT + ["--metric", "betweenness", "--out", "b.md"],
+            self.REPORT + ["--metric", "betweenness", "--top", "20", "--out", "b20.md"],
+        ]
+
+        def outputs(argv, store):
+            payload = self.run(capsys, argv + ["--store", str(store)])
+            stored = ArtifactStore(store).object_bytes(payload["stored"])
+            return payload, stored, [(built / p).read_bytes() for p in payload["paths"]]
+
+        reused = [outputs(argv, built / "store") for argv in commands]
+        assert summaries == ["degree", "betweenness"]
+        computed = [
+            outputs(argv, shutil.copytree(template, built / f"fresh-{i}"))
+            for i, argv in enumerate(commands)
+        ]
+        assert len(summaries) == 2 + len(commands)
+        assert reused == computed
+        assert computed[3][0]["hash"] != computed[0][0]["hash"]
+
+    def test_reuse_never_decodes_the_graph(self, built, capsys, summaries, monkeypatch):
+        first = self.run(capsys, self.DISSONANCE)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was decoded")
+
+        monkeypatch.setattr(OntologyGraph, "from_bytes", refuse)
+        assert self.run(capsys, self.REPORT + ["--out", "r.md"])["hash"] == first["hash"]
+        assert self.run(capsys, self.DISSONANCE)["hash"] == first["hash"]
+        assert summaries == ["degree"]
+
+    def test_other_metric_computes(self, built, capsys, summaries):
+        self.run(capsys, self.DISSONANCE)
+        self.run(capsys, self.REPORT + ["--metric", "betweenness", "--out", "r.md"])
+        self.run(capsys, self.REPORT + ["--metric", "degree", "--out", "r.md"])
+        assert summaries == ["degree", "betweenness"]
+
+    def test_larger_top_computes(self, built, capsys, summaries):
+        # fix1 has 9 attributes
+        for top, computes in ((3, True), (3, False), (2, False), (5, True), (4, False),
+                              (14, True), (20, False), (9, False)):
+            before = len(summaries)
+            payload = self.run(capsys, self.REPORT + ["--top", str(top), "--out", "r.md"])
+            assert len(summaries) - before == computes, top
+            report = ArtifactStore(built / "store").get(payload["stored"])
+            assert len(report.top_k) == min(top, 9)
+
+    def test_rebuilt_or_other_graph_computes(self, built, capsys, summaries):
+        first = self.run(capsys, self.DISSONANCE)["hash"]
+        self.run(capsys, ["graph", "build", "--snapshot", "fix1", "--containment-edges",
+                          "--name", "other-graph", "--json"])
+        other = self.run(capsys, self.REPORT + ["--graph", "other-graph", "--out", "r.md"])
+        assert len(summaries) == 2
+        # fix1-dissonance still answers for fix1-graph
+        assert self.run(capsys, self.REPORT + ["--out", "r.md"])["hash"] == first
+        assert len(summaries) == 2
+        self.run(capsys, ["graph", "build", "--snapshot", "fix1", "--containment-edges",
+                          "--overwrite", "--json"])
+        assert self.run(capsys, self.REPORT + ["--out", "r.md"])["hash"] == other["hash"]
+        assert self.run(capsys, self.DISSONANCE)["hash"] == other["hash"]
+        assert len(summaries) == 3
+
+    def test_overwritten_snapshot_computes(self, built, capsys, summaries):
+        self.run(capsys, self.DISSONANCE)
+        self.run(capsys, ["ingest", str(FIXTURES / "fix-broken"), "--name", "fix1",
+                          "--overwrite", "--json"])
+        err = self.run(capsys, self.REPORT + ["--out", "r.md"], code=1)["err"]
+        assert "graph provenance does not match snapshot" in err
+        assert summaries == ["degree", "degree"]
+
+    def test_reused_summary_gets_a_new_timestamp(self, built, capsys, summaries, monkeypatch):
+        stamped = ["analyze", "dissonance", "--snapshot", "fix1", "--json"]
+        self.run(capsys, stamped)
+        monkeypatch.setattr(results, "utc_timestamp", lambda: "2030-01-02T03:04:05+00:00")
+        self.run(capsys, ["report", "--name", "fix1", "--out", "r.md", "--json"])
+        store = ArtifactStore(built / "store")
+        assert store.get("fix1-report").generated_at == "2030-01-02T03:04:05+00:00"
+        assert store.get("fix1-dissonance").generated_at != "2030-01-02T03:04:05+00:00"
+        assert "- generated: 2030-01-02T03:04:05+00:00" in (built / "r.md").read_text()
+        assert summaries == ["degree"]
+
+    @pytest.mark.parametrize("damage", ["altered", "missing"])
+    def test_damaged_graph_exit_1(self, built, capsys, summaries, damage):
+        self.run(capsys, self.DISSONANCE)
+        store = ArtifactStore(built / "store")
+        path = store.objects_dir / f"{store.entry('fix1-graph')['hash']}.json"
+        if damage == "altered":
+            path.write_bytes(path.read_bytes().replace(b"dataProvider", b"dataProvidex", 1))
+        else:
+            path.unlink()
+        want = {"altered": "hash mismatch for artifact 'fix1-graph'",
+                "missing": "missing object for 'fix1-graph'"}[damage]
+        for argv in (self.REPORT + ["--out", "r.md"], self.DISSONANCE):
+            assert want in self.run(capsys, argv, code=1)["err"]
+        assert summaries == ["degree"]
 
 
 class TestUsageErrors:

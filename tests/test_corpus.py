@@ -1,8 +1,14 @@
 import json
 import logging
+import os
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ontomesh.canonical import canonical_json_bytes
 from ontomesh.corpus import (
@@ -24,7 +30,10 @@ from ontomesh.errors import (
 )
 from ontomesh.store import stored_content_hash
 
-from oracles import random_snapshot
+from oracles import assemble_reference, ingest_corpus_reference, random_snapshot
+from ontomesh.synthetic import synthetic_snapshot
+
+from conftest import FIXTURES
 
 
 def _ctx(**kwargs):
@@ -174,6 +183,233 @@ class TestIngest:
         deep = ingest_corpus(tmp_path)
         assert tuple(flat.counts) == (1, 1, 1, 1)
         assert tuple(deep.counts) == (1, 1, 2, 2)
+
+
+def _write(root: Path, files: dict[str, bytes | str]) -> Path:
+    for rel, content in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        path.write_bytes(content)
+    return root
+
+
+def _schema(title=None, props=("a",), **extra) -> str:
+    doc = {"properties": {name: {"type": "string"} for name in props}, **extra}
+    if title is not None:
+        doc["title"] = title
+    return json.dumps(doc)
+
+
+def _ingest_logged(ingest, root, caplog, **kwargs):
+    """The snapshot, or the error, and the warnings, of one ingest."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        try:
+            result = ingest(root, **kwargs)
+        except Exception as exc:  # compared below, type and message
+            result = (type(exc), str(exc))
+    return result, [record.getMessage() for record in caplog.records]
+
+
+class TestIngestMatchesReference:
+    """The scandir walk, interning into columns, gives the snapshot and the
+    warnings of the record path in ``oracles.ingest_corpus_reference``."""
+
+    @staticmethod
+    def check(root, caplog, **kwargs):
+        got, got_warnings = _ingest_logged(ingest_corpus, root, caplog, **kwargs)
+        want, want_warnings = _ingest_logged(ingest_corpus_reference, root, caplog, **kwargs)
+        assert got == want
+        assert got_warnings == want_warnings
+        if isinstance(got, CorpusSnapshot):
+            assert canonical_json_bytes(got.to_doc()) == canonical_json_bytes(want.to_doc())
+        return got, got_warnings
+
+    @pytest.mark.parametrize("tree", ["fix1", "fix-broken"])
+    def test_fixtures(self, tree, caplog):
+        snapshot, warnings = self.check(FIXTURES / tree, caplog)
+        assert isinstance(snapshot, CorpusSnapshot)
+        assert bool(warnings) == (tree == "fix-broken")
+
+    def test_synthetic_corpus(self, tmp_path, caplog):
+        snapshot = synthetic_snapshot()
+        assert assemble_reference(*snapshot.records()) == snapshot
+        d, m, t, vocabulary = snapshot.domains, snapshot.models, snapshot.types, snapshot.vocabulary
+        files = {}
+        for name, model, attributes in zip(t.display_name, t.model, t.attributes):
+            text = _schema(name, [vocabulary[a] for a in attributes])
+            for domain in m.domains[model]:
+                files[f"{d.id[domain]}/{m.id[model]}/{name}.json"] = text
+        tree, _ = self.check(_write(tmp_path, files), caplog)
+        assert tree.counts == snapshot.counts
+        assert tree.vocabulary == snapshot.vocabulary
+        assert tree.types.attributes == snapshot.types.attributes
+
+    @pytest.fixture()
+    def layout_tree(self, tmp_path):
+        """Nested and dot-named directories, names that sort differently as
+        paths and as parts, symlinks, other extensions and malformed files."""
+        root = _write(tmp_path / "tree", {
+            "D/M/a.json": _schema("A", ["x", "y"]),
+            "D/M/a/b.json": _schema(None, ["y", "z"]),
+            "D/M/a-b.json": _schema("AB", ["z"], allOf=[{"properties": {"w": {}}}]),
+            "D/M/a/deeper/c.d.json": _schema(None, ["c"]),
+            "D/M/.hidden/h.json": _schema(None, ["h"]),
+            "D/M/.dot.json": _schema("Dot", ["dot"]),
+            "D/M/notes.txt": "not json",
+            "D/M/t.schema": _schema("S", ["s"]),
+            "D/M/noext": _schema(None, ["n"]),
+            "D/M/broken.json": '{"title": ',
+            "D/M/latin1.json": b'{"title": "\xff"}',
+            "D/M/empty.json": '{"title": "E", "properties": {}}',
+            "D/M/list.json": json.dumps([{"properties": {"p": {}}}, {"title": "L"}, 3]),
+            "D/M/plain.json": '{"type": "object"}',
+            "D/.skipped/M/s.json": _schema("Skipped", ["q"]),
+            "D/M3/m3.json": _schema("M3", ["x"]),
+            "E/M/e.json": _schema("A", ["e", "x"]),
+            "outside/o.json": _schema("Outside", ["o"]),
+            "outside/sub/o2.json": _schema("Outside2", ["o2"]),
+        })
+        os.symlink(root / "outside/o.json", root / "D/M/linked.json")
+        os.symlink(root / "outside/sub", root / "D/M/linked-dir")
+        os.symlink(root / "missing.json", root / "D/M/dangling.json")
+        os.symlink(root / "D/M3", root / "E/M3")
+        return root
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            LayoutConfig(),
+            LayoutConfig(recurse=False),
+            LayoutConfig(schema_pattern="*.schema"),
+            LayoutConfig(schema_pattern="*"),
+            LayoutConfig(schema_pattern="[a-c]*.json", recurse=False),
+        ],
+        ids=["default", "flat", "schema-suffix", "any-name", "flat-class"],
+    )
+    def test_layouts(self, layout_tree, caplog, layout):
+        snapshot, warnings = self.check(layout_tree, caplog, layout=layout)
+        assert isinstance(snapshot, CorpusSnapshot)
+        if layout == LayoutConfig():
+            assert len(warnings) == 4
+            assert {"M/b", "M/h", "M/Outside", "M/c.d"} <= set(snapshot.types.id)
+            assert "M/Outside2" not in snapshot.types.id
+            assert not {"M/Dot", "M/Skipped", "M/S"} & set(snapshot.types.id)
+            assert snapshot.models.domains[snapshot.models.id.index("M3")] == (0, 1)
+
+    def test_strict(self, layout_tree, caplog):
+        error, _ = self.check(layout_tree, caplog, strict=True)
+        assert error == (SchemaParseError, "D/M/broken.json: invalid JSON at offset 10: "
+                         "Expecting value")
+
+    def test_ingest_builds_no_records(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        for record in (AttributeOccurrence, DataModelRecord, DomainRecord, TypeRecord):
+            monkeypatch.setattr(record, "__init__", refuse)
+        assert tuple(ingest_corpus(FIXTURES / "fix1").counts) == (2, 3, 4, 9)
+
+    def test_parser_records_built_on_read(self):
+        parsed = parse_schema_file(_schema("T", ["a", "b"]).encode(), _ctx())
+        assert parsed.entities == [("T", {"a": {"type": "string"}, "b": {"type": "string"}})]
+        assert parsed.types is parsed.types
+        assert [o.key() for o in parsed.occurrences] == [("a", "M/T", "D"), ("b", "M/T", "D")]
+
+
+class TestDuplicateTypes:
+    """Two definitions of one type in one domain are refused, naming both
+    files; a model shared by several domains still unions its types."""
+
+    @staticmethod
+    def refused(root) -> str:
+        with pytest.raises(CorpusError) as excinfo:
+            ingest_corpus(root)
+        return str(excinfo.value)
+
+    def test_two_files_one_title(self, tmp_path):
+        _write(tmp_path, {
+            "d1/m1/A.json": '{"title":"X","properties":{"a":{"type":"string"},"b":{}}}',
+            "d1/m1/B.json":
+                '{"title":"X","properties":{"a":{"type":"number","description":"other"},"c":{}}}',
+        })
+        assert self.refused(tmp_path) == (
+            "schema files 'd1/m1/A.json' and 'd1/m1/B.json' both define type 'm1/X' "
+            "in domain 'd1'"
+        )
+
+    def test_untitled_files_with_one_stem(self, tmp_path):
+        _write(tmp_path, {"d/m/a/T.json": _schema(), "d/m/b/T.json": _schema(props=["b"])})
+        assert "'d/m/a/T.json' and 'd/m/b/T.json'" in self.refused(tmp_path)
+        flat = ingest_corpus(tmp_path, layout=LayoutConfig(recurse=False))
+        assert flat.types.id == ()
+
+    def test_titles_differing_in_whitespace(self, tmp_path):
+        _write(tmp_path, {"d/m/1.json": _schema("X"), "d/m/2.json": _schema(" X\t")})
+        assert "both define type 'm/X'" in self.refused(tmp_path)
+
+    def test_one_file_twice(self, tmp_path):
+        _write(tmp_path, {"d/m/L.json": json.dumps([{"title": "X", "properties": {"a": {}}},
+                                                     {"title": "X", "properties": {"b": {}}}])})
+        assert self.refused(tmp_path) == (
+            "schema file 'd/m/L.json' defines type 'm/X' twice in domain 'd'"
+        )
+
+    def test_shared_model_still_merged(self, tmp_path):
+        _write(tmp_path, {
+            "d1/shared/T.json": _schema("T", ["a", "b"]),
+            "d2/shared/T.json": _schema("T", ["c", "a"]),
+            "d2/other/T.json": _schema("T", ["z"]),
+        })
+        snapshot = ingest_corpus(tmp_path)
+        assert snapshot == ingest_corpus_reference(tmp_path)
+        types = {t.type_id: t.attribute_names for t in snapshot.records().types}
+        assert types == {"shared/T": ("a", "b", "c"), "other/T": ("z",)}
+
+    _NAMES = st.sampled_from(["a", "b", "T", " T", "T ", "u"])
+    _ENTITY = st.fixed_dictionaries(
+        {"properties": st.dictionaries(st.sampled_from(["p", "q", "ü"]), st.just({"type": "s"}),
+                                       max_size=3)},
+        optional={
+            "title": _NAMES,
+            "allOf": st.lists(st.fixed_dictionaries({"properties": st.dictionaries(
+                st.sampled_from(["q", "s"]), st.just({"description": "d"}), max_size=2)}),
+                max_size=2),
+        },
+    )
+    _TREE = st.dictionaries(
+        st.tuples(st.sampled_from(["d1", "d2"]), st.sampled_from(["m1", "m2"]),
+                  st.sampled_from(["", "sub/"]), st.sampled_from(["T", "u", "v"])),
+        st.one_of(_ENTITY, st.lists(_ENTITY, min_size=1, max_size=3)),
+        min_size=1, max_size=6,
+    )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tree=_TREE)
+    def test_random_trees_refused_or_equal_to_reference(self, tree):
+        files = {f"{d}/{m}/{sub}{stem}.json": json.dumps(doc)
+                 for (d, m, sub, stem), doc in tree.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = _write(Path(tmp), files)
+            # Every definition, per domain and type id, by the shared parser.
+            defined = Counter()
+            for rel, text in files.items():
+                domain, model, *_, name = rel.split("/")
+                context = ParseContext(domain, model, name.removesuffix(".json"))
+                for record in parse_schema_file(text.encode(), context).types:
+                    defined[domain, record.type_id] += 1
+            try:
+                snapshot = ingest_corpus(root)
+            except CorpusError as exc:
+                paths = [rel for rel in files if repr(rel) in str(exc)]
+                assert 1 <= len(paths) <= 2
+                assert max(defined.values()) > 1
+                return
+            assert max(defined.values(), default=0) <= 1
+            assert snapshot == ingest_corpus_reference(root)
 
 
 class TestLayoutConfig:

@@ -6,6 +6,7 @@ imported every layer.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,12 @@ def graph_store(tmp_path_factory):
     return store
 
 
+@pytest.fixture()
+def fresh_store(graph_store, tmp_path):
+    """A copy of ``graph_store`` that holds no result yet, for this test alone."""
+    return shutil.copytree(graph_store, tmp_path / "fresh-store")
+
+
 def test_import_loads_no_numpy(tmp_path):
     assert loaded_after("import ontomesh", tmp_path) == []
 
@@ -105,9 +112,25 @@ def test_help_loads_no_layer_but_choices_and_errors(tmp_path):
     ],
     ids=["centrality", "export-graphml", "dissonance", "report"],
 )
-def test_graph_commands_load_no_corpus(graph_store, tmp_path, argv):
-    loaded = loaded_after(cli(argv + ["--store", graph_store]), tmp_path, LAYERS)
+def test_graph_commands_load_no_corpus(fresh_store, tmp_path, argv):
+    loaded = loaded_after(cli(argv + ["--store", str(fresh_store)]), tmp_path, LAYERS)
     assert loaded == ["ontomesh.store", "ontomesh.graph"]
+
+
+def test_report_after_dissonance_loads_no_numpy_or_graph(fresh_store, tmp_path):
+    store = ["--store", str(fresh_store)]
+    assert main(["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp", *store]) == 0
+    argv = ["report", "--name", "fix1", "--no-timestamp", "--out", "r.md", *store]
+    watched = ("numpy", "scipy", "ontomesh.graph", "ontomesh.analytics")
+    assert loaded_after(cli(argv), tmp_path, watched) == []
+    assert (tmp_path / "r.md").is_file()
+
+
+def test_betweenness_loads_no_csgraph(graph_store, tmp_path):
+    argv = ["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness",
+            "--store", graph_store]
+    watched = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    assert loaded_after(cli(argv), tmp_path, watched) == ["scipy.sparse"]
 
 
 def test_dissonance_without_matrix_loads_no_writer(graph_store, tmp_path):
