@@ -1,7 +1,8 @@
-"""Option values shared by the CLI parser and the layers that implement them.
+"""Option values shared by the CLI parser and the layers that implement them,
+and the graph's edge kinds, which writers name without reading a graph.
 
-Kept apart from those layers, which import numpy, so that the parser can be
-built without importing them.
+Kept apart from those layers, which import numpy, so that the parser and the
+writers can be loaded without importing them.
 """
 
 MATRIX_METRICS = ("shared_models", "shared_attributes", "jaccard_attributes")
@@ -9,3 +10,5 @@ CENTRALITY_METRICS = ("degree", "betweenness")
 # format -> extension of the file written when no --out is given
 GRAPH_FORMATS = {"graphml": "graphml", "dot": "dot", "canonical-json": "json"}
 REPORT_FORMATS = {"markdown": "md", "canonical-json": "json"}
+# Graph edge kinds in canonical order; an edge's kind code is its index here.
+EDGE_KINDS = ("attr_attr", "attr_model", "attr_domain", "containment")

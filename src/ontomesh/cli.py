@@ -287,7 +287,6 @@ def cmd_analyze_dissonance(args: argparse.Namespace) -> int:
         export_matrix_csv(matrix, csv_out)
         paths.append(str(csv_out))
         if args.heatmap:
-            # The SVG writer's XML escaping loads urllib.request.
             from ontomesh.heatmap import render_heatmap_svg
 
             render_heatmap_svg(matrix, args.heatmap)

@@ -1,4 +1,8 @@
-"""Graph and matrix exporters: GraphML, DOT, canonical JSON, and CSV."""
+"""Graph and matrix exporters: GraphML, DOT, canonical JSON, and CSV.
+
+Graph writers stream the graph in blocks of rows, and this module loads
+neither numpy nor the graph layer itself, so that writing a matrix does not.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,25 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from ontomesh.graph import NodeKind, OntologyGraph
+from ontomesh.choices import EDGE_KINDS
 
 if TYPE_CHECKING:
+    from ontomesh.graph import OntologyGraph
     from ontomesh.results import DomainMatrix
 
+# Node kind value -> DOT shape and fill colour.
 _DOT_SHAPES = {
-    NodeKind.DOMAIN: ("box", "#ffd97d"),
-    NodeKind.MODEL: ("hexagon", "#a8dadc"),
-    NodeKind.TYPE: ("diamond", "#e5e5e5"),
-    NodeKind.ATTRIBUTE: ("ellipse", "#cdeac0"),
+    "domain": ("box", "#ffd97d"),
+    "model": ("hexagon", "#a8dadc"),
+    "type": ("diamond", "#e5e5e5"),
+    "attribute": ("ellipse", "#cdeac0"),
 }
+# One edge line per kind, over (u, v, weight).
+_DOT_EDGES = [b"  n%%d -- n%%d [label=%%d, kind=%s];\n" % kind.encode() for kind in EDGE_KINDS]
 
-
-# Nodes or edges per block of the streamed GraphML text.
-_GRAPHML_BLOCK = 8192
+# Nodes per block of the streamed GraphML and DOT text; edges come in the
+# graph's own blocks of rows.
+_NODE_BLOCK = 8192
 
 _GRAPHML_HEAD = (
     "<?xml version='1.0' encoding='UTF-8'?>\n"
@@ -31,6 +39,13 @@ _GRAPHML_HEAD = (
     '  <key id="d_ekind" for="edge" attr.name="kind" attr.type="string" />\n'
     '  <key id="d_weight" for="edge" attr.name="weight" attr.type="long" />\n'
 )
+_GRAPHML_EDGES = [
+    b'    <edge source="n%%d" target="n%%d">\n'
+    b'      <data key="d_ekind">%s</data>\n'
+    b'      <data key="d_weight">%%d</data>\n'
+    b"    </edge>\n" % kind.encode()
+    for kind in EDGE_KINDS
+]
 
 
 def _xml_text(text: str) -> str:
@@ -43,58 +58,53 @@ def _graphml_label(label: str) -> str:
     return f'      <data key="d_label">{_xml_text(label)}</data>'
 
 
-def _graphml_blocks(graph: OntologyGraph) -> Iterator[str]:
-    """GraphML with two-space indentation, as blocks of text of at most
-    ``_GRAPHML_BLOCK`` nodes or edges each, so a writer never holds the
-    whole document.
+def _graphml_blocks(graph: OntologyGraph) -> Iterator[bytes]:
+    """GraphML with two-space indentation, as blocks of at most
+    ``_NODE_BLOCK`` nodes or one block of the graph's edge rows each, so a
+    writer never holds the whole document.
 
     The bytes are those ElementTree gives for the same elements after
     ``ET.indent``: text escapes only ``&``, ``<`` and ``>``, an element
     without text or children is written ``<tag ... />``, and characters
     UTF-8 cannot encode become character references.
     """
-    yield _GRAPHML_HEAD
+    yield _GRAPHML_HEAD.encode()
     if not graph.nodes:
-        yield '  <graph id="G" edgedefault="undirected" />\n</graphml>\n'
+        yield b'  <graph id="G" edgedefault="undirected" />\n</graphml>\n'
         return
-    yield '  <graph id="G" edgedefault="undirected">\n'
-    for lo in range(0, len(graph.nodes), _GRAPHML_BLOCK):
+    yield b'  <graph id="G" edgedefault="undirected">\n'
+    for lo in range(0, len(graph.nodes), _NODE_BLOCK):
         yield "".join(
             f'    <node id="n{node.node_id}">\n'
             f'      <data key="d_kind">{node.kind.value}</data>\n'
             f"{_graphml_label(node.label)}\n"
             "    </node>\n"
-            for node in graph.nodes[lo : lo + _GRAPHML_BLOCK]
-        )
-    for lo in range(0, len(graph.u), _GRAPHML_BLOCK):
-        yield "".join(
-            f'    <edge source="n{u}" target="n{v}">\n'
-            f'      <data key="d_ekind">{kind}</data>\n'
-            f'      <data key="d_weight">{weight}</data>\n'
-            "    </edge>\n"
-            for u, v, kind, weight in graph.edge_rows(lo, lo + _GRAPHML_BLOCK)
-        )
-    yield "  </graph>\n</graphml>\n"
+            for node in graph.nodes[lo : lo + _NODE_BLOCK]
+        ).encode("utf-8", "xmlcharrefreplace")
+    yield from graph.format_edges(_GRAPHML_EDGES)
+    yield b"  </graph>\n</graphml>\n"
 
 
 def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_bytes(graph: OntologyGraph) -> bytes:
-    lines = ["graph ontomesh {", "  node [style=filled];"]
-    for node in graph.nodes:
-        shape, color = _DOT_SHAPES[node.kind]
-        lines.append(
-            f'  n{node.node_id} [label="{_dot_escape(node.label)}", shape={shape}, '
-            f'fillcolor="{color}", kind={node.kind.value}];'
-        )
-    lines.extend(
-        f"  n{u} -- n{v} [label={weight}, kind={kind}];"
-        for u, v, kind, weight in graph.edge_rows()
+def _dot_node(node) -> str:
+    shape, color = _DOT_SHAPES[node.kind.value]
+    return (
+        f'  n{node.node_id} [label="{_dot_escape(node.label)}", shape={shape}, '
+        f'fillcolor="{color}", kind={node.kind.value}];\n'
     )
-    lines.append("}")
-    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+def _dot_blocks(graph: OntologyGraph) -> Iterator[bytes]:
+    """DOT text as blocks of at most ``_NODE_BLOCK`` nodes or one block of
+    the graph's edge rows each."""
+    yield b"graph ontomesh {\n  node [style=filled];\n"
+    for lo in range(0, len(graph.nodes), _NODE_BLOCK):
+        yield "".join(map(_dot_node, graph.nodes[lo : lo + _NODE_BLOCK])).encode("utf-8")
+    yield from graph.format_edges(_DOT_EDGES)
+    yield b"}\n"
 
 
 def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> int:
@@ -102,26 +112,26 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
 
     canonical-json is the native lossless schema; GraphML keeps node kind,
     label, and edge kind/weight as typed attributes; DOT flattens weights to
-    edge labels. Output bytes are deterministic for identical graphs.
+    edge labels. Output bytes are deterministic for identical graphs. Each
+    is written as it is formatted, one block at a time.
     """
     if format == "graphml":
-        written = 0
-        with open(out, "wb") as fh:
-            for block in _graphml_blocks(graph):
-                written += fh.write(block.encode("utf-8", "xmlcharrefreplace"))
-        return written
-    if format == "dot":
-        data = _dot_bytes(graph)
+        blocks = _graphml_blocks(graph)
+    elif format == "dot":
+        blocks = _dot_blocks(graph)
     elif format == "canonical-json":
-        data = graph.canonical_bytes()
+        blocks = graph.canonical_chunks()
     else:
         raise ValueError(f"unknown graph format {format!r}")
-    Path(out).write_bytes(data)
-    return len(data)
+    with open(out, "wb") as fh:
+        # map lets go of each block before it asks for the next.
+        return sum(map(fh.write, blocks))
 
 
 def import_graph_json(path: str | os.PathLike) -> OntologyGraph:
     """Inverse of the canonical-json export."""
+    from ontomesh.graph import OntologyGraph
+
     return OntologyGraph.from_bytes(Path(path).read_bytes())
 
 

@@ -13,14 +13,16 @@ DataModel-Domain for a connected hierarchy.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ontomesh.canonical import canonical_json_line, sha256_hex
+from ontomesh.canonical import canonical_json_line
+from ontomesh.choices import EDGE_KINDS
 from ontomesh.errors import NotFoundError
 
 if TYPE_CHECKING:
@@ -34,14 +36,16 @@ class NodeKind(str, Enum):
     ATTRIBUTE = "attribute"
 
 
-EDGE_ATTR_ATTR = "attr_attr"
-EDGE_ATTR_MODEL = "attr_model"
-EDGE_ATTR_DOMAIN = "attr_domain"
-EDGE_CONTAINMENT = "containment"
-
-# Edge kinds in canonical order; an edge's kind code is its index here.
-EDGE_KINDS = (EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT)
+# Edge kinds in canonical order (EDGE_KINDS, defined with the CLI choices so
+# that writers can name them without loading numpy).
+EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+
+# Edges are written and read in blocks, so that no stage holds a second
+# full-size copy of the graph: text is formatted this many edge rows at a
+# time, and stored edge text is parsed in blocks of about this many bytes.
+_EDGE_BLOCK_ROWS = 8192
+_DECODE_BLOCK_BYTES = 1 << 20
 
 # The stored graph document starts with its edges: "edges" sorts first among
 # its keys. Each stored edge is one of these rows with its u, v and weight
@@ -49,6 +53,9 @@ _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 _EDGES_OPEN = b'{"edges":['
 _EDGE_TEMPLATES = ['{"kind":"%s","u":%%d,"v":%%d,"weight":%%d}' % kind for kind in EDGE_KINDS]
 _EDGE_SKELETONS = [template.replace("%d", "").encode() for template in _EDGE_TEMPLATES]
+# The rows as canonical_chunks() writes them: each after a comma, the first
+# one's cut off.
+_CANONICAL_ROWS = [b"," + template.encode() for template in _EDGE_TEMPLATES]
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[48:58] = np.arange(10)
 
@@ -123,23 +130,33 @@ def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
     ]
 
 
-def _edge_numbers(text: bytes, n: int) -> np.ndarray | None:
-    """The ``3 * n`` numbers of edge text whose bytes less digits are the
-    skeletons of ``n`` rows, in order; None unless each u, v and weight slot
-    holds one run of 1-18 digits without a leading zero (18 digits fit in
-    int64)."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    buf = np.frombuffer(text, dtype=np.uint8)
+def _block_counts(block: bytes) -> list[int] | None:
+    """Rows of each kind in a block of edge text whose bytes less digits are
+    the skeletons of its rows, kinds in canonical order, joined by commas;
+    None for other text, and for text without a row."""
+    skeleton = block.translate(None, b"0123456789")
+    counts = [skeleton.count(row) for row in _EDGE_SKELETONS]
+    expected = b"".join((row + b",") * count for row, count in zip(_EDGE_SKELETONS, counts))
+    if not expected or skeleton != expected[:-1]:
+        return None
+    return counts
+
+
+def _edge_numbers(block: bytes, out: np.ndarray) -> bool:
+    """Parse the ``len(out)`` numbers of a block of edge text that
+    ``_block_counts`` accepts into ``out``, in order; False unless each u, v
+    and weight slot holds one run of 1-18 digits without a leading zero
+    (18 digits fit in int64)."""
+    buf = np.frombuffer(block, dtype=np.uint8)
     digit = (buf - 48) < 10  # uint8 arithmetic wraps the bytes below "0"
     if digit[0] or digit[-1]:
-        return None
+        return False
     bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
     starts, ends = bounds[0::2], bounds[1::2]
     # Each maximal run fills its own gap of the skeleton; the only gaps
     # between ":" and "," or "}" are the 3n slots, so 3n such runs fill them.
-    if len(starts) != 3 * n:
-        return None
+    if len(starts) != len(out):
+        return False
     lengths = ends - starts
     if (
         np.any(buf[starts - 1] != ord(":"))
@@ -147,30 +164,50 @@ def _edge_numbers(text: bytes, n: int) -> np.ndarray | None:
         or lengths.max() > 18
         or np.any((buf[starts] == ord("0")) & (lengths > 1))
     ):
-        return None
-    values = _DIGIT_VALUE[buf[ends - 1]]
+        return False
+    out[:] = _DIGIT_VALUE[buf[ends - 1]]
     for place in range(1, int(lengths.max())):
-        values += np.where(lengths > place, _DIGIT_VALUE[buf[ends - 1 - place]], 0) * 10**place
-    return values
+        out += np.where(lengths > place, _DIGIT_VALUE[buf[ends - 1 - place]], 0) * 10**place
+    return True
 
 
 def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None:
     """Edge columns (u, v, kind, weight) parsed from a stored graph document
     whose edge text is exactly the canonical text of those edges, and the
-    rest of the document as ``json.loads`` reads it; None for other input."""
+    rest of the document as ``json.loads`` reads it; None for other input.
+
+    The edge text is read in blocks of whole rows, cut after a row's ``}``
+    at the first ``},{`` about ``_DECODE_BLOCK_BYTES`` into the block. Text
+    that is canonical rows joined by commas is so in every block, and the
+    other way round when the kinds do not decrease from block to block.
+    """
     if not data.startswith(_EDGES_OPEN):
         return None
-    end = data.find(b"]", len(_EDGES_OPEN))
+    lo = len(_EDGES_OPEN)
+    end = data.find(b"]", lo)
     if end < 0 or data[end + 1 : end + 2] != b",":
         return None
-    text = data[len(_EDGES_OPEN) : end]
-    skeleton = text.translate(None, b"0123456789")
-    counts = [skeleton.count(row) for row in _EDGE_SKELETONS]
-    expected = b"".join((row + b",") * count for row, count in zip(_EDGE_SKELETONS, counts))
-    if skeleton != expected[:-1]:
-        return None
-    values = _edge_numbers(text, sum(counts))
-    if values is None:
+    # One row more than row separators; any other text is refused below.
+    rows = data.count(b"},{", lo, end) + 1 if end > lo else 0
+    values = np.empty(3 * rows, dtype=np.int64)
+    counts = [0] * len(EDGE_KINDS)
+    filled = last_kind = 0
+    while lo < end:
+        cut = data.find(b"},{", lo + _DECODE_BLOCK_BYTES, end)
+        hi = end if cut < 0 else cut + 1
+        block = data[lo:hi]
+        block_counts = _block_counts(block)
+        if block_counts is None:
+            return None
+        kinds = [code for code, count in enumerate(block_counts) if count]
+        numbers = 3 * sum(block_counts)
+        if kinds[0] < last_kind or not _edge_numbers(block, values[filled : filled + numbers]):
+            return None
+        last_kind = kinds[-1]
+        filled += numbers
+        counts = [total + count for total, count in zip(counts, block_counts)]
+        lo = hi + 1
+    if filled != len(values):
         return None
     # json.loads of bytes starting '{"' decodes them as UTF-8 this way.
     rest = json.loads((b"{" + data[end + 2 :]).decode("utf-8", "surrogatepass"))
@@ -311,13 +348,11 @@ class OntologyGraph:
         """Distinct neighbours of a node, ascending."""
         return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
 
-    def edge_rows(self, lo: int = 0, hi: int | None = None):
-        """Edges ``lo`` to ``hi`` (all by default) as ``(u, v, kind, weight)``
-        tuples of Python values, in canonical order, for writers that visit
-        every edge."""
-        rows = slice(lo, hi)
-        kinds = [EDGE_KINDS[code] for code in self.kind[rows].tolist()]
-        return zip(self.u[rows].tolist(), self.v[rows].tolist(), kinds, self.weight[rows].tolist())
+    def edge_rows(self):
+        """Every edge as a ``(u, v, kind, weight)`` tuple of Python values,
+        in canonical order."""
+        kinds = [EDGE_KINDS[code] for code in self.kind.tolist()]
+        return zip(self.u.tolist(), self.v.tolist(), kinds, self.weight.tolist())
 
     # -- serialization -----------------------------------------------------
 
@@ -343,20 +378,34 @@ class OntologyGraph:
             for u, v, kind, weight in self.edge_rows()
         ])
 
-    def canonical_bytes(self) -> bytes:
-        """``canonical_json_bytes(self.to_doc())``, the stored form, written
-        without a dict per edge: the edges of each kind are contiguous in
-        canonical order, so one row template formats them all."""
+    def format_edges(self, templates: Sequence[bytes]) -> Iterator[bytes]:
+        """The edges in canonical order, each written as its kind's template
+        (indexed by kind code) ``% (u, v, weight)``, in blocks of at most
+        ``_EDGE_BLOCK_ROWS`` rows: the edges of each kind are contiguous, so
+        one template formats a whole block."""
         bounds = np.searchsorted(self.kind, np.arange(len(EDGE_KINDS) + 1)).tolist()
-        text = []
-        for code, template in enumerate(_EDGE_TEMPLATES):
-            lo, hi = bounds[code], bounds[code + 1]
-            numbers = np.column_stack((self.u[lo:hi], self.v[lo:hi], self.weight[lo:hi]))
-            text.append((template + ",") * (hi - lo) % tuple(numbers.ravel().tolist()))
-        edges = "".join(text).encode("ascii")
+        for code, template in enumerate(templates):
+            for lo in range(bounds[code], bounds[code + 1], _EDGE_BLOCK_ROWS):
+                hi = min(lo + _EDGE_BLOCK_ROWS, bounds[code + 1])
+                numbers = np.column_stack((self.u[lo:hi], self.v[lo:hi], self.weight[lo:hi]))
+                yield template * (hi - lo) % tuple(numbers.ravel().tolist())
+
+    def canonical_chunks(self) -> Iterator[bytes]:
+        """``canonical_json_bytes(self.to_doc())``, the stored form, as
+        chunks of at most ``_EDGE_BLOCK_ROWS`` edge rows, written without a
+        dict per edge."""
         rest = canonical_json_line(self._doc([])).encode("utf-8")
+        yield _EDGES_OPEN
+        first = True
+        for block in self.format_edges(_CANONICAL_ROWS):
+            yield block[1:] if first else block
+            first = False
         # rest is '{"edges":[' + ']' + the other keys.
-        return b"".join((_EDGES_OPEN, edges[:-1], rest[len(_EDGES_OPEN) :], b"\n"))
+        yield rest[len(_EDGES_OPEN) :] + b"\n"
+
+    def canonical_bytes(self) -> bytes:
+        """The joined ``canonical_chunks()``."""
+        return b"".join(self.canonical_chunks())
 
     @classmethod
     def from_bytes(cls, data: bytes, content_hash: str | None = None) -> "OntologyGraph":
@@ -401,10 +450,13 @@ class OntologyGraph:
         )
 
     def graph_hash(self) -> str:
-        """Content hash of ``canonical_bytes()``, computed on the first call
-        only: a graph is not modified after it is built."""
+        """Content hash of ``canonical_bytes()``, taken over its chunks on the
+        first call only: a graph is not modified after it is built."""
         if self._hash is None:
-            self._hash = sha256_hex(self.canonical_bytes())
+            digest = hashlib.sha256()
+            for chunk in self.canonical_chunks():
+                digest.update(chunk)
+            self._hash = digest.hexdigest()
         return self._hash
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from ontomesh.results import DomainMatrix
 
@@ -18,6 +17,23 @@ CELL = 40
 LEFT = 130
 TOP = 70
 PAD = 20
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, which would load ``urllib.request``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr``: the escaped text, line breaks and tabs
+    as character references, in the quotes it does not hold (double quotes,
+    written ``&quot;``, when it holds both)."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"%s"' % text.replace('"', "&quot;")
 
 
 @dataclass
@@ -67,19 +83,19 @@ def render_heatmap_svg(
         "</linearGradient>",
         "</defs>",
         f'<rect class="colorbar" x="{LEFT}" y="10" width="{n * CELL}" height="12" fill="url(#scale)" stroke="#444"/>',
-        f'<text class="range" x="{LEFT}" y="36" font-family="sans-serif" font-size="12">{escape(f"{vmin:g}–{vmax:g}")}</text>',
+        f'<text class="range" x="{LEFT}" y="36" font-family="sans-serif" font-size="12">{_escape(f"{vmin:g}–{vmax:g}")}</text>',
     ]
     for j, label in enumerate(matrix.labels):
         x = LEFT + j * CELL + CELL // 2
         lines.append(
             f'<text class="col-label" x="{x}" y="{TOP - 6}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{escape(label)}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(label)}</text>'
         )
     for i, label in enumerate(matrix.labels):
         y = TOP + i * CELL + CELL // 2 + 4
         lines.append(
             f'<text class="row-label" x="{LEFT - 6}" y="{y}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{escape(label)}</text>'
+            f'font-size="11" text-anchor="end">{_escape(label)}</text>'
         )
     for i in range(n):
         for j in range(n):
@@ -87,7 +103,7 @@ def render_heatmap_svg(
             fill = palette.neutral if i == j else cell_color(value, vmin, vmax, palette)
             x = LEFT + j * CELL
             y = TOP + i * CELL
-            title = quoteattr(f"{matrix.labels[i]},{matrix.labels[j]}={value:g}")
+            title = _quoteattr(f"{matrix.labels[i]},{matrix.labels[j]}={value:g}")
             lines.append(
                 f'<rect class="cell" x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                 f'fill="{fill}" stroke="#ffffff" data-value="{value:g}" data-title={title}/>'

@@ -1,11 +1,15 @@
 """Content-addressed file store for snapshots, graphs, and derived results.
 
 Layout: ``<root>/index.json`` maps artifact names to (kind, hash, created_at);
-payloads live in ``<root>/objects/<hash>.json`` as canonical JSON. Writes go
-to a temp file and are renamed into place, so a crashed put never leaves a
+payloads live in ``<root>/objects/<hash>.json`` as canonical JSON. A put
+streams the encoded object through sha256 into a temp file in ``objects/``
+(a graph as its canonical chunks, so the whole document is never held in
+memory) and renames it to ``<hash>.json``, so a crashed put never leaves a
 half-written object behind. A put holds an exclusive ``flock`` on the empty
-``<root>/index.lock`` from reading the index to writing it back, so puts from
-several processes keep every name. Hashes are re-verified on every get.
+``<root>/index.lock`` from reading the index to writing it back, renaming
+the object in between, so puts from several processes keep every name.
+Hashes are re-verified on every get, and an object that passes its hash but
+does not decode as its kind is reported as corrupt.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import fcntl
+import hashlib
 import importlib
 import json
 import os
@@ -22,7 +27,13 @@ import tempfile
 from pathlib import Path
 
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
-from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, StoreError
+from ontomesh.errors import (
+    CorruptionError,
+    NameConflictError,
+    NotFoundError,
+    OntomeshError,
+    StoreError,
+)
 
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -66,6 +77,24 @@ def _artifact_class(kind: str):
     return getattr(importlib.import_module(module_name), class_name)
 
 
+@contextlib.contextmanager
+def _staged(directory: Path, chunks):
+    """A temp file in ``directory`` holding the byte chunks, and their
+    sha256; the caller renames the file, or it is removed on leaving."""
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        digest = hashlib.sha256()
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+        yield tmp, digest.hexdigest()
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 class ArtifactStore:
     """Named artifacts over a content-addressed object directory."""
 
@@ -84,16 +113,8 @@ class ArtifactStore:
             raise CorruptionError(f"unreadable index: {exc}") from exc
 
     def _write_atomic(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+        with _staged(path.parent, (data,)) as (tmp, _):
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
     @contextlib.contextmanager
     def _index_lock(self):
@@ -108,21 +129,21 @@ class ArtifactStore:
         if not _NAME_RE.fullmatch(name):
             raise StoreError(f"invalid artifact name {name!r}")
         kind = _artifact_kind(artifact)
-        data = (
-            artifact.canonical_bytes()
+        chunks = (
+            artifact.canonical_chunks()
             if kind == "graph"
-            else canonical_json_bytes(artifact.to_doc())
+            else (canonical_json_bytes(artifact.to_doc()),)
         )
-        content_hash = sha256_hex(data)
-        if kind == "graph":
-            # graph_hash() is the hash of these bytes; memoize it, as get()
-            # does for a loaded graph.
-            artifact._hash = content_hash
-        with self._index_lock():
+        # The object is encoded and hashed before the index is locked.
+        with _staged(self.objects_dir, chunks) as (tmp, content_hash), self._index_lock():
+            if kind == "graph":
+                # graph_hash() is the hash of these bytes; memoize it, as get()
+                # does for a loaded graph.
+                artifact._hash = content_hash
             index = self._load_index()
             if name in index and not overwrite:
                 raise NameConflictError(f"artifact {name!r} already exists")
-            self._write_atomic(self.objects_dir / f"{content_hash}.json", data)
+            os.replace(tmp, self.objects_dir / f"{content_hash}.json")
             created_at = (
                 datetime.datetime.now(datetime.timezone.utc)
                 .replace(microsecond=0)
@@ -160,12 +181,19 @@ class ArtifactStore:
     def get(self, name: str, expect_kind: str | None = None):
         """Load an artifact by name, verifying its hash first."""
         entry, data = self._verified_object(name, expect_kind)
-        if entry["kind"] == "graph":
-            # put stores graph.canonical_bytes(), so the verified object hash
-            # is the graph's own hash.
-            return _artifact_class("graph").from_bytes(data, content_hash=entry["hash"])
-        doc = json.loads(data)
-        return _artifact_class(entry["kind"]).from_doc(doc)
+        kind = entry["kind"]
+        cls = _artifact_class(kind)
+        try:
+            if kind == "graph":
+                # put stores the graph's canonical bytes, so the verified
+                # object hash is the graph's own hash.
+                return cls.from_bytes(data, content_hash=entry["hash"])
+            return cls.from_doc(json.loads(data))
+        except OntomeshError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            # The bytes match their hash, but were not written by put.
+            raise CorruptionError(f"artifact {name!r} is not a valid {kind}: {exc}") from exc
 
     def verified_hash(self, name: str, expect_kind: str | None = None) -> str:
         """An artifact's content hash, once its stored bytes are verified

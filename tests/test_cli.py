@@ -269,6 +269,64 @@ class TestAnalyze:
         ET.parse(built / "overlap.svg")
 
 
+def _store_as_is(workdir, name, kind, doc):
+    """Store a document's canonical bytes under ``name`` without decoding
+    it: the object passes its hash check whatever it holds."""
+    store = ArtifactStore(workdir / "store")
+    data = canonical_json_bytes(doc)
+    content_hash = sha256_hex(data)
+    (store.objects_dir / f"{content_hash}.json").write_bytes(data)
+    index = json.loads(store.index_path.read_text())
+    index[name] = dict(index.get(name, {}), kind=kind, hash=content_hash)
+    store.index_path.write_text(json.dumps(index))
+
+
+class TestInvalidStoredObjects:
+    """Objects whose bytes match their hash but that put did not write are
+    refused with exit 1 and a one-line error, not a traceback."""
+
+    @pytest.fixture()
+    def swapped(self, built):
+        doc = json.loads(ArtifactStore(built / "store").object_bytes("fix1-graph"))
+        edge = doc["edges"][0]
+        edge["u"], edge["v"] = edge["v"], edge["u"]
+        _store_as_is(built, "fix1-graph", "graph", doc)
+        return built
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--graph", "fix1-graph", "--format", "graphml"],
+        ["analyze", "centrality", "--graph", "fix1-graph"],
+        ["analyze", "dissonance", "--snapshot", "fix1"],
+    ], ids=["export", "centrality", "dissonance"])
+    def test_graph_with_swapped_edge(self, swapped, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith(
+            "ontomesh: error: artifact 'fix1-graph' is not a valid graph: "
+            "edge not in canonical u < v form"
+        )
+
+    def test_snapshot_with_missing_key(self, ingested, capsys):
+        doc = json.loads(ArtifactStore(ingested / "store").object_bytes("fix1"))
+        del doc["types"]["model"]
+        _store_as_is(ingested, "fix1", "snapshot", doc)
+        code, _, err = run_cli(["graph", "build", "--snapshot", "fix1"], capsys)
+        assert code == 1
+        assert err.startswith("ontomesh: error: snapshot types holds")
+
+    def test_report_with_missing_key(self, built, capsys):
+        code, _, _ = run_cli(["analyze", "dissonance", "--snapshot", "fix1"], capsys)
+        assert code == 0
+        doc = json.loads(ArtifactStore(built / "store").object_bytes("fix1-dissonance"))
+        del doc["census"]
+        _store_as_is(built, "fix1-dissonance", "report", doc)
+        code, _, err = run_cli(["report", "--name", "fix1", "--out", "r.md"], capsys)
+        assert code == 1
+        assert err == (
+            "ontomesh: error: artifact 'fix1-dissonance' is not a valid report: 'census'\n"
+        )
+
+
 class TestExportAndReport:
     def test_export_graphml_well_formed(self, built, capsys):
         code, out, _ = run_cli(["export", "--graph", "fix1-graph"], capsys)

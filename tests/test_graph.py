@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -35,6 +37,8 @@ from ontomesh.graph import (
     domain_subgraph,
     edge_census,
 )
+from ontomesh import exports
+from ontomesh import graph as graph_module
 from ontomesh.graph import _canonical_edge_columns
 
 from ontomesh.synthetic import synthetic_snapshot
@@ -140,7 +144,7 @@ class TestFix1Graph:
     def test_hash_computed_once(self, fix1_snapshot, monkeypatch):
         graph = build_graph(fix1_snapshot)
         first = graph.graph_hash()
-        for encoder in ("to_doc", "canonical_bytes"):
+        for encoder in ("to_doc", "canonical_bytes", "canonical_chunks"):
             monkeypatch.setattr(
                 OntologyGraph, encoder, lambda self: pytest.fail("graph hashed twice")
             )
@@ -476,6 +480,7 @@ class TestStoredBytes:
             "truncated edges": stored[:40],
             "weight 0": stored.replace(b'"weight":3', b'"weight":0', 1),
             "not an object": b'{"edges":[],"kind":"graph","nodes":7,"provenance":{}}',
+            "digits for edges": b'{"edges":[7' + stored[stored.index(b'],"kind"') :],
         }
 
     @pytest.mark.parametrize("case", [
@@ -483,7 +488,7 @@ class TestStoredBytes:
         "20-digit weight", "leading zero", "digit before a row", "digit moved into a key",
         "digit moved after a kind", "junk after the edges", "surrogate bytes in a label",
         "unknown kind", "extra edge key", "duplicate edges key",
-        "truncated", "truncated edges", "weight 0", "not an object",
+        "truncated", "truncated edges", "weight 0", "not an object", "digits for edges",
     ])
     def test_declined_text_reads_as_json_path(self, case):
         data = self._declined()[case]
@@ -497,6 +502,85 @@ class TestStoredBytes:
         expected = _state(_reference(stored))
         with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
             assert _state(OntologyGraph.from_bytes(stored)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Blocks: the codec's block sizes change no byte and no refusal
+# ---------------------------------------------------------------------------
+
+# (bytes per decoded block, rows per formatted block). A decoded block ends
+# at the first row end at least that many bytes in: rows are 43 bytes or
+# more, so 1 and 37 give a block per row, 100 two or three rows, and 4096
+# all the rows of a small graph.
+BLOCK_SIZES = list(itertools.product((1, 37, 100, 4096), (1, 3)))
+
+
+@contextlib.contextmanager
+def _blocks(byte_block, row_block):
+    with mock.patch.object(graph_module, "_DECODE_BLOCK_BYTES", byte_block), \
+            mock.patch.object(graph_module, "_EDGE_BLOCK_ROWS", row_block), \
+            mock.patch.object(exports, "_NODE_BLOCK", row_block):
+        yield
+
+
+def _parsed(data):
+    """What the block decoder makes of stored bytes: columns as lists, or
+    None, or the exception raised."""
+    try:
+        parsed = _canonical_edge_columns(data)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return parsed and ([column.tolist() for column in parsed[0]], parsed[1])
+
+
+def _written(graph):
+    """Every text the codec and the writers give for a graph; the hash is
+    taken again, not the one memoized."""
+    unhashed = OntologyGraph._from_arrays(
+        graph.nodes, graph.u, graph.v, graph.kind, graph.weight, graph.provenance
+    )
+    stored = graph.canonical_bytes()
+    return (
+        _parsed(stored), stored, unhashed.graph_hash(),
+        b"".join(exports._graphml_blocks(graph)), b"".join(exports._dot_blocks(graph)),
+    )
+
+
+class TestBlocks:
+    def assert_same_at_every_block_size(self, graph):
+        expected = _written(graph)
+        assert expected[0] is not None
+        for sizes in BLOCK_SIZES:
+            with _blocks(*sizes):
+                assert _written(graph) == expected, sizes
+
+    def test_fix1_with_containment_edges(self, fix1_snapshot):
+        graph = build_graph(fix1_snapshot, containment_edges=True)
+        assert set(graph.kind.tolist()) == set(range(len(EDGE_KINDS)))
+        self.assert_same_at_every_block_size(graph)
+
+    @pytest.mark.parametrize("nodes", [0, 2])
+    def test_edgeless(self, nodes):
+        graph = OntologyGraph.create(
+            [GraphNode(i, NodeKind.DOMAIN, f"d{i}") for i in range(nodes)], [],
+            GraphProvenance("x"),
+        )
+        self.assert_same_at_every_block_size(graph)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, data):
+        self.assert_same_at_every_block_size(data.draw(_graphs(EDGE_KINDS)))
+
+    @pytest.mark.parametrize("case", sorted(TestStoredBytes()._declined()))
+    def test_declined_at_every_block_size(self, case):
+        data = TestStoredBytes()._declined()[case]
+        expected = _outcome(_reference, data)
+        parsed = _parsed(data)
+        for sizes in BLOCK_SIZES:
+            with _blocks(*sizes):
+                assert _parsed(data) == parsed, sizes
+                assert _outcome(OntologyGraph.from_bytes, data) == expected, sizes
 
 
 # ---------------------------------------------------------------------------

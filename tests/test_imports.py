@@ -126,6 +126,21 @@ def test_report_after_dissonance_loads_no_numpy_or_graph(fresh_store, tmp_path):
     assert (tmp_path / "r.md").is_file()
 
 
+def test_matrix_after_report_loads_no_numpy_graph_or_urllib(fresh_store, tmp_path):
+    """The matrix and heatmap writers need neither the graph layer nor the
+    stdlib's XML escaping, which loads urllib.request."""
+    store = ["--store", str(fresh_store)]
+    assert main(["report", "--name", "fix1", "--no-timestamp", "--out",
+                 str(tmp_path / "r.md"), *store]) == 0
+    argv = ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp",
+            "--matrix", "jaccard-attributes", "--heatmap", "x.svg", *store]
+    watched = ("numpy", "ontomesh.graph", "ontomesh.exports", "ontomesh.heatmap",
+               "urllib.request")
+    loaded = loaded_after(cli(argv), tmp_path, watched)
+    assert loaded == ["ontomesh.exports", "ontomesh.heatmap"]
+    assert (tmp_path / "x.svg").is_file()
+
+
 def test_betweenness_loads_no_csgraph(graph_store, tmp_path):
     argv = ["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness",
             "--store", graph_store]

@@ -50,7 +50,7 @@ def test_loaded_graph_carries_its_verified_hash(store, fix1_snapshot, monkeypatc
     loaded = store.get("g")
     recomputed = sha256_hex(canonical_json_bytes(loaded.to_doc()))
     assert recomputed == content_hash == graph.graph_hash()
-    for encoder in ("to_doc", "canonical_bytes"):
+    for encoder in ("to_doc", "canonical_bytes", "canonical_chunks"):
         monkeypatch.setattr(
             OntologyGraph, encoder, lambda self: pytest.fail("loaded graph hashed again")
         )
@@ -59,19 +59,52 @@ def test_loaded_graph_carries_its_verified_hash(store, fix1_snapshot, monkeypatc
 
 def test_put_sets_graph_hash(store, fix1_snapshot, monkeypatch):
     graph = build_graph(fix1_snapshot)
-    canonical_bytes = OntologyGraph.canonical_bytes
+    canonical_chunks = OntologyGraph.canonical_chunks
     calls = []
 
     def spy(self):
         calls.append(self)
-        return canonical_bytes(self)
+        return canonical_chunks(self)
 
-    monkeypatch.setattr(OntologyGraph, "canonical_bytes", spy)
+    monkeypatch.setattr(OntologyGraph, "canonical_chunks", spy)
     content_hash = store.put("g", graph)
     assert graph.graph_hash() == content_hash
     report = dissonance_summary(graph, fix1_snapshot.content_hash, include_timestamp=False)
     assert report.graph_hash == content_hash
     assert len(calls) == 1
+
+
+class TestPutLeavesNothingBehind:
+    """A put that fails keeps no temp file and leaves the index as it was."""
+
+    def _state(self, store):
+        objects = sorted(path.name for path in store.objects_dir.iterdir())
+        return objects, store.index_path.read_bytes()
+
+    def test_name_conflict(self, store, fix1_snapshot, fix1_graph):
+        store.put("x", fix1_snapshot)
+        before = self._state(store)
+        with pytest.raises(NameConflictError):
+            store.put("x", fix1_graph)
+        assert self._state(store) == before
+
+    def test_encoder_fails_mid_stream(self, store, fix1_snapshot, fix1_graph, monkeypatch):
+        store.put("x", fix1_snapshot)
+        before = self._state(store)
+        canonical_chunks = OntologyGraph.canonical_chunks
+
+        def failing(self):
+            chunks = canonical_chunks(self)
+            yield next(chunks)
+            yield next(chunks)
+            assert any(path.name.startswith(".tmp-") for path in store.objects_dir.iterdir())
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(OntologyGraph, "canonical_chunks", failing)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            store.put("g", fix1_graph)
+        assert self._state(store) == before
+        assert not any(name.startswith(".tmp-") for name in before[0])
 
 
 def test_unsupported_artifact_type_rejected(store):
