@@ -76,7 +76,7 @@ def main() -> int:
         ),
     )
     graph = timed("build_graph", lambda: build_graph(snapshot))
-    print(f"  nodes={len(graph.nodes)} edges={len(graph.u)}")
+    print(f"  nodes={len(graph.labels)} edges={len(graph.u)}")
     print(betweenness_header(graph))
     with tempfile.TemporaryDirectory() as tmp:
         store = ArtifactStore(Path(tmp) / "store")

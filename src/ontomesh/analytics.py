@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ontomesh.choices import CENTRALITY_METRICS, MATRIX_METRICS
+from ontomesh.choices import CENTRALITY_METRICS, MATRIX_METRICS, NODE_KINDS
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
@@ -54,7 +54,7 @@ BETWEENNESS_COLUMNS = 64
 
 def _rank(graph: OntologyGraph, scores: dict[int, float]) -> list[int]:
     # score desc, then label asc, then ordinal: fully deterministic.
-    labels = {node.node_id: node.label for node in graph.nodes}
+    labels = graph.labels
     return sorted(scores, key=lambda nid: (-scores[nid], labels[nid], nid))
 
 
@@ -63,7 +63,7 @@ def degree_centrality(
 ) -> CentralityResult:
     """Distinct-neighbor count per node, or the incident-weight sum when
     ``weighted``. Normalization divides by |V|-1 (0 on a singleton graph)."""
-    n = len(graph.nodes)
+    n = len(graph.labels)
     if weighted:
         # Float sums of integer weights are exact far below 2**53.
         ends = np.concatenate((graph.u, graph.v))
@@ -363,7 +363,7 @@ def betweenness_centrality(
     """
     if engine not in BETWEENNESS_ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    n = len(graph.nodes)
+    n = len(graph.labels)
     if engine == "python":
         raw = _betweenness_python(graph.indptr, graph.indices)
     else:
@@ -373,7 +373,7 @@ def betweenness_centrality(
     if normalized:
         denom = (n - 1) * (n - 2) / 2.0
         raw = [v / denom if denom > 0 else 0.0 for v in raw]
-    scores = {node.node_id: raw[node.node_id] for node in graph.nodes}
+    scores = dict(enumerate(raw))
     return CentralityResult(
         metric="betweenness",
         normalized=normalized,
@@ -393,16 +393,16 @@ def top_k_attributes(
         raise ValueError("k must be >= 1")
     # Edges are distinct, so an attribute's attr_domain edges name distinct
     # domains.
-    is_attr = np.array([node.kind == NodeKind.ATTRIBUTE for node in graph.nodes], dtype=bool)
+    is_attr = graph.node_kind == NODE_KINDS.index(NodeKind.ATTRIBUTE)
     on_domain = graph.kind == EDGE_KINDS.index(EDGE_ATTR_DOMAIN)
     u, v = graph.u[on_domain], graph.v[on_domain]
-    spread = np.bincount(np.where(is_attr[u], u, v), minlength=len(graph.nodes)).tolist()
+    spread = np.bincount(np.where(is_attr[u], u, v), minlength=len(graph.labels)).tolist()
+    is_attr = is_attr.tolist()
     rows: list[tuple[str, float, int]] = []
     for node_id in result.ranking:
-        node = graph.nodes[node_id]
-        if node.kind != NodeKind.ATTRIBUTE:
+        if not is_attr[node_id]:
             continue
-        rows.append((node.label, result.scores[node_id], spread[node_id]))
+        rows.append((graph.labels[node_id], result.scores[node_id], spread[node_id]))
         if len(rows) == k:
             break
     return rows
@@ -422,10 +422,10 @@ def _domain_columns(graph: OntologyGraph) -> tuple[list[str], np.ndarray]:
             f"graph is the subgraph of domain {graph.provenance.domain!r}; "
             "domain summaries need the whole graph"
         )
-    ids = [node.node_id for node in graph.nodes if node.kind == NodeKind.DOMAIN]
-    column = np.full(len(graph.nodes), -1, dtype=np.int64)
+    ids = graph.nodes_of_kind(NodeKind.DOMAIN)
+    column = np.full(len(graph.labels), -1, dtype=np.int64)
     column[ids] = np.arange(len(ids))
-    return [graph.nodes[i].label for i in ids], column
+    return [graph.labels[i] for i in ids.tolist()], column
 
 
 def _attribute_incidence(graph: OntologyGraph, column: np.ndarray, domains: int) -> np.ndarray:
@@ -444,10 +444,9 @@ def _attribute_incidence(graph: OntologyGraph, column: np.ndarray, domains: int)
 def _model_incidence(graph: OntologyGraph, labels: list[str]) -> np.ndarray:
     """0/1 matrix of model by domain, from each model node's ``domains``."""
     index = {label: i for i, label in enumerate(labels)}
-    models = graph.nodes_of_kind(NodeKind.MODEL)
-    incidence = np.zeros((len(models), len(labels)), dtype=np.int64)
-    for row, node in enumerate(models):
-        incidence[row, [index[label] for label in json.loads(node.metadata["domains"])]] = 1
+    incidence = np.zeros((len(graph.model_domains), len(labels)), dtype=np.int64)
+    for row, domains in enumerate(graph.model_domains):
+        incidence[row, [index[label] for label in json.loads(domains)]] = 1
     return incidence
 
 
@@ -554,7 +553,7 @@ def dissonance_summary(
         result = betweenness_centrality(graph)
     census_edges = edge_census(graph)
     census = {
-        "nodes": len(graph.nodes),
+        "nodes": len(graph.labels),
         "edges": census_edges.total_edges,
         "node_kinds": graph.node_census(),
         "edge_kinds": {

@@ -1,5 +1,6 @@
 """Option values shared by the CLI parser and the layers that implement them,
-and the graph's edge kinds, which writers name without reading a graph.
+and the graph's node and edge kinds, which writers name without loading the
+graph layer.
 
 Kept apart from those layers, which import numpy, so that the parser and the
 writers can be loaded without importing them.
@@ -12,3 +13,5 @@ GRAPH_FORMATS = {"graphml": "graphml", "dot": "dot", "canonical-json": "json"}
 REPORT_FORMATS = {"markdown": "md", "canonical-json": "json"}
 # Graph edge kinds in canonical order; an edge's kind code is its index here.
 EDGE_KINDS = ("attr_attr", "attr_model", "attr_domain", "containment")
+# Graph node kinds in ``NodeKind`` order; a node's kind code is its index here.
+NODE_KINDS = ("domain", "model", "type", "attribute")

@@ -232,13 +232,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
             "command": "graph",
             "name": name,
             "hash": content_hash,
-            "nodes": len(graph.nodes),
+            "nodes": len(graph.labels),
             "edges": census.total_edges,
             "node_kinds": node_kinds,
             "edge_kinds": edge_kinds,
         },
         [
-            f"nodes={len(graph.nodes)} edges={census.total_edges}",
+            f"nodes={len(graph.labels)} edges={census.total_edges}",
             f"node kinds: {kind_text}",
             f"edge kinds: {edge_text}",
             f"stored graph {name} ({content_hash[:12]})",

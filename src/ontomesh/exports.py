@@ -6,24 +6,23 @@ neither numpy nor the graph layer itself, so that writing a matrix does not.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from ontomesh.choices import EDGE_KINDS
+from ontomesh.choices import EDGE_KINDS, NODE_KINDS
 
 if TYPE_CHECKING:
     from ontomesh.graph import OntologyGraph
     from ontomesh.results import DomainMatrix
 
-# Node kind value -> DOT shape and fill colour.
-_DOT_SHAPES = {
-    "domain": ("box", "#ffd97d"),
-    "model": ("hexagon", "#a8dadc"),
-    "type": ("diamond", "#e5e5e5"),
-    "attribute": ("ellipse", "#cdeac0"),
-}
+# DOT shape and fill colour per node kind code: domain, model, type and
+# attribute.
+_DOT_SHAPES = [
+    ("box", "#ffd97d"), ("hexagon", "#a8dadc"), ("diamond", "#e5e5e5"), ("ellipse", "#cdeac0"),
+]
 # One edge line per kind, over (u, v, weight).
 _DOT_EDGES = [b"  n%%d -- n%%d [label=%%d, kind=%s];\n" % kind.encode() for kind in EDGE_KINDS]
 
@@ -58,6 +57,13 @@ def _graphml_label(label: str) -> str:
     return f'      <data key="d_label">{_xml_text(label)}</data>'
 
 
+def _node_rows(graph: OntologyGraph, lo: int) -> Iterator[tuple[int, int, str]]:
+    """(id, kind code, label) of the block of at most ``_NODE_BLOCK`` nodes
+    starting at id ``lo``."""
+    hi = lo + _NODE_BLOCK
+    return zip(range(lo, hi), graph.node_kind[lo:hi].tolist(), graph.labels[lo:hi])
+
+
 def _graphml_blocks(graph: OntologyGraph) -> Iterator[bytes]:
     """GraphML with two-space indentation, as blocks of at most
     ``_NODE_BLOCK`` nodes or one block of the graph's edge rows each, so a
@@ -69,17 +75,17 @@ def _graphml_blocks(graph: OntologyGraph) -> Iterator[bytes]:
     UTF-8 cannot encode become character references.
     """
     yield _GRAPHML_HEAD.encode()
-    if not graph.nodes:
+    if not graph.labels:
         yield b'  <graph id="G" edgedefault="undirected" />\n</graphml>\n'
         return
     yield b'  <graph id="G" edgedefault="undirected">\n'
-    for lo in range(0, len(graph.nodes), _NODE_BLOCK):
+    for lo in range(0, len(graph.labels), _NODE_BLOCK):
         yield "".join(
-            f'    <node id="n{node.node_id}">\n'
-            f'      <data key="d_kind">{node.kind.value}</data>\n'
-            f"{_graphml_label(node.label)}\n"
+            f'    <node id="n{node_id}">\n'
+            f'      <data key="d_kind">{NODE_KINDS[code]}</data>\n'
+            f"{_graphml_label(label)}\n"
             "    </node>\n"
-            for node in graph.nodes[lo : lo + _NODE_BLOCK]
+            for node_id, code, label in _node_rows(graph, lo)
         ).encode("utf-8", "xmlcharrefreplace")
     yield from graph.format_edges(_GRAPHML_EDGES)
     yield b"  </graph>\n</graphml>\n"
@@ -89,11 +95,11 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_node(node) -> str:
-    shape, color = _DOT_SHAPES[node.kind.value]
+def _dot_node(node_id: int, code: int, label: str) -> str:
+    shape, color = _DOT_SHAPES[code]
     return (
-        f'  n{node.node_id} [label="{_dot_escape(node.label)}", shape={shape}, '
-        f'fillcolor="{color}", kind={node.kind.value}];\n'
+        f'  n{node_id} [label="{_dot_escape(label)}", shape={shape}, '
+        f'fillcolor="{color}", kind={NODE_KINDS[code]}];\n'
     )
 
 
@@ -101,8 +107,8 @@ def _dot_blocks(graph: OntologyGraph) -> Iterator[bytes]:
     """DOT text as blocks of at most ``_NODE_BLOCK`` nodes or one block of
     the graph's edge rows each."""
     yield b"graph ontomesh {\n  node [style=filled];\n"
-    for lo in range(0, len(graph.nodes), _NODE_BLOCK):
-        yield "".join(map(_dot_node, graph.nodes[lo : lo + _NODE_BLOCK])).encode("utf-8")
+    for lo in range(0, len(graph.labels), _NODE_BLOCK):
+        yield "".join(_dot_node(*row) for row in _node_rows(graph, lo)).encode("utf-8")
     yield from graph.format_edges(_DOT_EDGES)
     yield b"}\n"
 
@@ -113,7 +119,11 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
     canonical-json is the native lossless schema; GraphML keeps node kind,
     label, and edge kind/weight as typed attributes; DOT flattens weights to
     edge labels. Output bytes are deterministic for identical graphs. Each
-    is written as it is formatted, one block at a time.
+    is written as it is formatted, one block at a time, to a temp file
+    beside ``out`` (beside its target, if ``out`` is a symlink) that takes
+    its place once the last block is written, so a writer that fails leaves
+    no file behind. A device or pipe, such as ``/dev/stdout``, is written
+    in place instead of being replaced.
     """
     if format == "graphml":
         blocks = _graphml_blocks(graph)
@@ -123,9 +133,22 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
         blocks = graph.canonical_chunks()
     else:
         raise ValueError(f"unknown graph format {format!r}")
-    with open(out, "wb") as fh:
-        # map lets go of each block before it asks for the next.
-        return sum(map(fh.write, blocks))
+    out = Path(os.path.realpath(out))
+    if out.exists() and not out.is_file():
+        with open(out, "wb") as fh:
+            return sum(map(fh.write, blocks))
+    tmp = out.with_name(f".{out.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        # "x": a new file, with the mode that umask gives, as "w" would.
+        with open(tmp, "xb") as fh:
+            # map lets go of each block before it asks for the next.
+            written = sum(map(fh.write, blocks))
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return written
 
 
 def import_graph_json(path: str | os.PathLike) -> OntologyGraph:

@@ -9,20 +9,26 @@ graph stays simple (at most one edge per unordered pair per kind).
 Type nodes are materialized but stay isolated by default; pass
 ``containment_edges=True`` to also connect Type-DataModel and
 DataModel-Domain for a connected hierarchy.
+
+A graph holds its nodes and edges as columns, and no node or edge as a
+Python object. The CSR adjacency is derived the first time an analysis reads
+it: building, storing, exporting and counting a graph never need it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line
-from ontomesh.choices import EDGE_KINDS
+from ontomesh.choices import EDGE_KINDS, NODE_KINDS
 from ontomesh.errors import NotFoundError
 
 if TYPE_CHECKING:
@@ -36,15 +42,19 @@ class NodeKind(str, Enum):
     ATTRIBUTE = "attribute"
 
 
-# Edge kinds in canonical order (EDGE_KINDS, defined with the CLI choices so
-# that writers can name them without loading numpy).
+# Node kind codes index NODE_KINDS, and edge kind codes EDGE_KINDS (both
+# defined with the CLI choices so that writers can name them without loading
+# numpy). The one metadata key of a model node and of a type node; the other
+# kinds carry no metadata.
+_METADATA_KEYS = (None, "domains", "model", None)
 EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
-# Edges are written and read in blocks, so that no stage holds a second
-# full-size copy of the graph: text is formatted this many edge rows at a
-# time, and stored edge text is parsed in blocks of about this many bytes.
-_EDGE_BLOCK_ROWS = 8192
+# Graphs are written and read in blocks, so that no stage holds a second
+# full-size copy of the graph: text is formatted this many node or edge rows
+# at a time, and stored edge text is parsed in blocks of about this many
+# bytes.
+_BLOCK_ROWS = 8192
 _DECODE_BLOCK_BYTES = 1 << 20
 
 # The stored graph document starts with its edges: "edges" sorts first among
@@ -53,30 +63,28 @@ _DECODE_BLOCK_BYTES = 1 << 20
 _EDGES_OPEN = b'{"edges":['
 _EDGE_TEMPLATES = ['{"kind":"%s","u":%%d,"v":%%d,"weight":%%d}' % kind for kind in EDGE_KINDS]
 _EDGE_SKELETONS = [template.replace("%d", "").encode() for template in _EDGE_TEMPLATES]
-# The rows as canonical_chunks() writes them: each after a comma, the first
-# one's cut off.
+# The rows as canonical_chunks() writes them: each after a comma.
 _CANONICAL_ROWS = [b"," + template.encode() for template in _EDGE_TEMPLATES]
+# The stored document after the edges, up to its first node; the nodes and
+# the provenance follow.
+_NODES_OPEN = b'],"kind":"graph","nodes":['
+# JSON text may escape a surrogate code point that no pair completes, and
+# json.loads reads such bytes too (as "surrogatepass"); UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[48:58] = np.arange(10)
 
 
 @dataclass
 class GraphNode:
+    """A node as a value, for graphs built by hand with ``create``: a model
+    node's metadata is ``{"domains": text}``, a type node's
+    ``{"model": text}``, and the other kinds have none."""
+
     node_id: int
     kind: NodeKind
     label: str
     metadata: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class GraphEdge:
-    """Canonical undirected edge: ``u < v``; weight counts distinct
-    co-occurrence contexts (types for attr_attr, occurrences otherwise)."""
-
-    u: int
-    v: int
-    kind: str
-    weight: int
 
 
 @dataclass
@@ -113,21 +121,70 @@ def _int_column(values, name: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _kind_codes(kinds: list[str]) -> list[int]:
+def _kind_codes(kinds, names: tuple[str, ...], what: str) -> list[int]:
+    """The index of each kind name in ``names``; unknown names are refused."""
+    code = {name: i for i, name in enumerate(names)}
     try:
-        return [_EDGE_CODE[kind] for kind in kinds]
+        return [code[kind] for kind in kinds]
     except (KeyError, TypeError):
-        bad = next(kind for kind in kinds if kind not in EDGE_KINDS)
-        raise ValueError(f"unknown edge kind {bad!r}") from None
+        bad = next(kind for kind in kinds if kind not in names)
+        raise ValueError(f"unknown {what} {bad!r}") from None
 
 
 def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
-    """Edge fields given as Python lists, kinds by name, as int64 arrays;
-    unknown kinds and non-integer values are refused."""
+    """Edge fields given as Python sequences, kinds by name, as int64
+    arrays; unknown kinds and non-integer values are refused."""
+    codes = _kind_codes(kinds, EDGE_KINDS, "edge kind")
     return [
         _int_column(values, name)
-        for values, name in ((u, "u"), (v, "v"), (_kind_codes(kinds), "kind"), (weight, "weight"))
+        for values, name in ((u, "u"), (v, "v"), (codes, "kind"), (weight, "weight"))
     ]
+
+
+def _node_columns(ids, kinds, labels, metadata) -> tuple:
+    """Node fields given in id order, kinds by name, as the columns a graph
+    keeps: kind codes, labels, each model's domains and each type's model.
+    Ids that are not 0, 1, 2, ... are refused, and so is metadata other than
+    the one text value of a model or type node."""
+    if ids != list(range(len(ids))):
+        bad = next(node_id for expected, node_id in enumerate(ids) if node_id != expected)
+        raise ValueError(f"node ordinals not dense at {bad}")
+    codes = _kind_codes(kinds, NODE_KINDS, "node kind")
+    values: tuple[list[str], ...] = ([], [], [], [])
+    for node_id, code, meta in zip(ids, codes, metadata):
+        key = _METADATA_KEYS[code]
+        if key is None and meta == {}:
+            continue
+        if key is None or not (
+            isinstance(meta, dict) and len(meta) == 1 and isinstance(meta.get(key), str)
+        ):
+            expected = "none" if key is None else f"one text value {key!r}"
+            raise ValueError(f"node {node_id}: {NODE_KINDS[code]} metadata must be {expected}")
+        values[code].append(meta[key])
+    return np.array(codes, dtype=np.int8), tuple(labels), tuple(values[1]), tuple(values[2])
+
+
+def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (``indptr``, ``indices``) of the simple graph on ``n`` nodes with
+    the edges ``u[i] -- v[i]``: the distinct neighbours of each node in
+    ascending id, whatever the kinds of the edges joining them.
+
+    Each edge gives the keys ``u * n + v`` and ``v * n + u``; sorted, the
+    keys of row ``r`` are those in ``[r * n, (r + 1) * n)``, ascending."""
+    m = len(u)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n, out=keys[m:])
+    keys[m:] += u
+    keys.sort()
+    # A pair joined by edges of several kinds has a key per edge.
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        keys = np.delete(keys, repeated + 1)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= max(n, 1)
+    return indptr, keys
 
 
 def _block_counts(block: bytes) -> list[int] | None:
@@ -217,16 +274,22 @@ def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None
     return [values[0::3], values[1::3], kind, values[2::3]], rest
 
 
-def _doc_nodes(doc: dict) -> list[GraphNode]:
-    return [
-        GraphNode(
-            node_id=nd["id"],
-            kind=NodeKind(nd["kind"]),
-            label=nd["label"],
-            metadata=dict(nd.get("metadata") or {}),
-        )
-        for nd in doc["nodes"]
-    ]
+def _doc_nodes(doc: dict) -> tuple:
+    """The node columns of a graph document. A label or metadata value that
+    holds a lone surrogate, which UTF-8 cannot encode, is refused: ``put``
+    writes none, and no writer could write it."""
+    nodes = doc["nodes"]
+    columns = _node_columns(
+        [nd["id"] for nd in nodes],
+        [nd["kind"] for nd in nodes],
+        [nd["label"] for nd in nodes],
+        [nd.get("metadata") or {} for nd in nodes],
+    )
+    for texts in columns[1:]:
+        bad = next(filter(_SURROGATE.search, texts), None)
+        if bad is not None:
+            raise ValueError(f"node text {bad!r} holds a lone surrogate")
+    return columns
 
 
 def _unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,63 +300,81 @@ def _unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(starts, append=len(keys))
 
 
+def _comma_joined(blocks: Iterator[bytes]) -> Iterator[bytes]:
+    """Blocks of rows that each begin with a comma, the first comma cut."""
+    first = True
+    for block in blocks:
+        yield block[1:] if first else block
+        first = False
+
+
 @dataclass(eq=False)
 class OntologyGraph:
-    """Nodes as objects, edges as parallel int arrays.
+    """Nodes and edges as columns.
+
+    ``node_kind`` holds each node's kind code, an index into
+    :data:`~ontomesh.choices.NODE_KINDS` (``NodeKind`` order), and
+    ``labels`` its label, both in node id order. ``model_domains`` holds the
+    ``domains`` metadata of each model node and ``type_model`` the ``model``
+    metadata of each type node, in id order; other nodes carry none.
 
     ``u``, ``v``, ``kind`` (an index into :data:`EDGE_KINDS`) and ``weight``
     hold one entry per edge, ``u < v``, in canonical order: by kind, then
     ``u``, then ``v``. ``indptr`` / ``indices`` are the CSR adjacency of the
-    simple graph: the distinct neighbours of each node in ascending id,
-    whatever the kinds of the edges joining them. A graph is not modified
-    after it is built.
+    simple graph, derived on first use. A graph is not modified after it is
+    built.
     """
 
-    nodes: list[GraphNode]
+    node_kind: np.ndarray = field(repr=False)
+    labels: tuple[str, ...] = field(repr=False)
+    model_domains: tuple[str, ...] = field(repr=False)
+    type_model: tuple[str, ...] = field(repr=False)
     provenance: GraphProvenance
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     kind: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
-    indptr: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
     _hash: str | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def create(
         cls,
-        nodes: list[GraphNode],
-        edges: list[GraphEdge],
+        nodes: Sequence[GraphNode],
+        edges: Iterable[tuple[int, int, str, int]],
         provenance: GraphProvenance,
     ) -> "OntologyGraph":
-        """Build a graph from edge objects in any order (for small graphs
-        assembled by hand); validates like every other constructor."""
-        columns = _edge_columns(
-            [e.u for e in edges],
-            [e.v for e in edges],
-            [e.kind for e in edges],
-            [e.weight for e in edges],
+        """Build a graph from node values and ``(u, v, kind, weight)`` edge
+        rows in any order (for small graphs assembled by hand); validates
+        like every other constructor."""
+        rows = list(edges)
+        u, v, kinds, weight = zip(*rows, strict=True) if rows else ((), (), (), ())
+        node_columns = _node_columns(
+            [node.node_id for node in nodes],
+            # A NodeKind hashes as its name, so it is looked up by its value.
+            [node.kind.value if isinstance(node.kind, NodeKind) else node.kind for node in nodes],
+            [node.label for node in nodes],
+            [node.metadata for node in nodes],
         )
-        return cls._from_arrays(nodes, *columns, provenance)
+        return cls._from_arrays(node_columns, *_edge_columns(u, v, kinds, weight), provenance)
 
     @classmethod
     def _from_arrays(
         cls, nodes, u, v, kind, weight, provenance, content_hash: str | None = None
     ) -> "OntologyGraph":
-        """Validate structure, sort the int64 edge arrays canonically unless
-        they already are, derive the CSR; ``content_hash`` as in
-        ``from_doc``."""
-        n = len(nodes)
-        seen_labels = set()
-        for expected_id, node in enumerate(nodes):
-            if node.node_id != expected_id:
-                raise ValueError(f"node ordinals not dense at {node.node_id}")
-            key = (node.kind, node.label)
-            if key in seen_labels:
-                raise ValueError(f"duplicate node {key!r}")
-            seen_labels.add(key)
-        def edge(i) -> GraphEdge:
-            return GraphEdge(int(u[i]), int(v[i]), EDGE_KINDS[kind[i]], int(weight[i]))
+        """Validate structure and sort the int64 edge arrays canonically
+        unless they already are. ``nodes`` are the node columns (kind codes,
+        labels, model domains, type models), ids dense by construction;
+        ``content_hash`` as in ``from_doc``."""
+        node_kind, labels = nodes[:2]
+        n = len(labels)
+        seen: list[set[str]] = [set() for _ in NODE_KINDS]
+        for code, label in zip(node_kind.tolist(), labels):
+            if label in seen[code]:
+                raise ValueError(f"duplicate node {(NODE_KINDS[code], label)!r}")
+            seen[code].add(label)
+
+        def edge(i) -> tuple[int, int, str, int]:
+            return int(u[i]), int(v[i]), EDGE_KINDS[kind[i]], int(weight[i])
 
         for broken, message in (
             ((u < 0) | (u >= n) | (v < 0) | (v >= n), "edge endpoint out of range"),
@@ -313,16 +394,8 @@ class OntologyGraph:
             edge_key = edge_key[order]
             bad = np.flatnonzero(edge_key[1:] == edge_key[:-1])
             if bad.size:
-                e = edge(bad[0])
-                raise ValueError(f"duplicate edge {(e.u, e.v, e.kind)!r}")
-        # Both directions of every edge, one entry per distinct neighbour pair.
-        pairs, _ = _unique_counts(np.concatenate((u * n + v, v * n + u)))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs // max(n, 1), minlength=n), out=indptr[1:])
-        graph = cls(
-            nodes=nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight,
-            indptr=indptr, indices=pairs % max(n, 1),
-        )
+                raise ValueError(f"duplicate edge {edge(bad[0])[:3]!r}")
+        graph = cls(*nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight)
         if in_order:
             graph._hash = content_hash
         return graph
@@ -330,19 +403,33 @@ class OntologyGraph:
     # -- lookups -----------------------------------------------------------
 
     def node_id(self, kind: NodeKind, label: str) -> int:
-        for node in self.nodes:
-            if node.kind == kind and node.label == label:
-                return node.node_id
-        raise NotFoundError(f"no {kind.value} node labeled {label!r}")
+        for node_id in self.nodes_of_kind(kind).tolist():
+            if self.labels[node_id] == label:
+                return node_id
+        raise NotFoundError(f"no {NodeKind(kind).value} node labeled {label!r}")
 
-    def nodes_of_kind(self, kind: NodeKind) -> list[GraphNode]:
-        return [node for node in self.nodes if node.kind == kind]
+    def nodes_of_kind(self, kind: NodeKind) -> np.ndarray:
+        """The ids of the nodes of one kind, ascending."""
+        return np.flatnonzero(self.node_kind == NODE_KINDS.index(NodeKind(kind)))
 
     def node_census(self) -> dict[str, int]:
-        census = {kind.value: 0 for kind in NodeKind}
-        for node in self.nodes:
-            census[node.kind.value] += 1
-        return census
+        counts = np.bincount(self.node_kind, minlength=len(NODE_KINDS)).tolist()
+        return dict(zip(NODE_KINDS, counts))
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _adjacency(self.u, self.v, len(self.labels))
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row offsets: node ``i``'s neighbours are
+        ``indices[indptr[i]:indptr[i + 1]]``."""
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR column ids: each node's distinct neighbours, ascending."""
+        return self._csr[1]
 
     def neighbors(self, node_id: int) -> np.ndarray:
         """Distinct neighbours of a node, ascending."""
@@ -356,52 +443,64 @@ class OntologyGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def _doc(self, edges: list) -> dict:
+    def _node_docs(self) -> Iterator[list[dict]]:
+        """The nodes as stored, in blocks of at most ``_BLOCK_ROWS``."""
+        codes, n = self.node_kind.tolist(), len(self.labels)
+        metadata: list[str | None] = [None] * n
+        for kind, column in (
+            (NodeKind.MODEL, self.model_domains), (NodeKind.TYPE, self.type_model)
+        ):
+            for node_id, value in zip(self.nodes_of_kind(kind).tolist(), column):
+                metadata[node_id] = value
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            yield [
+                {
+                    "id": node_id,
+                    "kind": NODE_KINDS[code],
+                    "label": label,
+                    "metadata": {} if value is None else {_METADATA_KEYS[code]: value},
+                }
+                for node_id, code, label, value in zip(
+                    range(lo, hi), codes[lo:hi], self.labels[lo:hi], metadata[lo:hi]
+                )
+            ]
+
+    def to_doc(self) -> dict:
         return {
             "kind": "graph",
             "provenance": self.provenance.to_doc(),
-            "nodes": [
-                {
-                    "id": node.node_id,
-                    "kind": node.kind.value,
-                    "label": node.label,
-                    "metadata": dict(sorted(node.metadata.items())),
-                }
-                for node in self.nodes
+            "nodes": [node for block in self._node_docs() for node in block],
+            "edges": [
+                {"u": u, "v": v, "kind": kind, "weight": weight}
+                for u, v, kind, weight in self.edge_rows()
             ],
-            "edges": edges,
         }
-
-    def to_doc(self) -> dict:
-        return self._doc([
-            {"u": u, "v": v, "kind": kind, "weight": weight}
-            for u, v, kind, weight in self.edge_rows()
-        ])
 
     def format_edges(self, templates: Sequence[bytes]) -> Iterator[bytes]:
         """The edges in canonical order, each written as its kind's template
         (indexed by kind code) ``% (u, v, weight)``, in blocks of at most
-        ``_EDGE_BLOCK_ROWS`` rows: the edges of each kind are contiguous, so
-        one template formats a whole block."""
+        ``_BLOCK_ROWS`` rows: the edges of each kind are contiguous, so one
+        template formats a whole block."""
         bounds = np.searchsorted(self.kind, np.arange(len(EDGE_KINDS) + 1)).tolist()
         for code, template in enumerate(templates):
-            for lo in range(bounds[code], bounds[code + 1], _EDGE_BLOCK_ROWS):
-                hi = min(lo + _EDGE_BLOCK_ROWS, bounds[code + 1])
+            for lo in range(bounds[code], bounds[code + 1], _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, bounds[code + 1])
                 numbers = np.column_stack((self.u[lo:hi], self.v[lo:hi], self.weight[lo:hi]))
                 yield template * (hi - lo) % tuple(numbers.ravel().tolist())
 
     def canonical_chunks(self) -> Iterator[bytes]:
         """``canonical_json_bytes(self.to_doc())``, the stored form, as
-        chunks of at most ``_EDGE_BLOCK_ROWS`` edge rows, written without a
-        dict per edge."""
-        rest = canonical_json_line(self._doc([])).encode("utf-8")
+        chunks of at most ``_BLOCK_ROWS`` edge or node rows, written without
+        a dict per edge."""
         yield _EDGES_OPEN
-        first = True
-        for block in self.format_edges(_CANONICAL_ROWS):
-            yield block[1:] if first else block
-            first = False
-        # rest is '{"edges":[' + ']' + the other keys.
-        yield rest[len(_EDGES_OPEN) :] + b"\n"
+        yield from _comma_joined(self.format_edges(_CANONICAL_ROWS))
+        yield _NODES_OPEN
+        yield from _comma_joined(
+            b"," + canonical_json_line(block)[1:-1].encode("utf-8") for block in self._node_docs()
+        )
+        provenance = canonical_json_line(self.provenance.to_doc()).encode("utf-8")
+        yield b'],"provenance":' + provenance + b"}\n"
 
     def canonical_bytes(self) -> bytes:
         """The joined ``canonical_chunks()``."""
@@ -511,22 +610,16 @@ def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> On
     attribute_base = type_base + len(types.id)
     n = attribute_base + len(snapshot.vocabulary)
 
-    nodes = [GraphNode(i, NodeKind.DOMAIN, label) for i, label in enumerate(domains.id)]
-    nodes += [
-        GraphNode(
-            model_base + i, NodeKind.MODEL, label,
-            {"domains": canonical_json_line([domains.id[d] for d in model_domains])},
-        )
-        for i, (label, model_domains) in enumerate(zip(models.id, models.domains))
-    ]
-    nodes += [
-        GraphNode(type_base + i, NodeKind.TYPE, label, {"model": models.id[model]})
-        for i, (label, model) in enumerate(zip(types.id, types.model))
-    ]
-    nodes += [
-        GraphNode(attribute_base + i, NodeKind.ATTRIBUTE, label)
-        for i, label in enumerate(snapshot.vocabulary)
-    ]
+    counts = [len(domains.id), len(models.id), len(types.id), len(snapshot.vocabulary)]
+    nodes = (
+        np.repeat(np.arange(len(NODE_KINDS), dtype=np.int8), counts),
+        (*domains.id, *models.id, *types.id, *snapshot.vocabulary),
+        tuple(
+            canonical_json_line([domains.id[d] for d in model_domains])
+            for model_domains in models.domains
+        ),
+        tuple(models.id[model] for model in types.model),
+    )
 
     type_attributes, type_lengths = _ragged(types.attributes, len(types.id))
     type_model = np.array(types.model, dtype=np.int64) + model_base
@@ -607,28 +700,27 @@ def domain_subgraph(graph: OntologyGraph, domain_id: str) -> OntologyGraph:
     except NotFoundError:
         raise NotFoundError(f"unknown domain {domain_id!r}") from None
 
-    keep = np.zeros(len(graph.nodes), dtype=bool)
+    keep = np.zeros(len(graph.labels), dtype=bool)
     keep[domain_node_id] = True
-    model_labels: set[str] = set()
-    for node in graph.nodes_of_kind(NodeKind.MODEL):
-        domains_meta = node.metadata.get("domains")
-        if domains_meta and domain_id in json.loads(domains_meta):
-            keep[node.node_id] = True
-            model_labels.add(node.label)
-    for node in graph.nodes_of_kind(NodeKind.TYPE):
-        if node.metadata.get("model") in model_labels:
-            keep[node.node_id] = True
-    for neighbor in graph.neighbors(domain_node_id).tolist():
-        if graph.nodes[neighbor].kind == NodeKind.ATTRIBUTE:
-            keep[neighbor] = True
+    models = graph.nodes_of_kind(NodeKind.MODEL)
+    in_domain = np.array(
+        [domain_id in json.loads(domains) for domains in graph.model_domains], dtype=bool
+    )
+    keep[models[in_domain]] = True
+    model_labels = {graph.labels[i] for i in models[in_domain].tolist()}
+    types = graph.nodes_of_kind(NodeKind.TYPE)
+    of_model = np.array([model in model_labels for model in graph.type_model], dtype=bool)
+    keep[types[of_model]] = True
+    neighbors = graph.neighbors(domain_node_id)
+    keep[neighbors[graph.node_kind[neighbors] == NODE_KINDS.index(NodeKind.ATTRIBUTE)]] = True
 
-    kept = np.flatnonzero(keep).tolist()
-    nodes = [
-        GraphNode(node_id=new_id, kind=graph.nodes[old_id].kind,
-                  label=graph.nodes[old_id].label,
-                  metadata=dict(graph.nodes[old_id].metadata))
-        for new_id, old_id in enumerate(kept)
-    ]
+    kept = np.flatnonzero(keep)
+    nodes = (
+        graph.node_kind[kept],
+        tuple(graph.labels[i] for i in kept.tolist()),
+        tuple(d for d, inside in zip(graph.model_domains, in_domain.tolist()) if inside),
+        tuple(m for m, inside in zip(graph.type_model, of_model.tolist()) if inside),
+    )
     remap = np.cumsum(keep) - 1
     inside = keep[graph.u] & keep[graph.v]
     provenance = GraphProvenance(

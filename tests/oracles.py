@@ -47,7 +47,6 @@ from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
     EDGE_ATTR_MODEL,
     EDGE_CONTAINMENT,
-    GraphEdge,
     GraphNode,
     GraphProvenance,
     NodeKind,
@@ -69,10 +68,7 @@ def make_graph(n: int, edge_list: list[tuple[int, int]]) -> OntologyGraph:
         GraphNode(node_id=i, kind=NodeKind.ATTRIBUTE, label=f"a{i:03d}")
         for i in range(n)
     ]
-    edges = [
-        GraphEdge(u=min(u, v), v=max(u, v), kind=EDGE_ATTR_ATTR, weight=1)
-        for u, v in edge_list
-    ]
+    edges = [(min(u, v), max(u, v), EDGE_ATTR_ATTR, 1) for u, v in edge_list]
     return OntologyGraph.create(nodes, edges, GraphProvenance(snapshot_hash="test"))
 
 
@@ -117,7 +113,7 @@ def _all_shortest_paths(adj, dist, s, t):
 
 
 def _neighbor_lists(graph: OntologyGraph) -> list[list[int]]:
-    neighbors: list[set[int]] = [set() for _ in graph.nodes]
+    neighbors: list[set[int]] = [set() for _ in graph.labels]
     for u, v in zip(graph.u.tolist(), graph.v.tolist()):
         neighbors[u].add(v)
         neighbors[v].add(u)
@@ -146,10 +142,23 @@ def brute_force_betweenness(graph: OntologyGraph, normalized: bool = False) -> l
     return bc
 
 
+def csr_reference(graph: OntologyGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR adjacency by another route than the graph's: the distinct
+    doubled pairs ``u * n + v`` found by a sort and a diff, row lengths from
+    a bincount of ``pairs // n`` and columns ``pairs % n``."""
+    n = len(graph.labels)
+    keys = np.sort(np.concatenate((graph.u * n + graph.v, graph.v * n + graph.u)))
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    pairs = keys[starts]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // max(n, 1), minlength=n), out=indptr[1:])
+    return indptr, pairs % max(n, 1)
+
+
 def degree_row_sums(graph: OntologyGraph, weighted: bool = False) -> list[float]:
     """Degree via adjacency-matrix row sums: binary matrix for the distinct
     neighbor count, weight-accumulating matrix for the weighted variant."""
-    n = len(graph.nodes)
+    n = len(graph.labels)
     matrix = np.zeros((n, n))
     for u, v, weight in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
         if weighted:
@@ -181,10 +190,10 @@ def graphml_element_tree(graph: OntologyGraph) -> bytes:
             {"id": key_id, "for": domain, "attr.name": name, "attr.type": typ},
         )
     g = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
-    for node in graph.nodes:
-        el = ET.SubElement(g, "node", {"id": f"n{node.node_id}"})
-        ET.SubElement(el, "data", {"key": "d_kind"}).text = node.kind.value
-        ET.SubElement(el, "data", {"key": "d_label"}).text = node.label
+    for node_id, (code, label) in enumerate(zip(graph.node_kind.tolist(), graph.labels)):
+        el = ET.SubElement(g, "node", {"id": f"n{node_id}"})
+        ET.SubElement(el, "data", {"key": "d_kind"}).text = list(NodeKind)[code].value
+        ET.SubElement(el, "data", {"key": "d_label"}).text = label
     for u, v, kind, weight in graph.edge_rows():
         el = ET.SubElement(g, "edge", {"source": f"n{u}", "target": f"n{v}"})
         ET.SubElement(el, "data", {"key": "d_ekind"}).text = kind
@@ -310,7 +319,7 @@ def build_graph_reference(
         for m in records.models:
             for domain_id in m.domain_ids:
                 add(EDGE_CONTAINMENT, model[m.model_id], domain[domain_id])
-    edges = [GraphEdge(u, v, kind, weight) for (u, v, kind), weight in weights.items()]
+    edges = [(u, v, kind, weight) for (u, v, kind), weight in weights.items()]
     provenance = GraphProvenance(
         snapshot_hash=snapshot.content_hash, containment_edges=containment_edges
     )

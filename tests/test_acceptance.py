@@ -16,6 +16,7 @@ from ontomesh.analytics import (
     domain_overlap_matrix,
     specificity_ratios,
 )
+from ontomesh.choices import NODE_KINDS
 from ontomesh.cli import main as cli_main
 from ontomesh.corpus import (
     AttributeOccurrence,
@@ -87,20 +88,20 @@ def _vocab_snapshot(vocab_by_domain: dict[str, list[str]]) -> CorpusSnapshot:
 
 def test_node_census_identity(fix1_snapshot, fix1_graph):
     with criterion("node-census identity |V| = domains + models + types + attributes"):
-        assert len(fix1_graph.nodes) == sum(fix1_snapshot.counts) == 18
+        assert len(fix1_graph.labels) == sum(fix1_snapshot.counts) == 18
         paper_scale = synthetic_snapshot()
         assert tuple(paper_scale.counts) == (13, 59, 62, 3496)
         graph = build_graph(paper_scale)
-        assert len(graph.nodes) == 13 + 59 + 62 + 3496 == 3630
+        assert len(graph.labels) == 13 + 59 + 62 + 3496 == 3630
         for seed in range(25):
             snapshot = random_snapshot(random.Random(seed))
-            assert len(build_graph(snapshot).nodes) == sum(snapshot.counts)
+            assert len(build_graph(snapshot).labels) == sum(snapshot.counts)
 
 
 def test_worked_example_graph():
     with criterion("worked example: 5 nodes and the 5 enumerated edges"):
         graph = build_graph(minimal_snapshot())
-        assert {(n.kind.value, n.label) for n in graph.nodes} == {
+        assert set(zip(map(NODE_KINDS.__getitem__, graph.node_kind.tolist()), graph.labels)) == {
             ("domain", "SmartCities"),
             ("model", "UrbanMobility"),
             ("type", "UrbanMobility/ArrivalEstimation"),
@@ -108,7 +109,7 @@ def test_worked_example_graph():
             ("attribute", "hasTrip"),
         }
         edges = {
-            tuple(sorted((graph.nodes[u].label, graph.nodes[v].label)))
+            tuple(sorted((graph.labels[u], graph.labels[v])))
             for u, v in zip(graph.u.tolist(), graph.v.tolist())
         }
         assert edges == {
@@ -143,7 +144,7 @@ def test_degree_oracle_equivalence():
         for graph in _oracle_graphs():
             scores = degree_centrality(graph).scores
             expected = degree_row_sums(graph)
-            assert [scores[i] for i in range(len(graph.nodes))] == expected
+            assert [scores[i] for i in range(len(graph.labels))] == expected
 
 
 def test_matrix_properties(fix1_snapshot):
@@ -252,7 +253,7 @@ def test_export_integrity(fix1_graph, tmp_path):
         export_graph(fix1_graph, "graphml", gml_path)
         root = ET.parse(gml_path).getroot()
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
-        assert len(root.findall(".//g:node", ns)) == len(fix1_graph.nodes)
+        assert len(root.findall(".//g:node", ns)) == len(fix1_graph.labels)
         assert len(root.findall(".//g:edge", ns)) == len(fix1_graph.u)
 
 
@@ -264,7 +265,7 @@ def test_performance_envelope():
     with criterion(label):
         snapshot = synthetic_snapshot()
         graph = build_graph(snapshot)
-        assert len(graph.nodes) == 3630
+        assert len(graph.labels) == 3630
         assert 190_000 <= len(graph.u) <= 230_000
 
         started = time.perf_counter()

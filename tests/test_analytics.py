@@ -30,7 +30,6 @@ from ontomesh.corpus import (
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
-    GraphEdge,
     GraphNode,
     GraphProvenance,
     NodeKind,
@@ -44,6 +43,7 @@ from conftest import minimal_snapshot
 
 from oracles import (
     brute_force_betweenness,
+    csr_reference,
     degree_row_sums,
     make_graph,
     domain_overlap_matrix_reference,
@@ -106,12 +106,12 @@ class TestDegree:
     def test_weighted_matches_oracle(self, fix1_graph):
         scores = degree_centrality(fix1_graph, weighted=True).scores
         expected = degree_row_sums(fix1_graph, weighted=True)
-        assert [scores[i] for i in range(len(fix1_graph.nodes))] == expected
+        assert [scores[i] for i in range(len(fix1_graph.labels))] == expected
 
     def test_default_synthetic_graph_matches_plain_count(self):
         graph = build_graph(synthetic_snapshot())
-        neighbours = [set() for _ in graph.nodes]
-        incident = [0] * len(graph.nodes)
+        neighbours = [set() for _ in graph.labels]
+        incident = [0] * len(graph.labels)
         for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.weight.tolist()):
             neighbours[u].add(v)
             neighbours[v].add(u)
@@ -258,7 +258,7 @@ class TestBetweenness:
         # every sparse block size and thread count reproduces the reference
         # sums exactly
         for graph in _agreement_graphs():
-            n = len(graph.nodes)
+            n = len(graph.labels)
             indptr, indices = graph.indptr, graph.indices
             want = analytics._betweenness_python(indptr, indices)
             for cpus in (1, 2, 4):
@@ -266,6 +266,18 @@ class TestBetweenness:
                 for block in (1, 3, 16, 64):
                     got = analytics._brandes_sparse(indptr, indices, n, block)
                     assert got.tolist() == want, (cpus, block)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_from_reference_csr(self, seed):
+        """Degree and betweenness on the CSR derived on first use are
+        bit-equal to those on the reference derivation."""
+        snapshot = random_snapshot(random.Random(400 + seed))
+        graph = build_graph(snapshot, containment_edges=seed % 2 == 1)
+        indptr, indices = csr_reference(graph)
+        degree = np.diff(indptr).tolist()
+        assert degree_centrality(graph).scores == dict(enumerate(degree))
+        raw = analytics._brandes_sparse(indptr, indices, len(graph.labels)).tolist()
+        assert betweenness_centrality(graph).scores == {i: v / 2.0 for i, v in enumerate(raw)}
 
     def test_twin_classes(self):
         # 0..6 form a clique that hub 7 joins in full and hub 8 in part
@@ -430,7 +442,7 @@ class TestRanking:
         graph = build_graph(minimal)
         result = degree_centrality(graph)
         # dataProvider and hasTrip tie at 3; label order decides
-        assert [graph.nodes[i].label for i in result.ranking[:2]] == [
+        assert [graph.labels[i] for i in result.ranking[:2]] == [
             "dataProvider",
             "hasTrip",
         ]
@@ -457,7 +469,7 @@ class TestRanking:
             ]
             idx = {lab: i for i, lab in enumerate(order)}
             ge = [
-                GraphEdge(min(idx[a], idx[b]), max(idx[a], idx[b]), EDGE_ATTR_ATTR, 1)
+                (min(idx[a], idx[b]), max(idx[a], idx[b]), EDGE_ATTR_ATTR, 1)
                 for a, b in edges
             ]
             return OntologyGraph.create(nodes, ge, GraphProvenance("x"))
@@ -465,8 +477,8 @@ class TestRanking:
         compute = degree_centrality if metric == "degree" else betweenness_centrality
         g1 = build(labels)
         g2 = build(list(reversed(labels)))
-        r1 = [g1.nodes[i].label for i in compute(g1).ranking]
-        r2 = [g2.nodes[i].label for i in compute(g2).ranking]
+        r1 = [g1.labels[i] for i in compute(g1).ranking]
+        r2 = [g2.labels[i] for i in compute(g2).ranking]
         assert r1 == r2
 
 
@@ -488,7 +500,7 @@ class TestTopK:
 
     def test_only_attribute_nodes_listed(self, fix1_graph):
         rows = top_k_attributes(degree_centrality(fix1_graph), fix1_graph, k=100)
-        attr_labels = {n.label for n in fix1_graph.nodes_of_kind(NodeKind.ATTRIBUTE)}
+        attr_labels = {fix1_graph.labels[i] for i in fix1_graph.nodes_of_kind(NodeKind.ATTRIBUTE)}
         assert {label for label, _, _ in rows} <= attr_labels
 
     def test_tie_break_on_minimal(self, minimal):

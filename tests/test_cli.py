@@ -4,10 +4,12 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
 from ontomesh import analytics, results
+from ontomesh import graph as graph_module
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.corpus import (
@@ -272,8 +274,11 @@ class TestAnalyze:
 def _store_as_is(workdir, name, kind, doc):
     """Store a document's canonical bytes under ``name`` without decoding
     it: the object passes its hash check whatever it holds."""
+    _store_bytes(workdir, name, kind, canonical_json_bytes(doc))
+
+
+def _store_bytes(workdir, name, kind, data):
     store = ArtifactStore(workdir / "store")
-    data = canonical_json_bytes(doc)
     content_hash = sha256_hex(data)
     (store.objects_dir / f"{content_hash}.json").write_bytes(data)
     index = json.loads(store.index_path.read_text())
@@ -306,6 +311,25 @@ class TestInvalidStoredObjects:
             "edge not in canonical u < v form"
         )
 
+    @pytest.mark.parametrize("text", [b"\xed\xa0\x80", b"\\ud800"], ids=["bytes", "escape"])
+    @pytest.mark.parametrize("argv", [
+        ["export", "--graph", "bad", "--format", "dot", "--out", "bad.dot"],
+        ["export", "--graph", "bad", "--format", "graphml", "--out", "bad.graphml"],
+        ["analyze", "centrality", "--graph", "bad"],
+        ["analyze", "dissonance", "--snapshot", "fix1", "--graph", "bad"],
+    ], ids=["dot", "graphml", "centrality", "dissonance"])
+    def test_label_with_lone_surrogate(self, built, capsys, text, argv):
+        data = ArtifactStore(built / "store").object_bytes("fix1-graph")
+        label = b'"label":"SmartCities'
+        _store_bytes(built, "bad", "graph", data.replace(label, label + text, 1))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == (
+            "ontomesh: error: artifact 'bad' is not a valid graph: "
+            "node text 'SmartCities\\ud800' holds a lone surrogate\n"
+        )
+        assert not list(built.glob("bad.*"))
+
     def test_snapshot_with_missing_key(self, ingested, capsys):
         doc = json.loads(ArtifactStore(ingested / "store").object_bytes("fix1"))
         del doc["types"]["model"]
@@ -325,6 +349,43 @@ class TestInvalidStoredObjects:
         assert err == (
             "ontomesh: error: artifact 'fix1-dissonance' is not a valid report: 'census'\n"
         )
+
+
+class TestAdjacencyOnFirstUse:
+    """Only commands that read the graph's structure derive its CSR."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        spy = mock.Mock(wraps=graph_module._adjacency)
+        monkeypatch.setattr(graph_module, "_adjacency", spy)
+        return spy
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "build", "--snapshot", "fix1", "--overwrite"],
+        ["export", "--graph", "fix1-graph", "--format", "graphml"],
+        ["export", "--graph", "fix1-graph", "--format", "dot"],
+        ["export", "--graph", "fix1-graph", "--format", "canonical-json"],
+        ["report", "--name", "fix1"],
+    ], ids=["graph-build", "graphml", "dot", "canonical-json", "report"])
+    def test_not_derived(self, built, capsys, monkeypatch, argv):
+        # report reuses the summary that analyze dissonance stores.
+        code, _, _ = run_cli(["analyze", "dissonance", "--snapshot", "fix1"], capsys)
+        assert code == 0
+        derive = self.spy(monkeypatch)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert derive.call_count == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "centrality", "--graph", "fix1-graph"],
+        ["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness"],
+        ["analyze", "dissonance", "--snapshot", "fix1"],
+    ], ids=["degree", "betweenness", "dissonance"])
+    def test_derived_once(self, built, capsys, monkeypatch, argv):
+        derive = self.spy(monkeypatch)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert derive.call_count == 1
 
 
 class TestExportAndReport:

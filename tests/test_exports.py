@@ -1,4 +1,7 @@
 import hashlib
+import os
+import stat
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -8,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomesh import heatmap
-from ontomesh.analytics import DomainMatrix, dissonance_summary
+from ontomesh.analytics import DomainMatrix, degree_centrality, dissonance_summary
 from ontomesh.exports import export_graph, export_matrix_csv, import_graph_json
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
-    GraphEdge,
     GraphNode,
     GraphProvenance,
     NodeKind,
@@ -55,7 +57,7 @@ class TestGraphExports:
         out = tmp_path / "f.graphml"
         export_graph(fix1_graph, "graphml", out)
         loaded = nx.read_graphml(out)
-        assert loaded.number_of_nodes() == len(fix1_graph.nodes)
+        assert loaded.number_of_nodes() == len(fix1_graph.labels)
         assert loaded.number_of_edges() == len(fix1_graph.u)
         hub = loaded.nodes[f"n{fix1_graph.node_id('attribute', 'dataProvider')}"]
         assert hub["kind"] == "attribute"
@@ -88,11 +90,34 @@ class TestGraphExports:
             export_graph(graph, "graphml", out)
             assert out.read_bytes() == graphml_element_tree(graph)
 
+    def test_symlink_target_written(self, fix1_graph, tmp_path):
+        target = tmp_path / "target.dot"
+        target.write_bytes(b"before")
+        (tmp_path / "link.dot").symlink_to(target)
+        export_graph(fix1_graph, "dot", tmp_path / "link.dot")
+        export_graph(fix1_graph, "dot", tmp_path / "plain.dot")
+        assert (tmp_path / "link.dot").is_symlink()
+        assert target.read_bytes() == (tmp_path / "plain.dot").read_bytes()
+
+    def test_pipe_written_in_place(self, fix1_graph, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            written = export_graph(fix1_graph, "dot", fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert len(received[0]) == written > 0
+
     def test_graphml_escapes_like_element_tree(self, tmp_path):
         labels = ["a & b", "<tag>", 'say "hi"', "it's", "&amp;", "Zürich – Ørsted €",
                   "温度", "", " padded ", "line\nbreak\r\ttab"]
         nodes = [GraphNode(i, NodeKind.ATTRIBUTE, label) for i, label in enumerate(labels)]
-        edges = [GraphEdge(0, i, EDGE_ATTR_ATTR, i) for i in range(1, len(labels))]
+        edges = [(0, i, EDGE_ATTR_ATTR, i) for i in range(1, len(labels))]
         graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
         out = tmp_path / "labels.graphml"
         export_graph(graph, "graphml", out)
@@ -120,6 +145,27 @@ class TestGraphExports:
     def test_unwritable_path(self, fix1_graph, tmp_path):
         with pytest.raises(OSError):
             export_graph(fix1_graph, "dot", tmp_path / "missing-dir" / "x.dot")
+
+    @pytest.mark.parametrize("format", ["graphml", "dot", "canonical-json"])
+    def test_failed_writer_leaves_no_file(self, fix1_snapshot, tmp_path, format):
+        """Every writer has written a block before the edges; one that fails
+        in them leaves nothing at the output path, nor a temp file beside it,
+        and a file already there as it was."""
+        graph = build_graph(fix1_snapshot)
+
+        def failing_edges(templates):
+            yield next(OntologyGraph.format_edges(graph, templates))
+            raise OSError("disk full")
+
+        graph.format_edges = failing_edges
+        with pytest.raises(OSError, match="disk full"):
+            export_graph(graph, format, tmp_path / "g")
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "g").write_bytes(b"before")
+        with pytest.raises(OSError, match="disk full"):
+            export_graph(graph, format, tmp_path / "g")
+        assert list(tmp_path.iterdir()) == [tmp_path / "g"]
+        assert (tmp_path / "g").read_bytes() == b"before"
 
 
 def test_synthetic_graph_bytes_are_pinned(tmp_path):
@@ -157,7 +203,8 @@ class TestPeakMemory:
     """Reading, storing and writing the default synthetic graph (10 MB
     stored) go in blocks of rows: no stage holds a second full-size copy of
     the graph. Before the block codec the peaks were 74.9 MiB (get),
-    40.6 MiB (put) and 38.8 MiB (DOT)."""
+    40.6 MiB (put) and 38.8 MiB (DOT). A graph of many nodes holds them as
+    columns and derives its CSR only when an analysis reads it."""
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
@@ -179,6 +226,28 @@ class TestPeakMemory:
     def test_export(self, stored, format, tmp_path):
         _, graph = stored
         assert _peak_mib(lambda: export_graph(graph, format, tmp_path / format)) <= 5
+
+    @pytest.fixture(scope="class")
+    def many_nodes(self):
+        """A snapshot of 20733 nodes and 168063 edges, shaped like many
+        small schemas: 2000 types of 3 hub and 9 own attributes."""
+        snapshot = synthetic_snapshot(
+            n_models=600, n_types=2000, hub_pool=120, hubs_per_type=3, unique_per_type=9
+        )
+        assert sum(snapshot.counts) == 20733
+        return snapshot
+
+    def test_build_and_put_many_nodes(self, many_nodes, tmp_path):
+        """Nodes are columns and no CSR is derived: 35 MiB before."""
+        store = ArtifactStore(tmp_path / "store")
+        assert _peak_mib(lambda: store.put("g", build_graph(many_nodes))) <= 20
+
+    def test_get_and_degree_many_nodes(self, many_nodes, tmp_path):
+        """The CSR comes from one in-place sort of the doubled pair keys:
+        44 MiB before."""
+        store = ArtifactStore(tmp_path / "store")
+        store.put("g", build_graph(many_nodes))
+        assert _peak_mib(lambda: degree_centrality(store.get("g"))) <= 32
 
 
 def test_synthetic_snapshot_bytes_are_pinned(tmp_path):

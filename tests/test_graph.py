@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
+from ontomesh.choices import NODE_KINDS
 
 from ontomesh.corpus import (
     AttributeOccurrence,
@@ -28,7 +29,6 @@ from ontomesh.graph import (
     EDGE_ATTR_MODEL,
     EDGE_CONTAINMENT,
     EDGE_KINDS,
-    GraphEdge,
     GraphNode,
     GraphProvenance,
     NodeKind,
@@ -43,23 +43,31 @@ from ontomesh.graph import _canonical_edge_columns
 
 from ontomesh.synthetic import synthetic_snapshot
 
-from oracles import build_graph_reference, random_snapshot
+from oracles import build_graph_reference, csr_reference, random_snapshot
 
 
 def _edge_labels(graph):
     """Edges as ((label, label), kind, weight) with sorted label pairs."""
     out = set()
     for u, v, kind, weight in graph.edge_rows():
-        pair = tuple(sorted((graph.nodes[u].label, graph.nodes[v].label)))
+        pair = tuple(sorted((graph.labels[u], graph.labels[v])))
         out.add((pair, kind, weight))
     return out
+
+
+def _node_keys(graph):
+    """Nodes as (kind, label) pairs."""
+    return set(zip((NODE_KINDS[code] for code in graph.node_kind.tolist()), graph.labels))
+
+
+def _node_columns(graph):
+    return graph.node_kind, graph.labels, graph.model_domains, graph.type_model
 
 
 class TestWorkedExample:
     def test_five_nodes(self, minimal):
         graph = build_graph(minimal)
-        labels = {(n.kind.value, n.label) for n in graph.nodes}
-        assert labels == {
+        assert _node_keys(graph) == {
             ("domain", "SmartCities"),
             ("model", "UrbanMobility"),
             ("type", "UrbanMobility/ArrivalEstimation"),
@@ -89,7 +97,7 @@ class TestWorkedExample:
 
 class TestFix1Graph:
     def test_node_census(self, fix1_graph, fix1_snapshot):
-        assert len(fix1_graph.nodes) == 18
+        assert len(fix1_graph.labels) == 18
         assert fix1_graph.node_census() == {
             "domain": 2,
             "model": 3,
@@ -113,8 +121,10 @@ class TestFix1Graph:
         assert (("WeatherShared", "temperature"), EDGE_ATTR_MODEL, 2) in edges
 
     def test_type_nodes_isolated_by_default(self, fix1_graph):
-        for node in fix1_graph.nodes_of_kind(NodeKind.TYPE):
-            assert fix1_graph.neighbors(node.node_id).tolist() == []
+        types = fix1_graph.nodes_of_kind(NodeKind.TYPE).tolist()
+        assert len(types) == 4
+        for node_id in types:
+            assert fix1_graph.neighbors(node_id).tolist() == []
 
     def test_containment_adds_exact_count(self, fix1_snapshot, fix1_graph):
         withc = build_graph(fix1_snapshot, containment_edges=True)
@@ -128,12 +138,12 @@ class TestFix1Graph:
         assert EDGE_CONTAINMENT not in edge_census(fix1_graph).by_kind
 
     def test_membership_metadata(self, fix1_graph):
-        shared = fix1_graph.nodes[fix1_graph.node_id(NodeKind.MODEL, "WeatherShared")]
-        assert json.loads(shared.metadata["domains"]) == ["SmartCities", "SmartEnergy"]
-        t = fix1_graph.nodes[
-            fix1_graph.node_id(NodeKind.TYPE, "EnergyMonitor/PowerReading")
-        ]
-        assert t.metadata["model"] == "EnergyMonitor"
+        models = fix1_graph.nodes_of_kind(NodeKind.MODEL).tolist()
+        shared = models.index(fix1_graph.node_id(NodeKind.MODEL, "WeatherShared"))
+        assert json.loads(fix1_graph.model_domains[shared]) == ["SmartCities", "SmartEnergy"]
+        types = fix1_graph.nodes_of_kind(NodeKind.TYPE).tolist()
+        t = types.index(fix1_graph.node_id(NodeKind.TYPE, "EnergyMonitor/PowerReading"))
+        assert fix1_graph.type_model[t] == "EnergyMonitor"
 
     def test_deterministic_hash(self, fix1_snapshot):
         assert (
@@ -164,12 +174,12 @@ class TestFix1Graph:
 
     def test_csr_holds_distinct_neighbours(self, fix1_snapshot):
         graph = build_graph(fix1_snapshot, containment_edges=True)
-        neighbours = [set() for _ in graph.nodes]
+        neighbours = [set() for _ in graph.labels]
         for u, v in zip(graph.u.tolist(), graph.v.tolist()):
             neighbours[u].add(v)
             neighbours[v].add(u)
-        for node in graph.nodes:
-            assert graph.neighbors(node.node_id).tolist() == sorted(neighbours[node.node_id])
+        for node_id, expected in enumerate(neighbours):
+            assert graph.neighbors(node_id).tolist() == sorted(expected)
 
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
         """``build_graph`` does not validate: a snapshot that breaks an
@@ -224,10 +234,15 @@ class TestDomainSubgraph:
     def test_smartcities_slice(self, fix1_graph):
         sub = domain_subgraph(fix1_graph, "SmartCities")
         assert sub.node_census() == {"domain": 1, "model": 2, "type": 3, "attribute": 6}
-        attr_labels = {n.label for n in sub.nodes_of_kind(NodeKind.ATTRIBUTE)}
+        attr_labels = {sub.labels[i] for i in sub.nodes_of_kind(NodeKind.ATTRIBUTE)}
         assert attr_labels == {
             "dataProvider", "hasTrip", "routeCode", "stopName", "temperature", "windSpeed",
         }
+        assert [json.loads(domains) for domains in sub.model_domains] == [
+            ["SmartCities"], ["SmartCities", "SmartEnergy"],
+        ]
+        assert sub.type_model == ("UrbanMobility", "UrbanMobility", "WeatherShared")
+        assert OntologyGraph.from_bytes(sub.canonical_bytes()).to_doc() == sub.to_doc()
         assert len(sub.u) == 17
 
     def test_provenance_chain(self, fix1_graph):
@@ -249,10 +264,10 @@ class TestDomainSubgraph:
         for seed in range(15):
             snapshot = random_snapshot(random.Random(seed))
             graph = build_graph(snapshot)
-            parent_labels = {(n.kind, n.label) for n in graph.nodes}
+            parent_labels = _node_keys(graph)
             for domain_id in snapshot.domains.id:
                 sub = domain_subgraph(graph, domain_id)
-                assert {(n.kind, n.label) for n in sub.nodes} <= parent_labels
+                assert _node_keys(sub) <= parent_labels
                 assert _edge_labels(sub) <= _edge_labels(graph)
 
 
@@ -271,31 +286,31 @@ class TestStructuralValidation:
             assert census["model"] == snapshot.counts.models
             assert census["type"] == snapshot.counts.types
             assert census["attribute"] == snapshot.counts.attributes
-            assert len(graph.nodes) == sum(census.values())
+            assert len(graph.labels) == sum(census.values())
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="canonical"):
             OntologyGraph.create(
                 self._nodes(2),
-                [GraphEdge(1, 1, EDGE_ATTR_ATTR, 1)],
+                [(1, 1, EDGE_ATTR_ATTR, 1)],
                 GraphProvenance("x"),
             )
 
     def test_duplicate_edge_rejected(self):
-        edges = [GraphEdge(0, 1, EDGE_ATTR_ATTR, 1), GraphEdge(0, 1, EDGE_ATTR_ATTR, 2)]
+        edges = [(0, 1, EDGE_ATTR_ATTR, 1), (0, 1, EDGE_ATTR_ATTR, 2)]
         with pytest.raises(ValueError, match="duplicate edge"):
             OntologyGraph.create(self._nodes(2), edges, GraphProvenance("x"))
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             OntologyGraph.create(
-                self._nodes(2), [GraphEdge(0, 1, EDGE_ATTR_ATTR, 0)], GraphProvenance("x")
+                self._nodes(2), [(0, 1, EDGE_ATTR_ATTR, 0)], GraphProvenance("x")
             )
 
     def test_dangling_endpoint_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             OntologyGraph.create(
-                self._nodes(2), [GraphEdge(0, 5, EDGE_ATTR_ATTR, 1)], GraphProvenance("x")
+                self._nodes(2), [(0, 5, EDGE_ATTR_ATTR, 1)], GraphProvenance("x")
             )
 
     @pytest.mark.parametrize(
@@ -314,16 +329,24 @@ class TestStructuralValidation:
             ("unknown edge kind", lambda doc: doc["edges"][0].update(kind="sibling")),
             ("dense", lambda doc: doc["nodes"][2].update(id=7)),
             ("duplicate node", lambda doc: doc["nodes"][2].update(label="a1")),
+            ("attribute metadata must be none",
+             lambda doc: doc["nodes"][0]["metadata"].update(note="x")),
+            ("model metadata must be one text value 'domains'",
+             lambda doc: doc["nodes"][1].update(kind="model")),
+            ("type metadata must be one text value 'model'",
+             lambda doc: doc["nodes"][1].update(kind="type", metadata={"model": 7})),
+            ("unknown node kind", lambda doc: doc["nodes"][1].update(kind="schema")),
         ],
     )
     def test_from_doc_rejects_what_create_rejects(self, match, breaks):
-        edges = [GraphEdge(0, 1, EDGE_ATTR_ATTR, 1), GraphEdge(1, 2, EDGE_ATTR_MODEL, 1)]
+        edges = [(0, 1, EDGE_ATTR_ATTR, 1), (1, 2, EDGE_ATTR_MODEL, 1)]
         doc = OntologyGraph.create(self._nodes(3), edges, GraphProvenance("x")).to_doc()
         breaks(doc)
         with pytest.raises(ValueError, match=match):
             OntologyGraph.from_doc(doc)
-        nodes = [GraphNode(nd["id"], NodeKind(nd["kind"]), nd["label"]) for nd in doc["nodes"]]
-        edges = [GraphEdge(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
+        nodes = [GraphNode(nd["id"], nd["kind"], nd["label"], nd["metadata"])
+                 for nd in doc["nodes"]]
+        edges = [(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
         with pytest.raises(ValueError, match=match):
             OntologyGraph.create(nodes, edges, GraphProvenance("x"))
 
@@ -332,6 +355,10 @@ class TestStructuralValidation:
         nodes[2].node_id = 7
         with pytest.raises(ValueError, match="dense"):
             OntologyGraph.create(nodes, [], GraphProvenance("x"))
+
+
+def test_node_kind_codes_follow_node_kind_order():
+    assert tuple(kind.value for kind in NodeKind) == NODE_KINDS
 
 
 def test_attribute_in_two_types_of_one_model_weights_attr_model():
@@ -368,23 +395,30 @@ def _digits(count: int):
     return st.integers(10 ** (count - 1), 10**count - 1)
 
 
+_KIND_METADATA = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
+
+
+def _node(draw, node_id, label):
+    """A node of any kind with the metadata of its kind."""
+    kind = draw(st.sampled_from(NodeKind))
+    key = _KIND_METADATA.get(kind)
+    metadata = {} if key is None else {key: draw(st.text(max_size=5))}
+    return GraphNode(node_id, kind, label, metadata)
+
+
 @st.composite
 def _graphs(draw, kinds):
-    """Valid graphs whose edges have the given kinds: any node kinds,
-    non-ASCII labels and metadata, weights of 1 to 18 digits."""
+    """Valid graphs whose edges have the given kinds: nodes of any kinds in
+    any order, non-ASCII labels and metadata, weights of 1 to 18 digits."""
     labels = draw(st.lists(st.text(max_size=6), unique=True, max_size=9))
-    meta = st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2)
-    nodes = [
-        GraphNode(i, draw(st.sampled_from(NodeKind)), label, draw(meta))
-        for i, label in enumerate(labels)
-    ]
+    nodes = [_node(draw, i, label) for i, label in enumerate(labels)]
     pairs = [(u, v) for u in range(len(nodes)) for v in range(u + 1, len(nodes))]
     keys = []
     if pairs and kinds:
         keys = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(kinds)),
                              unique=True, max_size=30))
     weight = st.integers(1, 18).flatmap(_digits)
-    edges = [GraphEdge(u, v, kind, draw(weight)) for (u, v), kind in keys]
+    edges = [(u, v, kind, draw(weight)) for (u, v), kind in keys]
     draw(st.randoms()).shuffle(edges)
     optional = st.none() | st.text(max_size=4)
     provenance = GraphProvenance(
@@ -396,7 +430,8 @@ def _graphs(draw, kinds):
 def _state(graph):
     arrays = [a.tolist() for a in (graph.u, graph.v, graph.kind, graph.weight,
                                    graph.indptr, graph.indices)]
-    return arrays, graph.nodes, graph.provenance, graph.graph_hash()
+    nodes = graph.node_kind.tolist(), graph.labels, graph.model_domains, graph.type_model
+    return arrays, nodes, graph.provenance, graph.graph_hash()
 
 
 def _outcome(read, data):
@@ -443,10 +478,11 @@ class TestStoredBytes:
         assert rest == {"kind": "graph"}
 
     def _stored(self):
-        nodes = [GraphNode(0, NodeKind.DOMAIN, "D]x"), GraphNode(1, NodeKind.MODEL, "Ørsted"),
+        nodes = [GraphNode(0, NodeKind.DOMAIN, "D]x"),
+                 GraphNode(1, NodeKind.MODEL, "Ørsted", {"domains": '["D]x"]'}),
                  GraphNode(2, NodeKind.ATTRIBUTE, "a")]
-        edges = [GraphEdge(0, 2, EDGE_ATTR_DOMAIN, 3), GraphEdge(1, 2, EDGE_ATTR_MODEL, 1),
-                 GraphEdge(0, 1, EDGE_ATTR_ATTR, 12)]
+        edges = [(0, 2, EDGE_ATTR_DOMAIN, 3), (1, 2, EDGE_ATTR_MODEL, 1),
+                 (0, 1, EDGE_ATTR_ATTR, 12)]
         return OntologyGraph.create(nodes, edges, GraphProvenance("x")).canonical_bytes()
 
     def _edited(self, edit):
@@ -503,6 +539,24 @@ class TestStoredBytes:
         with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
             assert _state(OntologyGraph.from_bytes(stored)) == expected
 
+    @pytest.mark.parametrize("where", [b'"\xc3\x98rsted', b'"domains":"['],
+                             ids=["label", "metadata"])
+    @pytest.mark.parametrize("text", [b"\xed\xa0\x80", b"\\ud800", b"\\udfff"],
+                             ids=["bytes", "escape", "low-escape"])
+    def test_lone_surrogate_refused(self, where, text):
+        """UTF-8 cannot encode a lone surrogate, so no writer could write a
+        label or metadata value that holds one; put writes none."""
+        stored = self._stored()
+        data = stored.replace(where, where + text, 1)
+        assert data != stored
+        for read in (OntologyGraph.from_bytes, _reference):
+            with pytest.raises(ValueError, match="holds a lone surrogate"):
+                read(data)
+
+    def test_surrogate_pair_escape_read(self):
+        data = self._stored().replace("Ørsted".encode(), b"\\ud83d\\ude00", 1)
+        assert "\U0001f600" in OntologyGraph.from_bytes(data).labels
+
 
 # ---------------------------------------------------------------------------
 # Blocks: the codec's block sizes change no byte and no refusal
@@ -518,7 +572,7 @@ BLOCK_SIZES = list(itertools.product((1, 37, 100, 4096), (1, 3)))
 @contextlib.contextmanager
 def _blocks(byte_block, row_block):
     with mock.patch.object(graph_module, "_DECODE_BLOCK_BYTES", byte_block), \
-            mock.patch.object(graph_module, "_EDGE_BLOCK_ROWS", row_block), \
+            mock.patch.object(graph_module, "_BLOCK_ROWS", row_block), \
             mock.patch.object(exports, "_NODE_BLOCK", row_block):
         yield
 
@@ -537,7 +591,7 @@ def _written(graph):
     """Every text the codec and the writers give for a graph; the hash is
     taken again, not the one memoized."""
     unhashed = OntologyGraph._from_arrays(
-        graph.nodes, graph.u, graph.v, graph.kind, graph.weight, graph.provenance
+        _node_columns(graph), graph.u, graph.v, graph.kind, graph.weight, graph.provenance
     )
     stored = graph.canonical_bytes()
     return (
@@ -605,7 +659,7 @@ class TestDecodeOrder:
         assert not np.array_equal(order, np.arange(len(order)))
         shuffled = [column[order] for column in _columns(graph)]
         for columns in (_columns(graph), shuffled):
-            back = OntologyGraph._from_arrays(graph.nodes, *columns, graph.provenance)
+            back = OntologyGraph._from_arrays(_node_columns(graph), *columns, graph.provenance)
             for array, expected in zip(_state(back)[0], _state(graph)[0]):
                 assert array == expected
             assert back.canonical_bytes() == graph.canonical_bytes()
@@ -618,7 +672,7 @@ class TestDecodeOrder:
         assert OntologyGraph.from_bytes(stored).canonical_bytes() == stored
         assert OntologyGraph.from_doc(json.loads(stored)).canonical_bytes() == stored
         assert OntologyGraph._from_arrays(
-            graph.nodes, *_columns(graph), graph.provenance
+            _node_columns(graph), *_columns(graph), graph.provenance
         ).canonical_bytes() == stored
 
     @pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
@@ -632,7 +686,7 @@ class TestDecodeOrder:
         u, v, kind = (int(column[middle]) for column in _columns(graph)[:3])
         message = f"duplicate edge {(u, v, EDGE_KINDS[kind])!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            OntologyGraph._from_arrays(graph.nodes, *columns, graph.provenance)
+            OntologyGraph._from_arrays(_node_columns(graph), *columns, graph.provenance)
 
     def test_given_hash_kept_only_for_stored_edges_in_order(self, graph):
         stored = graph.canonical_bytes()
@@ -649,3 +703,56 @@ class TestDecodeOrder:
         assert back._hash is None
         assert back.canonical_bytes() == stored
         assert back.graph_hash() == graph.graph_hash() == content_hash
+
+
+# ---------------------------------------------------------------------------
+# Adjacency: the CSR is derived on first use and equals the reference
+# ---------------------------------------------------------------------------
+
+
+class TestAdjacency:
+    @staticmethod
+    def assert_matches_reference(graph):
+        indptr, indices = csr_reference(graph)
+        assert "_csr" not in vars(graph)
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        assert graph.indptr.tolist() == indptr.tolist()
+        assert graph.indices.tolist() == indices.tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, data):
+        self.assert_matches_reference(data.draw(_graphs(EDGE_KINDS)))
+
+    @pytest.mark.parametrize("nodes", [0, 1, 3])
+    def test_edgeless(self, nodes):
+        graph = OntologyGraph.create(
+            [GraphNode(i, NodeKind.ATTRIBUTE, f"a{i}") for i in range(nodes)], [],
+            GraphProvenance("x"),
+        )
+        self.assert_matches_reference(graph)
+        assert graph.indptr.tolist() == [0] * (nodes + 1)
+
+    @pytest.mark.parametrize("containment_edges", [False, True])
+    def test_isolated_nodes(self, fix1_snapshot, containment_edges):
+        graph = build_graph(fix1_snapshot, containment_edges)
+        isolated = int(np.count_nonzero(np.diff(csr_reference(graph)[0]) == 0))
+        assert isolated == (0 if containment_edges else 4)
+        self.assert_matches_reference(graph)
+
+    def test_pair_joined_by_two_kinds(self):
+        nodes = [GraphNode(i, NodeKind.ATTRIBUTE, f"a{i}") for i in range(4)]
+        edges = [(0, 1, EDGE_ATTR_ATTR, 1), (1, 2, EDGE_ATTR_ATTR, 1), (0, 1, EDGE_ATTR_MODEL, 2),
+                 (0, 1, EDGE_CONTAINMENT, 1)]
+        graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+        self.assert_matches_reference(graph)
+        assert [graph.neighbors(i).tolist() for i in range(4)] == [[1], [0, 2], [1], []]
+
+    def test_derived_once(self, fix1_graph, monkeypatch):
+        graph = OntologyGraph.from_bytes(fix1_graph.canonical_bytes())
+        derive = mock.Mock(wraps=graph_module._adjacency)
+        monkeypatch.setattr(graph_module, "_adjacency", derive)
+        graph.canonical_bytes(), edge_census(graph), graph.node_census()
+        assert derive.call_count == 0
+        graph.neighbors(0), graph.indptr, graph.indices
+        assert derive.call_count == 1
