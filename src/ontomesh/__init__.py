@@ -23,7 +23,7 @@ _EXPORTS = {
     "DomainMatrix": "results",
     "DomainRecord": "corpus",
     "LayoutConfig": "corpus",
-    "NodeKind": "graph",
+    "NodeKind": "choices",
     "OntologyGraph": "graph",
     "TypeRecord": "corpus",
     "betweenness_centrality": "analytics",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -122,8 +123,9 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
     is written as it is formatted, one block at a time, to a temp file
     beside ``out`` (beside its target, if ``out`` is a symlink) that takes
     its place once the last block is written, so a writer that fails leaves
-    no file behind. A device or pipe, such as ``/dev/stdout``, is written
-    in place instead of being replaced.
+    no file behind. A file it replaces keeps its mode, but not its owner or
+    its other hard links. A device or pipe, such as ``/dev/stdout``, is
+    written in place instead of being replaced.
     """
     if format == "graphml":
         blocks = _graphml_blocks(graph)
@@ -133,17 +135,24 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
         blocks = graph.canonical_chunks()
     else:
         raise ValueError(f"unknown graph format {format!r}")
-    out = Path(os.path.realpath(out))
-    if out.exists() and not out.is_file():
+    # The path as given: /dev/stdout resolves to a pipe that no path names.
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(out, "wb") as fh:
             return sum(map(fh.write, blocks))
-    tmp = out.with_name(f".{out.name}.{os.urandom(6).hex()}.tmp")
+    target = Path(os.path.realpath(out))
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
         # "x": a new file, with the mode that umask gives, as "w" would.
         with open(tmp, "xb") as fh:
             # map lets go of each block before it asks for the next.
             written = sum(map(fh.write, blocks))
-        os.replace(tmp, out)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -22,30 +22,22 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line
-from ontomesh.choices import EDGE_KINDS, NODE_KINDS
+from ontomesh.choices import EDGE_KINDS, NODE_KINDS, NodeKind
 from ontomesh.errors import NotFoundError
 
 if TYPE_CHECKING:
     from ontomesh.corpus import CorpusSnapshot
 
 
-class NodeKind(str, Enum):
-    DOMAIN = "domain"
-    MODEL = "model"
-    TYPE = "type"
-    ATTRIBUTE = "attribute"
-
-
-# Node kind codes index NODE_KINDS, and edge kind codes EDGE_KINDS (both
-# defined with the CLI choices so that writers can name them without loading
-# numpy). The one metadata key of a model node and of a type node; the other
-# kinds carry no metadata.
+# Node kind codes index NODE_KINDS (in NodeKind order), and edge kind codes
+# EDGE_KINDS (both defined with the CLI choices so that writers can name them
+# without loading numpy). The one metadata key of a model node and of a type
+# node; the other kinds carry no metadata.
 _METADATA_KEYS = (None, "domains", "model", None)
 EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
@@ -350,8 +342,7 @@ class OntologyGraph:
         u, v, kinds, weight = zip(*rows, strict=True) if rows else ((), (), (), ())
         node_columns = _node_columns(
             [node.node_id for node in nodes],
-            # A NodeKind hashes as its name, so it is looked up by its value.
-            [node.kind.value if isinstance(node.kind, NodeKind) else node.kind for node in nodes],
+            [node.kind for node in nodes],
             [node.label for node in nodes],
             [node.metadata for node in nodes],
         )
@@ -711,8 +702,13 @@ def domain_subgraph(graph: OntologyGraph, domain_id: str) -> OntologyGraph:
     types = graph.nodes_of_kind(NodeKind.TYPE)
     of_model = np.array([model in model_labels for model in graph.type_model], dtype=bool)
     keep[types[of_model]] = True
-    neighbors = graph.neighbors(domain_node_id)
-    keep[neighbors[graph.node_kind[neighbors] == NODE_KINDS.index(NodeKind.ATTRIBUTE)]] = True
+    # The far end of each attr_domain edge at the domain node.
+    attr_domain = graph.kind == _EDGE_CODE[EDGE_ATTR_DOMAIN]
+    ends = np.concatenate([
+        graph.v[attr_domain & (graph.u == domain_node_id)],
+        graph.u[attr_domain & (graph.v == domain_node_id)],
+    ])
+    keep[ends[graph.node_kind[ends] == NODE_KINDS.index(NodeKind.ATTRIBUTE)]] = True
 
     kept = np.flatnonzero(keep)
     nodes = (

@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import ontomesh
 from ontomesh import analytics, results
 from ontomesh import graph as graph_module
 from ontomesh.cli import main
@@ -417,6 +420,21 @@ class TestExportAndReport:
         )
         assert code == 1
         assert "has kind 'snapshot', expected 'graph'" in err
+
+    @pytest.mark.parametrize("fmt", ["graphml", "dot", "canonical-json"])
+    def test_export_to_piped_stdout(self, built, capsys, fmt):
+        code, _, _ = run_cli(["export", "--graph", "fix1-graph", "--format", fmt,
+                              "--out", "plain"], capsys)
+        assert code == 0
+        src = Path(ontomesh.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ontomesh.cli", "export", "--graph", "fix1-graph",
+             "--format", fmt, "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (built / "plain").read_bytes() + b"/dev/stdout\n"
 
     def test_export_unknown_format_exit_64(self, built, capsys):
         code, _, _ = run_cli(

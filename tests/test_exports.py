@@ -99,6 +99,14 @@ class TestGraphExports:
         assert (tmp_path / "link.dot").is_symlink()
         assert target.read_bytes() == (tmp_path / "plain.dot").read_bytes()
 
+    def test_replaced_file_keeps_mode(self, fix1_graph, tmp_path):
+        out = tmp_path / "graph.dot"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        export_graph(fix1_graph, "dot", out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes().startswith(b"graph")
+
     def test_pipe_written_in_place(self, fix1_graph, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
