@@ -3,7 +3,7 @@
 on a synthetic corpus.
 
     python3 scripts/benchmark_centrality.py
-    python3 scripts/benchmark_centrality.py --types 248 --engines sparse,python
+    python3 scripts/benchmark_centrality.py --types 248
 """
 
 import argparse
@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ontomesh import analytics  # noqa: E402
 from ontomesh.analytics import (  # noqa: E402
     BETWEENNESS_BLOCK,
-    BETWEENNESS_ENGINES,
     MATRIX_METRICS,
     betweenness_centrality,
     degree_centrality,
@@ -39,11 +38,11 @@ def timed(label, fn):
 
 
 def betweenness_header(graph) -> str:
-    """Usable CPUs, and the threads and block size the sparse engine uses on
-    this graph, so that timings can be compared across machines."""
+    """Usable CPUs, and the threads and block size betweenness uses on this
+    graph, so that timings can be compared across machines."""
     plan = analytics._sparse_plan(graph.indptr, graph.indices)
     return (
-        f"usable CPUs {analytics._usable_cpus()}; sparse betweenness: "
+        f"usable CPUs {analytics._usable_cpus()}; betweenness: "
         f"{len(plan.reps)} classes in blocks of {BETWEENNESS_BLOCK} on {plan.threads} thread(s)"
     )
 
@@ -56,12 +55,6 @@ def main() -> int:
     parser.add_argument("--hub-pool", type=int, default=86)
     parser.add_argument("--hubs-per-type", type=int, default=30)
     parser.add_argument("--unique-per-type", type=int, default=55)
-    parser.add_argument(
-        "--engines",
-        default="sparse",
-        help="comma-separated betweenness engines to time "
-        f"({', '.join(BETWEENNESS_ENGINES)})",
-    )
     args = parser.parse_args()
 
     snapshot = timed(
@@ -93,9 +86,7 @@ def main() -> int:
         timed(f"matrix {metric}", lambda m=metric: domain_overlap_matrix(graph, m))
     timed("specificity_ratios", lambda: specificity_ratios(graph))
 
-    for engine in args.engines.split(","):
-        engine = engine.strip()
-        timed(f"betweenness [{engine}]", lambda: betweenness_centrality(graph, engine=engine))
+    timed("betweenness", lambda: betweenness_centrality(graph))
     return 0
 
 

@@ -5,13 +5,14 @@ back-propagation) over the unweighted simple graph, with the undirected
 unordered-pair convention: disconnected pairs contribute nothing and
 endpoints are excluded. Sources with the same closed neighbourhood have the
 same dependencies, so one BFS per such class is run and weighted by the
-class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012). The
-sparse engine runs blocks of 16 class representatives as sparse-by-dense
-products (Kepner & Gilbert 2011) on up to one thread per usable CPU, with
-at most 64 columns in flight. Every engine sums in one fixed order (path
-counts and dependencies pulled in ascending node id, classes added in
-ascending representative id, by the calling thread), so results are
-bit-stable and identical across engines, block sizes and thread counts.
+class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012).
+Blocks of 16 class representatives run as sparse-by-dense products (Kepner
+& Gilbert 2011) on up to one thread per usable CPU, with at most 64 columns
+in flight. Sums run in one fixed order (path counts and dependencies pulled
+in ascending node id, classes added in ascending representative id, by the
+calling thread), so results are bit-stable, identical across block sizes
+and thread counts, and equal to those of the reference loop
+``betweenness_reference`` in ``tests/oracles.py``.
 
 The overlap matrices and specificity ratios are read from the graph alone:
 attr_domain edges give the attribute-by-domain incidence and each model
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from array import array
 from collections import deque
 from typing import NamedTuple
 
@@ -44,7 +44,6 @@ from ontomesh.results import AnalysisReport, CentralityResult, DomainMatrix, utc
 
 logger = logging.getLogger(__name__)
 
-BETWEENNESS_ENGINES = ("sparse", "python")
 # Class representatives per sparse block, and the most block columns that
 # all threads together work on: each thread holds a few node-count-by-block
 # arrays, so 64 columns bound memory at one block of 64 run alone.
@@ -52,10 +51,20 @@ BETWEENNESS_BLOCK = 16
 BETWEENNESS_COLUMNS = 64
 
 
-def _rank(graph: OntologyGraph, scores: dict[int, float]) -> list[int]:
-    # score desc, then label asc, then ordinal: fully deterministic.
-    labels = graph.labels
-    return sorted(scores, key=lambda nid: (-scores[nid], labels[nid], nid))
+def _result(
+    graph: OntologyGraph, metric: str, scores: np.ndarray, normalized: bool, weighted: bool = False
+) -> CentralityResult:
+    """The result holding ``scores``, one per node id, ranked by score
+    descending, then label, then id: fully deterministic."""
+    values, labels = scores.tolist(), graph.labels
+    return CentralityResult(
+        metric=metric,
+        normalized=normalized,
+        weighted=weighted,
+        scores=values,
+        ranking=sorted(range(len(values)), key=lambda i: (-values[i], labels[i], i)),
+        graph_hash=graph.graph_hash(),
+    )
 
 
 def degree_centrality(
@@ -71,19 +80,9 @@ def degree_centrality(
         raw = np.bincount(ends, weights=both, minlength=n).astype(np.int64)
     else:
         raw = np.diff(graph.indptr)
-    values = raw.tolist()
     if normalized:
-        denom = n - 1
-        values = [value / denom if denom > 0 else 0.0 for value in values]
-    scores = dict(enumerate(values))
-    return CentralityResult(
-        metric="degree",
-        normalized=normalized,
-        weighted=weighted,
-        scores=scores,
-        ranking=_rank(graph, scores),
-        graph_hash=graph.graph_hash(),
-    )
+        raw = raw / (n - 1) if n > 1 else np.zeros(n)
+    return _result(graph, "degree", raw, normalized, weighted)
 
 
 def _numba_kernel():
@@ -123,7 +122,7 @@ class _SourceBlocks:
     Each BFS level is one product ``adj @ frontier`` and each dependency
     level one ``adj @ coeff``. The CSR product sums every row over its
     columns in ascending order, so sigma and delta are the same pull-order
-    sums as in ``_betweenness_python``, with exact zeros in between, and
+    sums as in the reference loop, with exact zeros in between, and
     every column is independent of the others in its block. The graph must
     have no isolated nodes, so every source reaches level 1. The BFS of a
     block stops once each column has reached every node of its source's
@@ -291,96 +290,18 @@ def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
     return bc
 
 
-def _betweenness_python(indptr, indices) -> list[float]:
-    """Reference loop over the same CSR, with Python lists.
-
-    Path counts and dependencies are pulled from predecessors and successors
-    in ascending node id. Every source's dependency row is computed; the rows
-    of closed twins must be bitwise equal, or this raises ``RuntimeError``.
-    Classes are then added in ascending representative id as
-    ``size * row``, the order ``_brandes_sparse`` uses.
-    """
-    n = len(indptr) - 1
-    neighbor_sets = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
-
-    def dependencies(s: int) -> array:
-        dist = [-1] * n
-        sigma = [0.0] * n
-        delta = array("d", bytes(8 * n))
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for w in neighbor_sets[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order.append(w)
-                    acc = 0.0
-                    for u in neighbor_sets[w]:
-                        if dist[u] == dv:
-                            acc += sigma[u]
-                    sigma[w] = acc
-        for v in reversed(order[1:]):
-            dv = dist[v] + 1
-            acc = 0.0
-            for w in neighbor_sets[v]:
-                if dist[w] == dv:
-                    acc += (1.0 + delta[w]) / sigma[w]
-            delta[v] = sigma[v] * acc
-        return delta
-
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v in range(n):
-        classes.setdefault(tuple(sorted([v, *neighbor_sets[v]])), []).append(v)
-    bc = [0.0] * n
-    for rep, *twins in classes.values():
-        row = dependencies(rep)
-        for t in twins:
-            if dependencies(t).tobytes() != row.tobytes():
-                raise RuntimeError(f"closed twins {rep} and {t} have different dependencies")
-        size = 1 + len(twins)
-        for v in range(n):
-            bc[v] += size * row[v]
-    return bc
-
-
-def betweenness_centrality(
-    graph: OntologyGraph, normalized: bool = False, *, engine: str = "sparse"
-) -> CentralityResult:
-    """Shortest-path betweenness over unordered {s, t} pairs.
-
-    ``engine`` picks the implementation: "sparse" for one search per
-    closed-neighbourhood class, in blocks of sources as scipy sparse
-    products; or "python" for the reference loop, which searches from
-    every source and checks that the rows of one class are equal. Both sum
-    in one order (path counts and dependencies pulled in ascending node id,
-    classes added in ascending representative id as size times row), so
-    they produce identical values.
-    """
-    if engine not in BETWEENNESS_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+def betweenness_centrality(graph: OntologyGraph, normalized: bool = False) -> CentralityResult:
+    """Shortest-path betweenness over unordered {s, t} pairs, from one
+    search per closed-neighbourhood class (``_brandes_sparse``).
+    Normalization divides by the (|V|-1)(|V|-2)/2 pairs of other nodes
+    (0 on graphs of at most two nodes)."""
     n = len(graph.labels)
-    if engine == "python":
-        raw = _betweenness_python(graph.indptr, graph.indices)
-    else:
-        raw = _brandes_sparse(graph.indptr, graph.indices, n).tolist()
     # Brandes accumulates each unordered pair from both endpoints.
-    raw = [v / 2.0 for v in raw]
+    raw = _brandes_sparse(graph.indptr, graph.indices, n) / 2.0
     if normalized:
         denom = (n - 1) * (n - 2) / 2.0
-        raw = [v / denom if denom > 0 else 0.0 for v in raw]
-    scores = dict(enumerate(raw))
-    return CentralityResult(
-        metric="betweenness",
-        normalized=normalized,
-        scores=scores,
-        ranking=_rank(graph, scores),
-        graph_hash=graph.graph_hash(),
-    )
+        raw = raw / denom if denom > 0 else np.zeros(n)
+    return _result(graph, "betweenness", raw, normalized)
 
 
 def top_k_attributes(
@@ -551,16 +472,12 @@ def dissonance_summary(
         result = degree_centrality(graph)
     else:
         result = betweenness_centrality(graph)
-    census_edges = edge_census(graph)
     census = {
         "nodes": len(graph.labels),
-        "edges": census_edges.total_edges,
+        "edges": len(graph.u),
         "node_kinds": graph.node_census(),
-        "edge_kinds": {
-            kind: {"edges": count, "weight": weight}
-            for kind, (count, weight) in sorted(census_edges.by_kind.items())
-        },
-        "total_weight": census_edges.total_weight,
+        "edge_kinds": edge_census(graph),
+        "total_weight": int(graph.weight.sum()),
     }
     return AnalysisReport(
         snapshot_hash=snapshot_hash,

@@ -78,7 +78,8 @@ def _stored_centrality(
 
     Reused only when ``<graph>-<metric>`` is a centrality artifact with that
     metric, neither normalized nor weighted, whose graph hash is the graph's
-    own; anything else is computed again.
+    own and which has one score per node of the graph; anything else is
+    computed again.
     """
     name = f"{graph_name}-{metric}"
     try:
@@ -92,6 +93,7 @@ def _stored_centrality(
         or result.normalized
         or result.weighted
         or result.graph_hash != graph.graph_hash()
+        or len(result.scores) != len(graph.labels)
     ):
         return None
     return result
@@ -216,12 +218,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     )
     name = args.name or f"{args.snapshot}-graph"
     content_hash = store.put(name, graph, overwrite=args.overwrite)
-    census = edge_census(graph)
-    node_kinds = graph.node_census()
-    edge_kinds = {
-        kind: {"edges": count, "weight": weight}
-        for kind, (count, weight) in sorted(census.by_kind.items())
-    }
+    node_kinds, edge_kinds = graph.node_census(), edge_census(graph)
     kind_text = " ".join(f"{k}={v}" for k, v in sorted(node_kinds.items()))
     edge_text = " ".join(
         f"{k}={s['edges']}(w{s['weight']})" for k, s in edge_kinds.items()
@@ -233,12 +230,12 @@ def cmd_graph(args: argparse.Namespace) -> int:
             "name": name,
             "hash": content_hash,
             "nodes": len(graph.labels),
-            "edges": census.total_edges,
+            "edges": len(graph.u),
             "node_kinds": node_kinds,
             "edge_kinds": edge_kinds,
         },
         [
-            f"nodes={len(graph.labels)} edges={census.total_edges}",
+            f"nodes={len(graph.labels)} edges={len(graph.u)}",
             f"node kinds: {kind_text}",
             f"edge kinds: {edge_text}",
             f"stored graph {name} ({content_hash[:12]})",

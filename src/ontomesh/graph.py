@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 # without loading numpy). The one metadata key of a model node and of a type
 # node; the other kinds carry no metadata.
 _METADATA_KEYS = (None, "domains", "model", None)
+# The keys of a stored node.
+_NODE_KEYS = {"id", "kind", "label", "metadata"}
 EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
@@ -267,15 +269,24 @@ def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None
 
 
 def _doc_nodes(doc: dict) -> tuple:
-    """The node columns of a graph document. A label or metadata value that
-    holds a lone surrogate, which UTF-8 cannot encode, is refused: ``put``
-    writes none, and no writer could write it."""
+    """The node columns of a graph document. A node not in the form
+    ``to_doc`` writes (the keys ``id``, ``kind``, ``label`` and ``metadata``,
+    an int id) is refused, so that a verified stored hash is the hash of the
+    graph read. So is a label or metadata value that holds a lone surrogate,
+    which UTF-8 cannot encode: ``put`` writes none, and no writer could
+    write it."""
     nodes = doc["nodes"]
+    bad = next((
+        nd for nd in nodes
+        if not (isinstance(nd, dict) and nd.keys() == _NODE_KEYS and type(nd["id"]) is int)
+    ), None)
+    if bad is not None:
+        raise ValueError(f"node not in stored form: {bad!r}")
     columns = _node_columns(
         [nd["id"] for nd in nodes],
         [nd["kind"] for nd in nodes],
         [nd["label"] for nd in nodes],
-        [nd.get("metadata") or {} for nd in nodes],
+        [nd["metadata"] for nd in nodes],
     )
     for texts in columns[1:]:
         bad = next(filter(_SURROGATE.search, texts), None)
@@ -651,31 +662,20 @@ def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> On
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EdgeCensus:
-    """Edge counts and total weights per kind, plus grand totals."""
-
-    by_kind: dict[str, tuple[int, int]]
-    total_edges: int
-    total_weight: int
-
-
-def edge_census(graph: OntologyGraph) -> EdgeCensus:
+def edge_census(graph: OntologyGraph) -> dict[str, dict[str, int]]:
+    """``{kind: {"edges": count, "weight": total}}``, kinds sorted by name:
+    the three attribute kinds, containment when the graph was built with
+    containment edges, and any other kind that has edges."""
     kinds = [EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN]
     if graph.provenance.containment_edges:
         kinds.append(EDGE_CONTAINMENT)
     counts = np.bincount(graph.kind, minlength=len(EDGE_KINDS)).tolist()
     weights = np.bincount(graph.kind, weights=graph.weight, minlength=len(EDGE_KINDS))
-    by_kind = {
-        kind: (counts[code], int(weights[code]))
-        for code, kind in enumerate(EDGE_KINDS)
+    return {
+        kind: {"edges": counts[code], "weight": int(weights[code])}
+        for kind, code in sorted(_EDGE_CODE.items())
         if kind in kinds or counts[code]
     }
-    return EdgeCensus(
-        by_kind=by_kind,
-        total_edges=len(graph.u),
-        total_weight=int(graph.weight.sum()),
-    )
 
 
 def domain_subgraph(graph: OntologyGraph, domain_id: str) -> OntologyGraph:

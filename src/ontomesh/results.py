@@ -17,11 +17,19 @@ def utc_timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
 
+def _is_number(value) -> bool:
+    """An int or a float, as JSON numbers read; a bool is neither."""
+    return type(value) in (int, float)
+
+
 @dataclass
 class CentralityResult:
+    """One score per node, indexed by node id (ints for plain and weighted
+    degree, floats otherwise), and the node ids in ranking order."""
+
     metric: str
     normalized: bool
-    scores: dict[int, float]
+    scores: list[float]
     ranking: list[int]
     weighted: bool = False
     graph_hash: str | None = None
@@ -35,19 +43,32 @@ class CentralityResult:
             "normalized": self.normalized,
             "weighted": self.weighted,
             "graph_hash": self.graph_hash,
-            "scores": {str(node_id): score for node_id, score in sorted(self.scores.items())},
+            "scores": {str(node_id): score for node_id, score in enumerate(self.scores)},
             "ranking": list(self.ranking),
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CentralityResult":
+        """Inverse of ``to_doc``. Scores keyed other than ``"0"`` to
+        ``"n-1"``, scores that are not numbers, and a ranking that is not a
+        permutation of the node ids are refused."""
+        stored = doc["scores"]
+        try:
+            scores = [stored[str(node_id)] for node_id in range(len(stored))]
+        except KeyError:
+            raise ValueError("centrality scores are not keyed by node ids 0 to n-1") from None
+        if not all(map(_is_number, scores)):
+            raise ValueError("centrality score is not a number")
+        ranking = list(doc["ranking"])
+        if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(len(scores))):
+            raise ValueError("centrality ranking is not a permutation of the node ids")
         return cls(
             metric=doc["metric"],
             normalized=doc["normalized"],
             weighted=doc.get("weighted", False),
             graph_hash=doc.get("graph_hash"),
-            scores={int(k): v for k, v in doc["scores"].items()},
-            ranking=list(doc["ranking"]),
+            scores=scores,
+            ranking=ranking,
         )
 
 
@@ -71,10 +92,16 @@ class DomainMatrix:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DomainMatrix":
+        """Inverse of ``to_doc``; cells that are not square over one or more
+        labels are refused."""
+        labels = list(doc["labels"])
+        cells = [list(row) for row in doc["cells"]]
+        if not labels or len(cells) != len(labels) or any(len(row) != len(labels) for row in cells):
+            raise ValueError("matrix cells are not square over one or more labels")
         return cls(
             metric=doc["metric"],
-            labels=list(doc["labels"]),
-            cells=[list(row) for row in doc["cells"]],
+            labels=labels,
+            cells=cells,
             snapshot_hash=doc.get("snapshot_hash"),
         )
 
@@ -113,13 +140,36 @@ class AnalysisReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AnalysisReport":
+        """Inverse of ``to_doc``. A census without the keys its readers
+        index (node counts by kind, edge counts and weights by kind, and the
+        totals), and top-k rows other than ``[label, score, spread]``, are
+        refused."""
+        census = doc["census"]
+        if not (
+            isinstance(census, dict)
+            and all(key in census for key in ("nodes", "edges", "total_weight"))
+            and isinstance(census.get("node_kinds"), dict)
+            and isinstance(census.get("edge_kinds"), dict)
+            and all(
+                isinstance(stats, dict) and "edges" in stats and "weight" in stats
+                for stats in census["edge_kinds"].values()
+            )
+        ):
+            raise ValueError("report census is not in stored form")
+        rows = doc["top_k"]
+        if not all(
+            isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+            and _is_number(row[1]) and type(row[2]) is int
+            for row in rows
+        ):
+            raise ValueError("report top-k row is not [label, score, spread]")
         return cls(
             snapshot_hash=doc["snapshot_hash"],
             graph_hash=doc["graph_hash"],
             containment_edges=doc["containment_edges"],
-            census=doc["census"],
+            census=census,
             top_k_metric=doc["top_k_metric"],
-            top_k=[(row[0], row[1], row[2]) for row in doc["top_k"]],
+            top_k=[tuple(row) for row in rows],
             matrices={
                 name: DomainMatrix.from_doc(m) for name, m in doc["matrices"].items()
             },

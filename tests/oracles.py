@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with a different strategy than the
 production code: betweenness by literal enumeration of every shortest path,
-degree by adjacency-matrix row sums, overlap matrices and specificity by
+and by a Brandes loop from every source over Python lists that the
+package's blocked sparse products must match bit for bit, degree by adjacency-matrix row sums, overlap matrices and specificity by
 nested set loops over a snapshot's records, where the package reads them
 from the graph, and the graph itself from the snapshot's records, one type at
 a time, where the package builds it from the snapshot's columns. Ingest is
@@ -18,6 +19,7 @@ import hashlib
 import logging
 import random
 import xml.etree.ElementTree as ET
+from array import array
 from itertools import combinations
 from pathlib import Path
 
@@ -139,6 +141,64 @@ def brute_force_betweenness(graph: OntologyGraph, normalized: bool = False) -> l
     if normalized:
         denom = (n - 1) * (n - 2) / 2.0
         bc = [v / denom if denom > 0 else 0.0 for v in bc]
+    return bc
+
+
+def betweenness_reference(indptr, indices) -> list[float]:
+    """Reference form of ``analytics._brandes_sparse``: a loop over the
+    same CSR, with Python lists, giving the same sums before halving.
+
+    Path counts and dependencies are pulled from predecessors and successors
+    in ascending node id. Every source's dependency row is computed; the rows
+    of closed twins must be bitwise equal, or this raises ``RuntimeError``.
+    Classes are then added in ascending representative id as
+    ``size * row``, the order ``_brandes_sparse`` uses.
+    """
+    n = len(indptr) - 1
+    neighbor_sets = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
+
+    def dependencies(s: int) -> array:
+        dist = [-1] * n
+        sigma = [0.0] * n
+        delta = array("d", bytes(8 * n))
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = [s]
+        head = 0
+        while head < len(order):
+            v = order[head]
+            head += 1
+            dv = dist[v]
+            for w in neighbor_sets[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    order.append(w)
+                    acc = 0.0
+                    for u in neighbor_sets[w]:
+                        if dist[u] == dv:
+                            acc += sigma[u]
+                    sigma[w] = acc
+        for v in reversed(order[1:]):
+            dv = dist[v] + 1
+            acc = 0.0
+            for w in neighbor_sets[v]:
+                if dist[w] == dv:
+                    acc += (1.0 + delta[w]) / sigma[w]
+            delta[v] = sigma[v] * acc
+        return delta
+
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(n):
+        classes.setdefault(tuple(sorted([v, *neighbor_sets[v]])), []).append(v)
+    bc = [0.0] * n
+    for rep, *twins in classes.values():
+        row = dependencies(rep)
+        for t in twins:
+            if dependencies(t).tobytes() != row.tobytes():
+                raise RuntimeError(f"closed twins {rep} and {t} have different dependencies")
+        size = 1 + len(twins)
+        for v in range(n):
+            bc[v] += size * row[v]
     return bc
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import threading
@@ -12,6 +13,7 @@ from ontomesh import analytics
 from ontomesh.canonical import canonical_json_bytes
 from ontomesh.analytics import (
     MATRIX_METRICS,
+    AnalysisReport,
     CentralityResult,
     betweenness_centrality,
     degree_centrality,
@@ -42,6 +44,7 @@ from ontomesh.synthetic import synthetic_snapshot
 from conftest import minimal_snapshot
 
 from oracles import (
+    betweenness_reference,
     brute_force_betweenness,
     csr_reference,
     degree_row_sums,
@@ -119,10 +122,10 @@ class TestDegree:
             incident[v] += w
         plain = degree_centrality(graph).scores
         weighted = degree_centrality(graph, weighted=True).scores
-        assert plain == {i: len(ids) for i, ids in enumerate(neighbours)}
-        assert weighted == dict(enumerate(incident))
+        assert plain == [len(ids) for ids in neighbours]
+        assert weighted == incident
         # integer scores keep the stored documents' integer JSON numbers
-        assert all(type(v) is int for v in [*plain.values(), *weighted.values()])
+        assert all(type(v) is int for v in [*plain, *weighted])
 
     def test_weighted_fix1_hub(self, fix1_graph):
         scores = degree_centrality(fix1_graph, weighted=True).scores
@@ -137,18 +140,26 @@ class TestDegree:
     def test_normalized_in_unit_interval(self):
         for seed in range(10):
             graph = random_graph(random.Random(200 + seed), 12, 0.3)
-            for score in degree_centrality(graph, normalized=True).scores.values():
+            for score in degree_centrality(graph, normalized=True).scores:
                 assert 0.0 <= score <= 1.0
 
 
+# The reference loop over Python lists, and the package's sparse products.
 ENGINES = ["python", "sparse"]
 
 
+def _betweenness(graph, engine):
+    """Plain betweenness scores from ``engine``."""
+    if engine == "python":
+        return [v / 2.0 for v in betweenness_reference(graph.indptr, graph.indices)]
+    return betweenness_centrality(graph).scores
+
+
 def _agreement_graphs():
-    """Graphs for exact agreement between the engines: many closed twins
+    """Graphs for exact agreement with the reference loop: many closed twins
     (cliques, cliques with hubs, linked cliques), components of different
     depths, a path longer than two blocks, random graphs, and isolated
-    nodes (which the sparse engine leaves out) in runs at both ends, runs
+    nodes (which ``_brandes_sparse`` leaves out) in runs at both ends, runs
     longer than a block, or scattered."""
     graphs = [make_graph(5, [])]
     # components of different sizes and depths, so the columns of one
@@ -212,7 +223,7 @@ class TestBetweenness:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_path(self, engine):
         path = make_graph(3, [(0, 1), (1, 2)])
-        scores = betweenness_centrality(path, engine=engine).scores
+        scores = _betweenness(path, engine)
         assert scores[1] == pytest.approx(1.0)
         assert scores[0] == scores[2] == pytest.approx(0.0)
 
@@ -221,7 +232,7 @@ class TestBetweenness:
         k4 = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert all(
             v == pytest.approx(0.0)
-            for v in betweenness_centrality(k4, engine=engine).scores.values()
+            for v in _betweenness(k4, engine)
         )
 
     def test_disconnected_pairs_contribute_nothing(self):
@@ -236,7 +247,7 @@ class TestBetweenness:
         for seed in range(12):
             rng = random.Random(seed)
             graph = random_graph(rng, rng.randint(5, 30), rng.uniform(0.08, 0.3))
-            scores = betweenness_centrality(graph, engine=engine).scores
+            scores = _betweenness(graph, engine)
             expected = brute_force_betweenness(graph)
             for i, want in enumerate(expected):
                 assert scores[i] == pytest.approx(want, abs=1e-9)
@@ -244,15 +255,13 @@ class TestBetweenness:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_twin_graphs_match_enumeration_oracle(self, engine):
         for graph in _agreement_graphs()[:5]:
-            scores = betweenness_centrality(graph, engine=engine).scores
+            scores = _betweenness(graph, engine)
             for i, want in enumerate(brute_force_betweenness(graph)):
                 assert scores[i] == pytest.approx(want, abs=1e-9)
 
     def test_engines_agree(self):
         graph = random_graph(random.Random(77), 40, 0.15)
-        a = betweenness_centrality(graph, engine="python").scores
-        b = betweenness_centrality(graph, engine="sparse").scores
-        assert a == b
+        assert _betweenness(graph, "python") == _betweenness(graph, "sparse")
 
     def test_engines_agree_bitwise_random(self, monkeypatch):
         # every sparse block size and thread count reproduces the reference
@@ -260,7 +269,7 @@ class TestBetweenness:
         for graph in _agreement_graphs():
             n = len(graph.labels)
             indptr, indices = graph.indptr, graph.indices
-            want = analytics._betweenness_python(indptr, indices)
+            want = betweenness_reference(indptr, indices)
             for cpus in (1, 2, 4):
                 _use_cpus(monkeypatch, cpus)
                 for block in (1, 3, 16, 64):
@@ -275,9 +284,9 @@ class TestBetweenness:
         graph = build_graph(snapshot, containment_edges=seed % 2 == 1)
         indptr, indices = csr_reference(graph)
         degree = np.diff(indptr).tolist()
-        assert degree_centrality(graph).scores == dict(enumerate(degree))
+        assert degree_centrality(graph).scores == degree
         raw = analytics._brandes_sparse(indptr, indices, len(graph.labels)).tolist()
-        assert betweenness_centrality(graph).scores == {i: v / 2.0 for i, v in enumerate(raw)}
+        assert betweenness_centrality(graph).scores == [v / 2.0 for v in raw]
 
     def test_twin_classes(self):
         # 0..6 form a clique that hub 7 joins in full and hub 8 in part
@@ -338,20 +347,14 @@ class TestBetweenness:
 
     def test_normalized_bounds(self):
         graph = random_graph(random.Random(5), 20, 0.2)
-        for v in betweenness_centrality(graph, normalized=True).scores.values():
+        for v in betweenness_centrality(graph, normalized=True).scores:
             assert 0.0 <= v <= 1.0 + 1e-12
 
-    def test_unknown_engine(self, fix1_graph):
-        # "numba" and "auto" were engines once; they are unknown now
-        for engine in ("gpu", "numba", "auto"):
-            with pytest.raises(ValueError, match="engine"):
-                betweenness_centrality(fix1_graph, engine=engine)
-
     def test_empty_and_tiny_graphs(self):
-        assert betweenness_centrality(make_graph(0, [])).scores == {}
-        assert betweenness_centrality(make_graph(1, [])).scores == {0: 0.0}
+        assert betweenness_centrality(make_graph(0, [])).scores == []
+        assert betweenness_centrality(make_graph(1, [])).scores == [0.0]
         two = betweenness_centrality(make_graph(2, [(0, 1)]), normalized=True)
-        assert two.scores == {0: 0.0, 1: 0.0}
+        assert two.scores == [0.0, 0.0]
 
 
 class TestThreadedSum:
@@ -518,6 +521,74 @@ class TestTopK:
         assert back.scores == result.scores
         assert back.ranking == result.ranking
         assert back.metric == "degree"
+
+
+class TestResultDocs:
+    """Stored results read back as written; documents that no result gives
+    are refused with ValueError, which the store reports as corruption."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_centrality_round_trip_random(self, seed):
+        graph = build_graph(random_snapshot(random.Random(900 + seed)),
+                            containment_edges=seed % 2 == 1)
+        results = [
+            degree_centrality(graph),
+            degree_centrality(graph, weighted=True),
+            degree_centrality(graph, normalized=True),
+            betweenness_centrality(graph),
+            betweenness_centrality(graph, normalized=True),
+        ]
+        for result in results:
+            data = canonical_json_bytes(result.to_doc())
+            back = CentralityResult.from_doc(json.loads(data))
+            assert back == result
+            assert canonical_json_bytes(back.to_doc()) == data
+            # ints stay ints, so re-encoding writes integer JSON numbers
+            assert list(map(type, back.scores)) == list(map(type, result.scores))
+
+    @pytest.mark.parametrize("breaks, match", [
+        (lambda doc: doc.update(scores={}), "permutation"),
+        (lambda doc: doc["scores"].pop("17"), "permutation"),
+        (lambda doc: doc["scores"].update({"18": doc["scores"].pop("17")}), "keyed"),
+        (lambda doc: doc["scores"].update({"x": doc["scores"].pop("0")}), "keyed"),
+        (lambda doc: doc["scores"].update({"3": True}), "not a number"),
+        (lambda doc: doc["scores"].update({"3": "10"}), "not a number"),
+        (lambda doc: doc["ranking"].pop(), "permutation"),
+        (lambda doc: doc["ranking"].__setitem__(0, doc["ranking"][1]), "permutation"),
+        (lambda doc: doc["ranking"].__setitem__(doc["ranking"].index(1), True), "permutation"),
+    ], ids=["no scores", "score missing", "key past the end", "key not an id", "bool score",
+            "text score", "ranking short", "ranking repeats", "bool in ranking"])
+    def test_centrality_refused(self, fix1_graph, breaks, match):
+        doc = json.loads(canonical_json_bytes(degree_centrality(fix1_graph).to_doc()))
+        breaks(doc)
+        with pytest.raises(ValueError, match=match):
+            CentralityResult.from_doc(doc)
+
+    @pytest.mark.parametrize("breaks, match", [
+        (lambda doc: doc.update(census={}), "census"),
+        (lambda doc: doc["census"].pop("node_kinds"), "census"),
+        (lambda doc: doc.update(census=[]), "census"),
+        (lambda doc: doc["census"].update(node_kinds=[]), "census"),
+        (lambda doc: doc["census"]["edge_kinds"]["attr_attr"].pop("weight"), "census"),
+        (lambda doc: doc["top_k"][0].pop(), "top-k row"),
+        (lambda doc: doc["top_k"][0].__setitem__(2, 1.0), "top-k row"),
+        (lambda doc: doc["top_k"][0].__setitem__(1, "10"), "top-k row"),
+        (lambda doc: doc["top_k"][0].__setitem__(0, 7), "top-k row"),
+        (lambda doc: doc["matrices"]["shared_models"]["cells"].pop(), "square"),
+        (lambda doc: doc["matrices"]["jaccard_attributes"]["cells"][1].append(0), "square"),
+        (lambda doc: doc["matrices"]["shared_models"].update(labels=[], cells=[]), "square"),
+    ], ids=["empty census", "no node kinds", "census not an object", "node kinds not an object",
+            "edge kind without weight", "short row", "float spread", "text score",
+            "label not text", "missing row", "long row", "no labels"])
+    def test_report_refused(self, fix1_snapshot, fix1_graph, breaks, match):
+        report = dissonance_summary(
+            fix1_graph, fix1_snapshot.content_hash, include_timestamp=False
+        )
+        doc = json.loads(canonical_json_bytes(report.to_doc()))
+        assert AnalysisReport.from_doc(doc).to_doc() == report.to_doc()
+        breaks(doc)
+        with pytest.raises(ValueError, match=match):
+            AnalysisReport.from_doc(doc)
 
 
 class TestMatrices:

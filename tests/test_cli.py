@@ -353,6 +353,95 @@ class TestInvalidStoredObjects:
             "ontomesh: error: artifact 'fix1-dissonance' is not a valid report: 'census'\n"
         )
 
+    @staticmethod
+    def assert_refused(err, name, kind):
+        assert err.startswith(f"ontomesh: error: artifact '{name}' is not a valid {kind}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("metric, breaks, argv", [
+        ("betweenness", lambda doc: doc.update(scores={}),
+         ["report", "--name", "fix1", "--metric", "betweenness", "--out", "r.md"]),
+        ("degree", lambda doc: doc["scores"].pop("17"), ["report", "--name", "fix1", "--out", "r.md"]),
+    ], ids=["betweenness-emptied", "degree-score-missing"])
+    def test_centrality_without_its_scores(self, built, capsys, metric, breaks, argv):
+        code, _, _ = run_cli(["analyze", "centrality", "--graph", "fix1-graph", "--metric", metric],
+                             capsys)
+        assert code == 0
+        if metric == "betweenness":
+            # stored summaries rank by degree, so none answers the report
+            for command in (["analyze", "dissonance", "--snapshot", "fix1"],
+                            ["report", "--name", "fix1", "--out", "r0.md"]):
+                assert run_cli(command, capsys)[0] == 0
+        name = f"fix1-graph-{metric}"
+        doc = json.loads(ArtifactStore(built / "store").object_bytes(name))
+        breaks(doc)
+        _store_as_is(built, name, "centrality", doc)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        self.assert_refused(err, name, "centrality")
+        assert not (built / "r.md").exists()
+
+    def test_centrality_for_other_nodes_not_reused(self, built, capsys):
+        """A well-formed result stored under this graph's hash but with one
+        score only is computed again."""
+        graph_hash = ArtifactStore(built / "store").entry("fix1-graph")["hash"]
+        _store_as_is(built, "fix1-graph-degree", "centrality", {
+            "kind": "centrality", "metric": "degree", "normalized": False, "weighted": False,
+            "graph_hash": graph_hash, "scores": {"0": 99}, "ranking": [0],
+        })
+        report = ["report", "--name", "fix1", "--no-timestamp", "--json"]
+        code, out, _ = run_cli(report + ["--out", "a.md"], capsys)
+        assert code == 0
+        clean = ["--store", str(built / "clean")]
+        assert run_cli(["ingest", str(FIXTURES / "fix1"), "--name", "fix1"] + clean, capsys)[0] == 0
+        assert run_cli(["graph", "build", "--snapshot", "fix1"] + clean, capsys)[0] == 0
+        code, want, _ = run_cli(report + ["--out", "b.md"] + clean, capsys)
+        assert code == 0
+        assert json.loads(out)["hash"] == json.loads(want)["hash"]
+        assert (built / "a.md").read_bytes() == (built / "b.md").read_bytes()
+
+    @pytest.mark.parametrize("breaks", [
+        lambda doc: doc.update(census={}),
+        lambda doc: doc["census"].update(node_kinds=[]),
+        lambda doc: doc["top_k"][0].pop(),
+        lambda doc: doc["matrices"]["shared_models"]["cells"][0].pop(),
+        lambda doc: doc["matrices"]["shared_models"].update(labels=[], cells=[]),
+    ], ids=["census-emptied", "node-kinds-not-an-object", "short-top-k-row",
+            "matrix-not-square", "matrix-without-labels"])
+    def test_report_not_in_stored_form(self, built, capsys, breaks):
+        code, _, _ = run_cli(
+            ["analyze", "dissonance", "--snapshot", "fix1", "--top", "2", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        doc = json.loads(ArtifactStore(built / "store").object_bytes("fix1-dissonance"))
+        breaks(doc)
+        _store_as_is(built, "fix1-dissonance", "report", doc)
+        code, _, err = run_cli(["report", "--name", "fix1", "--out", "r.md"], capsys)
+        assert code == 1
+        self.assert_refused(err, "fix1-dissonance", "report")
+        assert not (built / "r.md").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--graph", "bad", "--format", "graphml", "--out", "bad.graphml"],
+        ["export", "--graph", "bad", "--format", "dot", "--out", "bad.dot"],
+        ["analyze", "centrality", "--graph", "bad"],
+        ["analyze", "dissonance", "--snapshot", "fix1", "--graph", "bad", "--matrix",
+         "shared-models", "--out", "bad.csv"],
+        ["report", "--name", "fix1", "--graph", "bad", "--out", "bad.md"],
+    ], ids=["graphml", "dot", "centrality", "dissonance", "report"])
+    def test_graph_node_with_extra_key(self, built, capsys, argv):
+        """The verified hash of the stored bytes would be taken as the hash
+        of a graph whose canonical bytes differ."""
+        doc = json.loads(ArtifactStore(built / "store").object_bytes("fix1-graph"))
+        doc["nodes"][0]["note"] = "x"
+        _store_as_is(built, "bad", "graph", doc)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        self.assert_refused(err, "bad", "graph")
+        assert "node not in stored form" in err
+        assert not list(built.glob("bad.*"))
+        assert ArtifactStore(built / "store").names() == ["bad", "fix1", "fix1-graph"]
+
 
 class TestAdjacencyOnFirstUse:
     """Only commands that read the graph's structure derive its CSR."""

@@ -188,14 +188,14 @@ def _put_names(root, prefix, count, barrier):
     store = ArtifactStore(root)
     barrier.wait(timeout=60)
     for k in range(count):
-        store.put(f"{prefix}-{k}", CentralityResult("degree", False, {0: k}, [0]))
+        store.put(f"{prefix}-{k}", CentralityResult("degree", False, [k], [0]))
 
 
 def _put_shared(root, value, barrier):
     store = ArtifactStore(root)
     barrier.wait(timeout=60)
     try:
-        store.put("shared", CentralityResult("degree", False, {0: value}, [0]))
+        store.put("shared", CentralityResult("degree", False, [value], [0]))
     except NameConflictError:
         sys.exit(3)
 
@@ -219,7 +219,7 @@ def test_concurrent_puts_keep_every_name(tmp_path):
     store = ArtifactStore(root)
     assert store.names() == sorted(f"p{i}-{k}" for i in range(4) for k in range(25))
     for name in store.names():
-        assert store.get(name).scores == {0: int(name.split("-")[1])}
+        assert store.get(name).scores == [int(name.split("-")[1])]
 
 
 def test_concurrent_puts_of_one_name_conflict(tmp_path):
