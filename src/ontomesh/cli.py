@@ -310,11 +310,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _store(args)
     out = args.out or f"{args.graph}.{GRAPH_FORMATS[args.format]}"
     if args.format == "canonical-json":
-        from pathlib import Path
+        from ontomesh.exports import write_blocks
 
         # The stored object is already the graph's canonical JSON.
         data = store.object_bytes(args.graph, expect_kind="graph")
-        written = Path(out).write_bytes(data)
+        written = write_blocks(out, (data,))
     else:
         from ontomesh.exports import export_graph
 

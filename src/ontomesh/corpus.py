@@ -161,7 +161,9 @@ class CorpusSnapshot:
     Each table is sorted by its ids, and rows refer to other tables by
     index. ``vocabulary`` holds the sorted, distinct attribute names of the
     occurrences. The stored document holds the same columns (see
-    :meth:`to_doc`). A snapshot is validated when it is constructed.
+    :meth:`to_doc`). :meth:`from_doc` and :meth:`assemble` validate the
+    snapshots they make; ``ingest_corpus``'s column builder makes only
+    valid ones.
     """
 
     content_hash: str
@@ -172,9 +174,6 @@ class CorpusSnapshot:
     occurrences: OccurrenceColumns
 
     kind = "snapshot"
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     @property
     def counts(self) -> SnapshotCounts:
@@ -249,7 +248,9 @@ class CorpusSnapshot:
             ):
                 raise _occurrence_error(o, type_model, d)
             _append(columns.occurrences, columns.attribute(o.attribute_name), t, d, text, kind)
-        return cls(**columns.sorted_fields(content_hash))
+        snapshot = cls(**columns.sorted_fields(content_hash))
+        snapshot.validate()
+        return snapshot
 
     def records(self) -> SnapshotRecords:
         """The snapshot as record objects, built on every call: for tests and
@@ -410,6 +411,7 @@ class CorpusSnapshot:
             occurrences=OccurrenceColumns(*(_doc_column(*column) for column in columns)),
             **tables,
         )
+        snapshot.validate()
         if doc["counts"] != snapshot.counts._asdict():
             raise SnapshotInvariantError(
                 f"stored counts {doc['counts']} do not match records {tuple(snapshot.counts)}"

@@ -11,7 +11,7 @@ import csv
 import os
 import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ontomesh.choices import EDGE_KINDS, NODE_KINDS
 
@@ -115,17 +115,13 @@ def _dot_blocks(graph: OntologyGraph) -> Iterator[bytes]:
 
 
 def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> int:
-    """Write the graph in the requested format; returns bytes written.
+    """Write the graph in the requested format with ``write_blocks``;
+    returns bytes written.
 
     canonical-json is the native lossless schema; GraphML keeps node kind,
     label, and edge kind/weight as typed attributes; DOT flattens weights to
-    edge labels. Output bytes are deterministic for identical graphs. Each
-    is written as it is formatted, one block at a time, to a temp file
-    beside ``out`` (beside its target, if ``out`` is a symlink) that takes
-    its place once the last block is written, so a writer that fails leaves
-    no file behind. A file it replaces keeps its mode, but not its owner or
-    its other hard links. A device or pipe, such as ``/dev/stdout``, is
-    written in place instead of being replaced.
+    edge labels. Output bytes are deterministic for identical graphs, and
+    each is written as it is formatted, one block at a time.
     """
     if format == "graphml":
         blocks = _graphml_blocks(graph)
@@ -135,6 +131,19 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
         blocks = graph.canonical_chunks()
     else:
         raise ValueError(f"unknown graph format {format!r}")
+    return write_blocks(out, blocks)
+
+
+def write_blocks(out: str | os.PathLike, blocks: Iterable[bytes]) -> int:
+    """Write the blocks to ``out``; returns bytes written.
+
+    They go to a temp file beside ``out`` (beside its target, if ``out`` is
+    a symlink) that takes its place once the last block is written, so a
+    write that fails leaves no file behind and a file already there as it
+    was. A file it replaces keeps its mode, but not its owner or its other
+    hard links. A device or pipe, such as ``/dev/stdout``, is written in
+    place instead of being replaced.
+    """
     # The path as given: /dev/stdout resolves to a pipe that no path names.
     try:
         mode = os.stat(out).st_mode
@@ -161,7 +170,8 @@ def export_graph(graph: OntologyGraph, format: str, out: str | os.PathLike) -> i
 
 
 def import_graph_json(path: str | os.PathLike) -> OntologyGraph:
-    """Inverse of the canonical-json export."""
+    """Inverse of the canonical-json export: the file must hold exactly the
+    canonical bytes of a graph (``OntologyGraph.from_bytes``)."""
     from ontomesh.graph import OntologyGraph
 
     return OntologyGraph.from_bytes(Path(path).read_bytes())

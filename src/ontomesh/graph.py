@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,8 +39,6 @@ if TYPE_CHECKING:
 # without loading numpy). The one metadata key of a model node and of a type
 # node; the other kinds carry no metadata.
 _METADATA_KEYS = (None, "domains", "model", None)
-# The keys of a stored node.
-_NODE_KEYS = {"id", "kind", "label", "metadata"}
 EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
@@ -60,11 +58,11 @@ _EDGE_SKELETONS = [template.replace("%d", "").encode() for template in _EDGE_TEM
 # The rows as canonical_chunks() writes them: each after a comma.
 _CANONICAL_ROWS = [b"," + template.encode() for template in _EDGE_TEMPLATES]
 # The stored document after the edges, up to its first node; the nodes and
-# the provenance follow.
+# the provenance follow. Each stored node is this row, after a comma, with
+# its id, kind, label (as a JSON string) and the text of its metadata
+# written in.
 _NODES_OPEN = b'],"kind":"graph","nodes":['
-# JSON text may escape a surrogate code point that no pair completes, and
-# json.loads reads such bytes too (as "surrogatepass"); UTF-8 cannot encode it.
-_SURROGATE = re.compile("[\ud800-\udfff]")
+_NODE_ROW = ',{"id":%d,"kind":"%s","label":%s,"metadata":{%s}}'
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[48:58] = np.arange(10)
 
@@ -96,15 +94,6 @@ class GraphProvenance:
             "domain": self.domain,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GraphProvenance":
-        return cls(
-            snapshot_hash=doc["snapshot_hash"],
-            containment_edges=doc["containment_edges"],
-            parent_hash=doc.get("parent_hash"),
-            domain=doc.get("domain"),
-        )
-
 
 def _int_column(values, name: str) -> np.ndarray:
     array = np.asarray(values)
@@ -135,17 +124,14 @@ def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
     ]
 
 
-def _node_columns(ids, kinds, labels, metadata) -> tuple:
+def _node_columns(kinds, labels, metadata) -> tuple:
     """Node fields given in id order, kinds by name, as the columns a graph
     keeps: kind codes, labels, each model's domains and each type's model.
-    Ids that are not 0, 1, 2, ... are refused, and so is metadata other than
-    the one text value of a model or type node."""
-    if ids != list(range(len(ids))):
-        bad = next(node_id for expected, node_id in enumerate(ids) if node_id != expected)
-        raise ValueError(f"node ordinals not dense at {bad}")
+    Metadata other than the one text value of a model or type node is
+    refused."""
     codes = _kind_codes(kinds, NODE_KINDS, "node kind")
     values: tuple[list[str], ...] = ([], [], [], [])
-    for node_id, code, meta in zip(ids, codes, metadata):
+    for node_id, (code, meta) in enumerate(zip(codes, metadata)):
         key = _METADATA_KEYS[code]
         if key is None and meta == {}:
             continue
@@ -222,10 +208,10 @@ def _edge_numbers(block: bytes, out: np.ndarray) -> bool:
     return True
 
 
-def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None:
+def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], int] | None:
     """Edge columns (u, v, kind, weight) parsed from a stored graph document
     whose edge text is exactly the canonical text of those edges, and the
-    rest of the document as ``json.loads`` reads it; None for other input.
+    offset of the ``]`` that closes the edges; None for other input.
 
     The edge text is read in blocks of whole rows, cut after a row's ``}``
     at the first ``},{`` about ``_DECODE_BLOCK_BYTES`` into the block. Text
@@ -260,39 +246,8 @@ def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], dict] | None
         lo = hi + 1
     if filled != len(values):
         return None
-    # json.loads of bytes starting '{"' decodes them as UTF-8 this way.
-    rest = json.loads((b"{" + data[end + 2 :]).decode("utf-8", "surrogatepass"))
-    if "edges" in rest:  # a second "edges" key overrides the first
-        return None
     kind = np.repeat(np.arange(len(EDGE_KINDS), dtype=np.int64), counts)
-    return [values[0::3], values[1::3], kind, values[2::3]], rest
-
-
-def _doc_nodes(doc: dict) -> tuple:
-    """The node columns of a graph document. A node not in the form
-    ``to_doc`` writes (the keys ``id``, ``kind``, ``label`` and ``metadata``,
-    an int id) is refused, so that a verified stored hash is the hash of the
-    graph read. So is a label or metadata value that holds a lone surrogate,
-    which UTF-8 cannot encode: ``put`` writes none, and no writer could
-    write it."""
-    nodes = doc["nodes"]
-    bad = next((
-        nd for nd in nodes
-        if not (isinstance(nd, dict) and nd.keys() == _NODE_KEYS and type(nd["id"]) is int)
-    ), None)
-    if bad is not None:
-        raise ValueError(f"node not in stored form: {bad!r}")
-    columns = _node_columns(
-        [nd["id"] for nd in nodes],
-        [nd["kind"] for nd in nodes],
-        [nd["label"] for nd in nodes],
-        [nd["metadata"] for nd in nodes],
-    )
-    for texts in columns[1:]:
-        bad = next(filter(_SURROGATE.search, texts), None)
-        if bad is not None:
-            raise ValueError(f"node text {bad!r} holds a lone surrogate")
-    return columns
+    return [values[0::3], values[1::3], kind, values[2::3]], end
 
 
 def _unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +306,11 @@ class OntologyGraph:
         like every other constructor."""
         rows = list(edges)
         u, v, kinds, weight = zip(*rows, strict=True) if rows else ((), (), (), ())
+        ids = [node.node_id for node in nodes]
+        if ids != list(range(len(ids))):
+            bad = next(node_id for expected, node_id in enumerate(ids) if node_id != expected)
+            raise ValueError(f"node ordinals not dense at {bad}")
         node_columns = _node_columns(
-            [node.node_id for node in nodes],
             [node.kind for node in nodes],
             [node.label for node in nodes],
             [node.metadata for node in nodes],
@@ -361,12 +319,12 @@ class OntologyGraph:
 
     @classmethod
     def _from_arrays(
-        cls, nodes, u, v, kind, weight, provenance, content_hash: str | None = None
+        cls, nodes, u, v, kind, weight, provenance, stored: bool = False
     ) -> "OntologyGraph":
         """Validate structure and sort the int64 edge arrays canonically
-        unless they already are. ``nodes`` are the node columns (kind codes,
-        labels, model domains, type models), ids dense by construction;
-        ``content_hash`` as in ``from_doc``."""
+        unless they already are; ``stored`` edges out of canonical order are
+        refused instead. ``nodes`` are the node columns (kind codes, labels,
+        model domains, type models), ids dense by construction."""
         node_kind, labels = nodes[:2]
         n = len(labels)
         seen: list[set[str]] = [set() for _ in NODE_KINDS]
@@ -389,18 +347,16 @@ class OntologyGraph:
         # (kind, u, v) as one int64 key: kind < 4 and 0 <= u, v < n.
         edge_key = (kind * n + u) * n + v
         # Strictly increasing keys are canonical order with no duplicate.
-        in_order = bool(np.all(edge_key[1:] > edge_key[:-1]))
-        if not in_order:
+        if not np.all(edge_key[1:] > edge_key[:-1]):
+            if stored:
+                raise ValueError("stored edges are not in canonical order")
             order = np.argsort(edge_key)
             u, v, kind, weight = u[order], v[order], kind[order], weight[order]
             edge_key = edge_key[order]
             bad = np.flatnonzero(edge_key[1:] == edge_key[:-1])
             if bad.size:
                 raise ValueError(f"duplicate edge {edge(bad[0])[:3]!r}")
-        graph = cls(*nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight)
-        if in_order:
-            graph._hash = content_hash
-        return graph
+        return cls(*nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight)
 
     # -- lookups -----------------------------------------------------------
 
@@ -445,39 +401,25 @@ class OntologyGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def _node_docs(self) -> Iterator[list[dict]]:
-        """The nodes as stored, in blocks of at most ``_BLOCK_ROWS``."""
-        codes, n = self.node_kind.tolist(), len(self.labels)
-        metadata: list[str | None] = [None] * n
+    def _node_rows(self) -> Iterator[bytes]:
+        """The nodes as stored, each row after a comma, in blocks of at most
+        ``_BLOCK_ROWS`` rows, written without a dict per node."""
+        n = len(self.labels)
+        metadata = [""] * n
         for kind, column in (
             (NodeKind.MODEL, self.model_domains), (NodeKind.TYPE, self.type_model)
         ):
+            key = '"%s":' % _METADATA_KEYS[NODE_KINDS.index(kind)]
             for node_id, value in zip(self.nodes_of_kind(kind).tolist(), column):
-                metadata[node_id] = value
+                metadata[node_id] = key + encode_basestring(value)
+        kinds = [NODE_KINDS[code] for code in self.node_kind.tolist()]
         for lo in range(0, n, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            yield [
-                {
-                    "id": node_id,
-                    "kind": NODE_KINDS[code],
-                    "label": label,
-                    "metadata": {} if value is None else {_METADATA_KEYS[code]: value},
-                }
-                for node_id, code, label, value in zip(
-                    range(lo, hi), codes[lo:hi], self.labels[lo:hi], metadata[lo:hi]
-                )
-            ]
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "graph",
-            "provenance": self.provenance.to_doc(),
-            "nodes": [node for block in self._node_docs() for node in block],
-            "edges": [
-                {"u": u, "v": v, "kind": kind, "weight": weight}
-                for u, v, kind, weight in self.edge_rows()
-            ],
-        }
+            rows = zip(
+                range(lo, hi), kinds[lo:hi], map(encode_basestring, self.labels[lo:hi]),
+                metadata[lo:hi],
+            )
+            yield "".join(map(_NODE_ROW.__mod__, rows)).encode("utf-8")
 
     def format_edges(self, templates: Sequence[bytes]) -> Iterator[bytes]:
         """The edges in canonical order, each written as its kind's template
@@ -492,15 +434,20 @@ class OntologyGraph:
                 yield template * (hi - lo) % tuple(numbers.ravel().tolist())
 
     def canonical_chunks(self) -> Iterator[bytes]:
-        """``canonical_json_bytes(self.to_doc())``, the stored form, as
-        chunks of at most ``_BLOCK_ROWS`` edge or node rows, written without
-        a dict per edge."""
+        """The stored form: canonical JSON of the document with the keys
+        ``edges`` (``kind``, ``u``, ``v`` and ``weight`` of each edge),
+        ``kind`` (``"graph"``), ``nodes`` (``id``, ``kind``, ``label`` and
+        ``metadata`` of each node) and ``provenance``. It comes as chunks of
+        at most ``_BLOCK_ROWS`` edge or node rows."""
         yield _EDGES_OPEN
         yield from _comma_joined(self.format_edges(_CANONICAL_ROWS))
+        yield from self._chunks_after_edges()
+
+    def _chunks_after_edges(self) -> Iterator[bytes]:
+        """The stored form from the ``]`` that closes the edges: the nodes
+        and the provenance."""
         yield _NODES_OPEN
-        yield from _comma_joined(
-            b"," + canonical_json_line(block)[1:-1].encode("utf-8") for block in self._node_docs()
-        )
+        yield from _comma_joined(self._node_rows())
         provenance = canonical_json_line(self.provenance.to_doc()).encode("utf-8")
         yield b'],"provenance":' + provenance + b"}\n"
 
@@ -510,45 +457,40 @@ class OntologyGraph:
 
     @classmethod
     def from_bytes(cls, data: bytes, content_hash: str | None = None) -> "OntologyGraph":
-        """``from_doc(json.loads(data), content_hash)``, read without a dict
-        per edge when the edge text is exactly the canonical text of the
-        edges it holds.
+        """The graph whose ``canonical_bytes()`` are ``data``; any other
+        bytes raise ValueError.
 
-        Any other input, and any error on the way, goes to ``from_doc``, so
-        its result or exception is the one callers get.
+        The edge text is parsed without a dict per edge, and must be the
+        canonical text of edges in canonical order. The bytes after it must
+        be the nodes and provenance that the graph read writes back. So the
+        verified hash of ``data``, given as ``content_hash``, is the graph's
+        own ``graph_hash()``.
         """
+        parsed = _canonical_edge_columns(data)
+        if parsed is None:
+            raise ValueError("stored edges are not in canonical form")
+        columns, end = parsed
+        rest = json.loads(b"{" + data[end + 2 :])
         try:
-            parsed = _canonical_edge_columns(data)
-            if parsed is not None:
-                columns, rest = parsed
-                return cls._from_arrays(
-                    _doc_nodes(rest), *columns, GraphProvenance.from_doc(rest["provenance"]),
-                    content_hash,
-                )
-        except Exception:
-            pass  # from_doc below raises what the document is wrong with.
-        return cls.from_doc(json.loads(data), content_hash)
-
-    @classmethod
-    def from_doc(cls, doc: dict, content_hash: str | None = None) -> "OntologyGraph":
-        """Inverse of ``to_doc``.
-
-        ``content_hash`` is the verified hash of the canonical bytes the doc
-        was read from. It becomes ``graph_hash()`` when the stored edges are
-        already in canonical order, because ``to_doc()`` then gives back the
-        same document; otherwise the hash is computed when first asked for.
-        """
-        nodes = _doc_nodes(doc)
-        edges = doc["edges"]
-        columns = _edge_columns(
-            [ed["u"] for ed in edges],
-            [ed["v"] for ed in edges],
-            [ed["kind"] for ed in edges],
-            [ed["weight"] for ed in edges],
-        )
-        return cls._from_arrays(
-            nodes, *columns, GraphProvenance.from_doc(doc["provenance"]), content_hash
-        )
+            nodes = rest["nodes"]
+            graph = cls._from_arrays(
+                _node_columns(
+                    [nd["kind"] for nd in nodes],
+                    [nd["label"] for nd in nodes],
+                    [nd["metadata"] for nd in nodes],
+                ),
+                *columns, GraphProvenance(**rest["provenance"]), stored=True,
+            )
+            for chunk in graph._chunks_after_edges():
+                if not data.startswith(chunk, end):
+                    raise ValueError("stored graph is not in canonical form")
+                end += len(chunk)
+        except (KeyError, TypeError) as exc:  # a missing key, or a value of another type
+            raise ValueError(f"stored graph is not in canonical form: {exc!r}") from None
+        if end != len(data):
+            raise ValueError("stored graph is not in canonical form")
+        graph._hash = content_hash
+        return graph
 
     def graph_hash(self) -> str:
         """Content hash of ``canonical_bytes()``, taken over its chunks on the
@@ -599,10 +541,10 @@ def _ragged(rows, count: int) -> tuple[np.ndarray, np.ndarray]:
 def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> OntologyGraph:
     """Build the ontology graph; deterministic for identical snapshot + flags.
 
-    Works from the snapshot's columns, which were validated when the
-    snapshot was constructed. Node ids are offsets into its sorted domain,
-    model, type and vocabulary tables, in that order, which is the order of
-    the nodes by kind and label.
+    Works from the snapshot's columns, which hold the invariants that
+    :meth:`~ontomesh.corpus.CorpusSnapshot.validate` checks. Node ids are
+    offsets into its sorted domain, model, type and vocabulary tables, in
+    that order, which is the order of the nodes by kind and label.
     """
     domains, models, types, occurrences = (
         snapshot.domains, snapshot.models, snapshot.types, snapshot.occurrences

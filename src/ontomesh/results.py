@@ -3,6 +3,11 @@ and the aggregate report.
 
 They need no numpy, so a command that only reads or renders a stored result
 does not load it. ``ontomesh.analytics`` computes them and exports them too.
+
+The store accepts a stored result only when ``to_doc()`` of what
+``from_doc`` read encodes back to the stored bytes, so a decoder needs no
+check of the document's keys or key order. It checks only the values its
+readers depend on.
 """
 
 from __future__ import annotations
@@ -59,14 +64,14 @@ class CentralityResult:
             raise ValueError("centrality scores are not keyed by node ids 0 to n-1") from None
         if not all(map(_is_number, scores)):
             raise ValueError("centrality score is not a number")
-        ranking = list(doc["ranking"])
+        ranking = doc["ranking"]
         if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(len(scores))):
             raise ValueError("centrality ranking is not a permutation of the node ids")
         return cls(
             metric=doc["metric"],
             normalized=doc["normalized"],
-            weighted=doc.get("weighted", False),
-            graph_hash=doc.get("graph_hash"),
+            weighted=doc["weighted"],
+            graph_hash=doc["graph_hash"],
             scores=scores,
             ranking=ranking,
         )
@@ -94,15 +99,14 @@ class DomainMatrix:
     def from_doc(cls, doc: dict) -> "DomainMatrix":
         """Inverse of ``to_doc``; cells that are not square over one or more
         labels are refused."""
-        labels = list(doc["labels"])
-        cells = [list(row) for row in doc["cells"]]
+        labels, cells = doc["labels"], doc["cells"]
         if not labels or len(cells) != len(labels) or any(len(row) != len(labels) for row in cells):
             raise ValueError("matrix cells are not square over one or more labels")
         return cls(
             metric=doc["metric"],
             labels=labels,
             cells=cells,
-            snapshot_hash=doc.get("snapshot_hash"),
+            snapshot_hash=doc["snapshot_hash"],
         )
 
     def value_range(self) -> tuple[float, float]:
@@ -173,6 +177,6 @@ class AnalysisReport:
             matrices={
                 name: DomainMatrix.from_doc(m) for name, m in doc["matrices"].items()
             },
-            specificity=dict(doc["specificity"]),
-            generated_at=doc.get("generated_at"),
+            specificity=doc["specificity"],
+            generated_at=doc["generated_at"],
         )

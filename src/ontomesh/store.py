@@ -8,8 +8,10 @@ memory) and renames it to ``<hash>.json``, so a crashed put never leaves a
 half-written object behind. A put holds an exclusive ``flock`` on the empty
 ``<root>/index.lock`` from reading the index to writing it back, renaming
 the object in between, so puts from several processes keep every name.
-Hashes are re-verified on every get, and an object that passes its hash but
-does not decode as its kind is reported as corrupt.
+Hashes are re-verified on every get. An object that passes its hash is
+read back only if it is the canonical form of what it decodes to (a
+snapshot, whose decoder checks every key, only if it decodes); any other is
+reported as corrupt.
 """
 
 from __future__ import annotations
@@ -185,13 +187,17 @@ class ArtifactStore:
         cls = _artifact_class(kind)
         try:
             if kind == "graph":
-                # put stores the graph's canonical bytes, so the verified
+                # from_bytes reads only canonical bytes, so the verified
                 # object hash is the graph's own hash.
                 return cls.from_bytes(data, content_hash=entry["hash"])
-            return cls.from_doc(json.loads(data))
+            artifact = cls.from_doc(json.loads(data))
+            # Re-encoding a snapshot would cost a large share of its read.
+            if kind != "snapshot" and canonical_json_bytes(artifact.to_doc()) != data:
+                raise ValueError("stored bytes are not its canonical form")
+            return artifact
         except OntomeshError:
             raise
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # The bytes match their hash, but were not written by put.
             raise CorruptionError(f"artifact {name!r} is not a valid {kind}: {exc}") from exc
 

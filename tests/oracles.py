@@ -10,6 +10,8 @@ a time, where the package builds it from the snapshot's columns. Ingest is
 checked against the record path: a pathlib walk, one record per type and
 occurrence merged by key, and records mapped to sorted columns, where the
 package walks with ``os.scandir`` and interns names into columns as it goes.
+The stored graph is checked against its document as dicts, encoded with
+``json.dumps``, where the package writes its text from templates.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line
+from ontomesh.choices import NODE_KINDS
 from ontomesh.corpus import (
     AttributeOccurrence,
     CorpusSnapshot,
@@ -386,6 +389,44 @@ def build_graph_reference(
     return OntologyGraph.create(nodes, edges, provenance)
 
 
+_METADATA_KEY = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
+
+
+def graph_to_doc(graph: OntologyGraph) -> dict:
+    """The stored graph document as dicts, a dict per node and per edge:
+    ``canonical_json_bytes(graph_to_doc(graph)) == graph.canonical_bytes()``."""
+    metadata = {
+        NodeKind.MODEL: iter(graph.model_domains), NodeKind.TYPE: iter(graph.type_model),
+    }
+    nodes = []
+    for node_id, label in enumerate(graph.labels):
+        kind = NodeKind(NODE_KINDS[graph.node_kind[node_id]])
+        key = _METADATA_KEY.get(kind)
+        nodes.append({
+            "id": node_id, "kind": kind.value, "label": label,
+            "metadata": {} if key is None else {key: next(metadata[kind])},
+        })
+    return {
+        "kind": "graph",
+        "provenance": graph.provenance.to_doc(),
+        "nodes": nodes,
+        "edges": [
+            {"u": u, "v": v, "kind": kind, "weight": weight}
+            for u, v, kind, weight in graph.edge_rows()
+        ],
+    }
+
+
+def graph_from_doc(doc: dict) -> OntologyGraph:
+    """Inverse of ``graph_to_doc`` through ``OntologyGraph.create``: edges
+    in any order, and no check that the document is in its stored form."""
+    nodes = [
+        GraphNode(nd["id"], nd["kind"], nd["label"], nd["metadata"]) for nd in doc["nodes"]
+    ]
+    edges = [(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
+    return OntologyGraph.create(nodes, edges, GraphProvenance(**doc["provenance"]))
+
+
 # ---------------------------------------------------------------------------
 # Random snapshots
 # ---------------------------------------------------------------------------
@@ -516,7 +557,7 @@ def assemble_reference(
         content_hash = _records_hash_reference(
             SnapshotRecords(domains, models, types, [o for _, o, _, _ in rows])
         )
-    return CorpusSnapshot(
+    snapshot = CorpusSnapshot(
         content_hash=content_hash,
         domains=DomainColumns(
             tuple(d.domain_id for d in domains), tuple(d.display_name for d in domains)
@@ -541,6 +582,8 @@ def assemble_reference(
             tuple(kind for _, _, _, kind in rows),
         ),
     )
+    snapshot.validate()
+    return snapshot
 
 
 def _records_hash_reference(records: SnapshotRecords) -> str:

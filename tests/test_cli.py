@@ -1,6 +1,9 @@
 import csv
+import errno
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from unittest import mock
 import pytest
 
 import ontomesh
-from ontomesh import analytics, results
+from ontomesh import analytics, exports, results
 from ontomesh import graph as graph_module
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
@@ -327,10 +330,8 @@ class TestInvalidStoredObjects:
         _store_bytes(built, "bad", "graph", data.replace(label, label + text, 1))
         code, _, err = run_cli(argv, capsys)
         assert code == 1
-        assert err == (
-            "ontomesh: error: artifact 'bad' is not a valid graph: "
-            "node text 'SmartCities\\ud800' holds a lone surrogate\n"
-        )
+        self.assert_refused(err, "bad", "graph")
+        assert "can't encode character '\\ud800'" in err
         assert not list(built.glob("bad.*"))
 
     def test_snapshot_with_missing_key(self, ingested, capsys):
@@ -438,9 +439,140 @@ class TestInvalidStoredObjects:
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         self.assert_refused(err, "bad", "graph")
-        assert "node not in stored form" in err
+        assert "stored graph is not in canonical form" in err
         assert not list(built.glob("bad.*"))
         assert ArtifactStore(built / "store").names() == ["bad", "fix1", "fix1-graph"]
+
+
+def _json_edit(change):
+    """An edit that changes the decoded document and writes it canonically."""
+    def edit(data):
+        doc = json.loads(data)
+        change(doc)
+        return canonical_json_bytes(doc)
+    return edit
+
+
+def _text_edit(old, new):
+    def edit(data):
+        assert old in data
+        return data.replace(old, new, 1)
+    return edit
+
+
+def _number_edit(replacement):
+    """An edit of the first integer in the document, as ``replacement``."""
+    return lambda data: re.sub(rb"(?<=[:\[,])(\d+)(?=[,}\]])", replacement, data, count=1)
+
+
+def _escaped(prefix):
+    """An edit that escapes the first character of the text after ``prefix``."""
+    def edit(data):
+        at = data.index(prefix) + len(prefix)
+        return data[:at] + b"\\u%04x" % data[at] + data[at + 1 :]
+    return edit
+
+
+def _keys_reversed(data):
+    """The document with its top-level keys in reverse order."""
+    doc = dict(reversed(json.loads(data).items()))
+    return (json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
+
+
+# Edits of a stored object's bytes, made under a valid hash, for every kind.
+_ANY_KIND_EDITS = {
+    "extra top-level key": _json_edit(lambda doc: doc.update(zz=1)),
+    "missing top-level key": _json_edit(lambda doc: doc.pop("kind")),
+    "keys reordered": _keys_reversed,
+    "space after a colon": _text_edit(b'":', b'": '),
+    "indented": lambda data: json.dumps(
+        json.loads(data), indent=1, sort_keys=True, ensure_ascii=False
+    ).encode() + b"\n",
+    "repeated key": _text_edit(b'"kind":', b'"kind":0,"kind":'),
+    "every key repeated": lambda data: data[:-2] + b"," + data[1:],
+    "1.0 for 1": _number_edit(rb"\1.0"),
+    "leading zero": _number_edit(rb"0\1"),
+}
+_EDITS = {
+    "graph": {
+        **_ANY_KIND_EDITS,
+        "extra edge key": _json_edit(lambda doc: doc["edges"][0].update(zz=1)),
+        "extra node key": _json_edit(lambda doc: doc["nodes"][0].update(zz=1)),
+        "extra metadata key": _json_edit(lambda doc: doc["nodes"][0]["metadata"].update(zz="x")),
+        "extra provenance key": _json_edit(lambda doc: doc["provenance"].update(zz=1)),
+        "edge without weight": _json_edit(lambda doc: doc["edges"][0].pop("weight")),
+        "node without metadata": _json_edit(lambda doc: doc["nodes"][0].pop("metadata")),
+        "provenance without domain": _json_edit(lambda doc: doc["provenance"].pop("domain")),
+        "1.0 for a node id": _text_edit(b'{"id":1,', b'{"id":1.0,'),
+        "escaped label character": _escaped(b'"label":"'),
+    },
+    "centrality": {
+        **_ANY_KIND_EDITS,
+        "extra score": _json_edit(lambda doc: doc["scores"].update({str(len(doc["scores"])): 0})),
+        "missing graph hash": _json_edit(lambda doc: doc.pop("graph_hash")),
+        "escaped metric character": _escaped(b'"metric":"'),
+    },
+    "report": {
+        **_ANY_KIND_EDITS,
+        "extra census key": _json_edit(lambda doc: doc["census"].update(zz=1)),
+        "extra matrix key": _json_edit(lambda doc: doc["matrices"]["jaccard_attributes"].update(zz=1)),
+        "extra top-k field": _json_edit(lambda doc: doc["top_k"][0].append(1)),
+        "matrix without hash": _json_edit(
+            lambda doc: doc["matrices"]["shared_models"].pop("snapshot_hash")
+        ),
+        "no timestamp key": _json_edit(lambda doc: doc.pop("generated_at")),
+        "matrices as a list": _json_edit(lambda doc: doc.update(matrices=[])),
+        "escaped label character": _escaped(b'"labels":["'),
+    },
+}
+# The stored graph edits that older readers took, keeping the stored hash as
+# that of a graph whose canonical bytes differ.
+_ONCE_ACCEPTED = {
+    "extra edge key", "extra provenance key", "provenance without domain", "extra top-level key",
+}
+# (stored object, its kind, commands that store it, command that reads it)
+_READERS = {
+    "graph": ("bad", "graph", [], ["analyze", "centrality", "--graph", "bad"]),
+    "degree": ("fix1-graph-degree", "centrality", [["analyze", "centrality", "--graph", "fix1-graph"]],
+               ["report", "--name", "fix1", "--out", "r.md"]),
+    "betweenness": ("fix1-graph-betweenness", "centrality",
+                    [["analyze", "centrality", "--graph", "fix1-graph", "--metric", "betweenness"]],
+                    ["report", "--name", "fix1", "--metric", "betweenness", "--out", "r.md"]),
+    "report": ("fix1-dissonance", "report", [["analyze", "dissonance", "--snapshot", "fix1"]],
+               ["report", "--name", "fix1", "--out", "r.md"]),
+}
+
+
+class TestEditedStoredObjects:
+    """One edit of a stored object under a valid hash: the command that
+    reads it exits 1 with one error line and writes nothing, or the object
+    it read encodes back to exactly the stored bytes."""
+
+    @pytest.mark.parametrize("target, edit", [
+        (target, edit) for target, (_, kind, _, _) in _READERS.items() for edit in _EDITS[kind]
+    ])
+    def test_refused_or_read_back_exactly(self, built, capsys, target, edit):
+        name, kind, setup, argv = _READERS[target]
+        store = ArtifactStore(built / "store")
+        for command in setup:
+            assert run_cli(command, capsys)[0] == 0
+        stored = store.object_bytes("fix1-graph" if kind == "graph" else name)
+        data = _EDITS[kind][edit](stored)
+        assert data != stored
+        _store_bytes(built, name, kind, data)
+        names = store.names()
+        code, _, err = run_cli(argv, capsys)
+        if code == 0:
+            assert edit not in _ONCE_ACCEPTED
+            read = store.get(name)
+            again = read.canonical_bytes() if kind == "graph" else canonical_json_bytes(read.to_doc())
+            assert again == data
+            return
+        assert code == 1
+        assert err.startswith(f"ontomesh: error: artifact '{name}' is not a valid {kind}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert store.names() == names
+        assert not (built / "r.md").exists()
 
 
 class TestAdjacencyOnFirstUse:
@@ -495,8 +627,7 @@ class TestExportAndReport:
         def no_decode(*args, **kwargs):
             raise AssertionError("the export decoded the graph")
 
-        for decoder in ("from_doc", "from_bytes"):
-            monkeypatch.setattr(OntologyGraph, decoder, no_decode)
+        monkeypatch.setattr(OntologyGraph, "from_bytes", no_decode)
         code, out, _ = run_cli(
             ["export", "--graph", "fix1-graph", "--format", "canonical-json"], capsys
         )
@@ -509,6 +640,27 @@ class TestExportAndReport:
         )
         assert code == 1
         assert "has kind 'snapshot', expected 'graph'" in err
+
+    def test_export_canonical_json_write_failing_partway(self, built, capsys, monkeypatch):
+        """A write that fails partway leaves no file at --out and no temp
+        file beside it, and a file already there as it was."""
+
+        class HalfWritten(io.FileIO):
+            def write(self, block):
+                super().write(block[: len(block) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(exports, "open", HalfWritten, raising=False)
+        argv = ["export", "--graph", "fix1-graph", "--format", "canonical-json", "--out", "g.json"]
+        before = sorted(built.iterdir())
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == "ontomesh: error: [Errno 28] No space left on device\n"
+        assert sorted(built.iterdir()) == before
+        (built / "g.json").write_bytes(b"older")
+        assert run_cli(argv, capsys)[0] == 1
+        assert sorted(built.iterdir()) == sorted(before + [built / "g.json"])
+        assert (built / "g.json").read_bytes() == b"older"
 
     @pytest.mark.parametrize("fmt", ["graphml", "dot", "canonical-json"])
     def test_export_to_piped_stdout(self, built, capsys, fmt):

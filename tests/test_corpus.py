@@ -411,6 +411,37 @@ class TestDuplicateTypes:
             assert max(defined.values(), default=0) <= 1
             assert snapshot == ingest_corpus_reference(root)
 
+    _DECLARATION = st.fixed_dictionaries({}, optional={
+        "type": st.sampled_from(["string", "number", 7]),
+        "description": st.text(max_size=3),
+    })
+    _PROPERTIES = st.dictionaries(st.sampled_from(["p", "q", "ü", "s"]), _DECLARATION, max_size=3)
+    _DECLARED = st.fixed_dictionaries({"properties": _PROPERTIES}, optional={
+        "title": _NAMES,
+        "allOf": st.lists(st.fixed_dictionaries({"properties": _PROPERTIES}), max_size=2),
+    })
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=st.dictionaries(
+        st.tuples(st.sampled_from(["d1", "d2", "d3"]), st.sampled_from(["m1", "m2"]),
+                  st.sampled_from(["T", "u", "v"])),
+        st.one_of(_DECLARED, st.lists(_DECLARED, min_size=1, max_size=3)),
+        min_size=1, max_size=8,
+    ))
+    def test_builder_output_validates(self, tree):
+        """ingest does not validate what its column builder makes: every
+        snapshot it gives holds the invariants, for trees with models shared
+        by domains, properties repeated across types, allOf blocks and
+        metadata. The trees it refuses, it refuses while building."""
+        files = {f"{d}/{m}/{stem}.json": json.dumps(doc) for (d, m, stem), doc in tree.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                snapshot = ingest_corpus(_write(Path(tmp), files))
+            except CorpusError:
+                return
+        snapshot.validate()
+        assert CorpusSnapshot.from_doc(json.loads(canonical_json_bytes(snapshot.to_doc()))) == snapshot
+
 
 class TestLayoutConfig:
     def test_from_file(self, tmp_path):

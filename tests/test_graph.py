@@ -43,7 +43,13 @@ from ontomesh.graph import _canonical_edge_columns
 
 from ontomesh.synthetic import synthetic_snapshot
 
-from oracles import build_graph_reference, csr_reference, random_snapshot
+from oracles import (
+    build_graph_reference,
+    csr_reference,
+    graph_from_doc,
+    graph_to_doc,
+    random_snapshot,
+)
 
 
 def _edge_labels(graph):
@@ -153,15 +159,17 @@ class TestFix1Graph:
     def test_hash_computed_once(self, fix1_snapshot, monkeypatch):
         graph = build_graph(fix1_snapshot)
         first = graph.graph_hash()
-        for encoder in ("to_doc", "canonical_bytes", "canonical_chunks"):
+        for encoder in ("canonical_bytes", "canonical_chunks"):
             monkeypatch.setattr(
                 OntologyGraph, encoder, lambda self: pytest.fail("graph hashed twice")
             )
         assert graph.graph_hash() == first
 
     def test_doc_round_trip(self, fix1_graph):
-        back = OntologyGraph.from_doc(fix1_graph.to_doc())
-        assert back.to_doc() == fix1_graph.to_doc()
+        doc = graph_to_doc(fix1_graph)
+        assert canonical_json_bytes(doc) == fix1_graph.canonical_bytes()
+        back = graph_from_doc(doc)
+        assert graph_to_doc(back) == doc
         assert back.graph_hash() == fix1_graph.graph_hash()
 
     @pytest.mark.parametrize("breaks", [
@@ -171,21 +179,21 @@ class TestFix1Graph:
         lambda node: node.update(id=False),
     ], ids=["extra key", "no metadata", "float id", "bool id"])
     def test_node_not_in_stored_form_refused(self, fix1_graph, breaks):
-        """Such a node would be read, but its graph's canonical bytes would
+        """Such a node could be read, but its graph's canonical bytes would
         not be the ones whose hash was verified."""
-        doc = fix1_graph.to_doc()
+        doc = graph_to_doc(fix1_graph)
         breaks(doc["nodes"][0])
         data = canonical_json_bytes(doc)
-        for read in (OntologyGraph.from_bytes, lambda d, h: OntologyGraph.from_doc(json.loads(d), h)):
-            with pytest.raises(ValueError, match="node not in stored form"):
-                read(data, sha256_hex(data))
+        with pytest.raises(ValueError, match="stored graph is not in canonical form"):
+            OntologyGraph.from_bytes(data, sha256_hex(data))
 
     def test_given_hash_kept_only_for_canonical_edge_order(self, fix1_graph):
-        doc = fix1_graph.to_doc()
-        assert OntologyGraph.from_doc(doc, content_hash="h").graph_hash() == "h"
+        stored = fix1_graph.canonical_bytes()
+        assert OntologyGraph.from_bytes(stored, content_hash="h").graph_hash() == "h"
+        doc = graph_to_doc(fix1_graph)
         doc["edges"].reverse()
-        back = OntologyGraph.from_doc(doc, content_hash="h")
-        assert back.graph_hash() == fix1_graph.graph_hash()
+        with pytest.raises(ValueError, match="stored edges are not in canonical form"):
+            OntologyGraph.from_bytes(canonical_json_bytes(doc), content_hash="h")
 
     def test_csr_holds_distinct_neighbours(self, fix1_snapshot):
         graph = build_graph(fix1_snapshot, containment_edges=True)
@@ -197,8 +205,9 @@ class TestFix1Graph:
             assert graph.neighbors(node_id).tolist() == sorted(expected)
 
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
-        """``build_graph`` does not validate: a snapshot that breaks an
-        invariant cannot be constructed."""
+        """``build_graph`` does not validate: ``validate()``, which every
+        snapshot read from the store or assembled from records passes,
+        refuses a snapshot that breaks an invariant."""
         o = fix1_snapshot.occurrences
         for broken in (
             o._replace(type=o.type[:-1] + (99,)),
@@ -207,7 +216,7 @@ class TestFix1Graph:
             o._replace(attribute=o.attribute[:-1]),
         ):
             with pytest.raises(SnapshotInvariantError):
-                dataclasses.replace(fix1_snapshot, occurrences=broken)
+                dataclasses.replace(fix1_snapshot, occurrences=broken).validate()
 
 
 class TestBuildMatchesReference:
@@ -257,7 +266,8 @@ class TestDomainSubgraph:
             ["SmartCities"], ["SmartCities", "SmartEnergy"],
         ]
         assert sub.type_model == ("UrbanMobility", "UrbanMobility", "WeatherShared")
-        assert OntologyGraph.from_bytes(sub.canonical_bytes()).to_doc() == sub.to_doc()
+        back = OntologyGraph.from_bytes(sub.canonical_bytes())
+        assert graph_to_doc(back) == graph_to_doc(sub)
         assert len(sub.u) == 17
 
     def test_provenance_chain(self, fix1_graph):
@@ -354,11 +364,13 @@ class TestStructuralValidation:
         ],
     )
     def test_from_doc_rejects_what_create_rejects(self, match, breaks):
+        """The stored form of a document that ``create`` refuses is refused
+        too, for that reason or because it is no graph's canonical form."""
         edges = [(0, 1, EDGE_ATTR_ATTR, 1), (1, 2, EDGE_ATTR_MODEL, 1)]
-        doc = OntologyGraph.create(self._nodes(3), edges, GraphProvenance("x")).to_doc()
+        doc = graph_to_doc(OntologyGraph.create(self._nodes(3), edges, GraphProvenance("x")))
         breaks(doc)
-        with pytest.raises(ValueError, match=match):
-            OntologyGraph.from_doc(doc)
+        with pytest.raises(ValueError):
+            OntologyGraph.from_bytes(canonical_json_bytes(doc))
         try:
             kinds = [NodeKind(nd["kind"]) for nd in doc["nodes"]]
         except ValueError:
@@ -403,7 +415,7 @@ def test_attribute_in_two_types_of_one_model_weights_attr_model():
 
 
 # ---------------------------------------------------------------------------
-# Stored bytes: canonical_bytes / from_bytes against to_doc / from_doc
+# Stored bytes: canonical_bytes / from_bytes against the dict document
 # ---------------------------------------------------------------------------
 
 
@@ -459,8 +471,9 @@ def _outcome(read, data):
         return type(exc), str(exc)
 
 
-def _reference(data, content_hash=None):
-    return OntologyGraph.from_doc(json.loads(data), content_hash)
+def _reference(data):
+    """The graph of a stored document read as dicts, whatever its form."""
+    return graph_from_doc(json.loads(data))
 
 
 class TestStoredBytes:
@@ -473,13 +486,11 @@ class TestStoredBytes:
     def test_codec_matches_json_path(self, kinds, data):
         graph = data.draw(_graphs(kinds))
         stored = graph.canonical_bytes()
-        assert stored == canonical_json_bytes(graph.to_doc())
+        assert stored == canonical_json_bytes(graph_to_doc(graph))
         content_hash = sha256_hex(stored)
+        expected = _state(_reference(stored))
         for given_hash in (None, content_hash):
-            expected = _state(_reference(stored, given_hash))
-            # the canonical text is read without from_doc
-            with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
-                back = OntologyGraph.from_bytes(stored, given_hash)
+            back = OntologyGraph.from_bytes(stored, given_hash)
             assert back._hash == given_hash
             assert _state(back) == expected
         assert _state(back)[3] == graph.graph_hash() == content_hash
@@ -490,9 +501,10 @@ class TestStoredBytes:
         u, v, weight = numbers
         edge = {"kind": EDGE_ATTR_MODEL, "u": u, "v": v, "weight": weight}
         doc = {"edges": [edge, dict(edge, kind=EDGE_CONTAINMENT)], "kind": "graph"}
-        columns, rest = _canonical_edge_columns(canonical_json_bytes(doc))
+        data = canonical_json_bytes(doc)
+        columns, end = _canonical_edge_columns(data)
         assert [column.tolist() for column in columns] == [[u, u], [v, v], [1, 3], [weight] * 2]
-        assert rest == {"kind": "graph"}
+        assert data[end:] == b'],"kind":"graph"}\n'
 
     def _stored(self):
         nodes = [GraphNode(0, NodeKind.DOMAIN, "D]x"),
@@ -544,17 +556,22 @@ class TestStoredBytes:
         "truncated", "truncated edges", "weight 0", "not an object", "digits for edges",
     ])
     def test_declined_text_reads_as_json_path(self, case):
+        """Each declined text is refused. Read as a JSON document of dicts,
+        it is no graph, or a graph whose canonical bytes are other bytes."""
         data = self._declined()[case]
         for content_hash in (None, "h"):
-            expected = _outcome(lambda d: _reference(d, content_hash), data)
-            assert _outcome(lambda d: OntologyGraph.from_bytes(d, content_hash), data) == expected
+            with pytest.raises(ValueError):
+                OntologyGraph.from_bytes(data, content_hash)
+        try:
+            again = _reference(data).canonical_bytes()
+        except (ValueError, KeyError, TypeError):
+            return
+        assert again != data
 
     def test_bracket_in_label_read_without_from_doc(self):
         stored = self._stored()
         assert b"D]x" in stored
-        expected = _state(_reference(stored))
-        with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
-            assert _state(OntologyGraph.from_bytes(stored)) == expected
+        assert _state(OntologyGraph.from_bytes(stored)) == _state(_reference(stored))
 
     @pytest.mark.parametrize("where", [b'"\xc3\x98rsted', b'"domains":"['],
                              ids=["label", "metadata"])
@@ -566,13 +583,19 @@ class TestStoredBytes:
         stored = self._stored()
         data = stored.replace(where, where + text, 1)
         assert data != stored
-        for read in (OntologyGraph.from_bytes, _reference):
-            with pytest.raises(ValueError, match="holds a lone surrogate"):
+        for read in (OntologyGraph.from_bytes, lambda d: _reference(d).canonical_bytes()):
+            with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
                 read(data)
 
-    def test_surrogate_pair_escape_read(self):
-        data = self._stored().replace("Ørsted".encode(), b"\\ud83d\\ude00", 1)
-        assert "\U0001f600" in OntologyGraph.from_bytes(data).labels
+    def test_surrogate_pair_escape_refused(self):
+        """The canonical form writes a character as UTF-8, never escaped."""
+        stored = self._stored()
+        emoji = stored.replace("Ørsted".encode(), "\U0001f600".encode(), 1)
+        assert "\U0001f600" in OntologyGraph.from_bytes(emoji).labels
+        escaped = stored.replace("Ørsted".encode(), b"\\ud83d\\ude00", 1)
+        assert _reference(escaped).canonical_bytes() == emoji
+        with pytest.raises(ValueError, match="stored graph is not in canonical form"):
+            OntologyGraph.from_bytes(escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +669,15 @@ class TestBlocks:
     @pytest.mark.parametrize("case", sorted(TestStoredBytes()._declined()))
     def test_declined_at_every_block_size(self, case):
         data = TestStoredBytes()._declined()[case]
-        expected = _outcome(_reference, data)
+        # The exception refusing the text; the position that a
+        # UnicodeEncodeError names is one in the block written.
+        refusal = _outcome(OntologyGraph.from_bytes, data)[0]
+        assert issubclass(refusal, ValueError)
         parsed = _parsed(data)
         for sizes in BLOCK_SIZES:
             with _blocks(*sizes):
                 assert _parsed(data) == parsed, sizes
-                assert _outcome(OntologyGraph.from_bytes, data) == expected, sizes
+                assert _outcome(OntologyGraph.from_bytes, data)[0] is refusal, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +713,6 @@ class TestDecodeOrder:
         for sort in ("argsort", "lexsort"):
             monkeypatch.setattr(np, sort, mock.Mock(side_effect=AssertionError("sorted")))
         assert OntologyGraph.from_bytes(stored).canonical_bytes() == stored
-        assert OntologyGraph.from_doc(json.loads(stored)).canonical_bytes() == stored
         assert OntologyGraph._from_arrays(
             _node_columns(graph), *_columns(graph), graph.provenance
         ).canonical_bytes() == stored
@@ -710,16 +735,15 @@ class TestDecodeOrder:
         content_hash = sha256_hex(stored)
         assert OntologyGraph.from_bytes(stored, content_hash)._hash == content_hash
         # The first two attr_attr rows swapped: the kinds stay grouped, so the
-        # text is still read without from_doc, but the edges are out of order.
+        # edge text is canonical, but the edges are out of order.
         doc = json.loads(stored)
         doc["edges"][:2] = doc["edges"][1::-1]
         assert doc["edges"][0]["kind"] == doc["edges"][1]["kind"]
         swapped = canonical_json_bytes(doc)
-        with mock.patch.object(OntologyGraph, "from_doc", side_effect=AssertionError):
-            back = OntologyGraph.from_bytes(swapped, sha256_hex(swapped))
-        assert back._hash is None
-        assert back.canonical_bytes() == stored
-        assert back.graph_hash() == graph.graph_hash() == content_hash
+        assert _canonical_edge_columns(swapped) is not None
+        assert _reference(swapped).canonical_bytes() == stored
+        with pytest.raises(ValueError, match="stored edges are not in canonical order"):
+            OntologyGraph.from_bytes(swapped, sha256_hex(swapped))
 
 
 # ---------------------------------------------------------------------------
