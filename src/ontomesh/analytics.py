@@ -8,8 +8,11 @@ same dependencies, so one BFS per such class is run and weighted by the
 class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012).
 Blocks of 16 class representatives run as sparse-by-dense products (Kepner
 & Gilbert 2011) on up to one thread per usable CPU, with at most 64 columns
-in flight. Sums run in one fixed order (path counts and dependencies pulled
-in ascending node id, classes added in ascending representative id, by the
+in flight. A product runs over only the rows a level touches when those
+rows hold under half of the adjacency's nonzeros (direction-optimizing BFS,
+Beamer, Asanović & Patterson, SC 2012); it leaves out only exact zero
+terms. Sums run in one fixed order (path counts and dependencies pulled in
+ascending node id, classes added in ascending representative id, by the
 calling thread), so results are bit-stable, identical across block sizes
 and thread counts, and equal to those of the reference loop
 ``betweenness_reference`` in ``tests/oracles.py``.
@@ -119,15 +122,27 @@ def _twin_classes(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
 class _SourceBlocks:
     """Brandes for blocks of sources as sparse-by-dense products.
 
-    Each BFS level is one product ``adj @ frontier`` and each dependency
-    level one ``adj @ coeff``. The CSR product sums every row over its
-    columns in ascending order, so sigma and delta are the same pull-order
-    sums as in the reference loop, with exact zeros in between, and
-    every column is independent of the others in its block. The graph must
-    have no isolated nodes, so every source reaches level 1. The BFS of a
-    block stops once each column has reached every node of its source's
-    connected component, so no product is spent on a level that would find
-    nothing.
+    Each BFS level is a product of ``adj`` with the frontier and each
+    dependency level one with ``coeff``. The CSR product sums every row over
+    its columns in ascending order, so sigma and delta are the same
+    pull-order sums as in the reference loop, with exact zeros in between,
+    and every column is independent of the others in its block.
+
+    A product runs over only the rows a level touches when those rows hold
+    under half of the adjacency's nonzeros (direction-optimizing BFS,
+    Beamer, Asanović & Patterson, SC 2012), and over all rows otherwise:
+    level 2 is pushed from the sources' neighbours, a last forward step
+    with few pairs left unseen is pulled into the rows still unseen, the
+    deepest dependency level is pushed from its own rows, and dependency
+    level 2 is pulled into the level-1 rows. Rows are taken in ascending
+    order, and a push is a CSC product, which adds its columns in order, so
+    each kept row still adds its neighbours in ascending id; the terms left
+    out are ``+0.0`` added to non-negative sums, so the sums are unchanged.
+
+    The graph must have no isolated nodes, so every source reaches level 1.
+    The BFS of a block stops once each column has reached every node of its
+    source's connected component, so no product is spent on a level that
+    would find nothing.
     """
 
     def __init__(self, indptr, indices):
@@ -137,50 +152,104 @@ class _SourceBlocks:
         self.indptr = indptr
         self.indices = indices
         self.adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+        self.degree = np.diff(indptr)
         self.reach = _component_sizes(indptr, indices)
+
+    def _restrict(self, rows: np.ndarray) -> np.ndarray | None:
+        """``rows`` when they hold under half of the adjacency's nonzeros,
+        so that a product over them alone is worth its slicing; else None,
+        for a product over all rows."""
+        return rows if self.degree[rows].sum() * 2 < len(self.indices) else None
 
     def dependencies(self, sources: np.ndarray) -> np.ndarray:
         """Row i holds the dependencies of every node on ``sources[i]``,
         0.0 at the source itself."""
         indptr, indices, adj = self.indptr, self.indices, self.adj
-        m = len(indptr) - 1
-        cols = np.arange(len(sources))
-        sigma = np.zeros((m, len(cols)), dtype=np.float64)
+        m, k = len(indptr) - 1, len(sources)
         # Level 1 is written directly: each neighbour of a source has the one
         # path count 1.0 that a product with the one-hot sources would give.
         degree = indptr[sources + 1] - indptr[sources]
         offset = np.repeat(indptr[sources] - (np.cumsum(degree) - degree), degree)
         rows = indices[offset + np.arange(degree.sum())]
-        sigma[rows, np.repeat(cols, degree)] = 1.0
-        frontier = sigma.copy()
-        sigma[sources, cols] = 1.0
+        cols = np.repeat(np.arange(k), degree)
+        sigma = np.zeros((m, k), dtype=np.float64)
+        sigma[rows, cols] = 1.0
         # level[d] holds the flat indices into sigma of the nodes at distance
         # d from each column's source, so all levels together hold at most
-        # one entry per node and column; a node is unseen while its path
-        # count is 0.
-        level = [None, np.flatnonzero(frontier)]
+        # one entry per node and column.
+        level = [None, rows * k + cols]
+        # The rows of level 1, their adjacency rows when they are few, and
+        # level 1 as flat indices into those rows.
+        near = _distinct(rows, m)
+        near_adj = None if self._restrict(near) is None else adj[near]
+        near_flat = np.searchsorted(near, rows) * k + cols
+        frontier = sigma.copy() if near_adj is None else None
+        sigma[sources, np.arange(k)] = 1.0
+        unseen = sigma == 0
         # A source and its neighbours are seen; the rest of its component is not.
-        unseen = self.reach[sources] - 1 - degree
-        while unseen.any():
-            reached = adj @ frontier
-            new = (reached > 0) & (sigma == 0)
-            np.copyto(sigma, reached, where=new)
-            frontier = np.multiply(reached, new, out=reached)
-            level.append(np.flatnonzero(new))
-            unseen -= np.count_nonzero(new, axis=0)
+        remaining = int((self.reach[sources] - 1 - degree).sum())
+        while remaining:
+            into = None
+            if frontier is None:
+                # Level 2, pushed from the rows of level 1 alone.
+                ones = np.zeros((len(near), k))
+                ones.ravel()[near_flat] = 1.0
+                reached = near_adj.T @ ones
+            else:
+                if remaining < m:
+                    # Few pairs are left: pull into the rows still unseen.
+                    into = self._restrict(np.flatnonzero(unseen.any(axis=1)))
+                reached = adj @ frontier if into is None else adj[into] @ frontier
+            if into is None:
+                frontier = np.multiply(reached, unseen, out=reached)
+                sigma += frontier
+                new = frontier > 0
+                unseen ^= new
+                level.append(np.flatnonzero(new))
+                remaining -= len(level[-1])
+                continue
+            # Only the rows ``into`` were summed; every other row is seen.
+            found = np.multiply(reached, unseen[into], out=reached)
+            sigma[into] += found
+            new = found > 0
+            unseen[into] ^= new
+            at = np.flatnonzero(new)
+            level.append(into[at // k] * k + at % k)
+            remaining -= len(at)
+            if remaining:
+                frontier = np.zeros_like(sigma)
+                frontier[into] = found
         # Level 0 is the source itself, whose dependency is never counted.
         delta = np.zeros_like(sigma)
         coeff = np.zeros_like(sigma)
         flat_sigma, flat_delta, flat_coeff = sigma.ravel(), delta.ravel(), coeff.ravel()
-        for d in range(len(level) - 1, 1, -1):
+        deepest = len(level) - 1
+        for d in range(deepest, 1, -1):
             at, up = level[d], level[d - 1]
             # coeff is nonzero only at level d.
-            if d + 1 < len(level):
+            if d < deepest:
                 flat_coeff[level[d + 1]] = 0.0
             flat_coeff[at] = (flat_delta[at] + 1.0) / flat_sigma[at]
-            pulled = adj @ coeff
+            if d == 2 and near_adj is not None:
+                # Pulled into the rows of level 1 alone.
+                pulled = (near_adj @ coeff).ravel()[near_flat]
+                flat_delta[up] = flat_sigma[up] * pulled
+                continue
+            own = self._restrict(_distinct(at // k, m)) if d == deepest else None
+            if own is not None:
+                # The deepest level, pushed from its own rows.
+                pulled = adj[own].T @ coeff[own]
+            else:
+                pulled = adj @ coeff
             flat_delta[up] = flat_sigma[up] * pulled.ravel()[up]
         return delta.T.copy()
+
+
+def _distinct(values: np.ndarray, m: int) -> np.ndarray:
+    """The distinct values, each in range(m), in ascending order."""
+    seen = np.zeros(m, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
 
 
 def _component_sizes(indptr, indices) -> np.ndarray:

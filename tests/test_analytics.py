@@ -157,10 +157,10 @@ def _betweenness(graph, engine):
 
 def _agreement_graphs():
     """Graphs for exact agreement with the reference loop: many closed twins
-    (cliques, cliques with hubs, linked cliques), components of different
-    depths, a path longer than two blocks, random graphs, and isolated
-    nodes (which ``_brandes_sparse`` leaves out) in runs at both ends, runs
-    longer than a block, or scattered."""
+    (cliques, cliques with hubs, linked cliques), small cliques around a few
+    hubs, components of different depths, a path longer than two blocks,
+    random graphs, and isolated nodes (which ``_brandes_sparse`` leaves out)
+    in runs at both ends, runs longer than a block, or scattered."""
     graphs = [make_graph(5, [])]
     # components of different sizes and depths, so the columns of one
     # block finish their BFS at different levels
@@ -196,6 +196,20 @@ def _agreement_graphs():
             for b in range(a + 1, len(linkers)):
                 if rng.random() < 0.6:
                     edges.append((rng.choice(linkers[a]), rng.choice(linkers[b])))
+        graphs.append(make_graph(base, edges))
+    # small cliques, each joined to one of a few hubs by some of its members,
+    # and the hubs in a path: the shape of many small types sharing a few
+    # attributes, where one level's rows hold a small share of the edges
+    for seed in range(3):
+        rng = random.Random(700 + seed)
+        hubs = rng.randint(3, 5)
+        edges, base = [(h, h + 1) for h in range(hubs - 1)], hubs
+        for _ in range(rng.randint(12, 20)):
+            size = rng.randint(2, 5)
+            edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+            hub = rng.randrange(hubs)
+            edges += [(hub, base + i) for i in range(rng.randint(1, size))]
+            base += size
         graphs.append(make_graph(base, edges))
     graphs.append(make_graph(150, [(i, i + 1) for i in range(149)]))
     for seed in range(20):
@@ -265,7 +279,18 @@ class TestBetweenness:
 
     def test_engines_agree_bitwise_random(self, monkeypatch):
         # every sparse block size and thread count reproduces the reference
-        # sums exactly
+        # sums exactly, with products over the rows of one level and over
+        # all rows both run at each
+        restrict = analytics._SourceBlocks._restrict
+        kinds = []
+
+        def counted(self, rows):
+            kept = restrict(self, rows)
+            kinds.append("all rows" if kept is None else "some rows")
+            return kept
+
+        monkeypatch.setattr(analytics._SourceBlocks, "_restrict", counted)
+        ran = {}
         for graph in _agreement_graphs():
             n = len(graph.labels)
             indptr, indices = graph.indptr, graph.indices
@@ -273,8 +298,12 @@ class TestBetweenness:
             for cpus in (1, 2, 4):
                 _use_cpus(monkeypatch, cpus)
                 for block in (1, 3, 16, 64):
+                    kinds.clear()
                     got = analytics._brandes_sparse(indptr, indices, n, block)
                     assert got.tolist() == want, (cpus, block)
+                    ran.setdefault((cpus, block), set()).update(kinds)
+        assert len(ran) == 12
+        assert all(found == {"all rows", "some rows"} for found in ran.values()), ran
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scores_from_reference_csr(self, seed):

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomesh import heatmap
-from ontomesh.analytics import DomainMatrix, degree_centrality, dissonance_summary
+from ontomesh.analytics import (
+    DomainMatrix,
+    betweenness_centrality,
+    degree_centrality,
+    dissonance_summary,
+)
+from ontomesh.canonical import canonical_json_bytes
 from ontomesh.exports import export_graph, export_matrix_csv, import_graph_json
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
@@ -195,6 +201,19 @@ def test_synthetic_graph_bytes_are_pinned(tmp_path):
         assert written == out.stat().st_size
         with open(out, "rb") as fh:
             assert hashlib.file_digest(fh, "sha256").hexdigest() == digest, format
+
+
+def test_sparse_synthetic_betweenness_bytes_are_pinned():
+    """The stored betweenness of a sparse synthetic graph: many types of
+    few attributes, so that the rows of a search's first and last levels
+    hold a small share of the edges and their products run over those
+    rows alone."""
+    snapshot = synthetic_snapshot(n_types=600, hub_pool=400, hubs_per_type=3, unique_per_type=2)
+    graph = build_graph(snapshot)
+    assert (len(graph.labels), len(graph.u)) == (2272, 11016)
+    stored = canonical_json_bytes(betweenness_centrality(graph).to_doc())
+    digest = "858236e8bbb1a30414680d52aeb18fa453d23a933727eb52f91760ff16fee0d9"
+    assert hashlib.sha256(stored).hexdigest() == digest
 
 
 def _peak_mib(call) -> float:
