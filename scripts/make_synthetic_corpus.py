@@ -48,14 +48,17 @@ def main() -> int:
     parser.add_argument("--tree", required=True, help="write the schema-file tree here")
     args = parser.parse_args()
 
-    snapshot = synthetic_snapshot(
-        n_domains=args.domains,
-        n_models=args.models,
-        n_types=args.types,
-        hub_pool=args.hub_pool,
-        hubs_per_type=args.hubs_per_type,
-        unique_per_type=args.unique_per_type,
-    )
+    try:
+        snapshot = synthetic_snapshot(
+            n_domains=args.domains,
+            n_models=args.models,
+            n_types=args.types,
+            hub_pool=args.hub_pool,
+            hubs_per_type=args.hubs_per_type,
+            unique_per_type=args.unique_per_type,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     c = snapshot.counts
     print(f"domains={c.domains} models={c.models} types={c.types} attributes={c.attributes}")
     files = write_tree(snapshot, Path(args.tree))

@@ -16,16 +16,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "AnalysisReport": "results",
     "ArtifactStore": "store",
-    "AttributeOccurrence": "corpus",
     "CentralityResult": "results",
     "CorpusSnapshot": "corpus",
-    "DataModelRecord": "corpus",
     "DomainMatrix": "results",
-    "DomainRecord": "corpus",
     "LayoutConfig": "corpus",
     "NodeKind": "choices",
     "OntologyGraph": "graph",
-    "TypeRecord": "corpus",
     "betweenness_centrality": "analytics",
     "build_graph": "graph",
     "degree_centrality": "analytics",

@@ -1,5 +1,9 @@
 """Corpus ingestion: parse a domain-organized schema tree into a columnar snapshot.
 
+A :class:`CorpusSnapshot` is made in one way: :func:`ingest_corpus` (and
+``ontomesh.synthetic``) fill a column builder, which sorts the tables by id.
+A snapshot read back from the store is checked by :meth:`CorpusSnapshot.validate`.
+
 Expected layout (overridable via :class:`LayoutConfig`)::
 
     <root>/<domain>/<dataModel>/<schema files>
@@ -20,12 +24,11 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from ontomesh.canonical import canonical_json_line, sha256_hex
+from ontomesh.canonical import sha256_hex
 from ontomesh.errors import (
     CorpusError,
     CorruptionError,
@@ -39,55 +42,8 @@ logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Records
+# Snapshot columns
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DomainRecord:
-    """An activity sector; one per top-level corpus directory."""
-
-    domain_id: str
-    display_name: str
-
-
-@dataclass
-class DataModelRecord:
-    """A data model; may belong to several domains when the same model
-    directory name appears under more than one domain (exact, case-sensitive
-    name match)."""
-
-    model_id: str
-    display_name: str
-    domain_ids: frozenset[str]
-
-
-@dataclass
-class TypeRecord:
-    """An entity definition within a data model.
-
-    ``type_id`` is scoped by model (``model_id + "/" + name``); attribute
-    order follows source order with duplicates collapsed.
-    """
-
-    type_id: str
-    display_name: str
-    model_id: str
-    attribute_names: tuple[str, ...]
-
-
-@dataclass
-class AttributeOccurrence:
-    """One attribute name observed in one type under one domain."""
-
-    attribute_name: str
-    type_id: str
-    model_id: str
-    domain_id: str
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.attribute_name, self.type_id, self.domain_id)
 
 
 class SnapshotCounts(NamedTuple):
@@ -95,15 +51,6 @@ class SnapshotCounts(NamedTuple):
     models: int
     types: int
     attributes: int
-
-
-class SnapshotRecords(NamedTuple):
-    """A snapshot as record objects, each collection in record-key order."""
-
-    domains: tuple[DomainRecord, ...]
-    models: tuple[DataModelRecord, ...]
-    types: tuple[TypeRecord, ...]
-    occurrences: tuple[AttributeOccurrence, ...]
 
 
 class DomainColumns(NamedTuple):
@@ -134,7 +81,8 @@ class TypeColumns(NamedTuple):
 
 class OccurrenceColumns(NamedTuple):
     """One row per occurrence, in (attribute, type, domain) index order,
-    which is record-key order. An occurrence's model is its type's model.
+    which is (name, type id, domain id) order. An occurrence's model is its
+    type's model.
     ``description`` and ``value_type`` are its metadata, None where absent."""
 
     attribute: tuple[int, ...]
@@ -161,9 +109,10 @@ class CorpusSnapshot:
     Each table is sorted by its ids, and rows refer to other tables by
     index. ``vocabulary`` holds the sorted, distinct attribute names of the
     occurrences. The stored document holds the same columns (see
-    :meth:`to_doc`). :meth:`from_doc` and :meth:`assemble` validate the
-    snapshots they make; ``ingest_corpus``'s column builder makes only
-    valid ones.
+    :meth:`to_doc`). A snapshot comes from :func:`ingest_corpus`, from the
+    store through :meth:`from_doc`, which validates what it reads, or from
+    ``ontomesh.synthetic.synthetic_snapshot``; the column builder behind
+    the first and the last makes only valid snapshots.
     """
 
     content_hash: str
@@ -180,102 +129,6 @@ class CorpusSnapshot:
         """``attributes`` counts distinct attribute names, not occurrences."""
         return SnapshotCounts(
             len(self.domains.id), len(self.models.id), len(self.types.id), len(self.vocabulary)
-        )
-
-    @classmethod
-    def assemble(
-        cls,
-        domains: Iterable[DomainRecord],
-        models: Iterable[DataModelRecord],
-        types: Iterable[TypeRecord],
-        occurrences: Iterable[AttributeOccurrence],
-        content_hash: str | None = None,
-    ) -> "CorpusSnapshot":
-        """The snapshot of records given in any order.
-
-        References between records become indices. A reference to a missing
-        record, an occurrence whose model is not its type's, and occurrence
-        metadata other than :data:`METADATA_KEYS` (or with None values) raise
-        :class:`SnapshotInvariantError`, as does every violation
-        :meth:`validate` finds.
-
-        When ``content_hash`` is None the hash is sha256 over each record's
-        canonical JSON line plus a newline, so in-memory snapshots are
-        content-addressed too.
-        """
-        domains = sorted(domains, key=lambda d: d.domain_id)
-        models = sorted(models, key=lambda m: m.model_id)
-        types = sorted(types, key=lambda t: t.type_id)
-        occurrences = list(occurrences)
-        names = {o.attribute_name for o in occurrences}
-        columns = _ColumnBuilder()
-        domain_index = {
-            d.domain_id: _append(columns.domains, d.domain_id, d.display_name) for d in domains
-        }
-        model_index = {}
-        for m in models:
-            unknown = sorted(m.domain_ids - domain_index.keys())
-            if unknown:
-                raise SnapshotInvariantError(
-                    f"model {m.model_id!r} references unknown domains {unknown}"
-                )
-            model_index[m.model_id] = _append(
-                columns.models, m.model_id, m.display_name, [domain_index[d] for d in m.domain_ids]
-            )
-        type_index = {}
-        for t in types:
-            if t.model_id not in model_index:
-                raise SnapshotInvariantError(
-                    f"type {t.type_id!r} references unknown model {t.model_id!r}"
-                )
-            for name in t.attribute_names:
-                if name not in names:
-                    raise _no_occurrence(t.type_id, name)
-            type_index[t.type_id] = _append(
-                columns.types, t.type_id, t.display_name, model_index[t.model_id],
-                list(map(columns.attribute, t.attribute_names)),
-            )
-        type_model_ids = columns.models.id
-        for o in occurrences:
-            t = type_index.get(o.type_id)
-            d = domain_index.get(o.domain_id)
-            text = o.metadata.get("description")
-            kind = o.metadata.get("value_type")
-            type_model = None if t is None else type_model_ids[columns.types.model[t]]
-            if (
-                t is None or d is None or o.model_id != type_model
-                or len(o.metadata) != (text is not None) + (kind is not None)
-            ):
-                raise _occurrence_error(o, type_model, d)
-            _append(columns.occurrences, columns.attribute(o.attribute_name), t, d, text, kind)
-        snapshot = cls(**columns.sorted_fields(content_hash))
-        snapshot.validate()
-        return snapshot
-
-    def records(self) -> SnapshotRecords:
-        """The snapshot as record objects, built on every call: for tests and
-        scripts, since the pipeline reads the columns."""
-        d, m, t, o, vocabulary = (
-            self.domains, self.models, self.types, self.occurrences, self.vocabulary
-        )
-        return SnapshotRecords(
-            domains=tuple(map(DomainRecord, d.id, d.display_name)),
-            models=tuple(
-                DataModelRecord(model_id, name, frozenset(d.id[i] for i in ds))
-                for model_id, name, ds in zip(*m)
-            ),
-            types=tuple(
-                TypeRecord(type_id, name, m.id[model], tuple(vocabulary[a] for a in attributes))
-                for type_id, name, model, attributes in zip(*t)
-            ),
-            occurrences=tuple(
-                AttributeOccurrence(
-                    vocabulary[a], t.id[ti], m.id[t.model[ti]], d.id[di],
-                    {key: value for key, value in zip(METADATA_KEYS, metadata)
-                     if value is not None},
-                )
-                for a, ti, di, *metadata in zip(*o)
-            ),
         )
 
     # -- invariants --------------------------------------------------------
@@ -419,26 +272,6 @@ class CorpusSnapshot:
         return snapshot
 
 
-def _occurrence_error(
-    o: AttributeOccurrence, type_model: str | None, domain: int | None
-) -> SnapshotInvariantError:
-    """What is wrong with an occurrence whose type has model ``type_model``
-    (None when the type is unknown) and whose domain has index ``domain``."""
-    if type_model is None:
-        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown type")
-    if domain is None:
-        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown domain")
-    if o.model_id != type_model:
-        return SnapshotInvariantError(
-            f"occurrence {o.key()!r} has model {o.model_id!r}, "
-            f"but its type has model {type_model!r}"
-        )
-    return SnapshotInvariantError(
-        f"occurrence {o.key()!r} has metadata {o.metadata!r}: only string values "
-        f"of {list(METADATA_KEYS)} are kept"
-    )
-
-
 def _no_occurrence(type_id: str, name: str) -> SnapshotInvariantError:
     return SnapshotInvariantError(
         f"type {type_id!r} lists attribute {name!r}, which has no occurrence in it"
@@ -467,10 +300,10 @@ class _ColumnBuilder:
             self.vocabulary.append(name)
         return index
 
-    def sorted_fields(self, content_hash: str | None) -> dict:
-        """The :class:`CorpusSnapshot` fields: each table sorted by its ids
-        (stably), references renumbered, and occurrences in record-key
-        order. A None ``content_hash`` is computed over the records."""
+    def sorted_fields(self) -> dict:
+        """The :class:`CorpusSnapshot` fields but ``content_hash``: each
+        table sorted by its ids (stably), references renumbered, and
+        occurrences in (attribute, type, domain) order."""
         d, m, t, o = self.domains, self.models, self.types, self.occurrences
         d_order, d_new = _id_order(d.id)
         m_order, m_new = _id_order(m.id)
@@ -489,7 +322,8 @@ class _ColumnBuilder:
             tuple(tuple(a_new[a] for a in t.attributes[row]) for row in t_order),
         )
         # Each row's (attribute, type, domain) indices as one int key: sorted
-        # by it, rows are in record-key order, since each table is sorted.
+        # by it, rows are in (name, type id, domain id) order, since each
+        # table is sorted.
         n_types, n_domains = len(t_order), len(d_order)
         attribute = [a_new[a] for a in o.attribute]
         type_ = [t_new[ti] for ti in o.type]
@@ -500,12 +334,9 @@ class _ColumnBuilder:
             _take(column, order)
             for column in (attribute, type_, domain, o.description, o.value_type)
         ))
-        vocabulary = _take(self.vocabulary, a_order)
-        if content_hash is None:
-            content_hash = _records_hash(domains, models, types, vocabulary, occurrences)
         return dict(
-            content_hash=content_hash, domains=domains, models=models, types=types,
-            vocabulary=vocabulary, occurrences=occurrences,
+            domains=domains, models=models, types=types,
+            vocabulary=_take(self.vocabulary, a_order), occurrences=occurrences,
         )
 
 
@@ -527,41 +358,6 @@ def _id_order(ids: list) -> tuple[list[int], list[int]]:
 
 def _take(column: list, order: list[int]) -> tuple:
     return tuple(map(column.__getitem__, order))
-
-
-def _records_hash(
-    d: DomainColumns, m: ModelColumns, t: TypeColumns, vocabulary: tuple[str, ...],
-    o: OccurrenceColumns,
-) -> str:
-    """sha256 over the canonical JSON line of every record, each followed by
-    a newline: domains, models, types and occurrences, in record-key order,
-    which is the order of the sorted columns."""
-    docs = [
-        {"kind": "domain", "domain_id": domain_id, "display_name": name}
-        for domain_id, name in zip(*d)
-    ]
-    docs += [
-        {"kind": "model", "model_id": model_id, "display_name": name,
-         "domain_ids": [d.id[i] for i in ds]}
-        for model_id, name, ds in zip(*m)
-    ]
-    docs += [
-        {"kind": "type", "type_id": type_id, "display_name": name,
-         "model_id": m.id[model], "attribute_names": [vocabulary[a] for a in attributes]}
-        for type_id, name, model, attributes in zip(*t)
-    ]
-    docs += [
-        {"kind": "occurrence", "attribute_name": vocabulary[a], "type_id": t.id[ti],
-         "model_id": m.id[t.model[ti]], "domain_id": d.id[di],
-         "metadata": {key: value for key, value in zip(METADATA_KEYS, metadata)
-                      if value is not None}}
-        for a, ti, di, *metadata in zip(*o)
-    ]
-    digest = hashlib.sha256()
-    for doc in docs:
-        digest.update(canonical_json_line(doc).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 def _first_not_ascending(values) -> int | None:
@@ -673,41 +469,22 @@ class ParseContext:
 class ParsedSchema:
     """The entity definitions of one schema file: each item of ``entities``
     is a type name and its properties map (attribute name to declaration,
-    source order, duplicates collapsed). ``types`` and ``occurrences`` are
-    their records, built when first read."""
+    source order, duplicates collapsed). :func:`ingest_corpus` adds each
+    entity to its snapshot as the type ``<model_id>/<name>`` of
+    ``context``'s model, with one occurrence per attribute in ``context``'s
+    domain."""
 
     context: ParseContext
     entities: list[tuple[str, dict]]
     warnings: list[str]
 
-    @cached_property
-    def types(self) -> list[TypeRecord]:
-        model_id = self.context.model_id
-        return [
-            TypeRecord(f"{model_id}/{name}", name, model_id, tuple(props))
-            for name, props in self.entities
-        ]
-
-    @cached_property
-    def occurrences(self) -> list[AttributeOccurrence]:
-        c = self.context
-        return [
-            AttributeOccurrence(
-                attr_name, f"{c.model_id}/{name}", c.model_id, c.domain_id,
-                {key: value for key, value in zip(METADATA_KEYS, _metadata(decl))
-                 if value is not None},
-            )
-            for name, props in self.entities
-            for attr_name, decl in props.items()
-        ]
-
 
 def parse_schema_file(data: bytes, context: ParseContext) -> ParsedSchema:
     """Extract entity definitions from one JSON schema document.
 
-    Returns one entity per definition that declares at least one attribute,
-    which gives one :class:`TypeRecord` and one :class:`AttributeOccurrence`
-    per extracted attribute. Entity definitions declaring no attributes are
+    Returns one entity per definition that declares at least one attribute:
+    its type name (the ``title``, else ``context.default_type_name``) and
+    its properties map. Entity definitions declaring no attributes are
     skipped with a warning.
     """
     try:
@@ -901,7 +678,7 @@ def ingest_corpus(
                         add_description(description)
                         add_value_type(value_type)
 
-    return CorpusSnapshot(**columns.sorted_fields(digest.hexdigest()))
+    return CorpusSnapshot(content_hash=digest.hexdigest(), **columns.sorted_fields())
 
 
 def _defined_twice(type_id: str, domain_id: str, first: str, second: str) -> CorpusError:

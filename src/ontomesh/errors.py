@@ -24,7 +24,7 @@ class SchemaParseError(OntomeshError):
 
 
 class SnapshotInvariantError(OntomeshError):
-    """A snapshot record set violates one of the corpus invariants."""
+    """A snapshot violates one of the corpus invariants."""
 
 
 class FetchError(OntomeshError):

@@ -302,7 +302,7 @@ class OntologyGraph:
         provenance: GraphProvenance,
     ) -> "OntologyGraph":
         """Build a graph from node values and ``(u, v, kind, weight)`` edge
-        rows in any order (for small graphs assembled by hand); validates
+        rows in any order (for small graphs made by hand); validates
         like every other constructor."""
         rows = list(edges)
         u, v, kinds, weight = zip(*rows, strict=True) if rows else ((), (), (), ())

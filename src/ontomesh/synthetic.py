@@ -8,12 +8,18 @@ the pool, so every hub name is used and output needs no RNG.
 
 from __future__ import annotations
 
+import hashlib
+
+from ontomesh.canonical import canonical_json_line
 from ontomesh.corpus import (
-    AttributeOccurrence,
+    METADATA_KEYS,
     CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    TypeRecord,
+    DomainColumns,
+    ModelColumns,
+    OccurrenceColumns,
+    TypeColumns,
+    _append,
+    _ColumnBuilder,
 )
 
 
@@ -29,71 +35,94 @@ def synthetic_snapshot(
     """Snapshot with exactly ``n_types * unique_per_type + hub_pool``
     distinct attributes (defaults give the 13/59/62/3496 magnitude).
 
-    Every ``shared_model_every``-th model belongs to two domains so overlap
-    matrices have non-zero cells.
+    Type ``t`` belongs to model ``t % n_models``, and model ``m`` to domain
+    ``m % n_domains``. Every ``shared_model_every``-th model (none when 0)
+    also belongs to the next domain, so overlap matrices have non-zero
+    cells. Arguments that cannot give such a snapshot raise
+    :class:`ValueError` naming the argument.
+
+    The content hash is sha256 over the snapshot's records (see
+    :func:`_records_hash`), since no tree of files lies behind it.
     """
-    if hubs_per_type > hub_pool:
-        raise ValueError("hubs_per_type cannot exceed hub_pool")
-    if n_types < n_models:
-        raise ValueError("need at least one type per model")
-
-    domains = [
-        DomainRecord(domain_id=f"domain{i:02d}", display_name=f"domain{i:02d}")
-        for i in range(n_domains)
-    ]
-    model_domains: list[frozenset[str]] = []
-    models = []
-    for m in range(n_models):
-        ids = {f"domain{m % n_domains:02d}"}
-        if shared_model_every and m % shared_model_every == 0:
-            ids.add(f"domain{(m + 1) % n_domains:02d}")
-        model_domains.append(frozenset(ids))
-        models.append(
-            DataModelRecord(
-                model_id=f"model{m:02d}",
-                display_name=f"model{m:02d}",
-                domain_ids=frozenset(ids),
-            )
-        )
-
-    hubs = [f"hub{i:03d}" for i in range(hub_pool)]
-    types = []
-    occurrences = []
-    for t in range(n_types):
-        model_idx = t % n_models
-        model_id = f"model{model_idx:02d}"
-        start = (t * hubs_per_type) % hub_pool
-        attrs = [hubs[(start + k) % hub_pool] for k in range(hubs_per_type)]
-        attrs += [f"attr{t:03d}_{k:03d}" for k in range(unique_per_type)]
-        type_id = f"{model_id}/Type{t:03d}"
-        types.append(
-            TypeRecord(
-                type_id=type_id,
-                display_name=f"Type{t:03d}",
-                model_id=model_id,
-                attribute_names=tuple(attrs),
-            )
-        )
-        for domain_id in sorted(model_domains[model_idx]):
-            for name in attrs:
-                occurrences.append(
-                    AttributeOccurrence(
-                        attribute_name=name,
-                        type_id=type_id,
-                        model_id=model_id,
-                        domain_id=domain_id,
-                    )
-                )
-
-    snapshot = CorpusSnapshot.assemble(
-        domains=domains,
-        models=models,
-        types=types,
-        occurrences=occurrences,
+    _check_arguments(
+        n_domains=n_domains, n_models=n_models, n_types=n_types, hub_pool=hub_pool,
+        hubs_per_type=hubs_per_type, unique_per_type=unique_per_type,
+        shared_model_every=shared_model_every,
     )
-    expected = n_types * unique_per_type + hub_pool
-    if snapshot.counts.attributes != expected:
-        raise AssertionError(
-            f"generator drift: {snapshot.counts.attributes} attributes, expected {expected}"
+    columns = _ColumnBuilder()
+    for d in range(n_domains):
+        _append(columns.domains, f"domain{d:02d}", f"domain{d:02d}")
+    for m in range(n_models):
+        domains = {m % n_domains}
+        if shared_model_every and m % shared_model_every == 0:
+            domains.add((m + 1) % n_domains)
+        _append(columns.models, f"model{m:02d}", f"model{m:02d}", sorted(domains))
+    for t in range(n_types):
+        m = t % n_models
+        names = [f"hub{(t * hubs_per_type + k) % hub_pool:03d}" for k in range(hubs_per_type)]
+        names += [f"attr{t:03d}_{k:03d}" for k in range(unique_per_type)]
+        attributes = list(map(columns.attribute, names))
+        row = _append(columns.types, f"model{m:02d}/Type{t:03d}", f"Type{t:03d}", m, attributes)
+        for d in columns.models.domains[m]:
+            for a in attributes:
+                _append(columns.occurrences, a, row, d, None, None)
+    fields = columns.sorted_fields()
+    content_hash = _records_hash(
+        fields["domains"], fields["models"], fields["types"], fields["vocabulary"],
+        fields["occurrences"],
+    )
+    return CorpusSnapshot(content_hash=content_hash, **fields)
+
+
+def _check_arguments(**counts: int) -> None:
+    for name in ("n_domains", "n_models"):
+        if counts[name] < 1:
+            raise ValueError(f"{name} must be at least 1, not {counts[name]}")
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} cannot be negative, not {value}")
+    if counts["n_types"] < counts["n_models"]:
+        raise ValueError("n_types cannot be less than n_models: each model needs a type")
+    if counts["hubs_per_type"] > counts["hub_pool"]:
+        raise ValueError("hubs_per_type cannot exceed hub_pool")
+    if counts["hubs_per_type"] + counts["unique_per_type"] < 1:
+        raise ValueError(
+            "hubs_per_type and unique_per_type cannot both be 0: each type needs an attribute"
         )
-    return snapshot
+    if counts["n_types"] * counts["hubs_per_type"] < counts["hub_pool"]:
+        raise ValueError("hub_pool cannot exceed n_types * hubs_per_type: every hub is used")
+
+
+def _records_hash(
+    d: DomainColumns, m: ModelColumns, t: TypeColumns, vocabulary: tuple[str, ...],
+    o: OccurrenceColumns,
+) -> str:
+    """sha256 over the canonical JSON line of every record, each followed by
+    a newline: domains, models, types and occurrences, in record-key order,
+    which is the order of the sorted columns."""
+    docs = [
+        {"kind": "domain", "domain_id": domain_id, "display_name": name}
+        for domain_id, name in zip(*d)
+    ]
+    docs += [
+        {"kind": "model", "model_id": model_id, "display_name": name,
+         "domain_ids": [d.id[i] for i in ds]}
+        for model_id, name, ds in zip(*m)
+    ]
+    docs += [
+        {"kind": "type", "type_id": type_id, "display_name": name,
+         "model_id": m.id[model], "attribute_names": [vocabulary[a] for a in attributes]}
+        for type_id, name, model, attributes in zip(*t)
+    ]
+    docs += [
+        {"kind": "occurrence", "attribute_name": vocabulary[a], "type_id": t.id[ti],
+         "model_id": m.id[t.model[ti]], "domain_id": d.id[di],
+         "metadata": {key: value for key, value in zip(METADATA_KEYS, metadata)
+                      if value is not None}}
+        for a, ti, di, *metadata in zip(*o)
+    ]
+    digest = hashlib.sha256()
+    for doc in docs:
+        digest.update(canonical_json_line(doc).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()

@@ -4,15 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from ontomesh.corpus import (
+from ontomesh.corpus import CorpusSnapshot, ingest_corpus
+from ontomesh.graph import build_graph
+
+from oracles import (
     AttributeOccurrence,
-    CorpusSnapshot,
     DataModelRecord,
     DomainRecord,
     TypeRecord,
-    ingest_corpus,
+    assemble_reference,
 )
-from ontomesh.graph import build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,7 +40,7 @@ def fix1_graph(fix1_snapshot):
 
 def minimal_snapshot() -> CorpusSnapshot:
     """One domain, one model, one two-attribute type (the worked example)."""
-    return CorpusSnapshot.assemble(
+    return assemble_reference(
         domains=[DomainRecord("SmartCities", "SmartCities")],
         models=[
             DataModelRecord("UrbanMobility", "UrbanMobility", frozenset({"SmartCities"}))

@@ -22,28 +22,27 @@ import logging
 import random
 import xml.etree.ElementTree as ET
 from array import array
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line
 from ontomesh.choices import NODE_KINDS
 from ontomesh.corpus import (
-    AttributeOccurrence,
+    METADATA_KEYS,
     CorpusSnapshot,
-    DataModelRecord,
     DomainColumns,
-    DomainRecord,
     LayoutConfig,
     ModelColumns,
     OccurrenceColumns,
     ParseContext,
-    SnapshotRecords,
+    ParsedSchema,
     TypeColumns,
-    TypeRecord,
+    _metadata,
     _no_occurrence,
-    _occurrence_error,
     parse_schema_file,
 )
 from ontomesh.errors import CorpusError, SchemaParseError, SnapshotInvariantError
@@ -60,6 +59,130 @@ from ontomesh.graph import (
 from ontomesh.results import DomainMatrix
 
 logger = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# Records: a snapshot as one object per domain, model, type and occurrence
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DomainRecord:
+    """An activity sector; one per top-level corpus directory."""
+
+    domain_id: str
+    display_name: str
+
+
+@dataclass
+class DataModelRecord:
+    """A data model; may belong to several domains when the same model
+    directory name appears under more than one domain."""
+
+    model_id: str
+    display_name: str
+    domain_ids: frozenset[str]
+
+
+@dataclass
+class TypeRecord:
+    """An entity definition within a data model: ``type_id`` is
+    ``model_id + "/" + name``; attributes in source order."""
+
+    type_id: str
+    display_name: str
+    model_id: str
+    attribute_names: tuple[str, ...]
+
+
+@dataclass
+class AttributeOccurrence:
+    """One attribute name observed in one type under one domain."""
+
+    attribute_name: str
+    type_id: str
+    model_id: str
+    domain_id: str
+    metadata: dict[str, str] = field(default_factory=dict)
+
+    def key(self) -> tuple[str, str, str]:
+        return (self.attribute_name, self.type_id, self.domain_id)
+
+
+class SnapshotRecords(NamedTuple):
+    """A snapshot as record objects, each collection in record-key order."""
+
+    domains: tuple[DomainRecord, ...]
+    models: tuple[DataModelRecord, ...]
+    types: tuple[TypeRecord, ...]
+    occurrences: tuple[AttributeOccurrence, ...]
+
+
+def snapshot_records(snapshot: CorpusSnapshot) -> SnapshotRecords:
+    """The snapshot's columns as record objects;
+    ``assemble_reference(*snapshot_records(s)) == s``."""
+    d, m, t, o, vocabulary = (
+        snapshot.domains, snapshot.models, snapshot.types, snapshot.occurrences,
+        snapshot.vocabulary,
+    )
+    return SnapshotRecords(
+        domains=tuple(map(DomainRecord, d.id, d.display_name)),
+        models=tuple(
+            DataModelRecord(model_id, name, frozenset(d.id[i] for i in ds))
+            for model_id, name, ds in zip(*m)
+        ),
+        types=tuple(
+            TypeRecord(type_id, name, m.id[model], tuple(vocabulary[a] for a in attributes))
+            for type_id, name, model, attributes in zip(*t)
+        ),
+        occurrences=tuple(
+            AttributeOccurrence(
+                vocabulary[a], t.id[ti], m.id[t.model[ti]], d.id[di],
+                {key: value for key, value in zip(METADATA_KEYS, metadata)
+                 if value is not None},
+            )
+            for a, ti, di, *metadata in zip(*o)
+        ),
+    )
+
+
+def parsed_records(parsed: ParsedSchema) -> tuple[list[TypeRecord], list[AttributeOccurrence]]:
+    """The types and occurrences of one parsed schema file, in source order."""
+    c = parsed.context
+    types = [
+        TypeRecord(f"{c.model_id}/{name}", name, c.model_id, tuple(props))
+        for name, props in parsed.entities
+    ]
+    occurrences = [
+        AttributeOccurrence(
+            attr_name, f"{c.model_id}/{name}", c.model_id, c.domain_id,
+            {key: value for key, value in zip(METADATA_KEYS, _metadata(decl))
+             if value is not None},
+        )
+        for name, props in parsed.entities
+        for attr_name, decl in props.items()
+    ]
+    return types, occurrences
+
+
+def _occurrence_error(
+    o: AttributeOccurrence, type_model: str | None, domain: int | None
+) -> SnapshotInvariantError:
+    """What is wrong with an occurrence whose type has model ``type_model``
+    (None when the type is unknown) and whose domain has index ``domain``."""
+    if type_model is None:
+        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown type")
+    if domain is None:
+        return SnapshotInvariantError(f"occurrence {o.key()!r} references unknown domain")
+    if o.model_id != type_model:
+        return SnapshotInvariantError(
+            f"occurrence {o.key()!r} has model {o.model_id!r}, "
+            f"but its type has model {type_model!r}"
+        )
+    return SnapshotInvariantError(
+        f"occurrence {o.key()!r} has metadata {o.metadata!r}: only string values "
+        f"of {list(METADATA_KEYS)} are kept"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +395,7 @@ def graphml_element_tree(graph: OntologyGraph) -> bytes:
 
 def vocabulary_by_domain(snapshot: CorpusSnapshot) -> dict[str, set[str]]:
     """Distinct attribute names occurring in each domain."""
-    records = snapshot.records()
+    records = snapshot_records(snapshot)
     out: dict[str, set[str]] = {d.domain_id: set() for d in records.domains}
     for o in records.occurrences:
         out[o.domain_id].add(o.attribute_name)
@@ -290,7 +413,7 @@ def overlap_matrix_oracle(snapshot: CorpusSnapshot, metric: str) -> list[list[fl
                 continue
             if metric == "shared_models":
                 count = 0
-                for model in snapshot.records().models:
+                for model in snapshot_records(snapshot).models:
                     if labels[i] in model.domain_ids and labels[j] in model.domain_ids:
                         count += 1
                 cells[i][j] = count
@@ -343,7 +466,7 @@ def build_graph_reference(
     """``build_graph`` from the snapshot's records: nodes sorted by kind and
     label and found through a ``(kind, label)`` dict, and each type's
     attribute clique as the upper triangle of its id vector."""
-    records = snapshot.records()
+    records = snapshot_records(snapshot)
     kind_order = {NodeKind.DOMAIN: 0, NodeKind.MODEL: 1, NodeKind.TYPE: 2, NodeKind.ATTRIBUTE: 3}
     attribute_names = sorted({o.attribute_name for o in records.occurrences})
     keyed = [(NodeKind.DOMAIN, d.domain_id, {}) for d in records.domains]
@@ -492,12 +615,44 @@ def random_snapshot(rng: random.Random, metadata: bool = False) -> CorpusSnapsho
                             metadata=_random_metadata(rng) if metadata else {},
                         )
                     )
-    return CorpusSnapshot.assemble(
-        domains=domains,
-        models=models,
-        types=types,
-        occurrences=occurrences,
-    )
+    return assemble_reference(domains, models, types, occurrences)
+
+
+def synthetic_records(
+    n_domains: int = 13,
+    n_models: int = 59,
+    n_types: int = 62,
+    hub_pool: int = 86,
+    hubs_per_type: int = 30,
+    unique_per_type: int = 55,
+    shared_model_every: int = 7,
+) -> SnapshotRecords:
+    """The records of ``synthetic_snapshot`` with the same arguments, made
+    one record object at a time: ``assemble_reference(*synthetic_records(**p))
+    == synthetic_snapshot(**p)``, content hash included."""
+    domains = [DomainRecord(f"domain{i:02d}", f"domain{i:02d}") for i in range(n_domains)]
+    models = []
+    for m in range(n_models):
+        ids = {f"domain{m % n_domains:02d}"}
+        if shared_model_every and m % shared_model_every == 0:
+            ids.add(f"domain{(m + 1) % n_domains:02d}")
+        models.append(DataModelRecord(f"model{m:02d}", f"model{m:02d}", frozenset(ids)))
+    hubs = [f"hub{i:03d}" for i in range(hub_pool)]
+    types = []
+    occurrences = []
+    for t in range(n_types):
+        model = models[t % n_models]
+        start = (t * hubs_per_type) % hub_pool if hub_pool else 0
+        names = [hubs[(start + k) % hub_pool] for k in range(hubs_per_type)]
+        names += [f"attr{t:03d}_{k:03d}" for k in range(unique_per_type)]
+        type_id = f"{model.model_id}/Type{t:03d}"
+        types.append(TypeRecord(type_id, f"Type{t:03d}", model.model_id, tuple(names)))
+        occurrences += [
+            AttributeOccurrence(name, type_id, model.model_id, domain_id)
+            for domain_id in sorted(model.domain_ids)
+            for name in names
+        ]
+    return SnapshotRecords(tuple(domains), tuple(models), tuple(types), tuple(occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +663,12 @@ def random_snapshot(rng: random.Random, metadata: bool = False) -> CorpusSnapsho
 def assemble_reference(
     domains, models, types, occurrences, content_hash: str | None = None
 ) -> CorpusSnapshot:
-    """``CorpusSnapshot.assemble`` over sorted records: every record mapped
-    to indices through dicts of ids, and the hash over the records."""
+    """The snapshot of records given in any order: every record mapped to
+    indices through dicts of ids, and, when ``content_hash`` is None, the
+    hash over the records. A reference to a missing record, an occurrence
+    whose model is not its type's, and metadata other than string values of
+    ``METADATA_KEYS`` raise ``SnapshotInvariantError``, as does every
+    violation ``validate()`` finds."""
     domains = sorted(domains, key=lambda d: d.domain_id)
     models = sorted(models, key=lambda m: m.model_id)
     types = sorted(types, key=lambda t: t.type_id)
@@ -709,9 +868,10 @@ def ingest_corpus_reference(
                 digest.update(b"\x00")
                 for warning in parsed.warnings:
                     logger.warning("%s: %s", relpath, warning)
-                for record in parsed.types:
+                parsed_types, parsed_occurrences = parsed_records(parsed)
+                for record in parsed_types:
                     _merge_type(types, record)
-                for occ in parsed.occurrences:
+                for occ in parsed_occurrences:
                     occurrences.setdefault(occ.key(), occ)
     models = [
         DataModelRecord(model_id, model_names[model_id], frozenset(domain_ids))

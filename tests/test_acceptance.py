@@ -18,13 +18,7 @@ from ontomesh.analytics import (
 )
 from ontomesh.choices import NODE_KINDS
 from ontomesh.cli import main as cli_main
-from ontomesh.corpus import (
-    AttributeOccurrence,
-    CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    TypeRecord,
-)
+from ontomesh.corpus import CorpusSnapshot
 from ontomesh.exports import export_graph, import_graph_json
 from ontomesh.graph import build_graph
 from ontomesh.store import ArtifactStore
@@ -32,12 +26,18 @@ from ontomesh.synthetic import synthetic_snapshot
 
 from conftest import FIXTURES, minimal_snapshot
 from oracles import (
+    AttributeOccurrence,
+    DataModelRecord,
+    DomainRecord,
+    TypeRecord,
+    assemble_reference,
     brute_force_betweenness,
     degree_row_sums,
     graph_to_doc,
     overlap_matrix_oracle,
     random_graph,
     random_snapshot,
+    snapshot_records,
     vocabulary_by_domain,
 )
 
@@ -79,7 +79,7 @@ def _vocab_snapshot(vocab_by_domain: dict[str, list[str]]) -> CorpusSnapshot:
         occurrences += [
             AttributeOccurrence(name, type_id, model_id, d) for name in names
         ]
-    return CorpusSnapshot.assemble(
+    return assemble_reference(
         domains=domains,
         models=models,
         types=types,
@@ -182,12 +182,12 @@ def test_matrix_properties(fix1_snapshot):
             rng = random.Random(9000 + seed)
             snapshot = random_snapshot(rng)
             before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
-            records = snapshot.records()
+            records = snapshot_records(snapshot)
             model = records.models[rng.randrange(len(records.models))]
             extra_type = TypeRecord(
                 f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",)
             )
-            grown = CorpusSnapshot.assemble(
+            grown = assemble_reference(
                 domains=records.domains,
                 models=records.models,
                 types=records.types + (extra_type,),

@@ -22,13 +22,7 @@ from ontomesh.analytics import (
     specificity_ratios,
     top_k_attributes,
 )
-from ontomesh.corpus import (
-    AttributeOccurrence,
-    CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    TypeRecord,
-)
+from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
@@ -44,6 +38,11 @@ from ontomesh.synthetic import synthetic_snapshot
 from conftest import minimal_snapshot
 
 from oracles import (
+    AttributeOccurrence,
+    DataModelRecord,
+    DomainRecord,
+    TypeRecord,
+    assemble_reference,
     betweenness_reference,
     brute_force_betweenness,
     csr_reference,
@@ -53,6 +52,7 @@ from oracles import (
     overlap_matrix_oracle,
     random_graph,
     random_snapshot,
+    snapshot_records,
     specificity_ratios_reference,
     vocabulary_by_domain,
 )
@@ -67,7 +67,7 @@ def _two_domain_snapshot(vocab_a, vocab_b):
     occurrences = [
         AttributeOccurrence(name, "MA/T", "MA", "DA") for name in vocab_a
     ] + [AttributeOccurrence(name, "MB/T", "MB", "DB") for name in vocab_b]
-    return CorpusSnapshot.assemble(
+    return assemble_reference(
         domains=[DomainRecord("DA", "DA"), DomainRecord("DB", "DB")],
         models=[
             DataModelRecord("MA", "MA", frozenset({"DA"})),
@@ -674,14 +674,14 @@ class TestMatrices:
             rng = random.Random(seed)
             snapshot = random_snapshot(rng)
             before = domain_overlap_matrix(build_graph(snapshot), "shared_attributes")
-            records = snapshot.records()
+            records = snapshot_records(snapshot)
             model = records.models[rng.randrange(len(records.models))]
             new_type = TypeRecord(f"{model.model_id}/Extra", "Extra", model.model_id, ("alpha",))
             extra = [
                 AttributeOccurrence("alpha", new_type.type_id, model.model_id, d)
                 for d in sorted(model.domain_ids)
             ]
-            grown = CorpusSnapshot.assemble(
+            grown = assemble_reference(
                 domains=records.domains,
                 models=records.models,
                 types=records.types + (new_type,),
@@ -708,7 +708,7 @@ class TestMatrices:
 
 def _snapshots_with_few_or_empty_domains() -> list[CorpusSnapshot]:
     """0, 1 and 2 domains, and a domain whose one model has no types."""
-    empty_domain = CorpusSnapshot.assemble(
+    empty_domain = assemble_reference(
         domains=[DomainRecord(d, d) for d in ("DA", "DB", "DEmpty")],
         models=[
             DataModelRecord("MA", "MA", frozenset({"DA"})),
@@ -723,7 +723,7 @@ def _snapshots_with_few_or_empty_domains() -> list[CorpusSnapshot]:
         ],
     )
     return [
-        CorpusSnapshot.assemble([], [], [], []),
+        assemble_reference([], [], [], []),
         minimal_snapshot(),
         _two_domain_snapshot(["a", "b", "c"], ["b", "c", "d"]),
         empty_domain,
@@ -769,7 +769,7 @@ class TestSpecificityAndSummary:
         assert jaccard.cells[0][1] == 1.0
 
     def test_empty_domain_ratio_zero(self):
-        snapshot = CorpusSnapshot.assemble(
+        snapshot = assemble_reference(
             domains=[DomainRecord("DA", "DA"), DomainRecord("DEmpty", "DEmpty")],
             models=[DataModelRecord("MA", "MA", frozenset({"DA"}))],
             types=[TypeRecord("MA/T", "T", "MA", ("a",))],

@@ -18,13 +18,7 @@ from ontomesh import analytics, exports, results
 from ontomesh import graph as graph_module
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
-from ontomesh.corpus import (
-    AttributeOccurrence,
-    CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    TypeRecord,
-)
+from ontomesh.corpus import CorpusSnapshot
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
@@ -203,23 +197,6 @@ class TestGraph:
         code, _, err = run_cli(["graph", "build", "--snapshot", "fix1"], capsys)
         assert code == 1
         assert "rebuild this store (re-run ingest)" in err
-
-    def test_no_record_objects_after_ingest(self, ingested, capsys, monkeypatch):
-        """Graph build and the summaries read the snapshot's columns and the
-        graph; none of them builds a record object."""
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"{type(self).__name__} built")
-
-        for record in (AttributeOccurrence, DataModelRecord, DomainRecord, TypeRecord):
-            monkeypatch.setattr(record, "__init__", refuse)
-        for argv in (
-            ["graph", "build", "--snapshot", "fix1"],
-            ["graph", "build", "--snapshot", "fix1", "--containment-edges", "--name", "c"],
-            ["analyze", "dissonance", "--snapshot", "fix1", "--no-timestamp"],
-            ["report", "--name", "fix1", "--no-timestamp", "--out", "r.md"],
-        ):
-            code, _, err = run_cli(argv, capsys)
-            assert code == 0, err
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import os
@@ -12,13 +13,9 @@ from hypothesis import strategies as st
 
 from ontomesh.canonical import canonical_json_bytes
 from ontomesh.corpus import (
-    AttributeOccurrence,
     CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
     LayoutConfig,
     ParseContext,
-    TypeRecord,
     ingest_corpus,
     parse_schema_file,
 )
@@ -30,7 +27,18 @@ from ontomesh.errors import (
 )
 from ontomesh.store import stored_content_hash
 
-from oracles import assemble_reference, ingest_corpus_reference, random_snapshot
+from oracles import (
+    AttributeOccurrence,
+    DataModelRecord,
+    DomainRecord,
+    TypeRecord,
+    assemble_reference,
+    ingest_corpus_reference,
+    parsed_records,
+    random_snapshot,
+    snapshot_records,
+    synthetic_records,
+)
 from ontomesh.synthetic import synthetic_snapshot
 
 from conftest import FIXTURES
@@ -42,16 +50,22 @@ def _ctx(**kwargs):
     return ParseContext(**defaults)
 
 
+def _parse(data: bytes):
+    """The type and occurrence records of one schema file, and its warnings."""
+    parsed = parse_schema_file(data, _ctx())
+    return (*parsed_records(parsed), parsed.warnings)
+
+
 class TestParseSchemaFile:
     def test_simple_entity(self):
         doc = {
             "title": "Stop",
             "properties": {"name": {"type": "string", "description": "Stop name."}},
         }
-        parsed = parse_schema_file(json.dumps(doc).encode(), _ctx())
-        assert [t.type_id for t in parsed.types] == ["M/Stop"]
-        assert parsed.types[0].attribute_names == ("name",)
-        occ = parsed.occurrences[0]
+        types, occurrences, _ = _parse(json.dumps(doc).encode())
+        assert [t.type_id for t in types] == ["M/Stop"]
+        assert types[0].attribute_names == ("name",)
+        occ = occurrences[0]
         assert occ.metadata == {"description": "Stop name.", "value_type": "string"}
         assert occ.domain_id == "D"
 
@@ -64,10 +78,10 @@ class TestParseSchemaFile:
                 {"allOf": [{"properties": {"c": {}}}]},
             ],
         }
-        parsed = parse_schema_file(json.dumps(doc).encode(), _ctx())
-        assert parsed.types[0].attribute_names == ("a", "b", "c")
+        types, occurrences, _ = _parse(json.dumps(doc).encode())
+        assert types[0].attribute_names == ("a", "b", "c")
         # the first declaration of "a" wins
-        a_occ = next(o for o in parsed.occurrences if o.attribute_name == "a")
+        a_occ = next(o for o in occurrences if o.attribute_name == "a")
         assert a_occ.metadata["value_type"] == "string"
 
     def test_list_document_untitled_entities(self):
@@ -76,22 +90,22 @@ class TestParseSchemaFile:
             {"title": "Named", "properties": {"y": {}}},
             {"properties": {"z": {}}},
         ]
-        parsed = parse_schema_file(json.dumps(doc).encode(), _ctx())
-        assert [t.display_name for t in parsed.types] == ["File#0", "Named", "File#2"]
+        types, _, _ = _parse(json.dumps(doc).encode())
+        assert [t.display_name for t in types] == ["File#0", "Named", "File#2"]
 
     def test_single_untitled_uses_stem(self):
-        parsed = parse_schema_file(b'{"properties": {"x": {}}}', _ctx())
-        assert parsed.types[0].type_id == "M/File"
+        types, _, _ = _parse(b'{"properties": {"x": {}}}')
+        assert types[0].type_id == "M/File"
 
     def test_empty_properties_warns(self):
-        parsed = parse_schema_file(b'{"title": "E", "properties": {}}', _ctx())
-        assert parsed.types == []
-        assert any("empty properties" in w for w in parsed.warnings)
+        types, _, warnings = _parse(b'{"title": "E", "properties": {}}')
+        assert types == []
+        assert any("empty properties" in w for w in warnings)
 
     def test_no_properties_anywhere_warns(self):
-        parsed = parse_schema_file(b'{"title": "E", "type": "object"}', _ctx())
-        assert parsed.types == []
-        assert any("no attributes" in w for w in parsed.warnings)
+        types, _, warnings = _parse(b'{"title": "E", "type": "object"}')
+        assert types == []
+        assert any("no attributes" in w for w in warnings)
 
     def test_invalid_json_reports_offset(self):
         with pytest.raises(SchemaParseError) as excinfo:
@@ -105,8 +119,8 @@ class TestParseSchemaFile:
 
     def test_attribute_names_case_sensitive(self):
         doc = {"title": "T", "properties": {"name": {}, "Name": {}}}
-        parsed = parse_schema_file(json.dumps(doc).encode(), _ctx())
-        assert parsed.types[0].attribute_names == ("name", "Name")
+        types, _, _ = _parse(json.dumps(doc).encode())
+        assert types[0].attribute_names == ("name", "Name")
 
 
 class TestIngest:
@@ -115,13 +129,13 @@ class TestIngest:
         assert len(fix1_snapshot.occurrences.attribute) == 13
 
     def test_fix1_shared_model_has_both_domains(self, fix1_snapshot):
-        records = fix1_snapshot.records()
+        records = snapshot_records(fix1_snapshot)
         shared = next(m for m in records.models if m.model_id == "WeatherShared")
         assert shared.domain_ids == frozenset({"SmartCities", "SmartEnergy"})
 
     def test_fix1_allof_type_attribute_order(self, fix1_snapshot):
         reading = next(
-            t for t in fix1_snapshot.records().types
+            t for t in snapshot_records(fix1_snapshot).types
             if t.type_id == "EnergyMonitor/PowerReading"
         )
         assert reading.attribute_names == (
@@ -235,7 +249,7 @@ class TestIngestMatchesReference:
 
     def test_synthetic_corpus(self, tmp_path, caplog):
         snapshot = synthetic_snapshot()
-        assert assemble_reference(*snapshot.records()) == snapshot
+        assert assemble_reference(*snapshot_records(snapshot)) == snapshot
         d, m, t, vocabulary = snapshot.domains, snapshot.models, snapshot.types, snapshot.vocabulary
         files = {}
         for name, model, attributes in zip(t.display_name, t.model, t.attributes):
@@ -304,19 +318,54 @@ class TestIngestMatchesReference:
         assert error == (SchemaParseError, "D/M/broken.json: invalid JSON at offset 10: "
                          "Expecting value")
 
-    def test_ingest_builds_no_records(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"{type(self).__name__} built")
 
-        for record in (AttributeOccurrence, DataModelRecord, DomainRecord, TypeRecord):
-            monkeypatch.setattr(record, "__init__", refuse)
-        assert tuple(ingest_corpus(FIXTURES / "fix1").counts) == (2, 3, 4, 9)
+class TestSyntheticSnapshot:
+    """``synthetic_snapshot`` fills the column builder; the reference makes
+    the same snapshot from one record object at a time."""
 
-    def test_parser_records_built_on_read(self):
-        parsed = parse_schema_file(_schema("T", ["a", "b"]).encode(), _ctx())
-        assert parsed.entities == [("T", {"a": {"type": "string"}, "b": {"type": "string"}})]
-        assert parsed.types is parsed.types
-        assert [o.key() for o in parsed.occurrences] == [("a", "M/T", "D"), ("b", "M/T", "D")]
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {},
+            dict(n_types=600, hub_pool=400, hubs_per_type=3, unique_per_type=2),
+            dict(shared_model_every=0),
+            dict(n_domains=2, n_models=2, n_types=3, hub_pool=2, hubs_per_type=1,
+                 unique_per_type=1, shared_model_every=1),
+            dict(hub_pool=0, hubs_per_type=0),
+        ],
+        ids=["default", "sparse", "unshared", "tiny", "no-hubs"],
+    )
+    def test_matches_reference(self, shape):
+        snapshot = synthetic_snapshot(**shape)
+        reference = assemble_reference(*synthetic_records(**shape))
+        assert snapshot == reference
+        assert canonical_json_bytes(snapshot.to_doc()) == canonical_json_bytes(reference.to_doc())
+        snapshot.validate()
+        bound = inspect.signature(synthetic_snapshot).bind(**shape)
+        bound.apply_defaults()
+        p = bound.arguments
+        assert tuple(snapshot.counts) == (
+            p["n_domains"], p["n_models"], p["n_types"],
+            p["n_types"] * p["unique_per_type"] + p["hub_pool"],
+        )
+
+    @pytest.mark.parametrize(
+        "arguments, named",
+        [
+            (dict(n_domains=0), "n_domains"),
+            (dict(n_models=0), "n_models"),
+            (dict(n_models=0, n_types=0), "n_models"),
+            (dict(hubs_per_type=-1), "hubs_per_type"),
+            (dict(unique_per_type=0, hubs_per_type=0), "hubs_per_type and unique_per_type"),
+            (dict(hubs_per_type=0), "hub_pool"),
+            (dict(hub_pool=10, hubs_per_type=11), "hubs_per_type"),
+            (dict(n_models=6, n_types=5), "n_types"),
+        ],
+    )
+    def test_bad_arguments_refused(self, arguments, named):
+        with pytest.raises(ValueError) as excinfo:
+            synthetic_snapshot(**arguments)
+        assert str(excinfo.value).startswith(f"{named} ")
 
 
 class TestDuplicateTypes:
@@ -365,7 +414,7 @@ class TestDuplicateTypes:
         })
         snapshot = ingest_corpus(tmp_path)
         assert snapshot == ingest_corpus_reference(tmp_path)
-        types = {t.type_id: t.attribute_names for t in snapshot.records().types}
+        types = {t.type_id: t.attribute_names for t in snapshot_records(snapshot).types}
         assert types == {"shared/T": ("a", "b", "c"), "other/T": ("z",)}
 
     _NAMES = st.sampled_from(["a", "b", "T", " T", "T ", "u"])
@@ -399,7 +448,7 @@ class TestDuplicateTypes:
             for rel, text in files.items():
                 domain, model, *_, name = rel.split("/")
                 context = ParseContext(domain, model, name.removesuffix(".json"))
-                for record in parse_schema_file(text.encode(), context).types:
+                for record in parsed_records(parse_schema_file(text.encode(), context))[0]:
                     defined[domain, record.type_id] += 1
             try:
                 snapshot = ingest_corpus(root)
@@ -470,12 +519,12 @@ class TestSnapshotSerialization:
             back = CorpusSnapshot.from_doc(json.loads(stored))
             assert back == snapshot
             assert back.content_hash == snapshot.content_hash
-            assert back.records() == snapshot.records()
+            assert snapshot_records(back) == snapshot_records(snapshot)
 
     def test_records_assemble_to_the_same_snapshot(self):
         for seed in range(20):
             snapshot = random_snapshot(random.Random(seed), metadata=True)
-            assert CorpusSnapshot.assemble(*snapshot.records()) == snapshot
+            assert assemble_reference(*snapshot_records(snapshot)) == snapshot
 
     def test_manifest_count_mismatch_rejected(self, fix1_snapshot):
         doc = fix1_snapshot.to_doc()
@@ -545,6 +594,9 @@ class TestSnapshotSerialization:
 
 
 class TestSnapshotInvariants:
+    """``validate()`` refuses snapshots that break an invariant, whether
+    built from records or read from a stored document."""
+
     def _base(self):
         return dict(
             domains=[DomainRecord("D", "D")],
@@ -553,56 +605,62 @@ class TestSnapshotInvariants:
             occurrences=[AttributeOccurrence("a", "M/T", "M", "D")],
         )
 
+    def _doc(self) -> dict:
+        """The stored document of ``_base()``, as ``json.loads`` reads it."""
+        snapshot = assemble_reference(**self._base())
+        return json.loads(canonical_json_bytes(snapshot.to_doc()))
+
     def test_duplicate_domain(self):
         kwargs = self._base()
         kwargs["domains"] = [DomainRecord("D", "D"), DomainRecord("D", "D2")]
         with pytest.raises(SnapshotInvariantError, match="duplicate domain"):
-            CorpusSnapshot.assemble(**kwargs)
+            assemble_reference(**kwargs)
 
     def test_model_without_domain(self):
         kwargs = self._base()
         kwargs["models"] = [DataModelRecord("M", "M", frozenset())]
         with pytest.raises(SnapshotInvariantError, match="has no domains"):
-            CorpusSnapshot.assemble(**kwargs)
+            assemble_reference(**kwargs)
 
     def test_model_with_unknown_domain(self):
-        kwargs = self._base()
-        kwargs["models"] = [DataModelRecord("M", "M", frozenset({"D", "ghost"}))]
-        with pytest.raises(SnapshotInvariantError, match="ghost"):
-            CorpusSnapshot.assemble(**kwargs)
+        doc = self._doc()
+        doc["models"]["domains"] = [[0, 1]]
+        with pytest.raises(SnapshotInvariantError, match=r"model domain index 1 .* range\(1\)"):
+            CorpusSnapshot.from_doc(doc)
 
     def test_type_without_attributes(self):
         kwargs = self._base()
         kwargs["types"] = [TypeRecord("M/T", "T", "M", ())]
         kwargs["occurrences"] = []
         with pytest.raises(SnapshotInvariantError, match="no attributes"):
-            CorpusSnapshot.assemble(**kwargs)
+            assemble_reference(**kwargs)
 
     def test_occurrence_with_unknown_type(self):
-        kwargs = self._base()
-        kwargs["occurrences"] = [AttributeOccurrence("a", "M/Ghost", "M", "D")]
-        with pytest.raises(SnapshotInvariantError, match="unknown type"):
-            CorpusSnapshot.assemble(**kwargs)
+        doc = self._doc()
+        doc["occurrences"]["type"] = [1]
+        with pytest.raises(SnapshotInvariantError, match=r"occurrence type index 1 .* range\(1\)"):
+            CorpusSnapshot.from_doc(doc)
 
     def test_duplicate_occurrence(self):
         kwargs = self._base()
         kwargs["occurrences"] = kwargs["occurrences"] * 2
         with pytest.raises(SnapshotInvariantError, match="duplicate occurrence"):
-            CorpusSnapshot.assemble(**kwargs)
+            assemble_reference(**kwargs)
 
     def test_type_attribute_without_occurrence(self):
-        kwargs = self._base()
-        kwargs["types"] = [TypeRecord("M/T", "T", "M", ("a", "b"))]
-        with pytest.raises(SnapshotInvariantError, match="'b', which has no occurrence"):
-            CorpusSnapshot.assemble(**kwargs)
+        doc = self._doc()
+        doc["vocabulary"] = ["a", "b"]
+        doc["types"]["attributes"] = [[0, 1]]
+        with pytest.raises(SnapshotInvariantError, match="vocabulary holds a name without"):
+            CorpusSnapshot.from_doc(doc)
 
     def test_type_attribute_without_occurrence_in_that_type(self):
         kwargs = self._base()
         kwargs["types"].append(TypeRecord("M/U", "U", "M", ("a",)))
         with pytest.raises(SnapshotInvariantError, match="'M/U' lists attribute 'a'"):
-            CorpusSnapshot.assemble(**kwargs)
+            assemble_reference(**kwargs)
         kwargs["occurrences"].append(AttributeOccurrence("a", "M/U", "M", "D"))
-        doc = CorpusSnapshot.assemble(**kwargs).to_doc()
+        doc = assemble_reference(**kwargs).to_doc()
         occurrences = doc["occurrences"]
         for column in ("attribute", "type", "domain"):
             occurrences[column] = occurrences[column][:1]
@@ -612,21 +670,9 @@ class TestSnapshotInvariants:
             CorpusSnapshot.from_doc(doc)
 
     def test_occurrence_model_differs_from_type_model(self):
-        kwargs = self._base()
-        kwargs["models"].append(DataModelRecord("M2", "M2", frozenset({"D"})))
-        kwargs["occurrences"] = [AttributeOccurrence("a", "M/T", "M2", "D")]
-        with pytest.raises(SnapshotInvariantError, match="its type has model 'M'"):
-            CorpusSnapshot.assemble(**kwargs)
-        # A stored occurrence has no model of its own: a document that gives
-        # one is refused.
-        doc = CorpusSnapshot.assemble(**self._base()).to_doc()
+        """A stored occurrence has no model of its own: its model is its
+        type's. A document that gives one is refused."""
+        doc = self._doc()
         doc["occurrences"]["model"] = [0]
         with pytest.raises(SnapshotInvariantError, match="snapshot occurrences holds"):
             CorpusSnapshot.from_doc(doc)
-
-    def test_unknown_metadata_key(self):
-        kwargs = self._base()
-        for metadata in ({"unit": "m"}, {"description": None}):
-            kwargs["occurrences"] = [AttributeOccurrence("a", "M/T", "M", "D", metadata)]
-            with pytest.raises(SnapshotInvariantError, match="only string values"):
-                CorpusSnapshot.assemble(**kwargs)

@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.choices import NODE_KINDS
 
-from ontomesh.corpus import (
-    AttributeOccurrence,
-    CorpusSnapshot,
-    DataModelRecord,
-    DomainRecord,
-    OccurrenceColumns,
-    TypeRecord,
-)
+from ontomesh.corpus import OccurrenceColumns
 from ontomesh.errors import NotFoundError, SnapshotInvariantError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
@@ -44,11 +37,17 @@ from ontomesh.graph import _canonical_edge_columns
 from ontomesh.synthetic import synthetic_snapshot
 
 from oracles import (
+    AttributeOccurrence,
+    DataModelRecord,
+    DomainRecord,
+    TypeRecord,
+    assemble_reference,
     build_graph_reference,
     csr_reference,
     graph_from_doc,
     graph_to_doc,
     random_snapshot,
+    snapshot_records,
 )
 
 
@@ -135,7 +134,7 @@ class TestFix1Graph:
     def test_containment_adds_exact_count(self, fix1_snapshot, fix1_graph):
         withc = build_graph(fix1_snapshot, containment_edges=True)
         expected_extra = fix1_snapshot.counts.types + sum(
-            len(m.domain_ids) for m in fix1_snapshot.records().models
+            len(m.domain_ids) for m in snapshot_records(fix1_snapshot).models
         )
         assert expected_extra == 8
         assert len(withc.u) == len(fix1_graph.u) + expected_extra
@@ -206,7 +205,7 @@ class TestFix1Graph:
 
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
         """``build_graph`` does not validate: ``validate()``, which every
-        snapshot read from the store or assembled from records passes,
+        snapshot read from the store or built by ingest passes,
         refuses a snapshot that breaks an invariant."""
         o = fix1_snapshot.occurrences
         for broken in (
@@ -244,7 +243,7 @@ class TestBuildMatchesReference:
     def test_type_attribute_order_kept(self):
         """Attributes stay in source order per type, so a type that lists
         them against vocabulary order still gets one clique."""
-        snapshot = CorpusSnapshot.assemble(
+        snapshot = assemble_reference(
             domains=[DomainRecord("D", "D")],
             models=[DataModelRecord("M", "M", frozenset({"D"}))],
             types=[TypeRecord("M/T", "T", "M", ("c", "a", "b"))],
@@ -391,7 +390,7 @@ class TestStructuralValidation:
 
 
 def test_attribute_in_two_types_of_one_model_weights_attr_model():
-    snapshot = CorpusSnapshot.assemble(
+    snapshot = assemble_reference(
         domains=[DomainRecord("D", "D")],
         models=[DataModelRecord("M", "M", frozenset({"D"}))],
         types=[
