@@ -470,11 +470,10 @@ class ParsedSchema:
     """The entity definitions of one schema file: each item of ``entities``
     is a type name and its properties map (attribute name to declaration,
     source order, duplicates collapsed). :func:`ingest_corpus` adds each
-    entity to its snapshot as the type ``<model_id>/<name>`` of
-    ``context``'s model, with one occurrence per attribute in ``context``'s
-    domain."""
+    entity to its snapshot as the type ``<model_id>/<name>`` of the model of
+    the :class:`ParseContext` it parsed the file with, with one occurrence
+    per attribute in that context's domain."""
 
-    context: ParseContext
     entities: list[tuple[str, dict]]
     warnings: list[str]
 
@@ -501,7 +500,7 @@ def parse_schema_file(data: bytes, context: ParseContext) -> ParsedSchema:
         ) from exc
 
     candidates = doc if isinstance(doc, list) else [doc]
-    result = ParsedSchema(context, [], [])
+    result = ParsedSchema([], [])
     found_any_properties = False
     for index, node in enumerate(candidates):
         if not isinstance(node, dict):

@@ -50,18 +50,19 @@ _BLOCK_ROWS = 8192
 _DECODE_BLOCK_BYTES = 1 << 20
 
 # The stored graph document starts with its edges: "edges" sorts first among
-# its keys. Each stored edge is one of these rows with its u, v and weight
-# written in; a row per kind with the numbers taken out is its skeleton.
+# its keys. Each stored edge, whatever its kind, is this row after a comma
+# with its u, v and weight written in; the row less its numbers is its
+# skeleton. The rows are in canonical order, so "edges_per_kind" (the rows of
+# each kind) gives their kinds.
 _EDGES_OPEN = b'{"edges":['
-_EDGE_TEMPLATES = ['{"kind":"%s","u":%%d,"v":%%d,"weight":%%d}' % kind for kind in EDGE_KINDS]
-_EDGE_SKELETONS = [template.replace("%d", "").encode() for template in _EDGE_TEMPLATES]
-# The rows as canonical_chunks() writes them: each after a comma.
-_CANONICAL_ROWS = [b"," + template.encode() for template in _EDGE_TEMPLATES]
-# The stored document after the edges, up to its first node; the nodes and
-# the provenance follow. Each stored node is this row, after a comma, with
-# its id, kind, label (as a JSON string) and the text of its metadata
-# written in.
-_NODES_OPEN = b'],"kind":"graph","nodes":['
+_EDGE_ROW = b',{"u":%d,"v":%d,"weight":%d}'
+_EDGE_SKELETON = _EDGE_ROW[1:].replace(b"%d", b"")
+# How a graph stored in the earlier form, with a kind in every edge row, begins.
+_EARLIER_FORMS = (b'{"edges":[{"kind":"', b'{"edges":[],"kind":"graph",')
+# The document after the edge counts, up to its first node. Each stored node
+# is this row after a comma, with its id, kind, label (as a JSON string) and
+# the text of its metadata written in; the provenance follows the nodes.
+_NODES_OPEN = b',"kind":"graph","nodes":['
 _NODE_ROW = ',{"id":%d,"kind":"%s","label":%s,"metadata":{%s}}'
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[48:58] = np.arange(10)
@@ -167,21 +168,17 @@ def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return indptr, keys
 
 
-def _block_counts(block: bytes) -> list[int] | None:
-    """Rows of each kind in a block of edge text whose bytes less digits are
-    the skeletons of its rows, kinds in canonical order, joined by commas;
-    None for other text, and for text without a row."""
+def _block_rows(block: bytes) -> int:
+    """Rows in a block of edge text whose bytes less digits are edge
+    skeletons joined by commas; 0 for other text."""
     skeleton = block.translate(None, b"0123456789")
-    counts = [skeleton.count(row) for row in _EDGE_SKELETONS]
-    expected = b"".join((row + b",") * count for row, count in zip(_EDGE_SKELETONS, counts))
-    if not expected or skeleton != expected[:-1]:
-        return None
-    return counts
+    rows = skeleton.count(_EDGE_SKELETON)
+    return rows if skeleton == ((_EDGE_SKELETON + b",") * rows)[:-1] else 0
 
 
 def _edge_numbers(block: bytes, out: np.ndarray) -> bool:
     """Parse the ``len(out)`` numbers of a block of edge text that
-    ``_block_counts`` accepts into ``out``, in order; False unless each u, v
+    ``_block_rows`` accepts into ``out``, in order; False unless each u, v
     and weight slot holds one run of 1-18 digits without a leading zero
     (18 digits fit in int64)."""
     buf = np.frombuffer(block, dtype=np.uint8)
@@ -209,14 +206,14 @@ def _edge_numbers(block: bytes, out: np.ndarray) -> bool:
 
 
 def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], int] | None:
-    """Edge columns (u, v, kind, weight) parsed from a stored graph document
-    whose edge text is exactly the canonical text of those edges, and the
-    offset of the ``]`` that closes the edges; None for other input.
+    """Edge columns (u, v, weight) parsed from a stored graph document whose
+    edge text is exactly the canonical text of those edges, and the offset
+    of the ``]`` that closes the edges; None for other input.
 
     The edge text is read in blocks of whole rows, cut after a row's ``}``
     at the first ``},{`` about ``_DECODE_BLOCK_BYTES`` into the block. Text
     that is canonical rows joined by commas is so in every block, and the
-    other way round when the kinds do not decrease from block to block.
+    other way round.
     """
     if not data.startswith(_EDGES_OPEN):
         return None
@@ -227,27 +224,19 @@ def _canonical_edge_columns(data: bytes) -> tuple[list[np.ndarray], int] | None:
     # One row more than row separators; any other text is refused below.
     rows = data.count(b"},{", lo, end) + 1 if end > lo else 0
     values = np.empty(3 * rows, dtype=np.int64)
-    counts = [0] * len(EDGE_KINDS)
-    filled = last_kind = 0
+    filled = 0
     while lo < end:
         cut = data.find(b"},{", lo + _DECODE_BLOCK_BYTES, end)
         hi = end if cut < 0 else cut + 1
         block = data[lo:hi]
-        block_counts = _block_counts(block)
-        if block_counts is None:
+        numbers = 3 * _block_rows(block)
+        if not numbers or not _edge_numbers(block, values[filled : filled + numbers]):
             return None
-        kinds = [code for code, count in enumerate(block_counts) if count]
-        numbers = 3 * sum(block_counts)
-        if kinds[0] < last_kind or not _edge_numbers(block, values[filled : filled + numbers]):
-            return None
-        last_kind = kinds[-1]
         filled += numbers
-        counts = [total + count for total, count in zip(counts, block_counts)]
         lo = hi + 1
     if filled != len(values):
         return None
-    kind = np.repeat(np.arange(len(EDGE_KINDS), dtype=np.int64), counts)
-    return [values[0::3], values[1::3], kind, values[2::3]], end
+    return [values[0::3], values[1::3], values[2::3]], end
 
 
 def _unique_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,17 +424,20 @@ class OntologyGraph:
 
     def canonical_chunks(self) -> Iterator[bytes]:
         """The stored form: canonical JSON of the document with the keys
-        ``edges`` (``kind``, ``u``, ``v`` and ``weight`` of each edge),
-        ``kind`` (``"graph"``), ``nodes`` (``id``, ``kind``, ``label`` and
-        ``metadata`` of each node) and ``provenance``. It comes as chunks of
-        at most ``_BLOCK_ROWS`` edge or node rows."""
+        ``edges`` (``u``, ``v`` and ``weight`` of each edge), ``edges_per_kind``
+        (the edges of each of the four kinds, zeros too), ``kind``
+        (``"graph"``), ``nodes`` (``id``, ``kind``, ``label`` and ``metadata``
+        of each node) and ``provenance``, as chunks of at most
+        ``_BLOCK_ROWS`` edge or node rows."""
         yield _EDGES_OPEN
-        yield from _comma_joined(self.format_edges(_CANONICAL_ROWS))
+        yield from _comma_joined(self.format_edges((_EDGE_ROW,) * len(EDGE_KINDS)))
         yield from self._chunks_after_edges()
 
     def _chunks_after_edges(self) -> Iterator[bytes]:
-        """The stored form from the ``]`` that closes the edges: the nodes
-        and the provenance."""
+        """The stored form from the ``]`` that closes the edges: the edge
+        counts by kind, the nodes and the provenance."""
+        counts = np.bincount(self.kind, minlength=len(EDGE_KINDS)).tolist()
+        yield b'],"edges_per_kind":' + canonical_json_line(dict(zip(EDGE_KINDS, counts))).encode()
         yield _NODES_OPEN
         yield from _comma_joined(self._node_rows())
         provenance = canonical_json_line(self.provenance.to_doc()).encode("utf-8")
@@ -461,17 +453,24 @@ class OntologyGraph:
         bytes raise ValueError.
 
         The edge text is parsed without a dict per edge, and must be the
-        canonical text of edges in canonical order. The bytes after it must
-        be the nodes and provenance that the graph read writes back. So the
+        canonical text of edges in canonical order, whose kinds the counts
+        of ``edges_per_kind`` give. The bytes after it must be the counts,
+        nodes and provenance that the graph read writes back. So the
         verified hash of ``data``, given as ``content_hash``, is the graph's
-        own ``graph_hash()``.
+        own ``graph_hash()``. The earlier form, a kind per edge, is refused.
         """
+        if data.startswith(_EARLIER_FORMS):
+            raise ValueError("stored graph uses the earlier per-edge-kind form; "
+                             "rebuild it with 'ontomesh graph build --overwrite'")
         parsed = _canonical_edge_columns(data)
         if parsed is None:
             raise ValueError("stored edges are not in canonical form")
-        columns, end = parsed
+        (u, v, weight), end = parsed
         rest = json.loads(b"{" + data[end + 2 :])
         try:
+            counts = [rest["edges_per_kind"][kind] for kind in EDGE_KINDS]
+            if not all(type(n) is int and n >= 0 for n in counts) or sum(counts) != len(u):
+                raise ValueError("stored edge counts by kind do not count the edges")
             nodes = rest["nodes"]
             graph = cls._from_arrays(
                 _node_columns(
@@ -479,7 +478,8 @@ class OntologyGraph:
                     [nd["label"] for nd in nodes],
                     [nd["metadata"] for nd in nodes],
                 ),
-                *columns, GraphProvenance(**rest["provenance"]), stored=True,
+                u, v, np.repeat(np.arange(len(EDGE_KINDS)), counts), weight,
+                GraphProvenance(**rest["provenance"]), stored=True,
             )
             for chunk in graph._chunks_after_edges():
                 if not data.startswith(chunk, end):

@@ -22,6 +22,7 @@ import logging
 import random
 import xml.etree.ElementTree as ET
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ontomesh.canonical import canonical_json_line
-from ontomesh.choices import NODE_KINDS
+from ontomesh.choices import EDGE_KINDS, NODE_KINDS
 from ontomesh.corpus import (
     METADATA_KEYS,
     CorpusSnapshot,
@@ -146,9 +147,11 @@ def snapshot_records(snapshot: CorpusSnapshot) -> SnapshotRecords:
     )
 
 
-def parsed_records(parsed: ParsedSchema) -> tuple[list[TypeRecord], list[AttributeOccurrence]]:
-    """The types and occurrences of one parsed schema file, in source order."""
-    c = parsed.context
+def parsed_records(
+    parsed: ParsedSchema, c: ParseContext
+) -> tuple[list[TypeRecord], list[AttributeOccurrence]]:
+    """The types and occurrences of one schema file parsed with context
+    ``c``, in source order."""
     types = [
         TypeRecord(f"{c.model_id}/{name}", name, c.model_id, tuple(props))
         for name, props in parsed.entities
@@ -516,7 +519,9 @@ _METADATA_KEY = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
 
 
 def graph_to_doc(graph: OntologyGraph) -> dict:
-    """The stored graph document as dicts, a dict per node and per edge:
+    """The stored graph document as dicts, a dict per node and per edge,
+    and the edges of each kind counted, where the package writes the rows
+    of all kinds from one template and counts the kind codes:
     ``canonical_json_bytes(graph_to_doc(graph)) == graph.canonical_bytes()``."""
     metadata = {
         NodeKind.MODEL: iter(graph.model_domains), NodeKind.TYPE: iter(graph.type_model),
@@ -529,25 +534,48 @@ def graph_to_doc(graph: OntologyGraph) -> dict:
             "id": node_id, "kind": kind.value, "label": label,
             "metadata": {} if key is None else {key: next(metadata[kind])},
         })
+    counts = Counter(kind for _, _, kind, _ in graph.edge_rows())
     return {
         "kind": "graph",
         "provenance": graph.provenance.to_doc(),
         "nodes": nodes,
         "edges": [
-            {"u": u, "v": v, "kind": kind, "weight": weight}
-            for u, v, kind, weight in graph.edge_rows()
+            {"u": u, "v": v, "weight": weight} for u, v, _, weight in graph.edge_rows()
         ],
+        "edges_per_kind": {kind: counts[kind] for kind in EDGE_KINDS},
     }
 
 
+def doc_edges(doc: dict) -> list[tuple]:
+    """The ``(u, v, kind, weight)`` rows of a graph document: its edge rows
+    in turn take the kinds that ``edges_per_kind`` counts, in code order
+    (``EDGE_KINDS``), any kind of another name last."""
+    code = {kind: i for i, kind in enumerate(EDGE_KINDS)}
+    counts = sorted(doc["edges_per_kind"].items(), key=lambda item: code.get(item[0], len(code)))
+    kinds = [kind for kind, count in counts for _ in range(count)]
+    return [
+        (ed["u"], ed["v"], kind, ed["weight"])
+        for ed, kind in zip(doc["edges"], kinds, strict=True)
+    ]
+
+
+def earlier_form(doc: dict) -> dict:
+    """A graph document as the earlier stored form had it: a kind in every
+    edge row, and no counts by kind."""
+    edges = [
+        {"u": u, "v": v, "kind": kind, "weight": weight} for u, v, kind, weight in doc_edges(doc)
+    ]
+    return {key: value for key, value in doc.items() if key != "edges_per_kind"} | {"edges": edges}
+
+
 def graph_from_doc(doc: dict) -> OntologyGraph:
-    """Inverse of ``graph_to_doc`` through ``OntologyGraph.create``: edges
-    in any order, and no check that the document is in its stored form."""
+    """Inverse of ``graph_to_doc`` through ``OntologyGraph.create``: each
+    kind's edges in any order, and no check that the document is in its
+    stored form."""
     nodes = [
         GraphNode(nd["id"], nd["kind"], nd["label"], nd["metadata"]) for nd in doc["nodes"]
     ]
-    edges = [(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
-    return OntologyGraph.create(nodes, edges, GraphProvenance(**doc["provenance"]))
+    return OntologyGraph.create(nodes, doc_edges(doc), GraphProvenance(**doc["provenance"]))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +896,7 @@ def ingest_corpus_reference(
                 digest.update(b"\x00")
                 for warning in parsed.warnings:
                     logger.warning("%s: %s", relpath, warning)
-                parsed_types, parsed_occurrences = parsed_records(parsed)
+                parsed_types, parsed_occurrences = parsed_records(parsed, context)
                 for record in parsed_types:
                     _merge_type(types, record)
                 for occ in parsed_occurrences:

@@ -24,6 +24,7 @@ from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
 
 from conftest import FIXTURES
+from oracles import earlier_form
 
 
 def run_cli(argv, capsys):
@@ -311,6 +312,31 @@ class TestInvalidStoredObjects:
         assert "can't encode character '\\ud800'" in err
         assert not list(built.glob("bad.*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "centrality", "--graph", "bad"],
+        ["export", "--graph", "bad", "--format", "graphml", "--out", "bad.graphml"],
+        ["report", "--name", "fix1", "--graph", "bad", "--out", "bad.md"],
+    ], ids=["centrality", "graphml", "report"])
+    def test_graph_of_the_earlier_form(self, built, capsys, argv):
+        """A graph stored with a kind in every edge row, as earlier versions
+        wrote it, is refused with the command that writes it again."""
+        store = ArtifactStore(built / "store")
+        doc = earlier_form(json.loads(store.object_bytes("fix1-graph")))
+        assert doc["edges"][0]["kind"] == "attr_attr"
+        _store_as_is(built, "bad", "graph", doc)
+        names = store.names()
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == (
+            "ontomesh: error: artifact 'bad' is not a valid graph: stored graph uses the "
+            "earlier per-edge-kind form; rebuild it with 'ontomesh graph build --overwrite'\n"
+        )
+        assert store.names() == names
+        assert not list(built.glob("bad.*"))
+        (built / "old.json").write_bytes(store.object_bytes("bad"))
+        with pytest.raises(ValueError, match="earlier per-edge-kind form"):
+            exports.import_graph_json(built / "old.json")
+
     def test_snapshot_with_missing_key(self, ingested, capsys):
         doc = json.loads(ArtifactStore(ingested / "store").object_bytes("fix1"))
         del doc["types"]["model"]
@@ -456,6 +482,11 @@ def _keys_reversed(data):
     return (json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
 
 
+def _counts_edit(change):
+    """An edit of a stored graph's edge counts by kind."""
+    return _json_edit(lambda doc: change(doc["edges_per_kind"]))
+
+
 # Edits of a stored object's bytes, made under a valid hash, for every kind.
 _ANY_KIND_EDITS = {
     "extra top-level key": _json_edit(lambda doc: doc.update(zz=1)),
@@ -482,6 +513,18 @@ _EDITS = {
         "provenance without domain": _json_edit(lambda doc: doc["provenance"].pop("domain")),
         "1.0 for a node id": _text_edit(b'{"id":1,', b'{"id":1.0,'),
         "escaped label character": _escaped(b'"label":"'),
+        # fix1 has 11 attr_attr, 12 attr_domain, 10 attr_model and no
+        # containment edges.
+        "kind missing from the counts": _counts_edit(lambda counts: counts.pop("containment")),
+        "extra kind": _counts_edit(lambda counts: counts.update(sibling=0)),
+        "negative count": _counts_edit(lambda counts: counts.update(attr_attr=12, containment=-1)),
+        "1.0 for a count": _counts_edit(lambda counts: counts.update(attr_attr=11.0)),
+        "counts over the rows": _counts_edit(lambda counts: counts.update(containment=1)),
+        "counts under the rows": _counts_edit(lambda counts: counts.update(attr_domain=11)),
+        # The last attr_attr edge read as the first attr_model edge.
+        "edge moved across a kind boundary": _counts_edit(
+            lambda counts: counts.update(attr_attr=10, attr_model=11)
+        ),
     },
     "centrality": {
         **_ANY_KIND_EDITS,

@@ -52,8 +52,9 @@ def _ctx(**kwargs):
 
 def _parse(data: bytes):
     """The type and occurrence records of one schema file, and its warnings."""
-    parsed = parse_schema_file(data, _ctx())
-    return (*parsed_records(parsed), parsed.warnings)
+    context = _ctx()
+    parsed = parse_schema_file(data, context)
+    return (*parsed_records(parsed, context), parsed.warnings)
 
 
 class TestParseSchemaFile:
@@ -448,7 +449,8 @@ class TestDuplicateTypes:
             for rel, text in files.items():
                 domain, model, *_, name = rel.split("/")
                 context = ParseContext(domain, model, name.removesuffix(".json"))
-                for record in parsed_records(parse_schema_file(text.encode(), context))[0]:
+                parsed = parse_schema_file(text.encode(), context)
+                for record in parsed_records(parsed, context)[0]:
                     defined[domain, record.type_id] += 1
             try:
                 snapshot = ingest_corpus(root)

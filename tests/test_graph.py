@@ -44,6 +44,8 @@ from oracles import (
     assemble_reference,
     build_graph_reference,
     csr_reference,
+    doc_edges,
+    earlier_form,
     graph_from_doc,
     graph_to_doc,
     random_snapshot,
@@ -191,7 +193,7 @@ class TestFix1Graph:
         assert OntologyGraph.from_bytes(stored, content_hash="h").graph_hash() == "h"
         doc = graph_to_doc(fix1_graph)
         doc["edges"].reverse()
-        with pytest.raises(ValueError, match="stored edges are not in canonical form"):
+        with pytest.raises(ValueError, match="stored edges are not in canonical order"):
             OntologyGraph.from_bytes(canonical_json_bytes(doc), content_hash="h")
 
     def test_csr_holds_distinct_neighbours(self, fix1_snapshot):
@@ -295,6 +297,13 @@ class TestDomainSubgraph:
                 assert _edge_labels(sub) <= _edge_labels(graph)
 
 
+def _add_attr_attr(doc, u, v, weight):
+    """Add an attr_attr edge row to a graph document, after the others of
+    its kind."""
+    doc["edges"].insert(doc["edges_per_kind"][EDGE_ATTR_ATTR], {"u": u, "v": v, "weight": weight})
+    doc["edges_per_kind"][EDGE_ATTR_ATTR] += 1
+
+
 class TestStructuralValidation:
     def _nodes(self, n):
         return [
@@ -340,17 +349,15 @@ class TestStructuralValidation:
     @pytest.mark.parametrize(
         "match, breaks",
         [
-            ("canonical", lambda doc: doc["edges"].append(
-                {"u": 1, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 1})),
-            ("canonical", lambda doc: doc["edges"].append(
-                {"u": 2, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 1})),
-            ("duplicate edge", lambda doc: doc["edges"].append(
-                {"u": 0, "v": 1, "kind": EDGE_ATTR_ATTR, "weight": 2})),
+            ("canonical", lambda doc: _add_attr_attr(doc, 1, 1, 1)),
+            ("canonical", lambda doc: _add_attr_attr(doc, 2, 1, 1)),
+            ("duplicate edge", lambda doc: _add_attr_attr(doc, 0, 1, 2)),
             ("weight", lambda doc: doc["edges"][0].update(weight=0)),
             ("integers", lambda doc: doc["edges"][0].update(weight=1.5)),
             ("out of range", lambda doc: doc["edges"][0].update(v=5)),
             ("out of range", lambda doc: doc["edges"][0].update(u=-1)),
-            ("unknown edge kind", lambda doc: doc["edges"][0].update(kind="sibling")),
+            ("unknown edge kind", lambda doc: doc["edges_per_kind"].update(
+                sibling=doc["edges_per_kind"].pop(EDGE_ATTR_MODEL))),
             ("dense", lambda doc: doc["nodes"][2].update(id=7)),
             ("duplicate node", lambda doc: doc["nodes"][2].update(label="a1")),
             ("attribute metadata must be none",
@@ -378,9 +385,8 @@ class TestStructuralValidation:
             return
         nodes = [GraphNode(nd["id"], kind, nd["label"], nd["metadata"])
                  for nd, kind in zip(doc["nodes"], kinds)]
-        edges = [(ed["u"], ed["v"], ed["kind"], ed["weight"]) for ed in doc["edges"]]
         with pytest.raises(ValueError, match=match):
-            OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+            OntologyGraph.create(nodes, doc_edges(doc), GraphProvenance("x"))
 
     def test_sparse_ordinals_rejected(self):
         nodes = self._nodes(3)
@@ -498,11 +504,11 @@ class TestStoredBytes:
     @settings(max_examples=60, deadline=None)
     def test_numbers_of_1_to_18_digits_parse(self, numbers):
         u, v, weight = numbers
-        edge = {"kind": EDGE_ATTR_MODEL, "u": u, "v": v, "weight": weight}
-        doc = {"edges": [edge, dict(edge, kind=EDGE_CONTAINMENT)], "kind": "graph"}
+        edge = {"u": u, "v": v, "weight": weight}
+        doc = {"edges": [edge, edge], "kind": "graph"}
         data = canonical_json_bytes(doc)
         columns, end = _canonical_edge_columns(data)
-        assert [column.tolist() for column in columns] == [[u, u], [v, v], [1, 3], [weight] * 2]
+        assert [column.tolist() for column in columns] == [[u, u], [v, v], [weight] * 2]
         assert data[end:] == b'],"kind":"graph"}\n'
 
     def _stored(self):
@@ -518,24 +524,27 @@ class TestStoredBytes:
         edit(doc)
         return canonical_json_bytes(doc)
 
+    def _counted(self, **counts):
+        """The stored bytes with ``edges_per_kind`` updated from ``counts``."""
+        return self._edited(lambda doc: doc["edges_per_kind"].update(counts))
+
     def _declined(self):
         stored = self._stored()
         doc = json.loads(stored)
-        interleaved = dict(doc, edges=[doc["edges"][1], doc["edges"][0], doc["edges"][2]])
+        earlier = earlier_form(doc)
+        counts = dict.fromkeys(EDGE_KINDS, 0)
         return {
             "pretty": json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False).encode(),
             "keys reordered": json.dumps(doc, ensure_ascii=False).encode(),
-            "kinds interleaved": canonical_json_bytes(interleaved),
             "float id": stored.replace(b'"u":0', b'"u":0.0', 1),
             "19-digit id": stored.replace(b'"v":2', b'"v":1000000000000000002', 1),
             "20-digit weight": stored.replace(b'"weight":1}', b'"weight":%d}' % (2**64 + 1), 1),
             "leading zero": stored.replace(b'"weight":3', b'"weight":03', 1),
             "digit before a row": stored.replace(b'"u":0', b'"u":', 1).replace(b"[{", b"[0{"),
-            "digit moved into a key": stored.replace(b'{"kind":"attr_attr","u":0',
-                                                     b'{"ki0nd":"attr_attr","u":', 1),
-            "digit moved after a kind": stored.replace(b'"attr_attr","u":0',
-                                                       b'"attr_attr"0,"u":', 1),
-            "junk after the edges": stored.replace(b'],"kind"', b']X"kind"', 1),
+            "digit moved into a key": stored.replace(b'{"u":0,', b'{"u0":,', 1),
+            "digit moved after a key": stored.replace(b'"weight":12}', b'"weight"1:2}', 1),
+            "digit moved after a kind": stored.replace(b'"attr_attr":1,', b'"attr_attr"1:,', 1),
+            "junk after the edges": stored.replace(b'],"edges_per', b']X"edges_per', 1),
             "surrogate bytes in a label": stored.replace("Ørsted".encode(), b"\xed\xa0\x80"),
             "unknown kind": stored.replace(b"attr_domain", b"attr_region"),
             "extra edge key": self._edited(lambda d: d["edges"][0].update(note="x")),
@@ -543,16 +552,35 @@ class TestStoredBytes:
             "truncated": stored[:-9],
             "truncated edges": stored[:40],
             "weight 0": stored.replace(b'"weight":3', b'"weight":0', 1),
-            "not an object": b'{"edges":[],"kind":"graph","nodes":7,"provenance":{}}',
-            "digits for edges": b'{"edges":[7' + stored[stored.index(b'],"kind"') :],
+            "not an object": canonical_json_bytes({
+                "edges": [], "edges_per_kind": counts, "kind": "graph", "nodes": 7,
+                "provenance": {},
+            }),
+            "digits for edges": b'{"edges":[7' + stored[stored.index(b'],"edges_per_kind"') :],
+            "kind missing from the counts": self._edited(
+                lambda d: d["edges_per_kind"].pop(EDGE_CONTAINMENT)
+            ),
+            "extra kind": self._counted(sibling=0),
+            "negative count": self._counted(attr_attr=2, containment=-1),
+            "count 1.0": stored.replace(b'"attr_attr":1,', b'"attr_attr":1.0,', 1),
+            "counts over the rows": self._counted(containment=1),
+            "counts under the rows": self._counted(attr_domain=0),
+            # The attr_domain edge read as a second attr_model edge, before
+            # which it sorts.
+            "edge moved across a kind boundary": self._counted(attr_domain=0, attr_model=2),
+            "earlier per-edge-kind form": canonical_json_bytes(earlier),
+            "earlier form without edges": canonical_json_bytes(dict(earlier, edges=[])),
         }
 
     @pytest.mark.parametrize("case", [
-        "pretty", "keys reordered", "kinds interleaved", "float id", "19-digit id",
+        "pretty", "keys reordered", "float id", "19-digit id",
         "20-digit weight", "leading zero", "digit before a row", "digit moved into a key",
-        "digit moved after a kind", "junk after the edges", "surrogate bytes in a label",
-        "unknown kind", "extra edge key", "duplicate edges key",
+        "digit moved after a key", "digit moved after a kind", "junk after the edges",
+        "surrogate bytes in a label", "unknown kind", "extra edge key", "duplicate edges key",
         "truncated", "truncated edges", "weight 0", "not an object", "digits for edges",
+        "kind missing from the counts", "extra kind", "negative count", "count 1.0",
+        "counts over the rows", "counts under the rows", "edge moved across a kind boundary",
+        "earlier per-edge-kind form", "earlier form without edges",
     ])
     def test_declined_text_reads_as_json_path(self, case):
         """Each declined text is refused. Read as a JSON document of dicts,
@@ -566,6 +594,30 @@ class TestStoredBytes:
         except (ValueError, KeyError, TypeError):
             return
         assert again != data
+
+    @pytest.mark.parametrize("case", ["earlier per-edge-kind form", "earlier form without edges"])
+    def test_earlier_form_refused(self, case):
+        """A graph stored before the edge rows lost their kind is refused
+        with a message that says how to write it again."""
+        message = (
+            "stored graph uses the earlier per-edge-kind form; "
+            "rebuild it with 'ontomesh graph build --overwrite'"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OntologyGraph.from_bytes(self._declined()[case])
+
+    @pytest.mark.parametrize("case, message", [
+        ("kind missing from the counts", "stored graph is not in canonical form"),
+        ("extra kind", "stored graph is not in canonical form"),
+        ("negative count", "stored edge counts by kind do not count the edges"),
+        ("count 1.0", "stored edge counts by kind do not count the edges"),
+        ("counts over the rows", "stored edge counts by kind do not count the edges"),
+        ("counts under the rows", "stored edge counts by kind do not count the edges"),
+        ("edge moved across a kind boundary", "stored edges are not in canonical order"),
+    ])
+    def test_edge_counts_refused(self, case, message):
+        with pytest.raises(ValueError, match=message):
+            OntologyGraph.from_bytes(self._declined()[case])
 
     def test_bracket_in_label_read_without_from_doc(self):
         stored = self._stored()
@@ -602,10 +654,10 @@ class TestStoredBytes:
 # ---------------------------------------------------------------------------
 
 # (bytes per decoded block, rows per formatted block). A decoded block ends
-# at the first row end at least that many bytes in: rows are 43 bytes or
-# more, so 1 and 37 give a block per row, 100 two or three rows, and 4096
+# at the first row end at least that many bytes in: rows are 24 bytes or
+# more, so 1 and 23 give a block per row, 60 two or three rows, and 4096
 # all the rows of a small graph.
-BLOCK_SIZES = list(itertools.product((1, 37, 100, 4096), (1, 3)))
+BLOCK_SIZES = list(itertools.product((1, 23, 60, 4096), (1, 3)))
 
 
 @contextlib.contextmanager
@@ -651,6 +703,19 @@ class TestBlocks:
         graph = build_graph(fix1_snapshot, containment_edges=True)
         assert set(graph.kind.tolist()) == set(range(len(EDGE_KINDS)))
         self.assert_same_at_every_block_size(graph)
+
+    def test_fix1_without_containment_edges(self, fix1_graph):
+        assert b'"containment":0}' in fix1_graph.canonical_bytes()
+        self.assert_same_at_every_block_size(fix1_graph)
+
+    @pytest.mark.parametrize("kinds", [
+        (EDGE_CONTAINMENT,), (EDGE_ATTR_ATTR, EDGE_CONTAINMENT), (EDGE_ATTR_MODEL,),
+    ], ids=["containment", "first-and-last", "attr_model"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_zero_count_kinds(self, kinds, data):
+        """Kinds without edges sit between, before or after those with."""
+        self.assert_same_at_every_block_size(data.draw(_graphs(kinds)))
 
     @pytest.mark.parametrize("nodes", [0, 2])
     def test_edgeless(self, nodes):
@@ -733,11 +798,11 @@ class TestDecodeOrder:
         stored = graph.canonical_bytes()
         content_hash = sha256_hex(stored)
         assert OntologyGraph.from_bytes(stored, content_hash)._hash == content_hash
-        # The first two attr_attr rows swapped: the kinds stay grouped, so the
-        # edge text is canonical, but the edges are out of order.
+        # The first two rows, both attr_attr, swapped: the edge text and the
+        # counts by kind are canonical, but the edges are out of order.
+        assert graph.kind[0] == graph.kind[1] == 0
         doc = json.loads(stored)
         doc["edges"][:2] = doc["edges"][1::-1]
-        assert doc["edges"][0]["kind"] == doc["edges"][1]["kind"]
         swapped = canonical_json_bytes(doc)
         assert _canonical_edge_columns(swapped) is not None
         assert _reference(swapped).canonical_bytes() == stored
