@@ -27,7 +27,6 @@ _EXPORTS = {
     "degree_centrality": "analytics",
     "dissonance_summary": "analytics",
     "domain_overlap_matrix": "analytics",
-    "domain_subgraph": "graph",
     "edge_census": "graph",
     "ingest_corpus": "corpus",
     "parse_schema_file": "corpus",

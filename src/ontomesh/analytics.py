@@ -405,13 +405,7 @@ def top_k_attributes(
 
 def _domain_columns(graph: OntologyGraph) -> tuple[list[str], np.ndarray]:
     """Domain labels in node id order, and each node's column among them
-    (-1 for other nodes). Refuses a domain subgraph, whose matrices would
-    cover its one domain only."""
-    if graph.provenance.domain is not None:
-        raise ValueError(
-            f"graph is the subgraph of domain {graph.provenance.domain!r}; "
-            "domain summaries need the whole graph"
-        )
+    (-1 for other nodes)."""
     ids = graph.nodes_of_kind(NodeKind.DOMAIN)
     column = np.full(len(graph.labels), -1, dtype=np.int64)
     column[ids] = np.arange(len(ids))
@@ -507,7 +501,7 @@ def dissonance_summary(
 
     Everything is read from the graph. ``snapshot_hash`` is the content hash
     of the snapshot the graph must have been built from; a graph of another
-    snapshot raises ``ProvenanceError``, and a domain subgraph ``ValueError``.
+    snapshot raises ``ProvenanceError``.
     Higher specificity means a more isolated vocabulary. ``centrality`` is
     an already computed plain (not normalized, not weighted)
     ``centrality_metric`` result for this graph, used instead of computing
@@ -520,7 +514,6 @@ def dissonance_summary(
         )
     if centrality_metric not in CENTRALITY_METRICS:
         raise ValueError(f"unknown centrality metric {centrality_metric!r}")
-    # First, so that a domain subgraph is refused before any centrality runs.
     matrices = {m: domain_overlap_matrix(graph, m) for m in MATRIX_METRICS}
     specificity = specificity_ratios(graph)
     if centrality is not None:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # that --help loads none of them and only ingest and graph build load the
 # corpus layer.
 from ontomesh.choices import CENTRALITY_METRICS, GRAPH_FORMATS, MATRIX_METRICS, REPORT_FORMATS
-from ontomesh.errors import NotFoundError, OntomeshError, SchemaParseError
+from ontomesh.errors import CorruptionError, NotFoundError, OntomeshError, SchemaParseError
 
 if TYPE_CHECKING:
     from ontomesh.graph import OntologyGraph
@@ -310,10 +310,16 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _store(args)
     out = args.out or f"{args.graph}.{GRAPH_FORMATS[args.format]}"
     if args.format == "canonical-json":
+        from ontomesh.canonical import refuse_earlier_graph_form
         from ontomesh.exports import write_blocks
 
         # The stored object is already the graph's canonical JSON.
         data = store.object_bytes(args.graph, expect_kind="graph")
+        try:
+            refuse_earlier_graph_form(data)
+        except ValueError as exc:
+            # As store.get reports it.
+            raise CorruptionError(f"artifact {args.graph!r} is not a valid graph: {exc}") from None
         written = write_blocks(out, (data,))
     else:
         from ontomesh.exports import export_graph

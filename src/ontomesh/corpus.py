@@ -576,7 +576,9 @@ def ingest_corpus(
     in which case the first one aborts ingestion. Output is deterministic for
     byte-identical trees, wherever they lie: all directory listings are
     sorted, the tables are sorted by id, and the snapshot does not record
-    the tree's location.
+    the tree's location. Its ``content_hash`` covers every domain and model
+    directory and every parsed file, so two trees that give different
+    snapshots give different hashes.
 
     A type defined twice in one domain, by two files or twice in one file,
     raises :class:`CorpusError` naming both files. A model shared by
@@ -602,6 +604,10 @@ def ingest_corpus(
         column.append for column in columns.occurrences
     )
     is_schema = re.compile(fnmatch.translate(layout.schema_pattern)).match
+    # The content hash covers each domain and model directory, which adds a
+    # row even when no file in it parses, as its relpath and a "/", and each
+    # parsed file as its relpath and bytes; a NUL ends every field. No file's
+    # relpath ends in "/", and no text that parses as JSON holds a NUL.
     digest = hashlib.sha256()
 
     for domain_name in domain_names:
@@ -612,6 +618,7 @@ def ingest_corpus(
                 f"and {domain_name!r} both name domain {domain_id!r}"
             )
         d = domain_rows[domain_id] = _append(columns.domains, domain_id, domain_name)
+        digest.update(f"{domain_name}/".encode("utf-8") + b"\x00")
         domain_dir = os.path.join(root, domain_name)
         for model_name in _subdirectories(domain_dir):
             model_id = model_name.strip()
@@ -626,6 +633,7 @@ def ingest_corpus(
                     f"{model_name!r} both name model {model_id!r}"
                 )
             columns.models.domains[m].add(d)
+            digest.update(f"{domain_name}/{model_name}/".encode("utf-8") + b"\x00")
             model_dir = os.path.join(domain_dir, model_name)
             for name in _schema_files(model_dir, layout.recurse, is_schema):
                 relpath = f"{domain_name}/{model_name}/{name}"

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ontomesh.canonical import canonical_json_line
+from ontomesh.canonical import canonical_json_line, refuse_earlier_graph_form
 from ontomesh.choices import EDGE_KINDS, NODE_KINDS, NodeKind
 from ontomesh.errors import NotFoundError
 
@@ -57,8 +57,6 @@ _DECODE_BLOCK_BYTES = 1 << 20
 _EDGES_OPEN = b'{"edges":['
 _EDGE_ROW = b',{"u":%d,"v":%d,"weight":%d}'
 _EDGE_SKELETON = _EDGE_ROW[1:].replace(b"%d", b"")
-# How a graph stored in the earlier form, with a kind in every edge row, begins.
-_EARLIER_FORMS = (b'{"edges":[{"kind":"', b'{"edges":[],"kind":"graph",')
 # The document after the edge counts, up to its first node. Each stored node
 # is this row after a comma, with its id, kind, label (as a JSON string) and
 # the text of its metadata written in; the provenance follows the nodes.
@@ -84,15 +82,11 @@ class GraphNode:
 class GraphProvenance:
     snapshot_hash: str
     containment_edges: bool = False
-    parent_hash: str | None = None
-    domain: str | None = None
 
     def to_doc(self) -> dict:
         return {
             "snapshot_hash": self.snapshot_hash,
             "containment_edges": self.containment_edges,
-            "parent_hash": self.parent_hash,
-            "domain": self.domain,
         }
 
 
@@ -378,16 +372,6 @@ class OntologyGraph:
         """CSR column ids: each node's distinct neighbours, ascending."""
         return self._csr[1]
 
-    def neighbors(self, node_id: int) -> np.ndarray:
-        """Distinct neighbours of a node, ascending."""
-        return self.indices[self.indptr[node_id] : self.indptr[node_id + 1]]
-
-    def edge_rows(self):
-        """Every edge as a ``(u, v, kind, weight)`` tuple of Python values,
-        in canonical order."""
-        kinds = [EDGE_KINDS[code] for code in self.kind.tolist()]
-        return zip(self.u.tolist(), self.v.tolist(), kinds, self.weight.tolist())
-
     # -- serialization -----------------------------------------------------
 
     def _node_rows(self) -> Iterator[bytes]:
@@ -457,11 +441,10 @@ class OntologyGraph:
         of ``edges_per_kind`` give. The bytes after it must be the counts,
         nodes and provenance that the graph read writes back. So the
         verified hash of ``data``, given as ``content_hash``, is the graph's
-        own ``graph_hash()``. The earlier form, a kind per edge, is refused.
+        own ``graph_hash()``. A graph stored in an earlier form is refused
+        with the command that rebuilds it.
         """
-        if data.startswith(_EARLIER_FORMS):
-            raise ValueError("stored graph uses the earlier per-edge-kind form; "
-                             "rebuild it with 'ontomesh graph build --overwrite'")
+        refuse_earlier_graph_form(data)
         parsed = _canonical_edge_columns(data)
         if parsed is None:
             raise ValueError("stored edges are not in canonical form")
@@ -600,7 +583,7 @@ def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> On
 
 
 # ---------------------------------------------------------------------------
-# Census and subgraphs
+# Census
 # ---------------------------------------------------------------------------
 
 
@@ -618,56 +601,3 @@ def edge_census(graph: OntologyGraph) -> dict[str, dict[str, int]]:
         for kind, code in sorted(_EDGE_CODE.items())
         if kind in kinds or counts[code]
     }
-
-
-def domain_subgraph(graph: OntologyGraph, domain_id: str) -> OntologyGraph:
-    """Induced subgraph on one domain: the domain node, its models, their
-    types, and every attribute occurring in the domain.
-
-    Membership is read from the node metadata attached at build time
-    (``domains`` on model nodes, ``model`` on type nodes); attributes are the
-    domain node's attr_domain neighbors.
-    """
-    try:
-        domain_node_id = graph.node_id(NodeKind.DOMAIN, domain_id)
-    except NotFoundError:
-        raise NotFoundError(f"unknown domain {domain_id!r}") from None
-
-    keep = np.zeros(len(graph.labels), dtype=bool)
-    keep[domain_node_id] = True
-    models = graph.nodes_of_kind(NodeKind.MODEL)
-    in_domain = np.array(
-        [domain_id in json.loads(domains) for domains in graph.model_domains], dtype=bool
-    )
-    keep[models[in_domain]] = True
-    model_labels = {graph.labels[i] for i in models[in_domain].tolist()}
-    types = graph.nodes_of_kind(NodeKind.TYPE)
-    of_model = np.array([model in model_labels for model in graph.type_model], dtype=bool)
-    keep[types[of_model]] = True
-    # The far end of each attr_domain edge at the domain node.
-    attr_domain = graph.kind == _EDGE_CODE[EDGE_ATTR_DOMAIN]
-    ends = np.concatenate([
-        graph.v[attr_domain & (graph.u == domain_node_id)],
-        graph.u[attr_domain & (graph.v == domain_node_id)],
-    ])
-    keep[ends[graph.node_kind[ends] == NODE_KINDS.index(NodeKind.ATTRIBUTE)]] = True
-
-    kept = np.flatnonzero(keep)
-    nodes = (
-        graph.node_kind[kept],
-        tuple(graph.labels[i] for i in kept.tolist()),
-        tuple(d for d, inside in zip(graph.model_domains, in_domain.tolist()) if inside),
-        tuple(m for m, inside in zip(graph.type_model, of_model.tolist()) if inside),
-    )
-    remap = np.cumsum(keep) - 1
-    inside = keep[graph.u] & keep[graph.v]
-    provenance = GraphProvenance(
-        snapshot_hash=graph.provenance.snapshot_hash,
-        containment_edges=graph.provenance.containment_edges,
-        parent_hash=graph.graph_hash(),
-        domain=domain_id,
-    )
-    return OntologyGraph._from_arrays(
-        nodes, remap[graph.u[inside]], remap[graph.v[inside]],
-        graph.kind[inside], graph.weight[inside], provenance,
-    )

@@ -208,6 +208,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> OntologyGraph:
     return make_graph(n, edges)
 
 
+def edge_rows(graph: OntologyGraph):
+    """Every edge as a ``(u, v, kind, weight)`` tuple of Python values, in
+    canonical order."""
+    kinds = [EDGE_KINDS[code] for code in graph.kind.tolist()]
+    return zip(graph.u.tolist(), graph.v.tolist(), kinds, graph.weight.tolist())
+
+
+def neighbors(graph: OntologyGraph, node_id: int) -> list[int]:
+    """Distinct neighbours of a node, ascending, read from the graph's CSR."""
+    return graph.indices[graph.indptr[node_id] : graph.indptr[node_id + 1]].tolist()
+
+
 # ---------------------------------------------------------------------------
 # Centrality oracles
 # ---------------------------------------------------------------------------
@@ -383,7 +395,7 @@ def graphml_element_tree(graph: OntologyGraph) -> bytes:
         el = ET.SubElement(g, "node", {"id": f"n{node_id}"})
         ET.SubElement(el, "data", {"key": "d_kind"}).text = list(NodeKind)[code].value
         ET.SubElement(el, "data", {"key": "d_label"}).text = label
-    for u, v, kind, weight in graph.edge_rows():
+    for u, v, kind, weight in edge_rows(graph):
         el = ET.SubElement(g, "edge", {"source": f"n{u}", "target": f"n{v}"})
         ET.SubElement(el, "data", {"key": "d_ekind"}).text = kind
         ET.SubElement(el, "data", {"key": "d_weight"}).text = str(weight)
@@ -534,13 +546,13 @@ def graph_to_doc(graph: OntologyGraph) -> dict:
             "id": node_id, "kind": kind.value, "label": label,
             "metadata": {} if key is None else {key: next(metadata[kind])},
         })
-    counts = Counter(kind for _, _, kind, _ in graph.edge_rows())
+    counts = Counter(kind for _, _, kind, _ in edge_rows(graph))
     return {
         "kind": "graph",
         "provenance": graph.provenance.to_doc(),
         "nodes": nodes,
         "edges": [
-            {"u": u, "v": v, "weight": weight} for u, v, _, weight in graph.edge_rows()
+            {"u": u, "v": v, "weight": weight} for u, v, _, weight in edge_rows(graph)
         ],
         "edges_per_kind": {kind: counts[kind] for kind in EDGE_KINDS},
     }
@@ -559,13 +571,21 @@ def doc_edges(doc: dict) -> list[tuple]:
     ]
 
 
+def earlier_provenance(doc: dict) -> dict:
+    """A graph document as stored while the package could build a domain
+    subgraph: its provenance also holds ``domain`` and ``parent_hash``, null
+    for a whole graph."""
+    return doc | {"provenance": doc["provenance"] | {"domain": None, "parent_hash": None}}
+
+
 def earlier_form(doc: dict) -> dict:
-    """A graph document as the earlier stored form had it: a kind in every
-    edge row, and no counts by kind."""
+    """A graph document as the earliest stored form had it: a kind in every
+    edge row, no counts by kind, and the earlier provenance."""
     edges = [
         {"u": u, "v": v, "kind": kind, "weight": weight} for u, v, kind, weight in doc_edges(doc)
     ]
-    return {key: value for key, value in doc.items() if key != "edges_per_kind"} | {"edges": edges}
+    rest = {key: value for key, value in earlier_provenance(doc).items() if key != "edges_per_kind"}
+    return rest | {"edges": edges}
 
 
 def graph_from_doc(doc: dict) -> OntologyGraph:
@@ -864,6 +884,7 @@ def ingest_corpus_reference(
                 f"{domain_dir.name!r} both name domain {domain_id!r}"
             )
         domains[domain_id] = DomainRecord(domain_id=domain_id, display_name=domain_dir.name)
+        digest.update(domain_dir.relative_to(root).as_posix().encode("utf-8") + b"/\x00")
         model_dirs = sorted(
             (p for p in domain_dir.iterdir() if p.is_dir() and not p.name.startswith(".")),
             key=lambda p: p.name,
@@ -877,6 +898,7 @@ def ingest_corpus_reference(
                     f"both name model {model_id!r}"
                 )
             model_domains.setdefault(model_id, set()).add(domain_id)
+            digest.update(model_dir.relative_to(root).as_posix().encode("utf-8") + b"/\x00")
             for schema_path in _schema_files_reference(model_dir, layout):
                 relpath = schema_path.relative_to(root).as_posix()
                 data = schema_path.read_bytes()

@@ -31,7 +31,6 @@ from ontomesh.graph import (
     NodeKind,
     OntologyGraph,
     build_graph,
-    domain_subgraph,
 )
 from ontomesh.synthetic import synthetic_snapshot
 
@@ -804,22 +803,6 @@ class TestSpecificityAndSummary:
     def test_provenance_mismatch(self, minimal, fix1_graph):
         with pytest.raises(ProvenanceError):
             dissonance_summary(fix1_graph, minimal.content_hash)
-
-    def test_domain_subgraph_refused(self, fix1_snapshot, fix1_graph, monkeypatch):
-        """A subgraph keeps its parent's snapshot hash but holds one domain,
-        so its matrices would not be the corpus's; it is refused before any
-        centrality is computed."""
-        subgraph = domain_subgraph(fix1_graph, "SmartCities")
-        assert subgraph.provenance.snapshot_hash == fix1_snapshot.content_hash
-        monkeypatch.setattr(
-            analytics, "betweenness_centrality", lambda *a, **k: pytest.fail("centrality ran")
-        )
-        with pytest.raises(ValueError, match="subgraph of domain 'SmartCities'"):
-            dissonance_summary(
-                subgraph, fix1_snapshot.content_hash, centrality_metric="betweenness"
-            )
-        with pytest.raises(ValueError, match="subgraph"):
-            specificity_ratios(subgraph)
 
     @pytest.mark.parametrize("metric", ["degree", "betweenness"])
     def test_summary_with_precomputed_centrality(self, fix1_snapshot, fix1_graph, metric):

@@ -24,7 +24,7 @@ from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
 
 from conftest import FIXTURES
-from oracles import earlier_form
+from oracles import earlier_form, earlier_provenance
 
 
 def run_cli(argv, capsys):
@@ -315,27 +315,30 @@ class TestInvalidStoredObjects:
     @pytest.mark.parametrize("argv", [
         ["analyze", "centrality", "--graph", "bad"],
         ["export", "--graph", "bad", "--format", "graphml", "--out", "bad.graphml"],
+        ["export", "--graph", "bad", "--format", "canonical-json", "--out", "bad.json"],
         ["report", "--name", "fix1", "--graph", "bad", "--out", "bad.md"],
-    ], ids=["centrality", "graphml", "report"])
+    ], ids=["centrality", "graphml", "canonical-json", "report"])
     def test_graph_of_the_earlier_form(self, built, capsys, argv):
-        """A graph stored with a kind in every edge row, as earlier versions
-        wrote it, is refused with the command that writes it again."""
+        """A graph stored as earlier versions wrote it, with a kind in every
+        edge row, or with the ``domain`` and ``parent_hash`` that the
+        provenance held for the per-domain subgraph, is refused with the
+        command that writes it again."""
         store = ArtifactStore(built / "store")
-        doc = earlier_form(json.loads(store.object_bytes("fix1-graph")))
-        assert doc["edges"][0]["kind"] == "attr_attr"
-        _store_as_is(built, "bad", "graph", doc)
-        names = store.names()
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1
-        assert err == (
-            "ontomesh: error: artifact 'bad' is not a valid graph: stored graph uses the "
-            "earlier per-edge-kind form; rebuild it with 'ontomesh graph build --overwrite'\n"
-        )
-        assert store.names() == names
-        assert not list(built.glob("bad.*"))
-        (built / "old.json").write_bytes(store.object_bytes("bad"))
-        with pytest.raises(ValueError, match="earlier per-edge-kind form"):
-            exports.import_graph_json(built / "old.json")
+        doc = json.loads(store.object_bytes("fix1-graph"))
+        for form in (earlier_form, earlier_provenance):
+            _store_as_is(built, "bad", "graph", form(doc))
+            names = store.names()
+            code, _, err = run_cli(argv, capsys)
+            assert code == 1
+            assert err == (
+                "ontomesh: error: artifact 'bad' is not a valid graph: stored graph is in an "
+                "earlier form; rebuild it with 'ontomesh graph build --overwrite'\n"
+            )
+            assert store.names() == names
+            assert not list(built.glob("bad.*"))
+            (built / "old.json").write_bytes(store.object_bytes("bad"))
+            with pytest.raises(ValueError, match="stored graph is in an earlier form"):
+                exports.import_graph_json(built / "old.json")
 
     def test_snapshot_with_missing_key(self, ingested, capsys):
         doc = json.loads(ArtifactStore(ingested / "store").object_bytes("fix1"))
@@ -510,7 +513,9 @@ _EDITS = {
         "extra provenance key": _json_edit(lambda doc: doc["provenance"].update(zz=1)),
         "edge without weight": _json_edit(lambda doc: doc["edges"][0].pop("weight")),
         "node without metadata": _json_edit(lambda doc: doc["nodes"][0].pop("metadata")),
-        "provenance without domain": _json_edit(lambda doc: doc["provenance"].pop("domain")),
+        "provenance without containment_edges": _json_edit(
+            lambda doc: doc["provenance"].pop("containment_edges")
+        ),
         "1.0 for a node id": _text_edit(b'{"id":1,', b'{"id":1.0,'),
         "escaped label character": _escaped(b'"label":"'),
         # fix1 has 11 attr_attr, 12 attr_domain, 10 attr_model and no
@@ -548,7 +553,8 @@ _EDITS = {
 # The stored graph edits that older readers took, keeping the stored hash as
 # that of a graph whose canonical bytes differ.
 _ONCE_ACCEPTED = {
-    "extra edge key", "extra provenance key", "provenance without domain", "extra top-level key",
+    "extra edge key", "extra provenance key", "provenance without containment_edges",
+    "extra top-level key",
 }
 # (stored object, its kind, commands that store it, command that reads it)
 _READERS = {
@@ -798,6 +804,23 @@ class TestSummariesFromGraph:
     )
     def test_graph_of_another_snapshot_exit_1(self, other, capsys, argv):
         code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "graph provenance does not match snapshot" in err
+
+    def test_graph_of_the_tree_before_empty_directories_exit_1(self, workdir, capsys):
+        """A domain and a model directory that hold no file still add to the
+        snapshot, so the graph built before they were added no longer
+        matches the snapshot ingested again under its name."""
+        tree = workdir / "tree"
+        shutil.copytree(FIXTURES / "fix1", tree)
+        for argv in (["ingest", str(tree), "--name", "t"], ["graph", "build", "--snapshot", "t"]):
+            assert run_cli(argv, capsys)[0] == 0
+        (tree / "SmartEnergy" / "EmptyModel").mkdir()
+        (tree / "NewDomain" / "Nothing").mkdir(parents=True)
+        code, out, _ = run_cli(["ingest", str(tree), "--name", "t", "--overwrite"], capsys)
+        assert code == 0
+        assert "domains=3 models=5 types=4 attributes=9" in out
+        code, _, err = run_cli(["analyze", "dissonance", "--snapshot", "t"], capsys)
         assert code == 1
         assert "graph provenance does not match snapshot" in err
 

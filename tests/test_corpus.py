@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import random
+import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -151,6 +152,25 @@ class TestIngest:
         b = ingest_corpus(fix1_root)
         assert a.content_hash == b.content_hash
         assert a == b
+
+    @pytest.mark.parametrize("dirs, counts", [
+        (["SmartEnergy/EmptyModel"], (2, 4, 4, 9)),
+        (["NewDomain"], (3, 3, 4, 9)),
+        (["SmartEnergy/EmptyModel", "NewDomain/Nothing"], (3, 5, 4, 9)),
+        # A shared model's domains grow; no count changes.
+        (["SmartEnergy/UrbanMobility"], (2, 3, 4, 9)),
+    ], ids=["model", "domain", "both", "model-in-another-domain"])
+    def test_directory_without_files_changes_the_hash(self, fix1_root, tmp_path, dirs, counts):
+        """A domain or model directory in which no file parses still adds to
+        the snapshot, so it changes the content hash."""
+        tree = tmp_path / "fix1"
+        shutil.copytree(fix1_root, tree)
+        for rel in dirs:
+            (tree / rel).mkdir(parents=True)
+        before, after = ingest_corpus(fix1_root), ingest_corpus(tree)
+        assert tuple(after.counts) == counts
+        assert after != before
+        assert after.content_hash != before.content_hash
 
     def test_lenient_skips_broken_file(self, broken_root, caplog):
         with caplog.at_level(logging.WARNING):

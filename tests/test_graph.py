@@ -15,7 +15,7 @@ from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.choices import NODE_KINDS
 
 from ontomesh.corpus import OccurrenceColumns
-from ontomesh.errors import NotFoundError, SnapshotInvariantError
+from ontomesh.errors import SnapshotInvariantError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
     EDGE_ATTR_DOMAIN,
@@ -27,7 +27,6 @@ from ontomesh.graph import (
     NodeKind,
     OntologyGraph,
     build_graph,
-    domain_subgraph,
     edge_census,
 )
 from ontomesh import exports
@@ -46,8 +45,11 @@ from oracles import (
     csr_reference,
     doc_edges,
     earlier_form,
+    earlier_provenance,
+    edge_rows,
     graph_from_doc,
     graph_to_doc,
+    neighbors,
     random_snapshot,
     snapshot_records,
 )
@@ -56,7 +58,7 @@ from oracles import (
 def _edge_labels(graph):
     """Edges as ((label, label), kind, weight) with sorted label pairs."""
     out = set()
-    for u, v, kind, weight in graph.edge_rows():
+    for u, v, kind, weight in edge_rows(graph):
         pair = tuple(sorted((graph.labels[u], graph.labels[v])))
         out.add((pair, kind, weight))
     return out
@@ -131,7 +133,7 @@ class TestFix1Graph:
         types = fix1_graph.nodes_of_kind(NodeKind.TYPE).tolist()
         assert len(types) == 4
         for node_id in types:
-            assert fix1_graph.neighbors(node_id).tolist() == []
+            assert neighbors(fix1_graph, node_id) == []
 
     def test_containment_adds_exact_count(self, fix1_snapshot, fix1_graph):
         withc = build_graph(fix1_snapshot, containment_edges=True)
@@ -203,7 +205,7 @@ class TestFix1Graph:
             neighbours[u].add(v)
             neighbours[v].add(u)
         for node_id, expected in enumerate(neighbours):
-            assert graph.neighbors(node_id).tolist() == sorted(expected)
+            assert neighbors(graph, node_id) == sorted(expected)
 
     def test_build_rejects_invalid_snapshot(self, fix1_snapshot):
         """``build_graph`` does not validate: ``validate()``, which every
@@ -253,48 +255,6 @@ class TestBuildMatchesReference:
         )
         assert snapshot.types.attributes == ((2, 0, 1),)
         self.assert_same_bytes(snapshot)
-
-
-class TestDomainSubgraph:
-    def test_smartcities_slice(self, fix1_graph):
-        sub = domain_subgraph(fix1_graph, "SmartCities")
-        assert sub.node_census() == {"domain": 1, "model": 2, "type": 3, "attribute": 6}
-        attr_labels = {sub.labels[i] for i in sub.nodes_of_kind(NodeKind.ATTRIBUTE)}
-        assert attr_labels == {
-            "dataProvider", "hasTrip", "routeCode", "stopName", "temperature", "windSpeed",
-        }
-        assert [json.loads(domains) for domains in sub.model_domains] == [
-            ["SmartCities"], ["SmartCities", "SmartEnergy"],
-        ]
-        assert sub.type_model == ("UrbanMobility", "UrbanMobility", "WeatherShared")
-        back = OntologyGraph.from_bytes(sub.canonical_bytes())
-        assert graph_to_doc(back) == graph_to_doc(sub)
-        assert len(sub.u) == 17
-
-    def test_provenance_chain(self, fix1_graph):
-        sub = domain_subgraph(fix1_graph, "SmartEnergy")
-        assert sub.provenance.parent_hash == fix1_graph.graph_hash()
-        assert sub.provenance.domain == "SmartEnergy"
-        assert sub.provenance.snapshot_hash == fix1_graph.provenance.snapshot_hash
-
-    def test_induced_weights_preserved(self, fix1_graph):
-        sub = domain_subgraph(fix1_graph, "SmartCities")
-        edges = _edge_labels(sub)
-        assert (("SmartCities", "dataProvider"), EDGE_ATTR_DOMAIN, 2) in edges
-
-    def test_unknown_domain(self, fix1_graph):
-        with pytest.raises(NotFoundError, match="unknown domain"):
-            domain_subgraph(fix1_graph, "SmartNothing")
-
-    def test_random_subgraphs_are_subsets(self):
-        for seed in range(15):
-            snapshot = random_snapshot(random.Random(seed))
-            graph = build_graph(snapshot)
-            parent_labels = _node_keys(graph)
-            for domain_id in snapshot.domains.id:
-                sub = domain_subgraph(graph, domain_id)
-                assert _node_keys(sub) <= parent_labels
-                assert _edge_labels(sub) <= _edge_labels(graph)
 
 
 def _add_attr_attr(doc, u, v, weight):
@@ -454,10 +414,7 @@ def _graphs(draw, kinds):
     weight = st.integers(1, 18).flatmap(_digits)
     edges = [(u, v, kind, draw(weight)) for (u, v), kind in keys]
     draw(st.randoms()).shuffle(edges)
-    optional = st.none() | st.text(max_size=4)
-    provenance = GraphProvenance(
-        draw(st.text(max_size=8)), draw(st.booleans()), draw(optional), draw(optional)
-    )
+    provenance = GraphProvenance(draw(st.text(max_size=8)), draw(st.booleans()))
     return OntologyGraph.create(nodes, edges, provenance)
 
 
@@ -570,6 +527,10 @@ class TestStoredBytes:
             "edge moved across a kind boundary": self._counted(attr_domain=0, attr_model=2),
             "earlier per-edge-kind form": canonical_json_bytes(earlier),
             "earlier form without edges": canonical_json_bytes(dict(earlier, edges=[])),
+            "earlier provenance": canonical_json_bytes(earlier_provenance(doc)),
+            "earlier provenance with containment edges": canonical_json_bytes(earlier_provenance(
+                dict(doc, provenance=dict(doc["provenance"], containment_edges=True))
+            )),
         }
 
     @pytest.mark.parametrize("case", [
@@ -580,7 +541,8 @@ class TestStoredBytes:
         "truncated", "truncated edges", "weight 0", "not an object", "digits for edges",
         "kind missing from the counts", "extra kind", "negative count", "count 1.0",
         "counts over the rows", "counts under the rows", "edge moved across a kind boundary",
-        "earlier per-edge-kind form", "earlier form without edges",
+        "earlier per-edge-kind form", "earlier form without edges", "earlier provenance",
+        "earlier provenance with containment edges",
     ])
     def test_declined_text_reads_as_json_path(self, case):
         """Each declined text is refused. Read as a JSON document of dicts,
@@ -595,12 +557,16 @@ class TestStoredBytes:
             return
         assert again != data
 
-    @pytest.mark.parametrize("case", ["earlier per-edge-kind form", "earlier form without edges"])
+    @pytest.mark.parametrize("case", [
+        "earlier per-edge-kind form", "earlier form without edges", "earlier provenance",
+        "earlier provenance with containment edges",
+    ])
     def test_earlier_form_refused(self, case):
-        """A graph stored before the edge rows lost their kind is refused
-        with a message that says how to write it again."""
+        """A graph stored before the edge rows lost their kind, or before
+        the provenance lost the subgraph's ``domain`` and ``parent_hash``,
+        is refused with a message that says how to write it again."""
         message = (
-            "stored graph uses the earlier per-edge-kind form; "
+            "stored graph is in an earlier form; "
             "rebuild it with 'ontomesh graph build --overwrite'"
         )
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -851,14 +817,13 @@ class TestAdjacency:
                  (0, 1, EDGE_CONTAINMENT, 1)]
         graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
         self.assert_matches_reference(graph)
-        assert [graph.neighbors(i).tolist() for i in range(4)] == [[1], [0, 2], [1], []]
+        assert [neighbors(graph, i) for i in range(4)] == [[1], [0, 2], [1], []]
 
     def test_derived_once(self, fix1_graph, monkeypatch):
         graph = OntologyGraph.from_bytes(fix1_graph.canonical_bytes())
         derive = mock.Mock(wraps=graph_module._adjacency)
         monkeypatch.setattr(graph_module, "_adjacency", derive)
         graph.canonical_bytes(), edge_census(graph), graph.node_census()
-        domain_subgraph(graph, "SmartCities")
         assert derive.call_count == 0
-        graph.neighbors(0), graph.indptr, graph.indices
+        neighbors(graph, 0), graph.indptr, graph.indices
         assert derive.call_count == 1

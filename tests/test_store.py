@@ -16,7 +16,7 @@ from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, S
 from ontomesh.graph import OntologyGraph, build_graph
 from ontomesh.store import ArtifactStore
 
-from oracles import graph_to_doc
+from oracles import earlier_form, earlier_provenance, graph_to_doc
 
 
 @pytest.fixture()
@@ -155,6 +155,25 @@ def test_invalid_names_rejected(store, fix1_snapshot, bad):
 def test_get_missing(store):
     with pytest.raises(NotFoundError):
         store.get("ghost")
+
+
+@pytest.mark.parametrize("form", [earlier_form, earlier_provenance])
+def test_graph_of_an_earlier_form_refused(store, fix1_graph, form):
+    """A graph that matches its hash but was written in an earlier form is
+    refused with one line that names the command that writes it again."""
+    store.put("g", fix1_graph)
+    data = canonical_json_bytes(form(graph_to_doc(fix1_graph)))
+    content_hash = sha256_hex(data)
+    (store.objects_dir / f"{content_hash}.json").write_bytes(data)
+    index = json.loads(store.index_path.read_bytes())
+    index["g"]["hash"] = content_hash
+    store.index_path.write_text(json.dumps(index))
+    with pytest.raises(CorruptionError) as raised:
+        store.get("g")
+    assert str(raised.value) == (
+        "artifact 'g' is not a valid graph: stored graph is in an earlier form; "
+        "rebuild it with 'ontomesh graph build --overwrite'"
+    )
 
 
 def test_expect_kind_mismatch(store, fix1_snapshot):
