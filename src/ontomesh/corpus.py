@@ -618,7 +618,7 @@ def ingest_corpus(
                 f"and {domain_name!r} both name domain {domain_id!r}"
             )
         d = domain_rows[domain_id] = _append(columns.domains, domain_id, domain_name)
-        digest.update(f"{domain_name}/".encode("utf-8") + b"\x00")
+        digest.update(_utf8(f"{domain_name}/") + b"\x00")
         domain_dir = os.path.join(root, domain_name)
         for model_name in _subdirectories(domain_dir):
             model_id = model_name.strip()
@@ -633,10 +633,11 @@ def ingest_corpus(
                     f"{model_name!r} both name model {model_id!r}"
                 )
             columns.models.domains[m].add(d)
-            digest.update(f"{domain_name}/{model_name}/".encode("utf-8") + b"\x00")
+            digest.update(_utf8(f"{domain_name}/{model_name}/") + b"\x00")
             model_dir = os.path.join(domain_dir, model_name)
             for name in _schema_files(model_dir, layout.recurse, is_schema):
                 relpath = f"{domain_name}/{model_name}/{name}"
+                encoded = _utf8(relpath)
                 try:
                     with open(os.path.join(model_dir, name), "rb") as fh:
                         data = fh.read()
@@ -654,7 +655,7 @@ def ingest_corpus(
                         ) from exc
                     logger.warning("skipping malformed schema file %s: %s", relpath, exc)
                     continue
-                digest.update(relpath.encode("utf-8"))
+                digest.update(encoded)
                 digest.update(b"\x00")
                 digest.update(data)
                 digest.update(b"\x00")
@@ -686,6 +687,15 @@ def ingest_corpus(
                         add_value_type(value_type)
 
     return CorpusSnapshot(content_hash=digest.hexdigest(), **columns.sorted_fields())
+
+
+def _utf8(relpath: str) -> bytes:
+    """A path under the corpus root as UTF-8; a name that is not UTF-8 (held
+    with surrogate escapes) is refused."""
+    try:
+        return relpath.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"path under the corpus root is not UTF-8: {relpath!r}") from None
 
 
 def _defined_twice(type_id: str, domain_id: str, first: str, second: str) -> CorpusError:

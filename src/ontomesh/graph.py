@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -67,18 +67,6 @@ _DIGIT_VALUE[48:58] = np.arange(10)
 
 
 @dataclass
-class GraphNode:
-    """A node as a value, for graphs built by hand with ``create``: a model
-    node's metadata is ``{"domains": text}``, a type node's
-    ``{"model": text}``, and the other kinds have none."""
-
-    node_id: int
-    kind: NodeKind
-    label: str
-    metadata: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class GraphProvenance:
     snapshot_hash: str
     containment_edges: bool = False
@@ -90,41 +78,17 @@ class GraphProvenance:
         }
 
 
-def _int_column(values, name: str) -> np.ndarray:
-    array = np.asarray(values)
-    if array.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if array.dtype.kind not in "iu":
-        raise ValueError(f"edge {name} values must be integers")
-    return array.astype(np.int64, copy=False)
-
-
-def _kind_codes(kinds, names: tuple[str, ...], what: str) -> list[int]:
-    """The index of each kind name in ``names``; unknown names are refused."""
-    code = {name: i for i, name in enumerate(names)}
-    try:
-        return [code[kind] for kind in kinds]
-    except (KeyError, TypeError):
-        bad = next(kind for kind in kinds if kind not in names)
-        raise ValueError(f"unknown {what} {bad!r}") from None
-
-
-def _edge_columns(u, v, kinds, weight) -> list[np.ndarray]:
-    """Edge fields given as Python sequences, kinds by name, as int64
-    arrays; unknown kinds and non-integer values are refused."""
-    codes = _kind_codes(kinds, EDGE_KINDS, "edge kind")
-    return [
-        _int_column(values, name)
-        for values, name in ((u, "u"), (v, "v"), (codes, "kind"), (weight, "weight"))
-    ]
-
-
 def _node_columns(kinds, labels, metadata) -> tuple:
     """Node fields given in id order, kinds by name, as the columns a graph
     keeps: kind codes, labels, each model's domains and each type's model.
     Metadata other than the one text value of a model or type node is
-    refused."""
-    codes = _kind_codes(kinds, NODE_KINDS, "node kind")
+    refused, and so are unknown kinds."""
+    index = {name: i for i, name in enumerate(NODE_KINDS)}
+    try:
+        codes = [index[kind] for kind in kinds]
+    except (KeyError, TypeError):
+        bad = next(kind for kind in kinds if kind not in NODE_KINDS)
+        raise ValueError(f"unknown node kind {bad!r}") from None
     values: tuple[list[str], ...] = ([], [], [], [])
     for node_id, (code, meta) in enumerate(zip(codes, metadata)):
         key = _METADATA_KEYS[code]
@@ -278,36 +242,11 @@ class OntologyGraph:
     _hash: str | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def create(
-        cls,
-        nodes: Sequence[GraphNode],
-        edges: Iterable[tuple[int, int, str, int]],
-        provenance: GraphProvenance,
-    ) -> "OntologyGraph":
-        """Build a graph from node values and ``(u, v, kind, weight)`` edge
-        rows in any order (for small graphs made by hand); validates
-        like every other constructor."""
-        rows = list(edges)
-        u, v, kinds, weight = zip(*rows, strict=True) if rows else ((), (), (), ())
-        ids = [node.node_id for node in nodes]
-        if ids != list(range(len(ids))):
-            bad = next(node_id for expected, node_id in enumerate(ids) if node_id != expected)
-            raise ValueError(f"node ordinals not dense at {bad}")
-        node_columns = _node_columns(
-            [node.kind for node in nodes],
-            [node.label for node in nodes],
-            [node.metadata for node in nodes],
-        )
-        return cls._from_arrays(node_columns, *_edge_columns(u, v, kinds, weight), provenance)
-
-    @classmethod
-    def _from_arrays(
-        cls, nodes, u, v, kind, weight, provenance, stored: bool = False
-    ) -> "OntologyGraph":
-        """Validate structure and sort the int64 edge arrays canonically
-        unless they already are; ``stored`` edges out of canonical order are
-        refused instead. ``nodes`` are the node columns (kind codes, labels,
-        model domains, type models), ids dense by construction."""
+    def _from_arrays(cls, nodes, u, v, kind, weight, provenance) -> "OntologyGraph":
+        """The graph of node columns (kind codes, labels, model domains,
+        type models; ids dense by construction) and int64 edge arrays in
+        canonical order, whose structure is validated: edges out of that
+        order, duplicates among them, are refused, not sorted."""
         node_kind, labels = nodes[:2]
         n = len(labels)
         seen: list[set[str]] = [set() for _ in NODE_KINDS]
@@ -331,14 +270,7 @@ class OntologyGraph:
         edge_key = (kind * n + u) * n + v
         # Strictly increasing keys are canonical order with no duplicate.
         if not np.all(edge_key[1:] > edge_key[:-1]):
-            if stored:
-                raise ValueError("stored edges are not in canonical order")
-            order = np.argsort(edge_key)
-            u, v, kind, weight = u[order], v[order], kind[order], weight[order]
-            edge_key = edge_key[order]
-            bad = np.flatnonzero(edge_key[1:] == edge_key[:-1])
-            if bad.size:
-                raise ValueError(f"duplicate edge {edge(bad[0])[:3]!r}")
+            raise ValueError("edges are not in canonical order")
         return cls(*nodes, provenance=provenance, u=u, v=v, kind=kind, weight=weight)
 
     # -- lookups -----------------------------------------------------------
@@ -462,7 +394,7 @@ class OntologyGraph:
                     [nd["metadata"] for nd in nodes],
                 ),
                 u, v, np.repeat(np.arange(len(EDGE_KINDS)), counts), weight,
-                GraphProvenance(**rest["provenance"]), stored=True,
+                GraphProvenance(**rest["provenance"]),
             )
             for chunk in graph._chunks_after_edges():
                 if not data.startswith(chunk, end):

@@ -1,14 +1,13 @@
 """Self-contained SVG heatmap for domain matrices (no plotting dependency).
 
 The figure is an n x n grid of rects colored on a linear scale between two
-configurable hex colors, with row/column labels, a neutral diagonal, and a
+fixed hex colors, with row/column labels, a neutral diagonal, and a
 horizontal color bar annotated with the value range.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from ontomesh.results import DomainMatrix
@@ -17,6 +16,10 @@ CELL = 40
 LEFT = 130
 TOP = 70
 PAD = 20
+# Cells blend from LOW to HIGH by value; the diagonal is NEUTRAL.
+LOW = "#f7fbff"
+HIGH = "#08306b"
+NEUTRAL = "#d9d9d9"
 
 
 def _escape(text: str) -> str:
@@ -36,38 +39,18 @@ def _quoteattr(text: str) -> str:
     return '"%s"' % text.replace('"', "&quot;")
 
 
-@dataclass
-class PaletteConfig:
-    low: str = "#f7fbff"
-    high: str = "#08306b"
-    neutral: str = "#d9d9d9"
+def _rgb(color: str) -> tuple[int, ...]:
+    return tuple(int(color[i : i + 2], 16) for i in (1, 3, 5))
 
 
-def _hex_to_rgb(color: str) -> tuple[int, int, int]:
-    if len(color) != 7 or not color.startswith("#"):
-        raise ValueError(f"expected #rrggbb color, got {color!r}")
-    return tuple(int(color[i : i + 2], 16) for i in (1, 3, 5))  # type: ignore[return-value]
-
-
-def _blend(low: str, high: str, t: float) -> str:
-    lo = _hex_to_rgb(low)
-    hi = _hex_to_rgb(high)
-    rgb = tuple(round(a + t * (b - a)) for a, b in zip(lo, hi))
+def cell_color(value: float, vmin: float, vmax: float) -> str:
+    t = (value - vmin) / (vmax - vmin) if vmax > vmin else 0.0
+    rgb = tuple(round(a + t * (b - a)) for a, b in zip(_rgb(LOW), _rgb(HIGH)))
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def cell_color(value: float, vmin: float, vmax: float, palette: PaletteConfig) -> str:
-    t = (value - vmin) / (vmax - vmin) if vmax > vmin else 0.0
-    return _blend(palette.low, palette.high, t)
-
-
-def render_heatmap_svg(
-    matrix: DomainMatrix,
-    out: str | os.PathLike,
-    palette: PaletteConfig | None = None,
-) -> int:
+def render_heatmap_svg(matrix: DomainMatrix, out: str | os.PathLike) -> int:
     """Write the heatmap SVG to ``out``; returns the byte count written."""
-    palette = palette or PaletteConfig()
     n = len(matrix.labels)
     vmin, vmax = matrix.value_range()
     width = LEFT + n * CELL + PAD
@@ -78,8 +61,8 @@ def render_heatmap_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
         "<defs>",
         '<linearGradient id="scale" x1="0" y1="0" x2="1" y2="0">',
-        f'<stop offset="0" stop-color="{palette.low}"/>',
-        f'<stop offset="1" stop-color="{palette.high}"/>',
+        f'<stop offset="0" stop-color="{LOW}"/>',
+        f'<stop offset="1" stop-color="{HIGH}"/>',
         "</linearGradient>",
         "</defs>",
         f'<rect class="colorbar" x="{LEFT}" y="10" width="{n * CELL}" height="12" fill="url(#scale)" stroke="#444"/>',
@@ -100,7 +83,7 @@ def render_heatmap_svg(
     for i in range(n):
         for j in range(n):
             value = matrix.cells[i][j]
-            fill = palette.neutral if i == j else cell_color(value, vmin, vmax, palette)
+            fill = NEUTRAL if i == j else cell_color(value, vmin, vmax)
             x = LEFT + j * CELL
             y = TOP + i * CELL
             title = _quoteattr(f"{matrix.labels[i]},{matrix.labels[j]}={value:g}")

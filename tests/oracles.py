@@ -52,10 +52,10 @@ from ontomesh.graph import (
     EDGE_ATTR_DOMAIN,
     EDGE_ATTR_MODEL,
     EDGE_CONTAINMENT,
-    GraphNode,
     GraphProvenance,
     NodeKind,
     OntologyGraph,
+    _node_columns,
 )
 from ontomesh.results import DomainMatrix
 
@@ -193,14 +193,24 @@ def _occurrence_error(
 # ---------------------------------------------------------------------------
 
 
+def hand_graph(nodes, edges, provenance: GraphProvenance) -> OntologyGraph:
+    """A graph made by hand: ``nodes`` are ``(kind, label, metadata)`` in id
+    order, and ``edges`` are ``(u, v, kind, weight)`` rows in any order,
+    sorted here into the canonical order that the package's constructor
+    requires. The constructor validates the rest."""
+    kinds, labels, metadata = zip(*nodes) if nodes else ((), (), ())
+    rows = sorted((EDGE_KINDS.index(kind), u, v, weight) for u, v, kind, weight in edges)
+    kind, u, v, weight = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    return OntologyGraph._from_arrays(
+        _node_columns(kinds, labels, metadata), u, v, kind, weight, provenance
+    )
+
+
 def make_graph(n: int, edge_list: list[tuple[int, int]]) -> OntologyGraph:
     """Plain simple graph as attribute-kind nodes (labels a000, a001, ...)."""
-    nodes = [
-        GraphNode(node_id=i, kind=NodeKind.ATTRIBUTE, label=f"a{i:03d}")
-        for i in range(n)
-    ]
+    nodes = [(NodeKind.ATTRIBUTE, f"a{i:03d}", {}) for i in range(n)]
     edges = [(min(u, v), max(u, v), EDGE_ATTR_ATTR, 1) for u, v in edge_list]
-    return OntologyGraph.create(nodes, edges, GraphProvenance(snapshot_hash="test"))
+    return hand_graph(nodes, edges, GraphProvenance(snapshot_hash="test"))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> OntologyGraph:
@@ -492,11 +502,7 @@ def build_graph_reference(
     keyed += [(NodeKind.TYPE, t.type_id, {"model": t.model_id}) for t in records.types]
     keyed += [(NodeKind.ATTRIBUTE, name, {}) for name in attribute_names]
     keyed.sort(key=lambda item: (kind_order[item[0]], item[1]))
-    nodes = [
-        GraphNode(node_id=i, kind=kind, label=label, metadata=metadata)
-        for i, (kind, label, metadata) in enumerate(keyed)
-    ]
-    ids = {(node.kind, node.label): node.node_id for node in nodes}
+    ids = {(kind, label): i for i, (kind, label, _) in enumerate(keyed)}
     attr = {name: ids[(NodeKind.ATTRIBUTE, name)] for name in attribute_names}
     model = {m.model_id: ids[(NodeKind.MODEL, m.model_id)] for m in records.models}
     domain = {d.domain_id: ids[(NodeKind.DOMAIN, d.domain_id)] for d in records.domains}
@@ -524,7 +530,7 @@ def build_graph_reference(
     provenance = GraphProvenance(
         snapshot_hash=snapshot.content_hash, containment_edges=containment_edges
     )
-    return OntologyGraph.create(nodes, edges, provenance)
+    return hand_graph(keyed, edges, provenance)
 
 
 _METADATA_KEY = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
@@ -589,13 +595,11 @@ def earlier_form(doc: dict) -> dict:
 
 
 def graph_from_doc(doc: dict) -> OntologyGraph:
-    """Inverse of ``graph_to_doc`` through ``OntologyGraph.create``: each
-    kind's edges in any order, and no check that the document is in its
-    stored form."""
-    nodes = [
-        GraphNode(nd["id"], nd["kind"], nd["label"], nd["metadata"]) for nd in doc["nodes"]
-    ]
-    return OntologyGraph.create(nodes, doc_edges(doc), GraphProvenance(**doc["provenance"]))
+    """Inverse of ``graph_to_doc`` through ``hand_graph``: nodes in list
+    order, each kind's edges in any order, and no check that the document
+    is in its stored form."""
+    nodes = [(nd["kind"], nd["label"], nd["metadata"]) for nd in doc["nodes"]]
+    return hand_graph(nodes, doc_edges(doc), GraphProvenance(**doc["provenance"]))
 
 
 # ---------------------------------------------------------------------------

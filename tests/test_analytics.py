@@ -26,10 +26,8 @@ from ontomesh.corpus import CorpusSnapshot
 from ontomesh.errors import ProvenanceError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
-    GraphNode,
     GraphProvenance,
     NodeKind,
-    OntologyGraph,
     build_graph,
 )
 from ontomesh.synthetic import synthetic_snapshot
@@ -46,6 +44,7 @@ from oracles import (
     brute_force_betweenness,
     csr_reference,
     degree_row_sums,
+    hand_graph,
     make_graph,
     domain_overlap_matrix_reference,
     overlap_matrix_oracle,
@@ -494,16 +493,13 @@ class TestRanking:
         edges = [("ant", "bee"), ("ant", "cat"), ("ant", "dog"), ("cat", "dog"), ("dog", "elk")]
 
         def build(order):
-            nodes = [
-                GraphNode(node_id=i, kind=NodeKind.ATTRIBUTE, label=lab)
-                for i, lab in enumerate(order)
-            ]
+            nodes = [(NodeKind.ATTRIBUTE, lab, {}) for lab in order]
             idx = {lab: i for i, lab in enumerate(order)}
             ge = [
                 (min(idx[a], idx[b]), max(idx[a], idx[b]), EDGE_ATTR_ATTR, 1)
                 for a, b in edges
             ]
-            return OntologyGraph.create(nodes, ge, GraphProvenance("x"))
+            return hand_graph(nodes, ge, GraphProvenance("x"))
 
         compute = degree_centrality if metric == "degree" else betweenness_centrality
         g1 = build(labels)

@@ -107,6 +107,17 @@ class TestIngest:
         assert code == 1
         assert "empty corpus" in err
 
+    def test_name_not_utf8_exit_1(self, workdir, capsys):
+        tree = workdir / "tree"
+        (tree / "D" / "M").mkdir(parents=True)
+        (tree / "D" / "M" / "T.json").write_text('{"title": "T", "properties": {"a": {}}}')
+        os.mkdir(os.fsencode(tree / "D") + b"/\xff\xfe")
+        code, out, err = run_cli(["ingest", str(tree), "--name", "t"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "ontomesh: error: path under the corpus root is not UTF-8: 'D/\\udcff\\udcfe/'\n"
+        assert not (workdir / "store").exists()
+
     def test_strict_broken_exit_2(self, workdir, capsys):
         code, _, err = run_cli(
             ["ingest", str(FIXTURES / "fix-broken"), "--name", "b", "--strict"], capsys

@@ -208,6 +208,22 @@ class TestIngest:
             ingest_corpus(tmp_path)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("name", [b"D/\xff\xfe/", b"D/M/\xff.json"], ids=["directory", "file"])
+    def test_name_not_utf8_refused(self, tmp_path, name):
+        """A directory or schema file whose name is not UTF-8 is refused,
+        named by its repr, before anything of the tree is hashed."""
+        _write(tmp_path, {"D/M/T.json": _schema("T")})
+        path = os.fsencode(tmp_path) + b"/" + name
+        if name.endswith(b"/"):
+            os.mkdir(path)
+        else:
+            with open(path, "w") as fh:
+                fh.write(_schema("U"))
+        with pytest.raises(CorpusError) as excinfo:
+            ingest_corpus(tmp_path)
+        relpath = os.fsdecode(name)
+        assert str(excinfo.value) == f"path under the corpus root is not UTF-8: {relpath!r}"
+
     def test_non_recursive_layout_skips_nested(self, tmp_path):
         model = tmp_path / "D" / "M"
         nested = model / "sub"

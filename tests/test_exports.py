@@ -21,18 +21,17 @@ from ontomesh.canonical import canonical_json_bytes
 from ontomesh.exports import export_graph, export_matrix_csv, import_graph_json
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
-    GraphNode,
     GraphProvenance,
     NodeKind,
     OntologyGraph,
     build_graph,
 )
-from ontomesh.heatmap import PaletteConfig, render_heatmap_svg
+from ontomesh.heatmap import HIGH, LOW, NEUTRAL, render_heatmap_svg
 from ontomesh.report import render_report
 from ontomesh.store import ArtifactStore
 from ontomesh.synthetic import synthetic_snapshot
 
-from oracles import graph_to_doc, graphml_element_tree
+from oracles import graph_to_doc, graphml_element_tree, hand_graph
 
 GML_NS = {"g": "http://graphml.graphdrawing.org/xmlns"}
 
@@ -130,9 +129,9 @@ class TestGraphExports:
     def test_graphml_escapes_like_element_tree(self, tmp_path):
         labels = ["a & b", "<tag>", 'say "hi"', "it's", "&amp;", "Zürich – Ørsted €",
                   "温度", "", " padded ", "line\nbreak\r\ttab"]
-        nodes = [GraphNode(i, NodeKind.ATTRIBUTE, label) for i, label in enumerate(labels)]
+        nodes = [(NodeKind.ATTRIBUTE, label, {}) for label in labels]
         edges = [(0, i, EDGE_ATTR_ATTR, i) for i in range(1, len(labels))]
-        graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+        graph = hand_graph(nodes, edges, GraphProvenance("x"))
         out = tmp_path / "labels.graphml"
         export_graph(graph, "graphml", out)
         assert out.read_bytes() == graphml_element_tree(graph)
@@ -140,14 +139,14 @@ class TestGraphExports:
         assert loaded.nodes["n0"]["label"] == "a & b"
         assert loaded.nodes["n5"]["label"] == "Zürich – Ørsted €"
         # UTF-8 cannot encode a lone surrogate: both write a character reference
-        nodes.append(GraphNode(len(nodes), NodeKind.ATTRIBUTE, "lone \ud800"))
-        graph = OntologyGraph.create(nodes, edges, GraphProvenance("x"))
+        nodes.append((NodeKind.ATTRIBUTE, "lone \ud800", {}))
+        graph = hand_graph(nodes, edges, GraphProvenance("x"))
         export_graph(graph, "graphml", out)
         assert out.read_bytes() == graphml_element_tree(graph)
 
     def test_graphml_of_empty_graph_matches_element_tree(self, tmp_path):
-        for nodes in ([], [GraphNode(0, NodeKind.DOMAIN, "D")]):
-            graph = OntologyGraph.create(nodes, [], GraphProvenance("x"))
+        for nodes in ([], [(NodeKind.DOMAIN, "D", {})]):
+            graph = hand_graph(nodes, [], GraphProvenance("x"))
             out = tmp_path / "empty.graphml"
             export_graph(graph, "graphml", out)
             assert out.read_bytes() == graphml_element_tree(graph)
@@ -359,9 +358,8 @@ class TestHeatmap:
             t for t in root.findall(".//s:text", ns) if t.get("class") == "range"
         )
         assert range_text.text == "0–0"
-        palette = PaletteConfig()
-        off_diagonal = [c for c in _cells(out) if c.get("fill") != palette.neutral]
-        assert {c.get("fill") for c in off_diagonal} == {palette.low}
+        off_diagonal = [c for c in _cells(out) if c.get("fill") != NEUTRAL]
+        assert {c.get("fill") for c in off_diagonal} == {LOW}
 
     def test_colors_monotone_in_value(self, tmp_path):
         matrix = DomainMatrix(
@@ -370,9 +368,8 @@ class TestHeatmap:
         )
         out = tmp_path / "m.svg"
         render_heatmap_svg(matrix, out)
-        palette = PaletteConfig()
-        low_red = int(palette.low[1:3], 16)
-        high_red = int(palette.high[1:3], 16)
+        low_red = int(LOW[1:3], 16)
+        high_red = int(HIGH[1:3], 16)
 
         def darkness(fill):
             red = int(fill[1:3], 16)
@@ -381,7 +378,7 @@ class TestHeatmap:
         samples = sorted(
             (float(c.get("data-value")), darkness(c.get("fill")))
             for c in _cells(out)
-            if c.get("fill") != palette.neutral
+            if c.get("fill") != NEUTRAL
         )
         for (va, ta), (vb, tb) in zip(samples, samples[1:]):
             assert va <= vb
@@ -393,18 +390,9 @@ class TestHeatmap:
         render_heatmap_svg(matrix, out)
         cells = _cells(out)
         # row-major emission: cells[0] and cells[3] are the diagonal
-        palette = PaletteConfig()
-        assert cells[0].get("fill") == palette.neutral
-        assert cells[3].get("fill") == palette.neutral
-        assert cells[1].get("fill") == palette.high
-
-    def test_custom_palette(self, tmp_path):
-        matrix = DomainMatrix(metric="x", labels=["A", "B"], cells=[[0, 1], [1, 0]])
-        out = tmp_path / "p.svg"
-        palette = PaletteConfig(low="#000000", high="#ff0000", neutral="#123456")
-        render_heatmap_svg(matrix, out, palette)
-        fills = {c.get("fill") for c in _cells(out)}
-        assert fills == {"#ff0000", "#123456"}
+        assert cells[0].get("fill") == NEUTRAL
+        assert cells[3].get("fill") == NEUTRAL
+        assert cells[1].get("fill") == HIGH
 
 
 class TestRenderReport:
