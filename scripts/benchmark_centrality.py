@@ -39,12 +39,14 @@ def timed(label, fn):
 
 
 def betweenness_header(graph) -> str:
-    """Usable CPUs, and the threads and block size betweenness uses on this
-    graph, so that timings can be compared across machines."""
+    """Usable CPUs, the size of the quotient graph betweenness runs on, and
+    the threads and block size it uses, so that timings can be compared
+    across machines."""
     plan = analytics._sparse_plan(graph.indptr, graph.indices)
     return (
         f"usable CPUs {analytics._usable_cpus()}; betweenness: "
-        f"{len(plan.reps)} classes in blocks of {BETWEENNESS_BLOCK} on {plan.threads} thread(s)"
+        f"{len(plan.sizes)} classes, {len(plan.indices)} quotient nonzeros, "
+        f"in blocks of {BETWEENNESS_BLOCK} on {plan.threads} thread(s)"
     )
 
 

@@ -3,19 +3,24 @@
 Betweenness uses Brandes' accumulation (one BFS per source plus dependency
 back-propagation) over the unweighted simple graph, with the undirected
 unordered-pair convention: disconnected pairs contribute nothing and
-endpoints are excluded. Sources with the same closed neighbourhood have the
-same dependencies, so one BFS per such class is run and weighted by the
-class size (Sariyüce et al., SDM 2013; Puzis et al., SocialCom 2012).
-Blocks of 16 class representatives run as sparse-by-dense products (Kepner
-& Gilbert 2011) on up to one thread per usable CPU, with at most 64 columns
-in flight. A product runs over only the rows a level touches when those
-rows hold under half of the adjacency's nonzeros (direction-optimizing BFS,
-Beamer, Asanović & Patterson, SC 2012); it leaves out only exact zero
-terms. Sums run in one fixed order (path counts and dependencies pulled in
-ascending node id, classes added in ascending representative id, by the
-calling thread), so results are bit-stable, identical across block sizes
-and thread counts, and equal to those of the reference loop
-``betweenness_reference`` in ``tests/oracles.py``.
+endpoints are excluded. Nodes with the same closed neighbourhood (closed
+twins) are adjacent and share every other neighbour, so no shortest path
+between different classes of them passes through two members of one class.
+Brandes therefore runs on the quotient graph, one node per class weighted
+by its size (Puzis et al., SocialCom 2012; Sariyüce et al., SDM 2013): path
+counts pull ``size * sigma`` from predecessor classes, dependencies pull
+``size * (delta + 1.0) / sigma`` from successor classes, each source class
+adds ``size * row``, and each node takes its class's score. Blocks of 16
+source classes run as sparse-by-dense products (Kepner & Gilbert 2011) on
+up to one thread per usable CPU, with at most 64 columns in flight. A
+product runs over only the rows a level touches when those rows hold under
+half of the quotient's nonzeros (direction-optimizing BFS, Beamer,
+Asanović & Patterson, SC 2012); it leaves out only exact zero terms. Sums
+run in one fixed order (path counts and dependencies pulled in ascending
+class id, classes added in ascending class id, by the calling thread), so
+results are bit-stable, identical across block sizes and thread counts,
+and equal to those of the reference loop ``betweenness_reference`` in
+``tests/oracles.py``.
 
 The overlap matrices and specificity ratios are read from the graph alone:
 attr_domain edges give the attribute-by-domain incidence and each model
@@ -47,8 +52,8 @@ from ontomesh.results import AnalysisReport, CentralityResult, DomainMatrix, utc
 
 logger = logging.getLogger(__name__)
 
-# Class representatives per sparse block, and the most block columns that
-# all threads together work on: each thread holds a few node-count-by-block
+# Source classes per sparse block, and the most block columns that all
+# threads together work on: each thread holds a few class-count-by-block
 # arrays, so 64 columns bound memory at one block of 64 run alone.
 BETWEENNESS_BLOCK = 16
 BETWEENNESS_COLUMNS = 64
@@ -95,63 +100,101 @@ def _numba_kernel():
     return None
 
 
-def _twin_classes(indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+def _twin_classes(indptr, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-neighbourhood classes of a CSR graph.
 
     Nodes s and t share a class when N[s] == N[t], where N[v] is v with its
     neighbours. Returns each class's representative, its smallest id, in
-    ascending order, and the class sizes.
+    ascending order, the class sizes, and each node's class: the index of
+    its representative among them. Every row must ascend.
     """
     n = len(indptr) - 1
-    # Closed rows: every row with its own id merged in, sorted.
+    # Closed rows: every row with its own id inserted in order, found in
+    # the ascending keys ``row * n + column``.
     owner = np.repeat(np.arange(n), np.diff(indptr))
-    rows = np.concatenate((owner, np.arange(n)))
-    cols = np.concatenate((indices, np.arange(n)))
-    closed = cols[np.lexsort((cols, rows))]
+    at = np.searchsorted(owner * n + indices, np.arange(n) * (n + 1))
+    closed = np.insert(indices, at, np.arange(n))
     ends = (indptr + np.arange(n + 1)).tolist()
     first_seen: dict[bytes, int] = {}
-    rep_of = [
-        first_seen.setdefault(closed[a:b].tobytes(), v)
-        for v, (a, b) in enumerate(zip(ends[:-1], ends[1:]))
-    ]
-    sizes = np.bincount(np.array(rep_of, dtype=np.int64), minlength=n)
-    reps = np.flatnonzero(sizes)
-    return reps, sizes[reps]
+    rep_of = np.array(
+        [
+            first_seen.setdefault(closed[a:b].tobytes(), v)
+            for v, (a, b) in enumerate(zip(ends[:-1], ends[1:]))
+        ],
+        dtype=np.int64,
+    )
+    sizes = np.bincount(rep_of, minlength=n)
+    is_rep = sizes > 0
+    return np.flatnonzero(is_rep), sizes[is_rep], np.cumsum(is_rep)[rep_of] - 1
+
+
+def _neighbours(indptr, indices, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of ``nodes`` end to end, and for each of their entries
+    the position of its row in ``nodes``."""
+    degree = indptr[nodes + 1] - indptr[nodes]
+    offset = np.repeat(indptr[nodes] - (np.cumsum(degree) - degree), degree)
+    return indices[offset + np.arange(degree.sum())], np.repeat(np.arange(len(nodes)), degree)
+
+
+def _quotient(indptr, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-twin quotient of a CSR graph: each node's class, the class
+    sizes, and the CSR over the classes, in which two classes are adjacent
+    when their members are.
+
+    The members of a class are adjacent to each other and share every
+    neighbour outside it, so a class's row is its representative's, mapped
+    to classes, without the class itself; rows and columns ascend.
+    """
+    reps, sizes, node_class = _twin_classes(indptr, indices)
+    q = max(len(reps), 1)
+    neighbours, row = _neighbours(indptr, indices, reps)
+    col = node_class[neighbours]
+    keys = np.sort((row * q + col)[col != row])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    quotient_indptr = np.zeros(len(reps) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // q, minlength=len(reps)), out=quotient_indptr[1:])
+    return node_class, sizes, quotient_indptr, keys % q
 
 
 class _SourceBlocks:
-    """Brandes for blocks of sources as sparse-by-dense products.
+    """Brandes for blocks of source classes as sparse-by-dense products on
+    the closed-twin quotient graph, each node a class weighted by its size.
 
-    Each BFS level is a product of ``adj`` with the frontier and each
-    dependency level one with ``coeff``. The CSR product sums every row over
-    its columns in ascending order, so sigma and delta are the same
-    pull-order sums as in the reference loop, with exact zeros in between,
-    and every column is independent of the others in its block.
+    Each BFS level is a product of ``adj`` with the frontier's path counts
+    times the class sizes, so a class's path count is the sum of ``size *
+    sigma`` over its predecessor classes; the classes next to the source
+    have the one path count 1.0. Each dependency level is a product with
+    ``coeff = size * (delta + 1.0) / sigma``, nonzero at the next deeper
+    level only. The CSR
+    product sums every row over its columns in ascending order, so sigma
+    and delta are the same pull-order sums as in the reference loop, with
+    exact zeros in between, and every column is independent of the others
+    in its block.
 
     A product runs over only the rows a level touches when those rows hold
     under half of the adjacency's nonzeros (direction-optimizing BFS,
     Beamer, Asanović & Patterson, SC 2012), and over all rows otherwise:
-    level 2 is pushed from the sources' neighbours, a last forward step
-    with few pairs left unseen is pulled into the rows still unseen, the
-    deepest dependency level is pushed from its own rows, and dependency
-    level 2 is pulled into the level-1 rows. Rows are taken in ascending
-    order, and a push is a CSC product, which adds its columns in order, so
-    each kept row still adds its neighbours in ascending id; the terms left
-    out are ``+0.0`` added to non-negative sums, so the sums are unchanged.
+    level 2 is pushed from the sources' neighbours, the deepest dependency
+    level is pushed from its own rows, and dependency level 2 is pulled
+    into the level-1 rows. Rows are taken in ascending order, and a push is
+    a CSC product, which adds its columns in order, so each kept row still
+    adds its neighbours in ascending id; the terms left out are ``+0.0``
+    added to non-negative sums, so the sums are unchanged.
 
-    The graph must have no isolated nodes, so every source reaches level 1.
-    The BFS of a block stops once each column has reached every node of its
-    source's connected component, so no product is spent on a level that
-    would find nothing.
+    The BFS of a block stops once each column has reached every class of
+    its source's connected component, so no product is spent on a level
+    that would find nothing; a class without neighbour classes (a clique on
+    its own) has no level to search and a zero row.
     """
 
-    def __init__(self, indptr, indices):
+    def __init__(self, indptr, indices, sizes):
         from scipy import sparse
 
         m = len(indptr) - 1
         self.indptr = indptr
         self.indices = indices
         self.adj = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+        self.sizes = np.asarray(sizes, dtype=np.float64)
         self.degree = np.diff(indptr)
         self.reach = _component_sizes(indptr, indices)
 
@@ -162,21 +205,18 @@ class _SourceBlocks:
         return rows if self.degree[rows].sum() * 2 < len(self.indices) else None
 
     def dependencies(self, sources: np.ndarray) -> np.ndarray:
-        """Row i holds the dependencies of every node on ``sources[i]``,
+        """Row i holds the dependencies of every class on ``sources[i]``,
         0.0 at the source itself."""
-        indptr, indices, adj = self.indptr, self.indices, self.adj
+        indptr, indices, adj, sizes = self.indptr, self.indices, self.adj, self.sizes
         m, k = len(indptr) - 1, len(sources)
         # Level 1 is written directly: each neighbour of a source has the one
-        # path count 1.0 that a product with the one-hot sources would give.
-        degree = indptr[sources + 1] - indptr[sources]
-        offset = np.repeat(indptr[sources] - (np.cumsum(degree) - degree), degree)
-        rows = indices[offset + np.arange(degree.sum())]
-        cols = np.repeat(np.arange(k), degree)
+        # path count 1.0, whatever the size of the source's class.
+        rows, cols = _neighbours(indptr, indices, sources)
         sigma = np.zeros((m, k), dtype=np.float64)
         sigma[rows, cols] = 1.0
-        # level[d] holds the flat indices into sigma of the nodes at distance
+        # level[d] holds the flat indices into sigma of the classes at distance
         # d from each column's source, so all levels together hold at most
-        # one entry per node and column.
+        # one entry per class and column.
         level = [None, rows * k + cols]
         # The rows of level 1, their adjacency rows when they are few, and
         # level 1 as flat indices into those rows.
@@ -187,38 +227,22 @@ class _SourceBlocks:
         sigma[sources, np.arange(k)] = 1.0
         unseen = sigma == 0
         # A source and its neighbours are seen; the rest of its component is not.
-        remaining = int((self.reach[sources] - 1 - degree).sum())
+        remaining = int((self.reach[sources] - 1 - self.degree[sources]).sum())
         while remaining:
-            into = None
             if frontier is None:
-                # Level 2, pushed from the rows of level 1 alone.
-                ones = np.zeros((len(near), k))
-                ones.ravel()[near_flat] = 1.0
-                reached = near_adj.T @ ones
+                # Level 2, pushed from the rows of level 1 alone: their path
+                # counts 1.0 times their sizes.
+                pushed = np.zeros((len(near), k))
+                pushed.ravel()[near_flat] = sizes[rows]
+                reached = near_adj.T @ pushed
             else:
-                if remaining < m:
-                    # Few pairs are left: pull into the rows still unseen.
-                    into = self._restrict(np.flatnonzero(unseen.any(axis=1)))
-                reached = adj @ frontier if into is None else adj[into] @ frontier
-            if into is None:
-                frontier = np.multiply(reached, unseen, out=reached)
-                sigma += frontier
-                new = frontier > 0
-                unseen ^= new
-                level.append(np.flatnonzero(new))
-                remaining -= len(level[-1])
-                continue
-            # Only the rows ``into`` were summed; every other row is seen.
-            found = np.multiply(reached, unseen[into], out=reached)
-            sigma[into] += found
-            new = found > 0
-            unseen[into] ^= new
-            at = np.flatnonzero(new)
-            level.append(into[at // k] * k + at % k)
-            remaining -= len(at)
-            if remaining:
-                frontier = np.zeros_like(sigma)
-                frontier[into] = found
+                reached = adj @ np.multiply(frontier, sizes[:, None], out=frontier)
+            frontier = np.multiply(reached, unseen, out=reached)
+            sigma += frontier
+            new = frontier > 0
+            unseen ^= new
+            level.append(np.flatnonzero(new))
+            remaining -= len(level[-1])
         # Level 0 is the source itself, whose dependency is never counted.
         delta = np.zeros_like(sigma)
         coeff = np.zeros_like(sigma)
@@ -229,7 +253,7 @@ class _SourceBlocks:
             # coeff is nonzero only at level d.
             if d < deepest:
                 flat_coeff[level[d + 1]] = 0.0
-            flat_coeff[at] = (flat_delta[at] + 1.0) / flat_sigma[at]
+            flat_coeff[at] = sizes[at // k] * (flat_delta[at] + 1.0) / flat_sigma[at]
             if d == 2 and near_adj is not None:
                 # Pulled into the rows of level 1 alone.
                 pulled = (near_adj @ coeff).ravel()[near_flat]
@@ -284,49 +308,53 @@ def _usable_cpus() -> int:
 
 class _SparsePlan(NamedTuple):
     """How ``_brandes_sparse`` runs on a graph: the old ids of the nodes
-    kept, the CSR over them, their closed-neighbourhood classes, and the
-    threads the blocks of classes run on."""
+    kept, each kept node's closed-twin class, the class sizes, the CSR of
+    the quotient graph over the classes, and the threads the blocks of
+    classes run on."""
 
     keep: np.ndarray
+    node_class: np.ndarray
+    sizes: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    reps: np.ndarray
-    sizes: np.ndarray
     threads: int
 
 
 def _sparse_plan(indptr, indices, block=BETWEENNESS_BLOCK) -> _SparsePlan:
-    """Drop isolated nodes, renumbering the rest in order, find the classes,
-    and take one thread per usable CPU, but no more than there are blocks or
-    than fit ``BETWEENNESS_COLUMNS`` columns in flight."""
+    """Drop isolated nodes, renumbering the rest in order, build the
+    quotient over their classes, and take one thread per usable CPU, but no
+    more than there are blocks or than fit ``BETWEENNESS_COLUMNS`` columns
+    in flight."""
     keep = np.flatnonzero(np.diff(indptr))
     renumber = np.zeros(len(indptr) - 1, dtype=np.int64)
     renumber[keep] = np.arange(len(keep))
     indptr = np.concatenate(([0], indptr[keep + 1]))
-    indices = renumber[indices]
-    reps, sizes = _twin_classes(indptr, indices)
-    blocks = -(-len(reps) // block)
+    node_class, sizes, quotient_indptr, quotient_indices = _quotient(indptr, renumber[indices])
+    blocks = -(-len(sizes) // block)
     threads = max(1, min(_usable_cpus(), blocks, BETWEENNESS_COLUMNS // block))
-    return _SparsePlan(keep, indptr, indices, reps, sizes, threads)
+    return _SparsePlan(keep, node_class, sizes, quotient_indptr, quotient_indices, threads)
 
 
 def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
-    """Betweenness from one blocked BFS per closed-neighbourhood class.
+    """Betweenness from one blocked BFS per class of the closed-twin quotient.
 
-    Closed twins s and t (N[s] == N[t]) have bitwise-equal dependency rows:
-    both rows are 0.0 at s and t, and every other node has the same
-    predecessors and path counts from either. So each class is run once,
-    from its representative, and the classes are added in ascending
-    representative id as ``bc += size * row``, one class at a time. That
-    order does not depend on ``block``; a graph without twins gives the
-    plain per-source sum, as ``1.0 * row == row``.
+    Closed twins s and t (N[s] == N[t]) are adjacent and share every other
+    neighbour, so no shortest path between nodes of different classes passes
+    through two members of one class, or through a twin of either endpoint.
+    So weighted Brandes on the quotient graph (``_SourceBlocks``), one node
+    per class, gives each class the dependency of each of its members on
+    any source, and every source of a class has the same row, 0.0 at its
+    own class. The classes are added in ascending class id as
+    ``bc += size * row``, one class at a time, and each node takes its
+    class's score. That order does not depend on ``block``; a graph without
+    twins gives the plain per-source sum, as every size is 1.
 
-    Blocks of ``block`` representatives run on the plan's threads, since the
-    sparse products and array kernels release the GIL. At most that many
-    blocks are submitted ahead of the one being summed, and the calling
-    thread adds the rows in block order, so the sum, and thus the result, is
-    the same for any thread count. Together the threads work on at most
-    ``BETWEENNESS_COLUMNS`` columns per node, or one block if it is wider.
+    Blocks of ``block`` classes run on the plan's threads, since the sparse
+    products and array kernels release the GIL. At most that many blocks
+    are submitted ahead of the one being summed, and the calling thread
+    adds the rows in block order, so the sum, and thus the result, is the
+    same for any thread count. Together the threads work on at most
+    ``BETWEENNESS_COLUMNS`` columns per class, or one block if it is wider.
 
     Isolated nodes are dropped first: they lie on no path and add only exact
     zeros, and renumbering the rest in order keeps every row's columns
@@ -335,33 +363,40 @@ def _brandes_sparse(indptr, indices, n, block=BETWEENNESS_BLOCK):
     from concurrent.futures import ThreadPoolExecutor
 
     plan = _sparse_plan(indptr, indices, block)
-    reps, sizes = plan.reps, plan.sizes
-    graph = _SourceBlocks(plan.indptr, plan.indices)
-    kept_bc = np.zeros(len(plan.keep), dtype=np.float64)
+    classes = len(plan.sizes)
+    graph = _SourceBlocks(plan.indptr, plan.indices, plan.sizes)
+    class_bc = np.zeros(classes, dtype=np.float64)
 
     def run(start):
-        return graph.dependencies(reps[start : start + block])
+        sources = np.arange(start, min(start + block, classes))
+        rows = graph.dependencies(sources)
+        rows *= graph.sizes[sources, None]
+        return rows
 
-    def add(start, future):
-        for size, row in zip(sizes[start : start + block], future.result()):
-            np.add(kept_bc, size * row, out=kept_bc)
+    def add(future):
+        # bc + size * row, one class after another: a running sum down the
+        # block's rows, which adds them in order.
+        rows = future.result()
+        rows[0] += class_bc
+        np.cumsum(rows, axis=0, out=rows)
+        class_bc[:] = rows[-1]
 
     with ThreadPoolExecutor(plan.threads) as pool:
         pending = deque()
-        for start in range(0, len(reps), block):
-            pending.append((start, pool.submit(run, start)))
+        for start in range(0, classes, block):
+            pending.append(pool.submit(run, start))
             if len(pending) > plan.threads:
-                add(*pending.popleft())
-        for start, future in pending:
-            add(start, future)
+                add(pending.popleft())
+        for future in pending:
+            add(future)
     bc = np.zeros(n, dtype=np.float64)
-    bc[plan.keep] = kept_bc
+    bc[plan.keep] = class_bc[plan.node_class]
     return bc
 
 
 def betweenness_centrality(graph: OntologyGraph, normalized: bool = False) -> CentralityResult:
     """Shortest-path betweenness over unordered {s, t} pairs, from one
-    search per closed-neighbourhood class (``_brandes_sparse``).
+    search per class of the closed-twin quotient graph (``_brandes_sparse``).
     Normalization divides by the (|V|-1)(|V|-2)/2 pairs of other nodes
     (0 on graphs of at most two nodes)."""
     n = len(graph.labels)

@@ -2,16 +2,18 @@
 
 Everything here is deliberately written with a different strategy than the
 production code: betweenness by literal enumeration of every shortest path,
-and by a Brandes loop from every source over Python lists that the
-package's blocked sparse products must match bit for bit, degree by adjacency-matrix row sums, overlap matrices and specificity by
-nested set loops over a snapshot's records, where the package reads them
-from the graph, and the graph itself from the snapshot's records, one type at
-a time, where the package builds it from the snapshot's columns. Ingest is
-checked against the record path: a pathlib walk, one record per type and
-occurrence merged by key, and records mapped to sorted columns, where the
-package walks with ``os.scandir`` and interns names into columns as it goes.
-The stored graph is checked against its document as dicts, encoded with
-``json.dumps``, where the package writes its text from templates.
+and by Brandes loops over Python lists, on a closed-twin quotient derived
+by sets over every edge, that the package's blocked sparse products must
+match bit for bit, degree by adjacency-matrix row sums, overlap matrices
+and specificity by nested set loops over a snapshot's records, where the
+package reads them from the graph, and the graph itself from the snapshot's
+records, one type at a time, where the package builds it from the
+snapshot's columns. Ingest is checked against the record path: a pathlib
+walk, one record per type and occurrence merged by key, and records mapped
+to sorted columns, where the package walks with ``os.scandir`` and interns
+names into columns as it goes. The stored graph is checked against its
+document as dicts, encoded with ``json.dumps``, where the package writes its
+text from templates.
 """
 
 from __future__ import annotations
@@ -295,62 +297,99 @@ def brute_force_betweenness(graph: OntologyGraph, normalized: bool = False) -> l
     return bc
 
 
-def betweenness_reference(indptr, indices) -> list[float]:
-    """Reference form of ``analytics._brandes_sparse``: a loop over the
-    same CSR, with Python lists, giving the same sums before halving.
+def twin_quotient(indptr, indices) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """The closed-twin quotient of a CSR graph, by sets over every edge.
 
-    Path counts and dependencies are pulled from predecessors and successors
-    in ascending node id. Every source's dependency row is computed; the rows
-    of closed twins must be bitwise equal, or this raises ``RuntimeError``.
-    Classes are then added in ascending representative id as
-    ``size * row``, the order ``_brandes_sparse`` uses.
+    Returns the classes of nodes with equal closed neighbourhoods, each with
+    its members in ascending id, in ascending order of their smallest
+    member; each node's class; and each class's neighbour classes in
+    ascending order: those holding a node adjacent to some member, other
+    than the class itself.
+    """
+    n = len(indptr) - 1
+    rows = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for v in range(n):
+        by_closed.setdefault(tuple(sorted([v, *rows[v]])), []).append(v)
+    classes = list(by_closed.values())
+    class_of = [0] * n
+    for c, members in enumerate(classes):
+        for v in members:
+            class_of[v] = c
+    linked: list[set[int]] = [set() for _ in classes]
+    for v in range(n):
+        for w in rows[v]:
+            if class_of[w] != class_of[v]:
+                linked[class_of[v]].add(class_of[w])
+    return classes, class_of, [sorted(ids) for ids in linked]
+
+
+def _weighted_dependencies(adjacency: list[list[int]], sizes: list[int], s: int) -> array:
+    """Brandes from ``s`` over adjacency lists whose nodes stand for
+    ``sizes`` nodes each: the neighbours of ``s`` have the path count 1.0,
+    every other node pulls ``size * sigma`` from its predecessors, and every
+    node pulls ``size * (delta + 1.0) / sigma`` from its successors, both in
+    ascending node id."""
+    n = len(adjacency)
+    dist = [-1] * n
+    sigma = [0.0] * n
+    delta = array("d", bytes(8 * n))
+    dist[s] = 0
+    order = [s]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        dv = dist[v]
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dv + 1
+                order.append(w)
+                if dv == 0:
+                    sigma[w] = 1.0
+                    continue
+                acc = 0.0
+                for u in adjacency[w]:
+                    if dist[u] == dv:
+                        acc += sizes[u] * sigma[u]
+                sigma[w] = acc
+    for v in reversed(order[1:]):
+        dv = dist[v] + 1
+        acc = 0.0
+        for w in adjacency[v]:
+            if dist[w] == dv:
+                acc += sizes[w] * (delta[w] + 1.0) / sigma[w]
+        delta[v] = sigma[v] * acc
+    return delta
+
+
+def betweenness_reference(indptr, indices) -> list[float]:
+    """Reference form of ``analytics._brandes_sparse``: loops over Python
+    lists, giving the same sums before halving.
+
+    Every source's dependency row on the full graph is computed first; the
+    rows of closed twins must be bitwise equal, or this raises
+    ``RuntimeError``. Then Brandes runs from every class of the quotient
+    (``twin_quotient``), each class standing for its members. The classes
+    are added in ascending class id as ``size * row``, the order
+    ``_brandes_sparse`` uses, and each node takes its class's sum.
     """
     n = len(indptr) - 1
     neighbor_sets = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
-
-    def dependencies(s: int) -> array:
-        dist = [-1] * n
-        sigma = [0.0] * n
-        delta = array("d", bytes(8 * n))
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for w in neighbor_sets[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order.append(w)
-                    acc = 0.0
-                    for u in neighbor_sets[w]:
-                        if dist[u] == dv:
-                            acc += sigma[u]
-                    sigma[w] = acc
-        for v in reversed(order[1:]):
-            dv = dist[v] + 1
-            acc = 0.0
-            for w in neighbor_sets[v]:
-                if dist[w] == dv:
-                    acc += (1.0 + delta[w]) / sigma[w]
-            delta[v] = sigma[v] * acc
-        return delta
-
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v in range(n):
-        classes.setdefault(tuple(sorted([v, *neighbor_sets[v]])), []).append(v)
-    bc = [0.0] * n
-    for rep, *twins in classes.values():
-        row = dependencies(rep)
+    classes, class_of, linked = twin_quotient(indptr, indices)
+    unit = [1] * n
+    for rep, *twins in classes:
+        row = _weighted_dependencies(neighbor_sets, unit, rep)
         for t in twins:
-            if dependencies(t).tobytes() != row.tobytes():
+            if _weighted_dependencies(neighbor_sets, unit, t).tobytes() != row.tobytes():
                 raise RuntimeError(f"closed twins {rep} and {t} have different dependencies")
-        size = 1 + len(twins)
-        for v in range(n):
-            bc[v] += size * row[v]
-    return bc
+    sizes = [len(members) for members in classes]
+    class_bc = [0.0] * len(classes)
+    for c, size in enumerate(sizes):
+        row = _weighted_dependencies(linked, sizes, c)
+        for d in range(len(classes)):
+            class_bc[d] += size * row[d]
+    return [class_bc[c] for c in class_of]
 
 
 def csr_reference(graph: OntologyGraph) -> tuple[np.ndarray, np.ndarray]:

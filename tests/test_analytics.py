@@ -52,6 +52,7 @@ from oracles import (
     random_snapshot,
     snapshot_records,
     specificity_ratios_reference,
+    twin_quotient,
     vocabulary_by_domain,
 )
 
@@ -153,12 +154,33 @@ def _betweenness(graph, engine):
     return betweenness_centrality(graph).scores
 
 
+def _clique_and_hub_graphs():
+    """Random cliques, each joined in part or in full to one or two of a few
+    hubs, which are joined to each other at random: classes of every size
+    next to singletons, and whole cliques on their own."""
+    graphs = []
+    for seed in range(12):
+        rng = random.Random(900 + seed)
+        hubs = rng.randint(1, 6)
+        edges = [(a, b) for a in range(hubs) for b in range(a + 1, hubs) if rng.random() < 0.4]
+        base = hubs
+        for _ in range(rng.randint(3, 15)):
+            size = rng.randint(1, 7)
+            edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+            for hub in rng.sample(range(hubs), rng.randint(0, min(2, hubs))):
+                edges += [(hub, base + i) for i in range(rng.randint(1, size))]
+            base += size
+        graphs.append(make_graph(base, edges))
+    return graphs
+
+
 def _agreement_graphs():
     """Graphs for exact agreement with the reference loop: many closed twins
     (cliques, cliques with hubs, linked cliques), small cliques around a few
     hubs, components of different depths, a path longer than two blocks,
-    random graphs, and isolated nodes (which ``_brandes_sparse`` leaves out)
-    in runs at both ends, runs longer than a block, or scattered."""
+    random graphs, isolated nodes (which ``_brandes_sparse`` leaves out)
+    in runs at both ends, runs longer than a block, or scattered, and the
+    clique-and-hub graphs."""
     graphs = [make_graph(5, [])]
     # components of different sizes and depths, so the columns of one
     # block finish their BFS at different levels
@@ -224,7 +246,7 @@ def _agreement_graphs():
             if u not in isolated and v not in isolated and rng.random() < 0.2
         ]
         graphs.append(make_graph(n, edges))
-    return graphs
+    return graphs + _clique_and_hub_graphs()
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -266,7 +288,7 @@ class TestBetweenness:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_twin_graphs_match_enumeration_oracle(self, engine):
-        for graph in _agreement_graphs()[:5]:
+        for graph in _agreement_graphs()[:5] + _clique_and_hub_graphs():
             scores = _betweenness(graph, engine)
             for i, want in enumerate(brute_force_betweenness(graph)):
                 assert scores[i] == pytest.approx(want, abs=1e-9)
@@ -277,16 +299,27 @@ class TestBetweenness:
 
     def test_engines_agree_bitwise_random(self, monkeypatch):
         # every sparse block size and thread count reproduces the reference
-        # sums exactly, with products over the rows of one level and over
-        # all rows both run at each
+        # sums exactly, with the level-1 rows and the deepest level's rows
+        # each taken alone and with all rows at each
         restrict = analytics._SourceBlocks._restrict
+        dependencies = analytics._SourceBlocks.dependencies
+        block_calls = threading.local()
         kinds = []
 
+        def counted_dependencies(self, sources):
+            block_calls.restricts = 0
+            return dependencies(self, sources)
+
         def counted(self, rows):
+            # a block asks first about its level-1 rows, then about its
+            # deepest level's
             kept = restrict(self, rows)
-            kinds.append("all rows" if kept is None else "some rows")
+            site = ("level 1", "deepest level")[block_calls.restricts]
+            block_calls.restricts += 1
+            kinds.append((site, "all rows" if kept is None else "some rows"))
             return kept
 
+        monkeypatch.setattr(analytics._SourceBlocks, "dependencies", counted_dependencies)
         monkeypatch.setattr(analytics._SourceBlocks, "_restrict", counted)
         ran = {}
         for graph in _agreement_graphs():
@@ -301,7 +334,9 @@ class TestBetweenness:
                     assert got.tolist() == want, (cpus, block)
                     ran.setdefault((cpus, block), set()).update(kinds)
         assert len(ran) == 12
-        assert all(found == {"all rows", "some rows"} for found in ran.values()), ran
+        sites = {(site, kind) for site in ("level 1", "deepest level")
+                 for kind in ("all rows", "some rows")}
+        assert all(found == sites for found in ran.values()), ran
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scores_from_reference_csr(self, seed):
@@ -318,8 +353,9 @@ class TestBetweenness:
     def test_twin_classes(self):
         # 0..6 form a clique that hub 7 joins in full and hub 8 in part
         graph = _agreement_graphs()[3]
-        reps, sizes = analytics._twin_classes(graph.indptr, graph.indices)
+        reps, sizes, node_class = analytics._twin_classes(graph.indptr, graph.indices)
         assert list(zip(reps.tolist(), sizes.tolist())) == [(0, 3), (3, 5), (8, 1), (9, 1)]
+        assert node_class.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 2, 3]
 
     def test_component_sizes_match_csgraph(self):
         from scipy.sparse import csgraph
@@ -337,7 +373,8 @@ class TestBetweenness:
             graphs.append(make_graph(n, edges))
         for graph in graphs:
             sizes = analytics._component_sizes(graph.indptr, graph.indices)
-            adj = analytics._SourceBlocks(graph.indptr, graph.indices).adj
+            ones = np.ones(len(graph.labels))
+            adj = analytics._SourceBlocks(graph.indptr, graph.indices, ones).adj
             _, component = csgraph.connected_components(adj, directed=False)
             assert sizes.tolist() == np.bincount(component)[component].tolist()
 
@@ -347,9 +384,10 @@ class TestBetweenness:
         n = 150
         edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 7) for i in range(0, n - 7, 5)]
         graph = make_graph(n, edges)
-        _, sizes = analytics._twin_classes(graph.indptr, graph.indices)
+        _, sizes, _ = analytics._twin_classes(graph.indptr, graph.indices)
         assert sizes.tolist() == [1] * n
-        rows = analytics._SourceBlocks(graph.indptr, graph.indices).dependencies(np.arange(n))
+        blocks = analytics._SourceBlocks(graph.indptr, graph.indices, sizes)
+        rows = blocks.dependencies(np.arange(n))
         want = np.zeros(n)
         for row in rows:
             want += row
@@ -362,7 +400,7 @@ class TestBetweenness:
         # indices hold one entry per node and source in all
         n = 800
         graph = make_graph(n, [(i, i + 1) for i in range(n - 1)])
-        blocks = analytics._SourceBlocks(graph.indptr, graph.indices)
+        blocks = analytics._SourceBlocks(graph.indptr, graph.indices, np.ones(n))
         tracemalloc.start()
         try:
             rows = blocks.dependencies(np.arange(64))
@@ -384,6 +422,48 @@ class TestBetweenness:
         assert two.scores == [0.0, 0.0]
 
 
+class TestQuotient:
+    """The closed-twin quotient that ``_brandes_sparse`` runs on, against
+    one derived by sets over every edge (``twin_quotient``)."""
+
+    def test_rows_ascend_without_self_loops_and_are_symmetric(self):
+        for graph in _agreement_graphs():
+            plan = analytics._sparse_plan(graph.indptr, graph.indices)
+            pairs = set()
+            for c in range(len(plan.sizes)):
+                row = plan.indices[plan.indptr[c] : plan.indptr[c + 1]].tolist()
+                assert row == sorted(set(row)) and c not in row
+                pairs.update((c, d) for d in row)
+            assert pairs == {(d, c) for c, d in pairs}
+
+    def test_classes_are_linked_when_members_are_adjacent(self):
+        for graph in _agreement_graphs():
+            plan = analytics._sparse_plan(graph.indptr, graph.indices)
+            members = [
+                tuple(plan.keep[plan.node_class == c].tolist()) for c in range(len(plan.sizes))
+            ]
+            assert [len(m) for m in members] == plan.sizes.tolist()
+            classes, _, linked = twin_quotient(graph.indptr, graph.indices)
+            degree = np.diff(graph.indptr)
+            # isolated nodes are left out of the plan, each its own class
+            assert members == [tuple(m) for m in classes if degree[m[0]]]
+            want = {(tuple(classes[c]), tuple(classes[d])) for c in range(len(classes))
+                    for d in linked[c]}
+            got = {
+                (members[c], members[d])
+                for c in range(len(members))
+                for d in plan.indices[plan.indptr[c] : plan.indptr[c + 1]].tolist()
+            }
+            assert got == want
+
+    def test_members_of_a_class_score_alike(self):
+        for graph in _agreement_graphs():
+            scores = betweenness_centrality(graph).scores
+            classes, _, _ = twin_quotient(graph.indptr, graph.indices)
+            for members in classes:
+                assert len({scores[v] for v in members}) == 1, members
+
+
 class TestThreadedSum:
     """Blocks run on min(usable CPUs, blocks, 64 // block) threads; the
     calling thread adds their rows in block order, so the result never
@@ -398,14 +478,15 @@ class TestThreadedSum:
             assert len(stored) == 1
 
     def test_threads_hold_at_most_64_columns(self, monkeypatch):
-        # 177 classes: 12 blocks of 16, 3 of 64, 177 of 1
+        # 177 classes, each one node of the quotient graph: 12 blocks of 16,
+        # 3 of 64, 177 of 1
         graph = build_graph(synthetic_snapshot())
 
         def plan(block):
             return analytics._sparse_plan(graph.indptr, graph.indices, block)
 
         _use_cpus(monkeypatch, 64)
-        assert len(plan(16).reps) == 177
+        assert len(plan(16).sizes) == len(plan(16).indptr) - 1 == 177
         assert [plan(b).threads for b in (1, 16, 32, 64, 128)] == [64, 4, 2, 1, 1]
         _use_cpus(monkeypatch, 2)
         assert [plan(b).threads for b in (1, 16, 64)] == [2, 2, 1]
