@@ -24,13 +24,12 @@ and equal to those of the reference loop ``betweenness_reference`` in
 
 The overlap matrices and specificity ratios are read from the graph alone:
 attr_domain edges give the attribute-by-domain incidence and each model
-node's ``domains`` metadata the model-by-domain incidence, so every shared
+node's ``domains`` the model-by-domain incidence, so every shared
 count is one small integer product of an incidence matrix with itself.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections import deque
@@ -62,15 +61,12 @@ BETWEENNESS_COLUMNS = 64
 def _result(
     graph: OntologyGraph, metric: str, scores: np.ndarray, normalized: bool, weighted: bool = False
 ) -> CentralityResult:
-    """The result holding ``scores``, one per node id, ranked by score
-    descending, then label, then id: fully deterministic."""
-    values, labels = scores.tolist(), graph.labels
+    """The result holding ``scores``, one per node id."""
     return CentralityResult(
         metric=metric,
         normalized=normalized,
         weighted=weighted,
-        scores=values,
-        ranking=sorted(range(len(values)), key=lambda i: (-values[i], labels[i], i)),
+        scores=scores.tolist(),
         graph_hash=graph.graph_hash(),
     )
 
@@ -411,26 +407,28 @@ def betweenness_centrality(graph: OntologyGraph, normalized: bool = False) -> Ce
 def top_k_attributes(
     result: CentralityResult, graph: OntologyGraph, k: int = 14
 ) -> list[tuple[str, float, int]]:
-    """First k attribute nodes in ranking order as (label, score, spread),
-    where spread counts the distinct domains the attribute occurs in.
-    Fewer than k attributes: all of them, no error."""
+    """The k attribute nodes first by score descending, then label, then id
+    (fully deterministic), as (label, score, spread), where spread counts
+    the distinct domains the attribute occurs in. Fewer than k attributes:
+    all of them, no error. ``result`` must hold one score per node."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    scores, labels = result.scores, graph.labels
+    if len(scores) != len(labels):
+        raise ValueError(f"centrality holds {len(scores)} scores for {len(labels)} nodes")
+    is_attr = graph.node_kind == NODE_KINDS.index(NodeKind.ATTRIBUTE)
+    attributes = np.flatnonzero(is_attr)
+    if len(attributes) > k:
+        # Only attributes scoring at least the k-th highest score can rank.
+        values = np.array(scores)[attributes]
+        attributes = attributes[values >= np.partition(values, -k)[-k]]
+    ranked = sorted(attributes.tolist(), key=lambda i: (-scores[i], labels[i], i))[:k]
     # Edges are distinct, so an attribute's attr_domain edges name distinct
     # domains.
-    is_attr = graph.node_kind == NODE_KINDS.index(NodeKind.ATTRIBUTE)
     on_domain = graph.kind == EDGE_KINDS.index(EDGE_ATTR_DOMAIN)
     u, v = graph.u[on_domain], graph.v[on_domain]
-    spread = np.bincount(np.where(is_attr[u], u, v), minlength=len(graph.labels)).tolist()
-    is_attr = is_attr.tolist()
-    rows: list[tuple[str, float, int]] = []
-    for node_id in result.ranking:
-        if not is_attr[node_id]:
-            continue
-        rows.append((graph.labels[node_id], result.scores[node_id], spread[node_id]))
-        if len(rows) == k:
-            break
-    return rows
+    spread = np.bincount(np.where(is_attr[u], u, v), minlength=len(labels)).tolist()
+    return [(labels[i], scores[i], spread[i]) for i in ranked]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +463,7 @@ def _model_incidence(graph: OntologyGraph, labels: list[str]) -> np.ndarray:
     index = {label: i for i, label in enumerate(labels)}
     incidence = np.zeros((len(graph.model_domains), len(labels)), dtype=np.int64)
     for row, domains in enumerate(graph.model_domains):
-        incidence[row, [index[label] for label in json.loads(domains)]] = 1
+        incidence[row, [index[label] for label in domains]] = 1
     return incidence
 
 

@@ -77,9 +77,9 @@ def _stored_centrality(
     """The plain ``metric`` result stored for exactly this graph, or None.
 
     Reused only when ``<graph>-<metric>`` is a centrality artifact with that
-    metric, neither normalized nor weighted, whose graph hash is the graph's
-    own and which has one score per node of the graph; anything else is
-    computed again.
+    metric, neither normalized nor weighted, and whose graph hash is the
+    graph's own; anything else is computed again. A result of this graph
+    without one score per node is refused as corrupt.
     """
     name = f"{graph_name}-{metric}"
     try:
@@ -93,9 +93,13 @@ def _stored_centrality(
         or result.normalized
         or result.weighted
         or result.graph_hash != graph.graph_hash()
-        or len(result.scores) != len(graph.labels)
     ):
         return None
+    if len(result.scores) != len(graph.labels):
+        raise CorruptionError(
+            f"artifact {name!r} is not a valid centrality: it holds {len(result.scores)} "
+            f"scores for the {len(graph.labels)} nodes of its graph"
+        )
     return result
 
 
@@ -310,13 +314,15 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _store(args)
     out = args.out or f"{args.graph}.{GRAPH_FORMATS[args.format]}"
     if args.format == "canonical-json":
-        from ontomesh.canonical import refuse_earlier_graph_form
+        from ontomesh.canonical import read_graph_tail
         from ontomesh.exports import write_blocks
 
-        # The stored object is already the graph's canonical JSON.
+        # The stored object is already the graph's canonical JSON. All of it
+        # but the edge rows is checked as a read of the graph checks it,
+        # without loading numpy to parse the edges.
         data = store.object_bytes(args.graph, expect_kind="graph")
         try:
-            refuse_earlier_graph_form(data)
+            read_graph_tail(data)
         except ValueError as exc:
             # As store.get reports it.
             raise CorruptionError(f"artifact {args.graph!r} is not a valid graph: {exc}") from None

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ontomesh.canonical import canonical_json_line, refuse_earlier_graph_form
+from ontomesh.canonical import check_graph_format, graph_tail_chunks, read_graph_tail
 from ontomesh.choices import EDGE_KINDS, NODE_KINDS, NodeKind
 from ontomesh.errors import NotFoundError
 
@@ -36,10 +36,9 @@ if TYPE_CHECKING:
 
 # Node kind codes index NODE_KINDS (in NodeKind order), and edge kind codes
 # EDGE_KINDS (both defined with the CLI choices so that writers can name them
-# without loading numpy). The one metadata key of a model node and of a type
-# node; the other kinds carry no metadata.
-_METADATA_KEYS = (None, "domains", "model", None)
+# without loading numpy).
 EDGE_ATTR_ATTR, EDGE_ATTR_MODEL, EDGE_ATTR_DOMAIN, EDGE_CONTAINMENT = EDGE_KINDS
+_DOMAIN = NODE_KINDS.index(NodeKind.DOMAIN)
 _EDGE_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
 # Graphs are written and read in blocks, so that no stage holds a second
@@ -57,11 +56,6 @@ _DECODE_BLOCK_BYTES = 1 << 20
 _EDGES_OPEN = b'{"edges":['
 _EDGE_ROW = b',{"u":%d,"v":%d,"weight":%d}'
 _EDGE_SKELETON = _EDGE_ROW[1:].replace(b"%d", b"")
-# The document after the edge counts, up to its first node. Each stored node
-# is this row after a comma, with its id, kind, label (as a JSON string) and
-# the text of its metadata written in; the provenance follows the nodes.
-_NODES_OPEN = b',"kind":"graph","nodes":['
-_NODE_ROW = ',{"id":%d,"kind":"%s","label":%s,"metadata":{%s}}'
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[48:58] = np.arange(10)
 
@@ -76,31 +70,6 @@ class GraphProvenance:
             "snapshot_hash": self.snapshot_hash,
             "containment_edges": self.containment_edges,
         }
-
-
-def _node_columns(kinds, labels, metadata) -> tuple:
-    """Node fields given in id order, kinds by name, as the columns a graph
-    keeps: kind codes, labels, each model's domains and each type's model.
-    Metadata other than the one text value of a model or type node is
-    refused, and so are unknown kinds."""
-    index = {name: i for i, name in enumerate(NODE_KINDS)}
-    try:
-        codes = [index[kind] for kind in kinds]
-    except (KeyError, TypeError):
-        bad = next(kind for kind in kinds if kind not in NODE_KINDS)
-        raise ValueError(f"unknown node kind {bad!r}") from None
-    values: tuple[list[str], ...] = ([], [], [], [])
-    for node_id, (code, meta) in enumerate(zip(codes, metadata)):
-        key = _METADATA_KEYS[code]
-        if key is None and meta == {}:
-            continue
-        if key is None or not (
-            isinstance(meta, dict) and len(meta) == 1 and isinstance(meta.get(key), str)
-        ):
-            expected = "none" if key is None else f"one text value {key!r}"
-            raise ValueError(f"node {node_id}: {NODE_KINDS[code]} metadata must be {expected}")
-        values[code].append(meta[key])
-    return np.array(codes, dtype=np.int8), tuple(labels), tuple(values[1]), tuple(values[2])
 
 
 def _adjacency(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +189,7 @@ class OntologyGraph:
     ``node_kind`` holds each node's kind code, an index into
     :data:`~ontomesh.choices.NODE_KINDS` (``NodeKind`` order), and
     ``labels`` its label, both in node id order. ``model_domains`` holds the
-    ``domains`` metadata of each model node and ``type_model`` the ``model``
-    metadata of each type node, in id order; other nodes carry none.
+    domain labels of each model node, in id order.
 
     ``u``, ``v``, ``kind`` (an index into :data:`EDGE_KINDS`) and ``weight``
     hold one entry per edge, ``u < v``, in canonical order: by kind, then
@@ -232,8 +200,7 @@ class OntologyGraph:
 
     node_kind: np.ndarray = field(repr=False)
     labels: tuple[str, ...] = field(repr=False)
-    model_domains: tuple[str, ...] = field(repr=False)
-    type_model: tuple[str, ...] = field(repr=False)
+    model_domains: tuple[tuple[str, ...], ...] = field(repr=False)
     provenance: GraphProvenance
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -243,17 +210,20 @@ class OntologyGraph:
 
     @classmethod
     def _from_arrays(cls, nodes, u, v, kind, weight, provenance) -> "OntologyGraph":
-        """The graph of node columns (kind codes, labels, model domains,
-        type models; ids dense by construction) and int64 edge arrays in
+        """The graph of node columns (kind codes, labels, the domain labels
+        of each model; ids dense by construction) and int64 edge arrays in
         canonical order, whose structure is validated: edges out of that
         order, duplicates among them, are refused, not sorted."""
         node_kind, labels = nodes[:2]
         n = len(labels)
-        seen: list[set[str]] = [set() for _ in NODE_KINDS]
-        for code, label in zip(node_kind.tolist(), labels):
-            if label in seen[code]:
-                raise ValueError(f"duplicate node {(NODE_KINDS[code], label)!r}")
-            seen[code].add(label)
+        keys = list(zip(node_kind.tolist(), labels))
+        if len(set(keys)) != n:
+            code, label = next(key for key, count in Counter(keys).items() if count > 1)
+            raise ValueError(f"duplicate node {(NODE_KINDS[code], label)!r}")
+        domains = set(itertools.compress(labels, (node_kind == _DOMAIN).tolist()))
+        for domain in itertools.chain.from_iterable(nodes[2]):
+            if domain not in domains:
+                raise ValueError(f"model domain {domain!r} is no domain node")
 
         def edge(i) -> tuple[int, int, str, int]:
             return int(u[i]), int(v[i]), EDGE_KINDS[kind[i]], int(weight[i])
@@ -306,26 +276,6 @@ class OntologyGraph:
 
     # -- serialization -----------------------------------------------------
 
-    def _node_rows(self) -> Iterator[bytes]:
-        """The nodes as stored, each row after a comma, in blocks of at most
-        ``_BLOCK_ROWS`` rows, written without a dict per node."""
-        n = len(self.labels)
-        metadata = [""] * n
-        for kind, column in (
-            (NodeKind.MODEL, self.model_domains), (NodeKind.TYPE, self.type_model)
-        ):
-            key = '"%s":' % _METADATA_KEYS[NODE_KINDS.index(kind)]
-            for node_id, value in zip(self.nodes_of_kind(kind).tolist(), column):
-                metadata[node_id] = key + encode_basestring(value)
-        kinds = [NODE_KINDS[code] for code in self.node_kind.tolist()]
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            rows = zip(
-                range(lo, hi), kinds[lo:hi], map(encode_basestring, self.labels[lo:hi]),
-                metadata[lo:hi],
-            )
-            yield "".join(map(_NODE_ROW.__mod__, rows)).encode("utf-8")
-
     def format_edges(self, templates: Sequence[bytes]) -> Iterator[bytes]:
         """The edges in canonical order, each written as its kind's template
         (indexed by kind code) ``% (u, v, weight)``, in blocks of at most
@@ -341,23 +291,17 @@ class OntologyGraph:
     def canonical_chunks(self) -> Iterator[bytes]:
         """The stored form: canonical JSON of the document with the keys
         ``edges`` (``u``, ``v`` and ``weight`` of each edge), ``edges_per_kind``
-        (the edges of each of the four kinds, zeros too), ``kind``
-        (``"graph"``), ``nodes`` (``id``, ``kind``, ``label`` and ``metadata``
-        of each node) and ``provenance``, as chunks of at most
-        ``_BLOCK_ROWS`` edge or node rows."""
+        (the edges of each of the four kinds, zeros too), ``format``
+        (``GRAPH_FORMAT``), ``kind`` (``"graph"``), ``nodes`` (the ``kind``
+        and ``label`` of each node, and a model's ``domains``) and
+        ``provenance``, as chunks of at most ``_BLOCK_ROWS`` edge or node
+        rows."""
         yield _EDGES_OPEN
         yield from _comma_joined(self.format_edges((_EDGE_ROW,) * len(EDGE_KINDS)))
-        yield from self._chunks_after_edges()
-
-    def _chunks_after_edges(self) -> Iterator[bytes]:
-        """The stored form from the ``]`` that closes the edges: the edge
-        counts by kind, the nodes and the provenance."""
-        counts = np.bincount(self.kind, minlength=len(EDGE_KINDS)).tolist()
-        yield b'],"edges_per_kind":' + canonical_json_line(dict(zip(EDGE_KINDS, counts))).encode()
-        yield _NODES_OPEN
-        yield from _comma_joined(self._node_rows())
-        provenance = canonical_json_line(self.provenance.to_doc()).encode("utf-8")
-        yield b'],"provenance":' + provenance + b"}\n"
+        yield from graph_tail_chunks(
+            np.bincount(self.kind, minlength=len(EDGE_KINDS)).tolist(), self.node_kind.tolist(),
+            self.labels, self.model_domains, self.provenance.to_doc(), _BLOCK_ROWS,
+        )
 
     def canonical_bytes(self) -> bytes:
         """The joined ``canonical_chunks()``."""
@@ -368,42 +312,25 @@ class OntologyGraph:
         """The graph whose ``canonical_bytes()`` are ``data``; any other
         bytes raise ValueError.
 
-        The edge text is parsed without a dict per edge, and must be the
-        canonical text of edges in canonical order, whose kinds the counts
-        of ``edges_per_kind`` give. The bytes after it must be the counts,
-        nodes and provenance that the graph read writes back. So the
-        verified hash of ``data``, given as ``content_hash``, is the graph's
-        own ``graph_hash()``. A graph stored in an earlier form is refused
-        with the command that rebuilds it.
+        The text after the edges is read and checked by ``read_graph_tail``,
+        which refuses a graph of an earlier format with the command that
+        writes it again. The edge text is parsed without a dict per edge,
+        and must be the canonical text of edges in canonical order, whose
+        kinds the counts of ``edges_per_kind`` give. So ``data`` is what the
+        graph read writes back, and its verified hash, given as
+        ``content_hash``, is the graph's own ``graph_hash()``.
         """
-        refuse_earlier_graph_form(data)
+        check_graph_format(data)
         parsed = _canonical_edge_columns(data)
         if parsed is None:
             raise ValueError("stored edges are not in canonical form")
-        (u, v, weight), end = parsed
-        rest = json.loads(b"{" + data[end + 2 :])
-        try:
-            counts = [rest["edges_per_kind"][kind] for kind in EDGE_KINDS]
-            if not all(type(n) is int and n >= 0 for n in counts) or sum(counts) != len(u):
-                raise ValueError("stored edge counts by kind do not count the edges")
-            nodes = rest["nodes"]
-            graph = cls._from_arrays(
-                _node_columns(
-                    [nd["kind"] for nd in nodes],
-                    [nd["label"] for nd in nodes],
-                    [nd["metadata"] for nd in nodes],
-                ),
-                u, v, np.repeat(np.arange(len(EDGE_KINDS)), counts), weight,
-                GraphProvenance(**rest["provenance"]),
-            )
-            for chunk in graph._chunks_after_edges():
-                if not data.startswith(chunk, end):
-                    raise ValueError("stored graph is not in canonical form")
-                end += len(chunk)
-        except (KeyError, TypeError) as exc:  # a missing key, or a value of another type
-            raise ValueError(f"stored graph is not in canonical form: {exc!r}") from None
-        if end != len(data):
-            raise ValueError("stored graph is not in canonical form")
+        (u, v, weight), _ = parsed
+        counts, (codes, labels, model_domains), provenance = read_graph_tail(data, len(u))
+        graph = cls._from_arrays(
+            (np.array(codes, dtype=np.int8), tuple(labels), tuple(map(tuple, model_domains))),
+            u, v, np.repeat(np.arange(len(EDGE_KINDS)), counts), weight,
+            GraphProvenance(**provenance),
+        )
         graph._hash = content_hash
         return graph
 
@@ -473,11 +400,7 @@ def build_graph(snapshot: CorpusSnapshot, containment_edges: bool = False) -> On
     nodes = (
         np.repeat(np.arange(len(NODE_KINDS), dtype=np.int8), counts),
         (*domains.id, *models.id, *types.id, *snapshot.vocabulary),
-        tuple(
-            canonical_json_line([domains.id[d] for d in model_domains])
-            for model_domains in models.domains
-        ),
-        tuple(models.id[model] for model in types.model),
+        tuple(tuple(domains.id[d] for d in model_domains) for model_domains in models.domains),
     )
 
     type_attributes, type_lengths = _ragged(types.attributes, len(types.id))

@@ -13,6 +13,7 @@ readers depend on.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
 
@@ -23,19 +24,21 @@ def utc_timestamp() -> str:
 
 
 def _is_number(value) -> bool:
-    """An int or a float, as JSON numbers read; a bool is neither."""
-    return type(value) in (int, float)
+    """An int or a finite float, as JSON numbers read; a bool is neither,
+    and neither is the ``NaN`` or ``Infinity`` that ``json.loads`` accepts
+    but no result holds."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass
 class CentralityResult:
     """One score per node, indexed by node id (ints for plain and weighted
-    degree, floats otherwise), and the node ids in ranking order."""
+    degree, floats otherwise). The ranking is derived from the scores and
+    the graph (``top_k_attributes``), not stored."""
 
     metric: str
     normalized: bool
     scores: list[float]
-    ranking: list[int]
     weighted: bool = False
     graph_hash: str | None = None
 
@@ -49,14 +52,12 @@ class CentralityResult:
             "weighted": self.weighted,
             "graph_hash": self.graph_hash,
             "scores": {str(node_id): score for node_id, score in enumerate(self.scores)},
-            "ranking": list(self.ranking),
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CentralityResult":
         """Inverse of ``to_doc``. Scores keyed other than ``"0"`` to
-        ``"n-1"``, scores that are not numbers, and a ranking that is not a
-        permutation of the node ids are refused."""
+        ``"n-1"`` and scores that are not numbers are refused."""
         stored = doc["scores"]
         try:
             scores = [stored[str(node_id)] for node_id in range(len(stored))]
@@ -64,16 +65,12 @@ class CentralityResult:
             raise ValueError("centrality scores are not keyed by node ids 0 to n-1") from None
         if not all(map(_is_number, scores)):
             raise ValueError("centrality score is not a number")
-        ranking = doc["ranking"]
-        if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(len(scores))):
-            raise ValueError("centrality ranking is not a permutation of the node ids")
         return cls(
             metric=doc["metric"],
             normalized=doc["normalized"],
             weighted=doc["weighted"],
             graph_hash=doc["graph_hash"],
             scores=scores,
-            ranking=ranking,
         )
 
 

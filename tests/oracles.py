@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ontomesh.canonical import canonical_json_line
+from ontomesh.canonical import GRAPH_FORMAT, canonical_json_line, node_columns
 from ontomesh.choices import EDGE_KINDS, NODE_KINDS
 from ontomesh.corpus import (
     METADATA_KEYS,
@@ -57,7 +57,6 @@ from ontomesh.graph import (
     GraphProvenance,
     NodeKind,
     OntologyGraph,
-    _node_columns,
 )
 from ontomesh.results import DomainMatrix
 
@@ -196,16 +195,19 @@ def _occurrence_error(
 
 
 def hand_graph(nodes, edges, provenance: GraphProvenance) -> OntologyGraph:
-    """A graph made by hand: ``nodes`` are ``(kind, label, metadata)`` in id
-    order, and ``edges`` are ``(u, v, kind, weight)`` rows in any order,
-    sorted here into the canonical order that the package's constructor
-    requires. The constructor validates the rest."""
-    kinds, labels, metadata = zip(*nodes) if nodes else ((), (), ())
+    """A graph made by hand: ``nodes`` are ``(kind, label, extra)`` in id
+    order, ``extra`` holding the other keys of the node's stored row (a
+    model's ``{"domains": [...]}``), and ``edges`` are ``(u, v, kind,
+    weight)`` rows in any order, sorted here into the canonical order that
+    the package's constructor requires. The rows are checked as a read
+    checks them, and the constructor validates the rest."""
+    codes, labels, domains = node_columns(
+        [{"kind": kind, "label": label, **extra} for kind, label, extra in nodes]
+    )
     rows = sorted((EDGE_KINDS.index(kind), u, v, weight) for u, v, kind, weight in edges)
     kind, u, v, weight = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-    return OntologyGraph._from_arrays(
-        _node_columns(kinds, labels, metadata), u, v, kind, weight, provenance
-    )
+    nodes = (np.array(codes, dtype=np.int8), tuple(labels), tuple(map(tuple, domains)))
+    return OntologyGraph._from_arrays(nodes, u, v, kind, weight, provenance)
 
 
 def make_graph(n: int, edge_list: list[tuple[int, int]]) -> OntologyGraph:
@@ -535,10 +537,9 @@ def build_graph_reference(
     attribute_names = sorted({o.attribute_name for o in records.occurrences})
     keyed = [(NodeKind.DOMAIN, d.domain_id, {}) for d in records.domains]
     keyed += [
-        (NodeKind.MODEL, m.model_id, {"domains": canonical_json_line(sorted(m.domain_ids))})
-        for m in records.models
+        (NodeKind.MODEL, m.model_id, {"domains": sorted(m.domain_ids)}) for m in records.models
     ]
-    keyed += [(NodeKind.TYPE, t.type_id, {"model": t.model_id}) for t in records.types]
+    keyed += [(NodeKind.TYPE, t.type_id, {}) for t in records.types]
     keyed += [(NodeKind.ATTRIBUTE, name, {}) for name in attribute_names]
     keyed.sort(key=lambda item: (kind_order[item[0]], item[1]))
     ids = {(kind, label): i for i, (kind, label, _) in enumerate(keyed)}
@@ -572,27 +573,21 @@ def build_graph_reference(
     return hand_graph(keyed, edges, provenance)
 
 
-_METADATA_KEY = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
-
-
 def graph_to_doc(graph: OntologyGraph) -> dict:
     """The stored graph document as dicts, a dict per node and per edge,
     and the edges of each kind counted, where the package writes the rows
     of all kinds from one template and counts the kind codes:
     ``canonical_json_bytes(graph_to_doc(graph)) == graph.canonical_bytes()``."""
-    metadata = {
-        NodeKind.MODEL: iter(graph.model_domains), NodeKind.TYPE: iter(graph.type_model),
-    }
+    domains = iter(graph.model_domains)
     nodes = []
-    for node_id, label in enumerate(graph.labels):
-        kind = NodeKind(NODE_KINDS[graph.node_kind[node_id]])
-        key = _METADATA_KEY.get(kind)
-        nodes.append({
-            "id": node_id, "kind": kind.value, "label": label,
-            "metadata": {} if key is None else {key: next(metadata[kind])},
-        })
+    for code, label in zip(graph.node_kind.tolist(), graph.labels):
+        node = {"kind": NODE_KINDS[code], "label": label}
+        if node["kind"] == NodeKind.MODEL:
+            node["domains"] = list(next(domains))
+        nodes.append(node)
     counts = Counter(kind for _, _, kind, _ in edge_rows(graph))
     return {
+        "format": GRAPH_FORMAT,
         "kind": "graph",
         "provenance": graph.provenance.to_doc(),
         "nodes": nodes,
@@ -616,16 +611,34 @@ def doc_edges(doc: dict) -> list[tuple]:
     ]
 
 
+def format_2(doc: dict) -> dict:
+    """A graph document as format 2 stored it: no ``format`` key, and every
+    node row holding its ``id`` and a ``metadata`` object, with a model's
+    domains as JSON text and a type's model (its label up to the first
+    ``/``)."""
+    nodes = []
+    for node_id, node in enumerate(doc["nodes"]):
+        metadata = {}
+        if node["kind"] == NodeKind.MODEL:
+            metadata = {"domains": canonical_json_line(node["domains"])}
+        elif node["kind"] == NodeKind.TYPE:
+            metadata = {"model": node["label"].split("/", 1)[0]}
+        nodes.append({"id": node_id, "kind": node["kind"], "label": node["label"],
+                      "metadata": metadata})
+    return {key: value for key, value in doc.items() if key != "format"} | {"nodes": nodes}
+
+
 def earlier_provenance(doc: dict) -> dict:
-    """A graph document as stored while the package could build a domain
-    subgraph: its provenance also holds ``domain`` and ``parent_hash``, null
-    for a whole graph."""
+    """A graph document in format 2 as stored while the package could build
+    a domain subgraph: its provenance also holds ``domain`` and
+    ``parent_hash``, null for a whole graph."""
+    doc = format_2(doc)
     return doc | {"provenance": doc["provenance"] | {"domain": None, "parent_hash": None}}
 
 
 def earlier_form(doc: dict) -> dict:
-    """A graph document as the earliest stored form had it: a kind in every
-    edge row, no counts by kind, and the earlier provenance."""
+    """A graph document as the earliest stored form had it: format 2 with a
+    kind in every edge row, no counts by kind, and the earlier provenance."""
     edges = [
         {"u": u, "v": v, "kind": kind, "weight": weight} for u, v, kind, weight in doc_edges(doc)
     ]
@@ -637,7 +650,10 @@ def graph_from_doc(doc: dict) -> OntologyGraph:
     """Inverse of ``graph_to_doc`` through ``hand_graph``: nodes in list
     order, each kind's edges in any order, and no check that the document
     is in its stored form."""
-    nodes = [(nd["kind"], nd["label"], nd["metadata"]) for nd in doc["nodes"]]
+    nodes = [
+        (nd["kind"], nd["label"], {key: nd[key] for key in nd.keys() - {"kind", "label"}})
+        for nd in doc["nodes"]
+    ]
     return hand_graph(nodes, doc_edges(doc), GraphProvenance(**doc["provenance"]))
 
 

@@ -543,28 +543,36 @@ class TestThreadedSum:
         assert peak(2) < peak(1, block=64)
 
 
+def _ranked_labels(result, graph) -> list[str]:
+    """Every attribute label, in the order ``top_k_attributes`` derives."""
+    return [label for label, _, _ in top_k_attributes(result, graph, k=len(graph.labels))]
+
+
 class TestRanking:
+    """A result stores no ranking: ``top_k_attributes`` derives the order
+    from the scores and the graph."""
+
     def test_ranking_is_permutation(self):
         graph = random_graph(random.Random(3), 15, 0.25)
         result = degree_centrality(graph)
-        assert sorted(result.ranking) == list(range(15))
+        assert "ranking" not in result.to_doc()
+        rows = top_k_attributes(result, graph, k=15)
+        assert sorted(label for label, _, _ in rows) == sorted(graph.labels)
+        assert rows == sorted(rows, key=lambda row: (-row[1], row[0]))
 
     def test_ties_break_by_label(self, minimal):
         graph = build_graph(minimal)
         result = degree_centrality(graph)
         # dataProvider and hasTrip tie at 3; label order decides
-        assert [graph.labels[i] for i in result.ranking[:2]] == [
-            "dataProvider",
-            "hasTrip",
-        ]
+        assert _ranked_labels(result, graph)[:2] == ["dataProvider", "hasTrip"]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_normalization_preserves_ranking(self, seed):
         rng = random.Random(seed)
         graph = random_graph(rng, rng.randint(2, 20), 0.3)
-        plain = degree_centrality(graph).ranking
-        normed = degree_centrality(graph, normalized=True).ranking
+        plain = _ranked_labels(degree_centrality(graph), graph)
+        normed = _ranked_labels(degree_centrality(graph, normalized=True), graph)
         assert plain == normed
 
     @pytest.mark.parametrize("metric", ["degree", "betweenness"])
@@ -585,9 +593,7 @@ class TestRanking:
         compute = degree_centrality if metric == "degree" else betweenness_centrality
         g1 = build(labels)
         g2 = build(list(reversed(labels)))
-        r1 = [g1.labels[i] for i in compute(g1).ranking]
-        r2 = [g2.labels[i] for i in compute(g2).ranking]
-        assert r1 == r2
+        assert _ranked_labels(compute(g1), g1) == _ranked_labels(compute(g2), g2)
 
 
 class TestTopK:
@@ -624,8 +630,30 @@ class TestTopK:
         result = degree_centrality(fix1_graph, normalized=True)
         back = CentralityResult.from_doc(result.to_doc())
         assert back.scores == result.scores
-        assert back.ranking == result.ranking
         assert back.metric == "degree"
+        assert top_k_attributes(back, fix1_graph) == top_k_attributes(result, fix1_graph)
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12), ties=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_first_k_of_the_full_order(self, seed, k, ties):
+        """Only the attributes scoring at least the k-th score are sorted;
+        the rows are the first k of all attributes sorted by score
+        descending, then label, then id, also where many tie at the k-th
+        score."""
+        rng = random.Random(seed)
+        graph = build_graph(random_snapshot(rng))
+        result = degree_centrality(graph)
+        if ties:
+            result.scores = [rng.choice([1, 2]) for _ in result.scores]
+        attributes = graph.nodes_of_kind(NodeKind.ATTRIBUTE).tolist()
+        order = sorted(attributes, key=lambda i: (-result.scores[i], graph.labels[i], i))
+        rows = top_k_attributes(result, graph, k)
+        assert [label for label, _, _ in rows] == [graph.labels[i] for i in order[:k]]
+        assert [score for _, score, _ in rows] == [result.scores[i] for i in order[:k]]
+
+    def test_scores_of_another_graph_refused(self, fix1_graph, minimal):
+        with pytest.raises(ValueError, match="centrality holds 5 scores for 18 nodes"):
+            top_k_attributes(degree_centrality(build_graph(minimal)), fix1_graph)
 
 
 class TestResultDocs:
@@ -652,22 +680,33 @@ class TestResultDocs:
             assert list(map(type, back.scores)) == list(map(type, result.scores))
 
     @pytest.mark.parametrize("breaks, match", [
-        (lambda doc: doc.update(scores={}), "permutation"),
-        (lambda doc: doc["scores"].pop("17"), "permutation"),
+        (lambda doc: doc.update(scores={}), "0 scores for 18 nodes"),
+        (lambda doc: doc["scores"].pop("17"), "17 scores for 18 nodes"),
         (lambda doc: doc["scores"].update({"18": doc["scores"].pop("17")}), "keyed"),
         (lambda doc: doc["scores"].update({"x": doc["scores"].pop("0")}), "keyed"),
         (lambda doc: doc["scores"].update({"3": True}), "not a number"),
         (lambda doc: doc["scores"].update({"3": "10"}), "not a number"),
-        (lambda doc: doc["ranking"].pop(), "permutation"),
-        (lambda doc: doc["ranking"].__setitem__(0, doc["ranking"][1]), "permutation"),
-        (lambda doc: doc["ranking"].__setitem__(doc["ranking"].index(1), True), "permutation"),
+        (lambda doc: doc["scores"].update({"3": float("nan")}), "not a number"),
+        (lambda doc: doc["scores"].update({"3": float("-inf")}), "not a number"),
+        (lambda doc: doc.update(ranking=list(range(17))), "canonical form"),
+        (lambda doc: doc.update(ranking=[1, *range(1, 18)]), "canonical form"),
+        (lambda doc: doc.update(ranking=[True, *range(1, 18)]), "canonical form"),
     ], ids=["no scores", "score missing", "key past the end", "key not an id", "bool score",
-            "text score", "ranking short", "ranking repeats", "bool in ranking"])
+            "text score", "NaN score", "infinite score", "ranking short", "ranking repeats",
+            "bool in ranking"])
     def test_centrality_refused(self, fix1_graph, breaks, match):
+        """Read as a report reads a stored result of this graph: decoded,
+        encoded back to exactly the stored bytes, as the store requires,
+        and ranked over the graph. A stored ranking, whatever it holds, is
+        refused: the order is derived from the scores."""
         doc = json.loads(canonical_json_bytes(degree_centrality(fix1_graph).to_doc()))
         breaks(doc)
+        data = canonical_json_bytes(doc)
         with pytest.raises(ValueError, match=match):
-            CentralityResult.from_doc(doc)
+            result = CentralityResult.from_doc(json.loads(data))
+            if canonical_json_bytes(result.to_doc()) != data:
+                raise ValueError("stored bytes are not its canonical form")
+            top_k_attributes(result, fix1_graph)
 
     @pytest.mark.parametrize("breaks, match", [
         (lambda doc: doc.update(census={}), "census"),
@@ -679,12 +718,13 @@ class TestResultDocs:
         (lambda doc: doc["top_k"][0].__setitem__(2, 1.0), "top-k row"),
         (lambda doc: doc["top_k"][0].__setitem__(1, "10"), "top-k row"),
         (lambda doc: doc["top_k"][0].__setitem__(0, 7), "top-k row"),
+        (lambda doc: doc["top_k"][0].__setitem__(1, float("nan")), "top-k row"),
         (lambda doc: doc["matrices"]["shared_models"]["cells"].pop(), "square"),
         (lambda doc: doc["matrices"]["jaccard_attributes"]["cells"][1].append(0), "square"),
         (lambda doc: doc["matrices"]["shared_models"].update(labels=[], cells=[]), "square"),
     ], ids=["empty census", "no node kinds", "census not an object", "node kinds not an object",
             "edge kind without weight", "short row", "float spread", "text score",
-            "label not text", "missing row", "long row", "no labels"])
+            "label not text", "NaN score", "missing row", "long row", "no labels"])
     def test_report_refused(self, fix1_snapshot, fix1_graph, breaks, match):
         report = dissonance_summary(
             fix1_graph, fix1_snapshot.content_hash, include_timestamp=False

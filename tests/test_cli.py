@@ -19,12 +19,13 @@ from ontomesh import graph as graph_module
 from ontomesh.cli import main
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.corpus import CorpusSnapshot
+from ontomesh.errors import CorruptionError
 from ontomesh.exports import export_graph
 from ontomesh.graph import OntologyGraph
 from ontomesh.store import ArtifactStore
 
 from conftest import FIXTURES
-from oracles import earlier_form, earlier_provenance
+from oracles import earlier_form, earlier_provenance, format_2
 
 
 def run_cli(argv, capsys):
@@ -330,13 +331,13 @@ class TestInvalidStoredObjects:
         ["report", "--name", "fix1", "--graph", "bad", "--out", "bad.md"],
     ], ids=["centrality", "graphml", "canonical-json", "report"])
     def test_graph_of_the_earlier_form(self, built, capsys, argv):
-        """A graph stored as earlier versions wrote it, with a kind in every
-        edge row, or with the ``domain`` and ``parent_hash`` that the
-        provenance held for the per-domain subgraph, is refused with the
-        command that writes it again."""
+        """A graph stored as earlier versions wrote it, in format 2, with a
+        kind in every edge row, or with the ``domain`` and ``parent_hash``
+        that the provenance held for the per-domain subgraph, is refused
+        with the command that writes it again."""
         store = ArtifactStore(built / "store")
         doc = json.loads(store.object_bytes("fix1-graph"))
-        for form in (earlier_form, earlier_provenance):
+        for form in (format_2, earlier_form, earlier_provenance):
             _store_as_is(built, "bad", "graph", form(doc))
             names = store.names()
             code, _, err = run_cli(argv, capsys)
@@ -399,13 +400,55 @@ class TestInvalidStoredObjects:
         self.assert_refused(err, name, "centrality")
         assert not (built / "r.md").exists()
 
+    def test_stored_ranking_cannot_reorder_a_report(self, built, capsys):
+        """A centrality object rehashed with a ranking, here the derived
+        order with dataProvider (degree 10) and stopName (3) swapped, is
+        refused: the report ranks by the scores, and no stored ranking can
+        put stopName first."""
+        assert run_cli(["analyze", "centrality", "--graph", "fix1-graph"], capsys)[0] == 0
+        store = ArtifactStore(built / "store")
+        graph = store.get("fix1-graph")
+        doc = json.loads(store.object_bytes("fix1-graph-degree"))
+        scores = [doc["scores"][str(i)] for i in range(len(doc["scores"]))]
+        ranking = sorted(range(len(scores)), key=lambda i: (-scores[i], graph.labels[i], i))
+        first, third = (graph.node_id("attribute", label) for label in ("dataProvider", "stopName"))
+        assert (scores[first], scores[third]) == (10, 3)
+        a, b = ranking.index(first), ranking.index(third)
+        ranking[a], ranking[b] = ranking[b], ranking[a]
+        _store_as_is(built, "fix1-graph-degree", "centrality", dict(doc, ranking=ranking))
+        assert not [name for name in store.names() if store.entry(name)["kind"] == "report"]
+        code, _, err = run_cli(["report", "--name", "fix1", "--out", "r.md"], capsys)
+        assert code == 1
+        self.assert_refused(err, "fix1-graph-degree", "centrality")
+        assert not (built / "r.md").exists()
+
+    def test_canonical_json_export_names_an_extra_provenance_key(self, built, capsys):
+        """The canonical-json export reads everything after the edges as a
+        read of the graph does, so it refuses what ``import_graph_json``
+        and the other formats refuse, writes nothing, and names the key."""
+        doc = json.loads(ArtifactStore(built / "store").object_bytes("fix1-graph"))
+        doc["provenance"]["extra"] = 1
+        _store_as_is(built, "bad", "graph", doc)
+        for fmt in ("canonical-json", "dot"):
+            code, _, err = run_cli(
+                ["export", "--graph", "bad", "--format", fmt, "--out", "bad.out"], capsys
+            )
+            assert code == 1
+            assert err == (
+                "ontomesh: error: artifact 'bad' is not a valid graph: stored graph is not in "
+                "canonical form: provenance has unexpected key 'extra'\n"
+            )
+            assert not (built / "bad.out").exists()
+        (built / "bad.json").write_bytes(canonical_json_bytes(doc))
+        with pytest.raises(ValueError, match="provenance has unexpected key 'extra'"):
+            exports.import_graph_json(built / "bad.json")
+
     def test_centrality_for_other_nodes_not_reused(self, built, capsys):
-        """A well-formed result stored under this graph's hash but with one
-        score only is computed again."""
-        graph_hash = ArtifactStore(built / "store").entry("fix1-graph")["hash"]
+        """A well-formed result of another graph, with one score only,
+        stored under this graph's centrality name, is computed again."""
         _store_as_is(built, "fix1-graph-degree", "centrality", {
             "kind": "centrality", "metric": "degree", "normalized": False, "weighted": False,
-            "graph_hash": graph_hash, "scores": {"0": 99}, "ranking": [0],
+            "graph_hash": "0" * 64, "scores": {"0": 99},
         })
         report = ["report", "--name", "fix1", "--no-timestamp", "--json"]
         code, out, _ = run_cli(report + ["--out", "a.md"], capsys)
@@ -478,8 +521,9 @@ def _text_edit(old, new):
 
 
 def _number_edit(replacement):
-    """An edit of the first integer in the document, as ``replacement``."""
-    return lambda data: re.sub(rb"(?<=[:\[,])(\d+)(?=[,}\]])", replacement, data, count=1)
+    """An edit of the first integer in the document, or of the integer part
+    of its first number, as ``replacement``."""
+    return lambda data: re.sub(rb"(?<=[:\[,])(\d+)(?=[,}\].])", replacement, data, count=1)
 
 
 def _escaped(prefix):
@@ -520,14 +564,16 @@ _EDITS = {
         **_ANY_KIND_EDITS,
         "extra edge key": _json_edit(lambda doc: doc["edges"][0].update(zz=1)),
         "extra node key": _json_edit(lambda doc: doc["nodes"][0].update(zz=1)),
-        "extra metadata key": _json_edit(lambda doc: doc["nodes"][0]["metadata"].update(zz="x")),
+        # A node row as format 2 wrote it, with a metadata object.
+        "extra metadata key": _json_edit(lambda doc: doc["nodes"][0].update(metadata={"zz": "x"})),
         "extra provenance key": _json_edit(lambda doc: doc["provenance"].update(zz=1)),
         "edge without weight": _json_edit(lambda doc: doc["edges"][0].pop("weight")),
-        "node without metadata": _json_edit(lambda doc: doc["nodes"][0].pop("metadata")),
+        # fix1's node 2 is a model; its domains are its one metadata.
+        "node without metadata": _json_edit(lambda doc: doc["nodes"][2].pop("domains")),
         "provenance without containment_edges": _json_edit(
             lambda doc: doc["provenance"].pop("containment_edges")
         ),
-        "1.0 for a node id": _text_edit(b'{"id":1,', b'{"id":1.0,'),
+        "1.0 for a node id": _json_edit(lambda doc: doc["nodes"][1].update(id=1.0)),
         "escaped label character": _escaped(b'"label":"'),
         # fix1 has 11 attr_attr, 12 attr_domain, 10 attr_model and no
         # containment edges.
@@ -566,6 +612,13 @@ _EDITS = {
 _ONCE_ACCEPTED = {
     "extra edge key", "extra provenance key", "provenance without containment_edges",
     "extra top-level key",
+}
+# The stored graph edits that only a parse of the edge rows refuses: the
+# text after the edges is that of a graph, and the edge counts by kind add up
+# to the rows.
+_EDGE_ROW_EDITS = {
+    "1.0 for 1", "leading zero", "extra edge key", "edge without weight",
+    "edge moved across a kind boundary",
 }
 # (stored object, its kind, commands that store it, command that reads it)
 _READERS = {
@@ -610,6 +663,31 @@ class TestEditedStoredObjects:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert store.names() == names
         assert not (built / "r.md").exists()
+
+
+    @pytest.mark.parametrize("edit", sorted(_EDITS["graph"]))
+    def test_canonical_json_export_agrees_with_a_read(self, built, capsys, edit):
+        """The canonical-json export refuses a graph edit exactly when a
+        read of the graph does, apart from the edits that only a parse of
+        the edge rows finds: the export does not load numpy to parse them.
+        It names the same reason and writes nothing."""
+        store = ArtifactStore(built / "store")
+        data = _EDITS["graph"][edit](store.object_bytes("fix1-graph"))
+        _store_bytes(built, "bad", "graph", data)
+        try:
+            store.get("bad")
+            read = None
+        except CorruptionError as exc:
+            read = f"ontomesh: error: {exc}\n"
+        argv = ["export", "--graph", "bad", "--format", "canonical-json", "--out", "bad.json"]
+        code, _, err = run_cli(argv, capsys)
+        if read is None or edit in _EDGE_ROW_EDITS:
+            assert code == 0, err
+            assert (built / "bad.json").read_bytes() == data
+        else:
+            assert code == 1
+            assert err == read
+            assert not (built / "bad.json").exists()
 
 
 class TestAdjacencyOnFirstUse:

@@ -1,9 +1,12 @@
 import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,9 +16,10 @@ from hypothesis import strategies as st
 
 from ontomesh.canonical import canonical_json_bytes, sha256_hex
 from ontomesh.choices import NODE_KINDS
+from ontomesh.cli import main
 
 from ontomesh.corpus import OccurrenceColumns
-from ontomesh.errors import SnapshotInvariantError
+from ontomesh.errors import CorruptionError, SnapshotInvariantError
 from ontomesh.graph import (
     EDGE_ATTR_ATTR,
     EDGE_ATTR_DOMAIN,
@@ -31,6 +35,7 @@ from ontomesh.graph import (
 from ontomesh import exports
 from ontomesh import graph as graph_module
 from ontomesh.graph import _canonical_edge_columns
+from ontomesh.store import ArtifactStore
 
 from ontomesh.synthetic import synthetic_snapshot
 
@@ -45,6 +50,7 @@ from oracles import (
     earlier_form,
     earlier_provenance,
     edge_rows,
+    format_2,
     graph_from_doc,
     graph_to_doc,
     hand_graph,
@@ -69,7 +75,7 @@ def _node_keys(graph):
 
 
 def _node_columns(graph):
-    return graph.node_kind, graph.labels, graph.model_domains, graph.type_model
+    return graph.node_kind, graph.labels, graph.model_domains
 
 
 class TestWorkedExample:
@@ -145,12 +151,17 @@ class TestFix1Graph:
         assert EDGE_CONTAINMENT not in edge_census(fix1_graph)
 
     def test_membership_metadata(self, fix1_graph):
+        """A model node holds its domains; a type node holds nothing but its
+        label, which names its model."""
         models = fix1_graph.nodes_of_kind(NodeKind.MODEL).tolist()
-        shared = models.index(fix1_graph.node_id(NodeKind.MODEL, "WeatherShared"))
-        assert json.loads(fix1_graph.model_domains[shared]) == ["SmartCities", "SmartEnergy"]
-        types = fix1_graph.nodes_of_kind(NodeKind.TYPE).tolist()
-        t = types.index(fix1_graph.node_id(NodeKind.TYPE, "EnergyMonitor/PowerReading"))
-        assert fix1_graph.type_model[t] == "EnergyMonitor"
+        shared = fix1_graph.node_id(NodeKind.MODEL, "WeatherShared")
+        assert fix1_graph.model_domains[models.index(shared)] == ("SmartCities", "SmartEnergy")
+        nodes = graph_to_doc(fix1_graph)["nodes"]
+        assert nodes[shared] == {
+            "domains": ["SmartCities", "SmartEnergy"], "kind": "model", "label": "WeatherShared",
+        }
+        t = fix1_graph.node_id(NodeKind.TYPE, "EnergyMonitor/PowerReading")
+        assert nodes[t] == {"kind": "type", "label": "EnergyMonitor/PowerReading"}
 
     def test_deterministic_hash(self, fix1_snapshot):
         assert (
@@ -174,19 +185,23 @@ class TestFix1Graph:
         assert graph_to_doc(back) == doc
         assert back.graph_hash() == fix1_graph.graph_hash()
 
-    @pytest.mark.parametrize("breaks", [
-        lambda node: node.update(note="x"),
-        lambda node: node.pop("metadata"),
-        lambda node: node.update(id=0.0),
-        lambda node: node.update(id=False),
+    @pytest.mark.parametrize("breaks, key", [
+        (lambda node: node.update(note="x"), "has unexpected key 'note'"),
+        (lambda node: node.pop("domains"), "lacks key 'domains'"),
+        (lambda node: node.update(id=0.0), "has unexpected key 'id'"),
+        (lambda node: node.update(id=False), "has unexpected key 'id'"),
     ], ids=["extra key", "no metadata", "float id", "bool id"])
-    def test_node_not_in_stored_form_refused(self, fix1_graph, breaks):
-        """Such a node could be read, but its graph's canonical bytes would
-        not be the ones whose hash was verified."""
+    def test_node_not_in_stored_form_refused(self, fix1_graph, breaks, key):
+        """Such a model node could be read, but its graph's canonical bytes
+        would not be the ones whose hash was verified. The refusal names the
+        key: a model's domains are its one metadata, and its id is its
+        position."""
         doc = graph_to_doc(fix1_graph)
-        breaks(doc["nodes"][0])
+        model = fix1_graph.nodes_of_kind(NodeKind.MODEL)[0]
+        breaks(doc["nodes"][model])
         data = canonical_json_bytes(doc)
-        with pytest.raises(ValueError, match="stored graph is not in canonical form"):
+        message = f"stored graph is not in canonical form: node {model} {key}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             OntologyGraph.from_bytes(data, sha256_hex(data))
 
     def test_given_hash_kept_only_for_canonical_edge_order(self, fix1_graph):
@@ -265,12 +280,16 @@ def _add_attr_attr(doc, u, v, weight):
 
 # The message of from_bytes for the breaks below that it refuses on other
 # grounds than the case names: their text is no canonical edge text or
-# document, or their edges are out of order.
+# document, or their edges are out of order, or their node rows hold other
+# keys than the kind, the label and a model's domains.
 _DECODER_MESSAGE = {
     "duplicate edge": "edges are not in canonical order",
     "integers": "stored edges are not in canonical form",
-    "unknown edge kind": "stored graph is not in canonical form",
-    "dense": "stored graph is not in canonical form",
+    "unknown edge kind": "edges_per_kind lacks key 'attr_model'",
+    "dense": "node 2 has unexpected key 'id'",
+    "attribute metadata must be none": "node 0 has unexpected key 'domains'",
+    "model metadata must be one text value 'domains'": "node 1 lacks key 'domains'",
+    "type metadata must be one text value 'model'": "node 1 has unexpected key 'model'",
 }
 
 
@@ -325,11 +344,11 @@ class TestStructuralValidation:
             ("dense", lambda doc: doc["nodes"][2].update(id=7)),
             ("duplicate node", lambda doc: doc["nodes"][2].update(label="a1")),
             ("attribute metadata must be none",
-             lambda doc: doc["nodes"][0]["metadata"].update(note="x")),
+             lambda doc: doc["nodes"][0].update(domains=[])),
             ("model metadata must be one text value 'domains'",
              lambda doc: doc["nodes"][1].update(kind="model")),
             ("type metadata must be one text value 'model'",
-             lambda doc: doc["nodes"][1].update(kind="type", metadata={"model": 7})),
+             lambda doc: doc["nodes"][1].update(kind="type", model="a0")),
             ("unknown node kind", lambda doc: doc["nodes"][1].update(kind="schema")),
         ],
     )
@@ -345,11 +364,11 @@ class TestStructuralValidation:
             OntologyGraph.from_bytes(canonical_json_bytes(doc))
 
     def test_sparse_ordinals_rejected(self):
-        """Node ids must count from 0; a graph whose ids start at 1 is no
-        graph's canonical form."""
+        """A node's id is its position, and no row holds one; a graph whose
+        rows hold ids counted from 1 is no graph's canonical form."""
         doc = graph_to_doc(hand_graph(self._nodes(3), [], GraphProvenance("x")))
-        for node in doc["nodes"]:
-            node["id"] += 1
+        for node_id, node in enumerate(doc["nodes"]):
+            node["id"] = node_id + 1
         with pytest.raises(ValueError, match="stored graph is not in canonical form"):
             OntologyGraph.from_bytes(canonical_json_bytes(doc))
 
@@ -388,23 +407,19 @@ def _digits(count: int):
     return st.integers(10 ** (count - 1), 10**count - 1)
 
 
-_KIND_METADATA = {NodeKind.MODEL: "domains", NodeKind.TYPE: "model"}
-
-
-def _node(draw, label):
-    """A node of any kind with the metadata of its kind."""
-    kind = draw(st.sampled_from(NodeKind))
-    key = _KIND_METADATA.get(kind)
-    metadata = {} if key is None else {key: draw(st.text(max_size=5))}
-    return kind, label, metadata
-
-
 @st.composite
 def _graphs(draw, kinds):
     """Valid graphs whose edges have the given kinds: nodes of any kinds in
-    any order, non-ASCII labels and metadata, weights of 1 to 18 digits."""
+    any order, non-ASCII labels, models naming any of the domains in any
+    order, weights of 1 to 18 digits."""
     labels = draw(st.lists(st.text(max_size=6), unique=True, max_size=9))
-    nodes = [_node(draw, label) for label in labels]
+    node_kinds = [draw(st.sampled_from(NodeKind)) for _ in labels]
+    domains = [label for label, kind in zip(labels, node_kinds) if kind == NodeKind.DOMAIN]
+    some_domains = st.lists(st.sampled_from(domains), unique=True) if domains else st.just([])
+    nodes = [
+        (kind, label, {"domains": draw(some_domains)} if kind == NodeKind.MODEL else {})
+        for kind, label in zip(node_kinds, labels)
+    ]
     pairs = [(u, v) for u in range(len(nodes)) for v in range(u + 1, len(nodes))]
     keys = []
     if pairs and kinds:
@@ -420,7 +435,7 @@ def _graphs(draw, kinds):
 def _state(graph):
     arrays = [a.tolist() for a in (graph.u, graph.v, graph.kind, graph.weight,
                                    graph.indptr, graph.indices)]
-    nodes = graph.node_kind.tolist(), graph.labels, graph.model_domains, graph.type_model
+    nodes = graph.node_kind.tolist(), graph.labels, graph.model_domains
     return arrays, nodes, graph.provenance, graph.graph_hash()
 
 
@@ -469,7 +484,7 @@ class TestStoredBytes:
 
     def _stored(self):
         nodes = [(NodeKind.DOMAIN, "D]x", {}),
-                 (NodeKind.MODEL, "Ørsted", {"domains": '["D]x"]'}),
+                 (NodeKind.MODEL, "Ørsted", {"domains": ["D]x"]}),
                  (NodeKind.ATTRIBUTE, "a", {})]
         edges = [(0, 2, EDGE_ATTR_DOMAIN, 3), (1, 2, EDGE_ATTR_MODEL, 1),
                  (0, 1, EDGE_ATTR_ATTR, 12)]
@@ -510,7 +525,7 @@ class TestStoredBytes:
             "truncated edges": stored[:40],
             "weight 0": stored.replace(b'"weight":3', b'"weight":0', 1),
             "not an object": canonical_json_bytes({
-                "edges": [], "edges_per_kind": counts, "kind": "graph", "nodes": 7,
+                "edges": [], "edges_per_kind": counts, "format": 3, "kind": "graph", "nodes": 7,
                 "provenance": {},
             }),
             "digits for edges": b'{"edges":[7' + stored[stored.index(b'],"edges_per_kind"') :],
@@ -590,15 +605,16 @@ class TestStoredBytes:
         assert b"D]x" in stored
         assert _state(OntologyGraph.from_bytes(stored)) == _state(_reference(stored))
 
-    @pytest.mark.parametrize("where", [b'"\xc3\x98rsted', b'"domains":"['],
+    @pytest.mark.parametrize("where, count", [(b'"\xc3\x98rsted', 1), (b'"D]x', -1)],
                              ids=["label", "metadata"])
     @pytest.mark.parametrize("text", [b"\xed\xa0\x80", b"\\ud800", b"\\udfff"],
                              ids=["bytes", "escape", "low-escape"])
-    def test_lone_surrogate_refused(self, where, text):
+    def test_lone_surrogate_refused(self, where, count, text):
         """UTF-8 cannot encode a lone surrogate, so no writer could write a
-        label or metadata value that holds one; put writes none."""
+        label or a model's domain (with the domain's label) that holds one;
+        put writes none."""
         stored = self._stored()
-        data = stored.replace(where, where + text, 1)
+        data = stored.replace(where, where + text, count)
         assert data != stored
         for read in (OntologyGraph.from_bytes, lambda d: _reference(d).canonical_bytes()):
             with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
@@ -613,6 +629,64 @@ class TestStoredBytes:
         assert _reference(escaped).canonical_bytes() == emoji
         with pytest.raises(ValueError, match="stored graph is not in canonical form"):
             OntologyGraph.from_bytes(escaped)
+
+
+# ---------------------------------------------------------------------------
+# Format 3: what build_graph writes reads back, and earlier formats do not
+# ---------------------------------------------------------------------------
+
+_REBUILD = "stored graph is in an earlier form; rebuild it with 'ontomesh graph build --overwrite'"
+
+
+def _built(seed: int, containment_edges: bool, metadata: bool = False):
+    return build_graph(random_snapshot(random.Random(seed), metadata=metadata), containment_edges)
+
+
+class TestFormat3:
+    @given(seed=st.integers(0, 2**16), containment_edges=st.booleans(), metadata=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_built_graphs_round_trip(self, seed, containment_edges, metadata):
+        """The stored bytes of every built graph are the canonical JSON of
+        their own document, as any JSON reader re-encodes it, and read back
+        as the same graph under the same hash."""
+        graph = _built(seed, containment_edges, metadata)
+        data = graph.canonical_bytes()
+        text = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False)
+        assert data == text.encode("utf-8") + b"\n"
+        assert json.loads(data)["format"] == 3
+        back = OntologyGraph.from_bytes(data, sha256_hex(data))
+        assert _state(back) == _state(graph)
+        assert back.canonical_bytes() == data
+
+    @given(seed=st.integers(0, 2**16), containment_edges=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_format_2_refused_by_every_reader(self, seed, containment_edges):
+        """A graph stored in format 2 is refused with the one message that
+        names the command writing it again: by a read from the store, by
+        ``import_graph_json`` and by the canonical-json export, which writes
+        nothing."""
+        data = canonical_json_bytes(format_2(graph_to_doc(_built(seed, containment_edges))))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            store = ArtifactStore(root / "store")
+            store.objects_dir.mkdir(parents=True)
+            (store.objects_dir / f"{sha256_hex(data)}.json").write_bytes(data)
+            entry = {"kind": "graph", "hash": sha256_hex(data)}
+            store.index_path.write_text(json.dumps({"g": entry}))
+            with pytest.raises(CorruptionError, match=re.escape(_REBUILD)):
+                store.get("g")
+            (root / "g.json").write_bytes(data)
+            with pytest.raises(ValueError, match=re.escape(_REBUILD)):
+                exports.import_graph_json(root / "g.json")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["export", "--graph", "g", "--format", "canonical-json",
+                             "--out", str(root / "out.json"), "--store", str(store.root_dir)])
+            assert code == 1
+            message = f"ontomesh: error: artifact 'g' is not a valid graph: {_REBUILD}\n"
+            assert err.getvalue() == message
+            assert not (root / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from ontomesh.errors import CorruptionError, NameConflictError, NotFoundError, S
 from ontomesh.graph import OntologyGraph, build_graph
 from ontomesh.store import ArtifactStore
 
-from oracles import earlier_form, earlier_provenance, graph_to_doc
+from oracles import earlier_form, earlier_provenance, format_2, graph_to_doc
 
 
 @pytest.fixture()
@@ -157,7 +157,7 @@ def test_get_missing(store):
         store.get("ghost")
 
 
-@pytest.mark.parametrize("form", [earlier_form, earlier_provenance])
+@pytest.mark.parametrize("form", [format_2, earlier_form, earlier_provenance])
 def test_graph_of_an_earlier_form_refused(store, fix1_graph, form):
     """A graph that matches its hash but was written in an earlier form is
     refused with one line that names the command that writes it again."""
